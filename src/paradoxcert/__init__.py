@@ -67,7 +67,7 @@ from .words import (
     word_text,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "CertificateError",

@@ -5,8 +5,8 @@ Subcommands
 derive <space> [-o cert.json]
     Build a paradoxicality certificate for a space descriptor and emit it
     as schema "paradox-cert/1" JSON (stdout by default).
-verify <cert.json> [--depth --samples --seed --mode --tol --absorber-bound
-                    --jobs] [-o report.json]
+verify <cert.json> [--depth --samples --seed --mode --tol --absorber-bound]
+                   [-o report.json]
     Structurally check the certificate, then run the sampled verification
     of every rule node. Emits a "paradox-report/1" JSON report.
 freeness [--pair so3-ab|su2-sqrt5|sp1-sqrt5] [--max-len L]
@@ -89,7 +89,7 @@ def _cmd_verify(args, out, err) -> int:
     root = cert_from_json(obj)
     cfg = RunConfig(depth=args.depth, samples=args.samples, seed=args.seed,
                     mode=args.mode, tol=args.tol,
-                    absorber_bound=args.absorber_bound, jobs=args.jobs)
+                    absorber_bound=args.absorber_bound)
     report = verify(root, cfg)
     emit_report(report, args.output, out)
     totals = report["totals"]
@@ -224,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--absorber-bound", type=int, default=50)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("freeness", help="exact freeness scan for a pair")

@@ -162,32 +162,8 @@ def conj_transpose(a: Matrix) -> Matrix:
                   for j in range(a.cols))
 
 
-def vec_add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_sub(x, y):
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def vec_scale_right(v, s):
     return tuple(a * s for a in v)
-
-
-def inner_product(x, y):
-    """(x, y) = sum conj(x_i) y_i: conjugate-linear in x, linear in y."""
-    if len(x) != len(y):
-        raise DimensionMismatchError("inner product length mismatch")
-    s = _conj(x[0]) * y[0]
-    for a, b in zip(x[1:], y[1:]):
-        s = s + _conj(a) * b
-    return s
-
-
-def dist_sq(x, y):
-    """Squared chordal distance |x - y|^2; a real scalar of the backend."""
-    d = vec_sub(x, y)
-    return inner_product(d, d)
 
 
 def _is_zero(x, exact):

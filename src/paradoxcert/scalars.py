@@ -6,12 +6,19 @@ group elements and points carry entries from one of a few field towers:
 * ``Fraction``            -- the rationals (stdlib, used as-is)
 * ``QSqrt2``              -- a + b*sqrt(2), a,b rational
 * ``QSqrt5``              -- a + b*sqrt(5), a,b rational
-* ``GaussSqrt5``          -- (a + b*sqrt(5) + (c + d*sqrt(5))i) / den, integers
+* ``GaussSqrt5``          -- a + b*sqrt(5) + (c + d*sqrt(5))i, a..d rational
 * ``Quaternion``          -- w + xi + yj + zk over any real backend above
 
 plus plain ``float``/``complex``/float quaternions for the verification-only
 float lane. Every scalar type supports ``+ - * /``, ``conjugate()`` and is
 hashable, so generic linear algebra can stay backend-agnostic.
+
+The three quadratic fields share one implementation, ``QuadExt``: integers
+(a, b, c, d, den) standing for (a + b*sqrt(D) + (c + d*sqrt(D))i) / den in
+canonical form (den > 0, gcd of all five = 1), so equal values have equal
+components and no operation pays for per-component rational gcds.  The
+subclasses only pin D, whether i is present, and the constructor: QSqrt2
+and QSqrt5 take two rationals, GaussSqrt5 the five integers.
 """
 
 from __future__ import annotations
@@ -20,8 +27,6 @@ import math
 from fractions import Fraction
 
 from .errors import BackendMismatchError
-
-Rational = Fraction
 
 
 def _frac(x) -> Fraction:
@@ -35,171 +40,20 @@ def _frac(x) -> Fraction:
 
 
 class QuadExt:
-    """a + b*sqrt(D) with rational a, b. Subclasses pin D."""
+    """(a + b*sqrt(D) + (c + d*sqrt(D)) i) / den with integer entries.
 
-    D = None  # set by subclass
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        object.__setattr__(self, "a", _frac(a))
-        object.__setattr__(self, "b", _frac(b))
-
-    def __setattr__(self, *args):
-        raise AttributeError("immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, type(self)):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return type(self)(other, 0)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return type(self)(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return type(self)(-self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return type(self)(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return type(self)(
-            self.a * o.a + self.D * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-        )
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        # (a + b sqrt D)^-1 = (a - b sqrt D) / (a^2 - D b^2); the norm is
-        # nonzero for nonzero elements because sqrt(D) is irrational.
-        n = self.a * self.a - self.D * self.b * self.b
-        if n == 0:
-            raise ZeroDivisionError("division by zero")
-        return type(self)(self.a / n, -self.b / n)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def conjugate(self):
-        return self  # real number: complex conjugation is trivial
-
-    def galois_conjugate(self):
-        return type(self)(self.a, -self.b)
-
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
-    def is_positive(self):
-        """Sign of a + b*sqrt(D) as a real number, exactly."""
-        a, b = self.a, self.b
-        if b == 0:
-            return a > 0
-        if a == 0:
-            return b > 0
-        if a > 0 and b > 0:
-            return True
-        if a < 0 and b < 0:
-            return False
-        # opposite signs: compare a^2 vs D b^2
-        if a > 0:
-            return a * a > self.D * b * b
-        return a * a < self.D * b * b
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.D, self.a, self.b))
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.D)
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.a}, {self.b})"
-
-    def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        return f"{self.a}+{self.b}*sqrt{self.D}"
-
-
-class QSqrt2(QuadExt):
-    D = 2
-    __slots__ = ()
-
-
-class QSqrt5(QuadExt):
-    D = 5
-    __slots__ = ()
-
-
-def _gcd5(*xs):
-    g = 0
-    for x in xs:
-        g = math.gcd(g, x)
-    return g
-
-
-class GaussSqrt5:
-    """(a + b*sqrt(5) + (c + d*sqrt(5)) i) / den with integer entries.
-
-    Canonical form: den > 0 and gcd(a, b, c, d, den) = 1. Products and sums
-    of elements with 5-power denominators keep 5-power denominators, which is
-    the shape generator words produce; inverses can introduce other
-    denominators (the class is the full field Q(sqrt5, i)).
+    Subclasses pin D and ``HAS_I`` (whether the field contains i; when it
+    does not, c = d = 0 always). Mixing two classes of the same D gives the
+    wider one, so QSqrt5 * GaussSqrt5 is a GaussSqrt5; classes of different
+    D do not mix.
     """
 
+    D = None  # set by subclass
+    HAS_I = False
     __slots__ = ("a", "b", "c", "d", "den")
 
-    def __init__(self, a=0, b=0, c=0, d=0, den=1):
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            a, b, c, d, den = -a, -b, -c, -d, -den
-        g = _gcd5(a, b, c, d, den)
-        if g > 1:
-            a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "den", den)
+    def __new__(cls, a=0, b=0, c=0, d=0, den=1):
+        return _make(cls, a, b, c, d, den)
 
     def __setattr__(self, *args):
         raise AttributeError("immutable")
@@ -207,135 +61,227 @@ class GaussSqrt5:
     @classmethod
     def from_rational(cls, q):
         q = _frac(q)
-        return cls(q.numerator, 0, 0, 0, q.denominator)
-
-    @classmethod
-    def from_parts(cls, re: QSqrt5, im: QSqrt5):
-        lcm = 1
-        for d in (re.a.denominator, re.b.denominator,
-                  im.a.denominator, im.b.denominator):
-            lcm = lcm * d // math.gcd(lcm, d)
-        return cls(
-            int(re.a * lcm), int(re.b * lcm),
-            int(im.a * lcm), int(im.b * lcm), lcm,
-        )
-
-    def real_part(self) -> QSqrt5:
-        return QSqrt5(Fraction(self.a, self.den), Fraction(self.b, self.den))
-
-    def imag_part(self) -> QSqrt5:
-        return QSqrt5(Fraction(self.c, self.den), Fraction(self.d, self.den))
-
-    def is_real(self):
-        return self.c == 0 and self.d == 0
-
-    def five_power_exponent(self):
-        """k with den = 5**k, or None if den is not a power of 5."""
-        n, k = self.den, 0
-        while n % 5 == 0:
-            n //= 5
-            k += 1
-        return k if n == 1 else None
+        return _make(cls, q.numerator, 0, 0, 0, q.denominator)
 
     def _coerce(self, other):
-        if isinstance(other, GaussSqrt5):
-            return other
+        """(result class, other as an element of this field), or None."""
+        cls = type(self)
+        if type(other) is cls:
+            return cls, other
         if isinstance(other, (int, Fraction)):
-            return GaussSqrt5.from_rational(other)
-        if isinstance(other, QSqrt5):
-            return GaussSqrt5.from_parts(other, QSqrt5(0, 0))
+            return cls, cls.from_rational(other)
+        if isinstance(other, QuadExt) and other.D == self.D:
+            return (cls if self.HAS_I else type(other)), other
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        co = self._coerce(other)
+        if co is None:
             return NotImplemented
-        return GaussSqrt5(
-            self.a * o.den + o.a * self.den,
-            self.b * o.den + o.b * self.den,
-            self.c * o.den + o.c * self.den,
-            self.d * o.den + o.d * self.den,
-            self.den * o.den,
-        )
+        cls, o = co
+        e, f = self.den, o.den
+        return _make(cls, self.a * f + o.a * e, self.b * f + o.b * e,
+                     self.c * f + o.c * e, self.d * f + o.d * e, e * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussSqrt5(-self.a, -self.b, -self.c, -self.d, self.den)
+        return _make(type(self), -self.a, -self.b, -self.c, -self.d,
+                     self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        co = self._coerce(other)
+        if co is None:
             return NotImplemented
-        return self + (-o)
+        return self + (-co[1])
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        co = self._coerce(other)
+        if co is None:
             return NotImplemented
-        return o + (-self)
+        return co[1] + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        co = self._coerce(other)
+        if co is None:
             return NotImplemented
+        cls, o = co
+        D = self.D
         a1, b1, c1, d1 = self.a, self.b, self.c, self.d
         a2, b2, c2, d2 = o.a, o.b, o.c, o.d
-        return GaussSqrt5(
-            a1 * a2 + 5 * b1 * b2 - c1 * c2 - 5 * d1 * d2,
+        if not (c1 or d1 or c2 or d2):  # both real: the i terms vanish
+            return _make(cls, a1 * a2 + D * b1 * b2, a1 * b2 + b1 * a2,
+                         0, 0, self.den * o.den)
+        return _make(
+            cls,
+            a1 * a2 + D * (b1 * b2 - d1 * d2) - c1 * c2,
             a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
-            a1 * c2 + c1 * a2 + 5 * (b1 * d2 + d1 * b2),
+            a1 * c2 + c1 * a2 + D * (b1 * d2 + d1 * b2),
             a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
             self.den * o.den,
         )
 
     __rmul__ = __mul__
 
-    def conjugate(self):
-        return GaussSqrt5(self.a, self.b, -self.c, -self.d, self.den)
-
     def inverse(self):
-        if self.is_zero():
+        # With y = den * self and z = conj(y) (or z = 1 when y is real),
+        # y z = n0 + n1 sqrt(D) is real, and its norm n0^2 - D n1^2 is a
+        # nonzero integer for nonzero y because sqrt(D) is irrational; so
+        # self^-1 = den * z * (n0 - n1 sqrt(D)) / (n0^2 - D n1^2).
+        a, b, c, d, D = self.a, self.b, self.c, self.d, self.D
+        if c or d:
+            n0 = a * a + D * b * b + c * c + D * d * d
+            n1 = 2 * (a * b + c * d)
+            za, zb, zc, zd = a, b, -c, -d
+        elif a or b:
+            n0, n1, za, zb, zc, zd = a, b, 1, 0, 0, 0
+        else:
             raise ZeroDivisionError("division by zero")
-        x, y = self.real_part(), self.imag_part()
-        n = x * x + y * y  # QSqrt5, nonzero for nonzero self
-        ninv = n.inverse()
-        return GaussSqrt5.from_parts(x * ninv, -(y * ninv))
+        k = self.den
+        return _make(
+            type(self),
+            k * (za * n0 - D * zb * n1), k * (zb * n0 - za * n1),
+            k * (zc * n0 - D * zd * n1), k * (zd * n0 - zc * n1),
+            n0 * n0 - D * n1 * n1,
+        )
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        co = self._coerce(other)
+        if co is None:
             return NotImplemented
-        return self * o.inverse()
+        return self * co[1].inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        co = self._coerce(other)
+        if co is None:
             return NotImplemented
-        return o * self.inverse()
+        return co[1] * self.inverse()
+
+    def conjugate(self):
+        if not (self.c or self.d):
+            return self  # real number: complex conjugation is trivial
+        return _make(type(self), self.a, self.b, -self.c, -self.d, self.den)
 
     def is_zero(self):
-        return self.a == 0 and self.b == 0 and self.c == 0 and self.d == 0
+        return not (self.a or self.b or self.c or self.d)
 
     def __bool__(self):
         return not self.is_zero()
 
+    def is_positive(self):
+        """Sign of a real element as a real number, exactly."""
+        if self.c or self.d:
+            raise TypeError(f"no real ordering for {self!r}")
+        a, b = self.a, self.b  # den > 0: the sign is that of a + b sqrt(D)
+        if b == 0:
+            return a > 0
+        if a == 0:
+            return b > 0
+        if (a > 0) == (b > 0):
+            return a > 0
+        # opposite signs: compare a^2 vs D b^2 (never equal)
+        return (a * a > self.D * b * b) == (a > 0)
+
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        co = self._coerce(other)
+        if co is None:
             return NotImplemented
-        return (self.a, self.b, self.c, self.d, self.den) == \
-               (o.a, o.b, o.c, o.d, o.den)
+        o = co[1]
+        return (self.a == o.a and self.b == o.b and self.c == o.c
+                and self.d == o.d and self.den == o.den)
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d, self.den))
+        # rational values hash like the equal Fraction
+        if self.b or self.c or self.d:
+            return hash((self.D, self.a, self.b, self.c, self.d, self.den))
+        return hash(Fraction(self.a, self.den))
+
+    def _parts(self):
+        """a, b (and c, d when the field has i) over den, as Fractions."""
+        nums = (self.a, self.b, self.c, self.d)[:4 if self.HAS_I else 2]
+        return tuple(Fraction(n, self.den) for n in nums)
+
+    def _to_float(self, p, q):
+        return p / self.den + q / self.den * math.sqrt(self.D)
+
+    def __float__(self):
+        if self.c or self.d:
+            raise TypeError(f"{self!r} is not real")
+        return self._to_float(self.a, self.b)
 
     def __complex__(self):
-        r5 = math.sqrt(5)
-        return complex(
-            (self.a + self.b * r5) / self.den,
-            (self.c + self.d * r5) / self.den,
-        )
+        return complex(self._to_float(self.a, self.b),
+                       self._to_float(self.c, self.d))
+
+
+# writers of the slots, which bypass the immutable __setattr__
+_new_object = object.__new__
+_set_a, _set_b, _set_c, _set_d, _set_den = (
+    QuadExt.__dict__[name].__set__ for name in QuadExt.__slots__)
+
+
+def _make(cls, a, b, c, d, den):
+    """Element of cls from integer components, brought to canonical form."""
+    if den == 0:
+        raise ZeroDivisionError("zero denominator")
+    g = math.gcd(a, b, c, d, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        a, b, c, d, den = a // g, b // g, c // g, d // g, den // g
+    x = _new_object(cls)
+    _set_a(x, a)
+    _set_b(x, b)
+    _set_c(x, c)
+    _set_d(x, d)
+    _set_den(x, den)
+    return x
+
+
+class RealQuadExt(QuadExt):
+    """a + b*sqrt(D) with rational a, b (stored as integers over den)."""
+
+    __slots__ = ()
+
+    def __new__(cls, a=0, b=0):
+        a, b = _frac(a), _frac(b)
+        p, q = a.denominator, b.denominator
+        den = p * q // math.gcd(p, q)
+        return _make(cls, a.numerator * (den // p), b.numerator * (den // q),
+                     0, 0, den)
+
+    def __repr__(self):
+        a, b = self._parts()
+        return f"{type(self).__name__}({a}, {b})"
+
+    def __str__(self):
+        a, b = self._parts()
+        if b == 0:
+            return str(a)
+        return f"{a}+{b}*sqrt{self.D}"
+
+
+class QSqrt2(RealQuadExt):
+    D = 2
+    __slots__ = ()
+
+
+class QSqrt5(RealQuadExt):
+    D = 5
+    __slots__ = ()
+
+
+class GaussSqrt5(QuadExt):
+    """(a + b*sqrt(5) + (c + d*sqrt(5)) i) / den: the field Q(sqrt5, i)."""
+
+    D = 5
+    HAS_I = True
+    __slots__ = ()
+
+    def _to_float(self, p, q):
+        # rounds the sum, where the real fields round each part: float-lane
+        # deviations in reports depend on the last bit of both
+        return (p + q * math.sqrt(self.D)) / self.den
 
     def __repr__(self):
         return (f"GaussSqrt5({self.a}, {self.b}, {self.c}, {self.d}, "
@@ -359,7 +305,7 @@ class Quaternion:
     def _coerce(self, other):
         if isinstance(other, Quaternion):
             return other
-        if isinstance(other, (int, Fraction, float, QuadExt)):
+        if isinstance(other, (int, Fraction, float, RealQuadExt)):
             zero = self.w - self.w
             return Quaternion(zero + other, zero, zero, zero)
         return None
@@ -495,9 +441,9 @@ def _quat_to_float(x):
 RING_RATIONAL = Ring("rational", Fraction(0), Fraction(1), True,
                      _frac, float)
 RING_QSQRT2 = Ring("qsqrt2", QSqrt2(0), QSqrt2(1), True,
-                   lambda q: QSqrt2(_frac(q), 0), float)
+                   QSqrt2.from_rational, float)
 RING_QSQRT5 = Ring("qsqrt5", QSqrt5(0), QSqrt5(1), True,
-                   lambda q: QSqrt5(_frac(q), 0), float)
+                   QSqrt5.from_rational, float)
 RING_GAUSS_SQRT5 = Ring("gauss_sqrt5", GaussSqrt5(), GaussSqrt5(1), True,
                         GaussSqrt5.from_rational, complex)
 RING_QUAT_RATIONAL = Ring("quat_rational", _quat_rational(0),
@@ -566,8 +512,9 @@ def scalar_to_json(x):
     """Serialize a scalar as exact decimal-string components."""
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, QuadExt):
-        return {"a": str(x.a), "b": str(x.b)}
+    if isinstance(x, RealQuadExt):
+        a, b = x._parts()
+        return {"a": str(a), "b": str(b)}
     if isinstance(x, GaussSqrt5):
         return {"a": str(x.a), "b": str(x.b), "c": str(x.c),
                 "d": str(x.d), "den": str(x.den)}
@@ -623,19 +570,11 @@ def scalar_key(x):
     if isinstance(x, Fraction):
         return x
     if isinstance(x, QuadExt):
-        if x.b == 0:
-            return x.a
-        return ("sqrt", x.D, x.a, x.b)
-    if isinstance(x, GaussSqrt5):
-        a = Fraction(x.a, x.den)
-        b = Fraction(x.b, x.den)
-        c = Fraction(x.c, x.den)
-        d = Fraction(x.d, x.den)
-        if c == 0 and d == 0:
-            if b == 0:
-                return a
-            return ("sqrt", 5, a, b)
-        return ("gauss5", a, b, c, d)
+        if x.c or x.d:
+            return (f"gauss{x.D}",) + x._parts()
+        if x.b:
+            return ("sqrt", x.D) + x._parts()[:2]
+        return Fraction(x.a, x.den)
     if isinstance(x, Quaternion):
         parts = (scalar_key(x.w), scalar_key(x.x),
                  scalar_key(x.y), scalar_key(x.z))

@@ -127,7 +127,6 @@ class RunConfig:
     tol: float = 1e-9
     absorber_bound: int = 50
     absorber_depth: int = 4
-    jobs: int = 1                # accepted for interface parity; runs serial
 
     @property
     def exact(self) -> bool:
@@ -736,7 +735,7 @@ class CertVerifier:
         if not free_rep["ok"]:
             failures.append(
                 f"pair {pair.name} not free to depth {cfg.depth}: "
-                f"word {word_text(free_rep['counterexample'])} is trivial")
+                f"word {free_rep['counterexample']} is trivial")
         frag = self._fragment_for(node, path)
         reass = reassembly_check(frag)
         if not reass["ok"]:
@@ -1168,8 +1167,7 @@ def verify(root: Node, config: RunConfig | None = None, **overrides) -> dict:
     """Run every node check of a certificate; returns the full report."""
     cfg = config or RunConfig()
     if overrides:
-        cfg = RunConfig(**{**_config_json(cfg), "jobs": cfg.jobs,
-                           **overrides})
+        cfg = RunConfig(**{**_config_json(cfg), **overrides})
     return CertVerifier(root, cfg).verify()
 
 

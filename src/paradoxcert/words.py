@@ -15,10 +15,6 @@ IDENTITY = ()
 _PIECE_BY_LETTER = ("W(a)", "W(A)", "W(b)", "W(B)")
 
 
-def inverse_letter(x: int) -> int:
-    return x ^ 1
-
-
 def parse_word(text: str):
     """'aBA' -> (0, 3, 1), reduced; 'e' is the identity word."""
     text = text.strip()

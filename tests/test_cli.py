@@ -135,3 +135,14 @@ def test_maps_selftest_exact_mode_rejects_float_only_maps(capsys):
 
 def test_unknown_subcommand_exits_2():
     assert main(["frobnicate"]) == 2
+
+
+def test_version_matches_pyproject():
+    from pathlib import Path
+
+    import paradoxcert
+
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    meta = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert paradoxcert.__version__ == meta["project"]["version"]

@@ -1,5 +1,6 @@
 """Exact scalar towers: quadratic extensions, Gaussian-sqrt5, quaternions."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -39,6 +40,13 @@ def _rand_qsqrt5(rng):
                   Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
 
 
+def _assert_canonical(x):
+    assert x.den > 0
+    assert math.gcd(x.a, x.b, x.c, x.d, x.den) == 1
+    if not isinstance(x, GaussSqrt5):
+        assert x.c == 0 and x.d == 0
+
+
 def _rand_quat(rng):
     return Quaternion(_rand_qsqrt5(rng), _rand_qsqrt5(rng),
                       _rand_qsqrt5(rng), _rand_qsqrt5(rng))
@@ -53,6 +61,7 @@ def test_qsqrt2_arithmetic_matches_floats():
                 (x - y, to_float_scalar(x) - to_float_scalar(y)),
                 (x * y, to_float_scalar(x) * to_float_scalar(y))):
             assert abs(to_float_scalar(got) - expect) < 1e-9
+            _assert_canonical(got)
 
 
 def test_qsqrt2_sqrt_squares_to_two():
@@ -73,6 +82,8 @@ def test_gauss_sqrt5_is_a_commutative_ring():
         assert x * y == y * x
         assert (x + y) * z == x * z + y * z
         assert x * (y * z) == (x * y) * z
+        for got in (x + y, x - y, -x, x * y, x.conjugate()):
+            _assert_canonical(got)
 
 
 def test_gauss_sqrt5_conjugation_is_multiplicative():
@@ -122,6 +133,11 @@ def test_scalar_key_identifies_rationals_across_rings():
         scalar_key(Quaternion(QSqrt5(val, 0), z, z, z)),
     }
     assert len(keys) == 1
+    # rational elements of every quadratic ring equal and hash like Fractions
+    for x in (QSqrt2(val, 0), QSqrt5(val, 0), GaussSqrt5(3, 0, 0, 0, 2),
+              QSqrt2(val) - QSqrt2(0, 1) + QSqrt2(0, 1)):
+        assert x == val and val == x
+        assert hash(x) == hash(val)
 
 
 def test_scalar_key_identifies_sqrt5_across_rings():
@@ -162,8 +178,58 @@ def test_json_round_trip_every_ring():
 
 
 def test_json_uses_exact_component_strings():
-    obj = scalar_to_json(QSqrt2(Fraction(1, 3), Fraction(-2, 3)))
+    x = QSqrt2(Fraction(1, 3), Fraction(-2, 3))
+    obj = scalar_to_json(x)
     assert obj == {"a": "1/3", "b": "-2/3"}
+    # sorted-by-repr sample draws depend on this exact text
+    assert repr(x) == "QSqrt2(1/3, -2/3)"
+    assert repr(GaussSqrt5(2, 0, 4, 0, 6)) == "GaussSqrt5(1, 0, 2, 0, 3)"
+
+
+def test_is_positive_is_exact():
+    # 99 - 70 sqrt2 = 1 / (99 + 70 sqrt2), about 0.00505
+    x = QSqrt2(99, -70)
+    assert x.is_positive()
+    assert not (-x).is_positive()
+    assert x * QSqrt2(99, 70) == 1
+    assert QSqrt5(161, -72).is_positive()  # 161^2 - 5 * 72^2 = 1
+    assert not QSqrt5(Fraction(-9, 4), 1).is_positive()
+    with pytest.raises(TypeError):
+        GaussSqrt5(1, 0, 1, 0).is_positive()
+
+
+def test_inverse_of_every_quadratic_ring():
+    rng = random.Random(31)
+    for make in (_rand_qsqrt2, _rand_qsqrt5, _rand_gauss):
+        for _ in range(100):
+            x = make(rng)
+            if not x:
+                continue
+            inv = x.inverse()
+            _assert_canonical(inv)
+            assert x * inv == 1
+            assert inv * x == 1
+            assert 1 / x == inv
+    with pytest.raises(ZeroDivisionError):
+        GaussSqrt5().inverse()
+
+
+def test_qsqrt5_and_gauss_sqrt5_mix_in_both_orders():
+    rng = random.Random(37)
+    for _ in range(50):
+        r, g = _rand_qsqrt5(rng), _rand_gauss(rng)
+        r_as_g = GaussSqrt5(r.a, r.b, 0, 0, r.den)
+        assert r == r_as_g and r_as_g == r
+        assert hash(r) == hash(r_as_g)
+        for got, want in ((r * g, r_as_g * g), (g * r, g * r_as_g),
+                          (r + g, r_as_g + g), (g + r, g + r_as_g),
+                          (r - g, r_as_g - g), (g - r, g - r_as_g)):
+            assert type(got) is GaussSqrt5
+            assert got == want
+        if g:
+            assert r / g == r_as_g / g
+        if r:
+            assert g / r == g / r_as_g
 
 
 def test_abs_float_on_each_lane():

@@ -199,3 +199,18 @@ def test_classify_marks_absorbed_points():
     for _ in range(4):
         assert v.classify(p) == "absorbed"
         p = act(g, p)
+
+
+def test_free_transport_names_a_trivial_word(monkeypatch):
+    from paradoxcert import verification
+
+    def trivial_word(pair, max_len):
+        return {"pair": pair.name, "max_len": max_len, "words_checked": 7,
+                "ok": False, "counterexample": "abAB", "elapsed_s": 0.0}
+
+    monkeypatch.setattr(verification, "check_freeness", trivial_word)
+    report = verify(derive("sphere(2)"), depth=2, samples=5)
+    assert report["overall"] == "fail"
+    failed = [n for n in report["nodes"] if n["status"] == "fail"]
+    assert [n["rule"] for n in failed] == ["FreeTransport"]
+    assert any("word abAB is trivial" in f for f in failed[0]["failures"])
