@@ -375,10 +375,10 @@ def max_abs_diff_vec(x, y) -> float:
 
 
 def _is_positive(x) -> bool:
-    from .scalars import QuadExt
+    from .scalars import RealQuadExt
     if isinstance(x, (Fraction, float, int)):
         return x > 0
-    if isinstance(x, QuadExt):
+    if isinstance(x, RealQuadExt):
         return x.is_positive()
     raise TypeError(f"no real ordering for {x!r}")
 

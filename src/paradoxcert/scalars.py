@@ -109,9 +109,6 @@ class QuadExt:
         D = self.D
         a1, b1, c1, d1 = self.a, self.b, self.c, self.d
         a2, b2, c2, d2 = o.a, o.b, o.c, o.d
-        if not (c1 or d1 or c2 or d2):  # both real: the i terms vanish
-            return _make(cls, a1 * a2 + D * b1 * b2, a1 * b2 + b1 * a2,
-                         0, 0, self.den * o.den)
         return _make(
             cls,
             a1 * a2 + D * (b1 * b2 - d1 * d2) - c1 * c2,

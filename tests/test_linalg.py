@@ -22,6 +22,7 @@ from paradoxcert.linalg import (
     normalize_leading,
     projector_of_basis,
     rank,
+    ray_canonical,
     to_float_matrix,
 )
 from paradoxcert.sampling import random_unitary, rng_for
@@ -170,6 +171,16 @@ def test_normalize_leading_right_multiplies_for_quaternions():
     assert w[0] == Quaternion(o, z, z, z)
     # v * i^-1 = (1, j * (-i)) = (1, k); left-multiplying would give -k
     assert w[1] == i * j
+
+
+def test_ray_canonical_needs_an_ordered_ring():
+    from paradoxcert.scalars import GaussSqrt5, QSqrt2
+    v = (QSqrt2(0), QSqrt2(-3, 2), QSqrt2(1))
+    sign, d = ray_canonical(v)
+    assert sign == -1 and d[1] == 1  # -3 + 2*sqrt2 < 0
+    # Q(sqrt5, i) has no ordering, even where the pivot happens to be real
+    with pytest.raises(TypeError):
+        ray_canonical((GaussSqrt5(-3, 0, 0, 0, 1), GaussSqrt5(0, 0, 1, 0, 1)))
 
 
 def test_to_float_matrix_and_max_abs_diff():
