@@ -11,6 +11,10 @@ Three built-in generator pairs, each with exact entries:
 plus block-embedded copies diag(g, I) in any larger dimension. Freeness is
 checked by exhaustive exact evaluation of every reduced word up to a length
 bound; integer fast paths keep that affordable at length 10.
+
+``ball_products`` walks a ball of words with their exact products, each
+built from its prefix's product and one letter matrix; the exceptional set
+and the verifier's absorber-is-not-a-pair-word scan read it.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .scalars import (
     RING_QSQRT2,
     RING_RATIONAL,
 )
-from .words import A, A_INV, B, B_INV, enumerate_ball, word_text
+from .words import A, A_INV, B, B_INV, IDENTITY, word_text
 
 
 class GeneratorPair:
@@ -151,6 +155,31 @@ def evaluate(word, pair: GeneratorPair) -> Matrix:
     for x in word:
         out = matmul(out, pair.letter_matrix(x))
     return out
+
+
+def ball_products(pair: GeneratorPair, max_len: int):
+    """(word, exact product) for every reduced word of length <= max_len.
+
+    Words come in ``enumerate_ball`` order. Each product is its prefix's
+    product times one letter matrix, the same multiplications ``evaluate``
+    makes, and only the products of the previous length are kept.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    ring = pair.letter_matrix(A).scalar_ring()
+    frontier = [(IDENTITY, Matrix.identity(pair.dim, ring))]
+    yield frontier[0]
+    for length in range(1, max_len + 1):
+        nxt = []
+        for w, m in frontier:
+            for x in range(4):
+                if w and x == (w[-1] ^ 1):
+                    continue
+                item = (w + (x,), matmul(m, pair.letter_matrix(x)))
+                if length < max_len:
+                    nxt.append(item)
+                yield item
+        frontier = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -346,32 +375,37 @@ def check_freeness(pair: GeneratorPair, max_len: int) -> dict:
     }
 
 
-def axis_of(word, pair: GeneratorPair):
-    """Fixed line of a nonidentity rotation word, leading-1 canonical.
-
-    Only meaningful for 3x3 real pairs: the fixed space of a nonidentity
-    special orthogonal 3x3 matrix is exactly one line.
-    """
+def _require_so3(pair: GeneratorPair):
     if pair.root().kind != "so3":
         raise ParadoxError("axes are defined for the so3 pair only")
-    if not word:
-        raise ParadoxError("the identity word fixes everything")
-    m = evaluate(word, pair)
-    ring = m.scalar_ring()
-    fixed = kernel(m - Matrix.identity(pair.dim, ring))
+
+
+def _fixed_line(m: Matrix, word):
+    """Fixed line of the nonidentity rotation m = word, leading-1 canonical."""
+    fixed = kernel(m - Matrix.identity(m.rows, m.scalar_ring()))
     if len(fixed) != 1:
         raise ParadoxError(
             f"word {word_text(word)} fixes a {len(fixed)}-dimensional space")
     return normalize_leading(fixed[0])
 
 
+def axis_of(word, pair: GeneratorPair):
+    """Fixed line of a nonidentity rotation word, leading-1 canonical.
+
+    Only meaningful for 3x3 real pairs: the fixed space of a nonidentity
+    special orthogonal 3x3 matrix is exactly one line.
+    """
+    _require_so3(pair)
+    if not word:
+        raise ParadoxError("the identity word fixes everything")
+    return _fixed_line(evaluate(word, pair), word)
+
+
 def exceptional_set(pair: GeneratorPair, max_len: int) -> frozenset:
     """Canonical fixed lines of all nonidentity words of length <= max_len."""
-    axes = set()
-    for w in enumerate_ball(max_len):
-        if w:
-            axes.add(axis_of(w, pair))
-    return frozenset(axes)
+    _require_so3(pair)
+    return frozenset(_fixed_line(m, w)
+                     for w, m in ball_products(pair, max_len) if w)
 
 
 def default_absorber() -> Matrix:
@@ -409,7 +443,9 @@ def absorber_check(g: Matrix, lines, bound: int) -> dict:
 
     ``lines`` is an iterable of canonical line vectors (the finite stand-in
     for the removed set D). Disjointness is tested literally on hashed
-    canonical forms of every power image.
+    canonical forms of every power image. The result's ``levels[k]`` is the
+    set of those forms for g^k(D), so callers can index the orbit without
+    computing it again.
     """
     base = list(lines)
     ring = g.scalar_ring()
@@ -434,4 +470,5 @@ def absorber_check(g: Matrix, lines, bound: int) -> dict:
         "set_size": len(levels[0]),
         "ok": collision is None,
         "first_collision": collision,
+        "levels": levels,
     }

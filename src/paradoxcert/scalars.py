@@ -58,6 +58,10 @@ class QuadExt:
     def __setattr__(self, *args):
         raise AttributeError("immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not the slots
+        return type(self), (self.a, self.b, self.c, self.d, self.den)
+
     @classmethod
     def from_rational(cls, q):
         q = _frac(q)
@@ -247,6 +251,9 @@ class RealQuadExt(QuadExt):
         return _make(cls, a.numerator * (den // p), b.numerator * (den // q),
                      0, 0, den)
 
+    def __reduce__(self):
+        return type(self), self._parts()
+
     def __repr__(self):
         a, b = self._parts()
         return f"{type(self).__name__}({a}, {b})"
@@ -298,6 +305,9 @@ class Quaternion:
 
     def __setattr__(self, *args):
         raise AttributeError("immutable")
+
+    def __reduce__(self):
+        return type(self), (self.w, self.x, self.y, self.z)
 
     def _coerce(self, other):
         if isinstance(other, Quaternion):

@@ -9,7 +9,11 @@ module checks their finitely checkable consequences at a chosen depth:
 * the two paradoxical reassemblies -> exact cover-with-multiplicity-one
   bookkeeping on the radius-(L-1) fragment;
 * absorber claims -> pairwise disjointness of the absorber orbit of the
-  removed set up to a bound M, plus a bounded equidecomposition witness;
+  removed set up to a bound M, a scan that the absorber is no pair word
+  of length <= min(L, 6) (products built from their prefixes), plus a
+  bounded equidecomposition witness; the orbit computed for the
+  disjointness test also indexes absorbed points, and its float copy is
+  built only when a float point is classified;
 * equivariant-map claims -> catalog selftests and section/replay checks
   on every transported sample;
 * every transported sample carries a piece label (its provenance); at the
@@ -58,8 +62,8 @@ from .errors import (
 )
 from .freegroup import (
     absorber_check,
+    ball_products,
     check_freeness,
-    evaluate,
     exceptional_set,
     get_pair,
 )
@@ -105,7 +109,6 @@ from .words import (
     ball_size,
     check_translate_identity,
     classify_prefix,
-    enumerate_ball,
     inverse_word,
     reduce as reduce_word,
     word_text,
@@ -171,8 +174,7 @@ def point_key_vec(vec, kind: str, exact: bool):
         if kind == "ray":
             sign, d = ray_canonical(vec)
             return ("ray", sign) + tuple(scalar_key(x) for x in d)
-        nv = normalize_leading(vec)
-        return ("line",) + tuple(scalar_key(x) for x in nv)
+        return _line_key(normalize_leading(vec))
     if kind == "ray":
         norm = math.sqrt(sum(float(x) * float(x) for x in vec))
         return ("ray",) + tuple(round(float(x) / norm, 9) for x in vec)
@@ -225,12 +227,16 @@ def _point_ray_rep(point: SpherePoint) -> np.ndarray:
 def _point_line_key(point):
     """Exact canonical key of the line through an exact point."""
     if isinstance(point, SpherePoint):
-        return ("line",) + tuple(scalar_key(x) for x in point.direction)
+        return _line_key(point.direction)
     if point.dim != 1:
         raise VerificationError(
             "line keys are defined for rays and one-dimensional subspaces")
-    rep = normalize_leading(point.basis()[0])
-    return ("line",) + tuple(scalar_key(x) for x in rep)
+    return _line_key(normalize_leading(point.basis()[0]))
+
+
+def _line_key(nv):
+    """Key of the line through a leading-1 canonical vector."""
+    return ("line",) + tuple(scalar_key(x) for x in nv)
 
 
 # --------------------------------------------------------------------------
@@ -561,39 +567,26 @@ class CertVerifier:
             f"absorption over removed set {removed!r} is not supported")
 
     def _absorb_context(self, node: Node, path: str) -> dict:
+        """The absorber's disjointness check and its g^k(D) orbit index.
+
+        The exact orbit is the one ``absorber_check`` tests for
+        disjointness; its canonical lines are keyed here and then dropped.
+        The float lane is built by ``_absorbed_level`` on the first float
+        point it is asked about.
+        """
         if path in self._absorb_cache:
             return self._absorb_cache[path]
-        cfg = self.config
         g = node.params["absorber"]
         removed = node.children[0].space.removed
         dirs = self._removed_dirs(removed, node.space.base)
-        bound = cfg.absorber_bound
-
+        ab = absorber_check(g, dirs, self.config.absorber_bound)
         exact_levels = {}
-        cur = list(dirs)
-        for lvl in range(bound + 1):
-            for d in cur:
-                exact_levels.setdefault(
-                    point_key_vec(d, "line", True), lvl)
-            if lvl < bound:
-                cur = [mat_vec(g, d) for d in cur]
-
-        gf = to_float_matrix(g)
-        field = _field_of(node.space.base)
-        float_reps, float_levels = [], []
-        curf = [tuple(_float_in_field(x, field) for x in d) for d in dirs]
-        for lvl in range(bound + 1):
-            for d in curf:
-                float_reps.append(_vec_line_rep(d))
-                float_levels.append(lvl)
-            if lvl < bound:
-                curf = [mat_vec(gf, d) for d in curf]
-
-        ctx = {"g": g, "gf": gf, "dirs": dirs, "bound": bound,
-               "exact_levels": exact_levels,
-               "d0_keys": {point_key_vec(d, "line", True) for d in dirs},
-               "float_arr": np.vstack(float_reps),
-               "float_levels": float_levels}
+        for lvl, level in enumerate(ab.pop("levels")):
+            for v in level:
+                exact_levels.setdefault(_line_key(v), lvl)
+        ctx = {"g": g, "gf": to_float_matrix(g), "dirs": dirs,
+               "field": _field_of(node.space.base), "absorber_check": ab,
+               "exact_levels": exact_levels}
         self._absorb_cache[path] = ctx
         return ctx
 
@@ -601,6 +594,8 @@ class CertVerifier:
         """Bounded membership of the point's line in the absorber orbit."""
         if getattr(point, "exact", True):
             return ctx["exact_levels"].get(_point_line_key(point))
+        if "float_arr" not in ctx:
+            _build_float_lane(ctx)
         rep = _point_line_rep(point)
         d2 = ((ctx["float_arr"] - rep) ** 2).sum(axis=1)
         i = int(np.argmin(d2))
@@ -900,7 +895,7 @@ class CertVerifier:
         removed = node.children[0].space.removed
 
         # 1. the absorber keeps the removed set's forward orbit disjoint
-        ab = absorber_check(g, frozenset(ctx["dirs"]), cfg.absorber_bound)
+        ab = ctx["absorber_check"]
         checks = ab["set_size"] * (cfg.absorber_bound + 1)
         if not ab["ok"]:
             failures.append(
@@ -910,9 +905,9 @@ class CertVerifier:
         if isinstance(removed, RemovedExceptional):
             pair = get_pair(removed.pair)
             scanned = 0
-            for w in enumerate_ball(min(cfg.depth, 6)):
+            for w, m in ball_products(pair, min(cfg.depth, 6)):
                 scanned += 1
-                if evaluate(w, pair) == g:
+                if m == g:
                     failures.append(
                         f"absorber equals pair word {word_text(w)}")
             checks += scanned
@@ -1072,6 +1067,22 @@ class CertVerifier:
                 "unknown": unknown,
                 "totals": totals,
                 "overall": overall}
+
+
+def _build_float_lane(ctx):
+    """Float projectors of g^k(D), k = 0..bound, level by level."""
+    g, bound = ctx["gf"], ctx["absorber_check"]["bound"]
+    cur = [tuple(_float_in_field(x, ctx["field"]) for x in d)
+           for d in ctx["dirs"]]
+    reps, levels = [], []
+    for lvl in range(bound + 1):
+        for d in cur:
+            reps.append(_vec_line_rep(d))
+            levels.append(lvl)
+        if lvl < bound:
+            cur = [mat_vec(g, d) for d in cur]
+    ctx["float_arr"] = np.vstack(reps)
+    ctx["float_levels"] = levels
 
 
 def _absorbed_samples(node, ctx, cfg) -> list:

@@ -8,6 +8,7 @@ from paradoxcert.errors import ParadoxError
 from paradoxcert.freegroup import (
     absorber_check,
     axis_of,
+    ball_products,
     check_freeness,
     default_absorber,
     evaluate,
@@ -115,6 +116,22 @@ def test_exceptional_set_counts_and_growth():
     assert len(d2) == 6
     assert len(d4) == 66
     assert d1 <= d2 <= d4
+
+
+def test_ball_products_follow_the_ball_with_exact_products():
+    for name in PAIRS + ("sp1-sqrt5@2",):
+        pair = get_pair(name)
+        got = list(ball_products(pair, 4))
+        assert [w for w, _ in got] == list(enumerate_ball(4))
+        for w, m in got:
+            assert m == evaluate(w, pair), (name, w)
+
+
+def test_exceptional_set_is_the_axes_of_the_ball():
+    pair = get_pair("so3-ab")
+    d4 = exceptional_set(pair, 4)
+    assert len(d4) == 66
+    assert d4 == {axis_of(w, pair) for w in enumerate_ball(4) if w}
 
 
 def test_default_absorber_is_a_rotation_off_the_axes():

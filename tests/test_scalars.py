@@ -239,3 +239,21 @@ def test_abs_float_on_each_lane():
     z = QSqrt5(0, 0)
     q = Quaternion(QSqrt5(1, 0), z, QSqrt5(2, 0), z)
     assert abs(abs_float(q) - 5 ** 0.5) < 1e-12
+
+
+def test_copy_and_pickle_rebuild_every_ring():
+    import copy
+    import pickle
+    rng = random.Random(41)
+    cases = [QSqrt2(1, 2), QSqrt2(Fraction(-1, 3)), _rand_qsqrt2(rng),
+             QSqrt5(Fraction(1, 5), Fraction(2, 5)), _rand_qsqrt5(rng),
+             GaussSqrt5(0, 1, 0, 2, 5), GaussSqrt5(3, 0, 0, 0, 6),
+             _rand_gauss(rng), _rand_quat(rng)]
+    for x in cases:
+        for y in (copy.copy(x), copy.deepcopy(x),
+                  pickle.loads(pickle.dumps(x))):
+            assert type(y) is type(x)
+            assert y == x
+            assert hash(y) == hash(x)
+            if not isinstance(x, Quaternion):
+                _assert_canonical(y)

@@ -199,6 +199,10 @@ def test_classify_marks_absorbed_points():
     for _ in range(4):
         assert v.classify(p) == "absorbed"
         p = act(g, p)
+    # so does a float copy of an image, matched in the float lane
+    fp = SpherePoint.from_vector(p.to_float_vector())
+    assert not fp.exact
+    assert v.classify(fp) == "absorbed"
 
 
 def test_free_transport_names_a_trivial_word(monkeypatch):
@@ -214,3 +218,39 @@ def test_free_transport_names_a_trivial_word(monkeypatch):
     failed = [n for n in report["nodes"] if n["status"] == "fail"]
     assert [n["rule"] for n in failed] == ["FreeTransport"]
     assert any("word abAB is trivial" in f for f in failed[0]["failures"])
+
+
+def test_verify_small_sphere_run_in_float_mode():
+    report = verify(derive("sphere(2)"), depth=3, samples=30, mode="float")
+    assert report["config"]["mode"] == "float"
+    assert report["overall"] == "pass"
+    assert report["provenance"]["ok"]
+    assert report["provenance"]["labelled_samples"] > 0
+
+
+def _failures_at_root(report):
+    assert report["overall"] == "fail"
+    failed = [n for n in report["nodes"] if n["status"] == "fail"]
+    assert [(n["path"], n["rule"]) for n in failed] == [
+        ("0", "CountableAbsorb")]
+    return failed[0]["failures"]
+
+
+def test_countable_absorb_rejects_an_absorber_that_is_a_pair_word():
+    import dataclasses
+    from paradoxcert.freegroup import evaluate
+    from paradoxcert.words import parse_word
+    root = derive("sphere(2)")
+    word = evaluate(parse_word("abAb"), get_pair("so3-ab"))
+    bad = dataclasses.replace(root, params={**root.params, "absorber": word})
+    report = verify(bad, depth=4, samples=5)
+    assert "absorber equals pair word abAb" in _failures_at_root(report)
+
+
+def test_countable_absorb_rejects_an_absorber_fixing_the_removed_line():
+    import dataclasses
+    root = derive("sphere(3)")
+    ident = Matrix.identity(4, RING_RATIONAL)
+    bad = dataclasses.replace(root, params={**root.params, "absorber": ident})
+    report = verify(bad, depth=2, samples=5)
+    assert "absorber fixes the removed line" in _failures_at_root(report)
