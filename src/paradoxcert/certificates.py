@@ -584,4 +584,13 @@ def cert_from_json(obj) -> Node:
         raise CertificateError(
             f"expected schema {SCHEMA_CERT!r}, got {obj.get('schema')!r}"
             if isinstance(obj, dict) else "certificate must be a JSON object")
-    return _node_from_json(obj["root"])
+    if "root" not in obj:
+        raise CertificateError("certificate has no root node")
+    root = _node_from_json(obj["root"])
+    for field, text in (("space", root.space.text),
+                        ("group", root.group.text)):
+        if obj.get(field) != text:
+            raise CertificateError(
+                f"certificate {field} {obj.get(field)!r} does not match "
+                f"its root node's {text!r}")
+    return root

@@ -5,7 +5,7 @@ Subcommands
 derive <space> [-o cert.json]
     Build a paradoxicality certificate for a space descriptor and emit it
     as schema "paradox-cert/1" JSON (stdout by default).
-verify <cert.json> [--depth --samples --seed --mode --tol --absorber-bound]
+verify <cert.json> [--depth --samples --seed --tol --absorber-bound]
                    [-o report.json]
     Structurally check the certificate, then run the sampled verification
     of every rule node. Emits a "paradox-report/1" JSON report.
@@ -20,7 +20,7 @@ orbit <space> [--seed-point 1,2,3] [--pair P] [--depth L] [-o points.json]
 absorber [--max-len L] [--bound M] [--identity]
     Check that powers g^0..g^M of the default absorbing rotation move the
     depth-L exceptional axis set to pairwise disjoint copies.
-maps selftest [--samples N] [--seed S] [--mode exact|float] [--tol T]
+maps selftest [--samples N] [--seed S] [--tol T]
     Randomized equivariance checks for every map in the catalog.
 
 Exit codes: 0 all checks pass; 1 verification or structural failure;
@@ -88,8 +88,7 @@ def _cmd_verify(args, out, err) -> int:
         return 2
     root = cert_from_json(obj)
     cfg = RunConfig(depth=args.depth, samples=args.samples, seed=args.seed,
-                    mode=args.mode, tol=args.tol,
-                    absorber_bound=args.absorber_bound)
+                    tol=args.tol, absorber_bound=args.absorber_bound)
     report = verify(root, cfg)
     emit_report(report, args.output, out)
     totals = report["totals"]
@@ -186,15 +185,8 @@ def _cmd_absorber(args, err) -> int:
 
 
 def _cmd_maps_selftest(args, err) -> int:
-    catalog = default_catalog()
-    if args.mode == "exact":
-        inexact = [m.name for m in catalog if not m.exact]
-        if inexact:
-            print("exact mode rejects maps without an exact backend: "
-                  + ", ".join(inexact), file=err)
-            return 2
     failures = 0
-    for m in catalog:
+    for m in default_catalog():
         result = selftest(m, args.samples, args.seed, tol=args.tol)
         status = "pass" if result["ok"] else "FAIL"
         print(f"{status} {result['map']:28s} samples={result['samples']} "
@@ -221,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--absorber-bound", type=int, default=50)
     p.add_argument("-o", "--output", default=None)
@@ -253,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = maps_sub.add_parser("selftest", help="randomized equivariance suite")
     p.add_argument("--samples", type=int, default=60)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--mode", choices=("exact", "float"), default=None)
     p.add_argument("--tol", type=float, default=1e-9)
 
     return parser

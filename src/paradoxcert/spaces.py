@@ -130,10 +130,6 @@ class Flag:
     def ambient_dim(self):
         return self.dims[-1]
 
-    @property
-    def proper_dims(self):
-        return self.dims[:-1]
-
 
 SpaceDescriptor = (Sphere, Projective, Grassmann, Flag)
 
@@ -315,10 +311,6 @@ class SpherePoint:
         if self.exact:
             return SpherePoint(-self.sign, self.direction, True)
         return SpherePoint(1, tuple(-x for x in self.direction), False)
-
-    def line_key(self):
-        """Canonical direction of the line through the point (sign dropped)."""
-        return self.direction
 
     def apply_matrix(self, m: Matrix):
         if self.exact:

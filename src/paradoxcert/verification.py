@@ -22,15 +22,16 @@ module checks their finitely checkable consequences at a chosen depth:
 
 Points sampled along the way are "provenanced": each one was constructed
 by replaying group words and map sections, so its piece membership is a
-theorem about the construction, not a floating-point guess.  Exact lanes
-compare scalars exactly; float lanes compare within a tolerance.
+theorem about the construction, not a floating-point guess.  Every run is
+exact; the only float points are the samples an ``Intertwine`` chart lifts,
+and those are matched within a tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -126,14 +127,9 @@ class RunConfig:
     depth: int = 6
     samples: int = 500
     seed: int = 42
-    mode: str = "exact"          # "exact" | "float"
     tol: float = 1e-9
     absorber_bound: int = 50
     absorber_depth: int = 4
-
-    @property
-    def exact(self) -> bool:
-        return self.mode == "exact"
 
 
 @dataclass
@@ -141,18 +137,11 @@ class Sample:
     """A provenanced point: where it lives, which piece produced it."""
     point: object
     label: str | None
-    exact: bool
 
 
 # --------------------------------------------------------------------------
 # point keys (exact) and float representations
 # --------------------------------------------------------------------------
-
-def _scalar_inv(x):
-    if isinstance(x, (Fraction, float, complex)):
-        return 1 / x
-    return x.inverse()
-
 
 def _flatten_scalar(x):
     if isinstance(x, Quaternion):
@@ -168,27 +157,11 @@ def _conj(x):
     return x.conjugate()
 
 
-def point_key_vec(vec, kind: str, exact: bool):
-    """Canonical hashable key of the ray/line spanned by a vector."""
-    if exact:
-        if kind == "ray":
-            sign, d = ray_canonical(vec)
-            return ("ray", sign) + tuple(scalar_key(x) for x in d)
-        return _line_key(normalize_leading(vec))
+def point_key_vec(vec, kind: str):
+    """Canonical hashable key of the ray/line spanned by an exact vector."""
     if kind == "ray":
-        norm = math.sqrt(sum(float(x) * float(x) for x in vec))
-        return ("ray",) + tuple(round(float(x) / norm, 9) for x in vec)
-    mags = [abs(complex(x)) if isinstance(x, complex)
-            else (x.norm_sq() ** 0.5 if isinstance(x, Quaternion)
-                  else abs(float(x)))
-            for x in vec]
-    p = max(range(len(vec)), key=lambda i: mags[i])
-    pinv = _scalar_inv(vec[p])
-    w = [x * pinv for x in vec]
-    out = []
-    for x in w:
-        out.extend(round(c, 9) for c in _flatten_scalar(x))
-    return ("line",) + tuple(out)
+        return _ray_key(*ray_canonical(vec))
+    return _line_key(normalize_leading(vec))
 
 
 def _vec_line_rep(vec) -> np.ndarray:
@@ -234,6 +207,11 @@ def _point_line_key(point):
     return _line_key(normalize_leading(point.basis()[0]))
 
 
+def _ray_key(sign, direction):
+    """Key of a signed ray through a leading-1 canonical direction."""
+    return ("ray", sign) + tuple(scalar_key(x) for x in direction)
+
+
 def _line_key(nv):
     """Key of the line through a leading-1 canonical vector."""
     return ("line",) + tuple(scalar_key(x) for x in nv)
@@ -253,14 +231,12 @@ class Fragment:
     and that word is reported.
     """
 
-    __slots__ = ("kind", "depth", "exact", "words", "vectors", "keys",
-                 "index", "mats", "seed")
+    __slots__ = ("kind", "depth", "words", "vectors", "keys", "index",
+                 "mats", "seed")
 
-    def __init__(self, kind, depth, exact, words, vectors, keys, index,
-                 mats, seed):
+    def __init__(self, kind, depth, words, vectors, keys, index, mats, seed):
         self.kind = kind
         self.depth = depth
-        self.exact = exact
         self.words = words
         self.vectors = vectors
         self.keys = keys
@@ -271,20 +247,15 @@ class Fragment:
     def point_for(self, w):
         v = self.vectors[w]
         if self.kind == "ray":
-            if self.exact:
-                sign, d = ray_canonical(v)
-                return SpherePoint(sign, d, True)
-            return SpherePoint.from_vector(v)
-        if self.exact:
-            return ProjectivePoint.from_vector(normalize_leading(v))
-        return ProjectivePoint.from_vector(v)
+            sign, d = ray_canonical(v)
+            return SpherePoint(sign, d, True)
+        return ProjectivePoint.from_vector(normalize_leading(v))
 
     def provenanced(self):
         return [(w, self.point_for(w)) for w in self.words]
 
 
-def orbit_fragment(space, seed, pair, depth: int, mode: str = "exact"
-                   ) -> Fragment:
+def orbit_fragment(space, seed, pair, depth: int) -> Fragment:
     """All points {w . seed : |w| <= depth} with provenance words.
 
     Raises SeedFixedError (naming the fixing word) if two words of length
@@ -303,16 +274,8 @@ def orbit_fragment(space, seed, pair, depth: int, mode: str = "exact"
             f"not {space.text}")
     if isinstance(pair, str):
         pair = get_pair(pair)
-    exact = (mode == "exact")
     mats = [pair.letter_matrix(x) for x in range(4)]
-    seed_vec = tuple(seed)
-    if exact:
-        seed_vec = tuple(Fraction(x) if isinstance(x, int) else x
-                         for x in seed_vec)
-    else:
-        mats = [to_float_matrix(m) for m in mats]
-        seed_vec = tuple(float(x) if isinstance(x, (int, Fraction))
-                         else to_float_scalar(x) for x in seed_vec)
+    seed_vec = tuple(Fraction(x) if isinstance(x, int) else x for x in seed)
     if len(seed_vec) != mats[0].rows:
         raise DomainError(
             f"seed has {len(seed_vec)} coordinates, pair acts on "
@@ -320,7 +283,7 @@ def orbit_fragment(space, seed, pair, depth: int, mode: str = "exact"
 
     words = [()]
     vectors = {(): seed_vec}
-    keys = {(): point_key_vec(seed_vec, kind, exact)}
+    keys = {(): point_key_vec(seed_vec, kind)}
     index = {keys[()]: ()}
     frontier = [()]
     for _ in range(depth):
@@ -332,7 +295,7 @@ def orbit_fragment(space, seed, pair, depth: int, mode: str = "exact"
                     continue
                 w2 = (x,) + w
                 v2 = mat_vec(mats[x], v)
-                k2 = point_key_vec(v2, kind, exact)
+                k2 = point_key_vec(v2, kind)
                 if k2 in index:
                     fix = reduce_word(inverse_word(index[k2]) + w2)
                     raise SeedFixedError(word_text(fix))
@@ -342,8 +305,7 @@ def orbit_fragment(space, seed, pair, depth: int, mode: str = "exact"
                 index[k2] = w2
                 nxt.append(w2)
         frontier = nxt
-    return Fragment(kind, depth, exact, words, vectors, keys, index,
-                    mats, seed_vec)
+    return Fragment(kind, depth, words, vectors, keys, index, mats, seed_vec)
 
 
 def piece_sizes(frag: Fragment) -> dict:
@@ -375,7 +337,7 @@ def reassembly_check(frag: Fragment, translate_a: int = A,
                     counts[frag.keys[v[1:]]] += 1
                 else:
                     v2 = mat_vec(frag.mats[translate], frag.vectors[v])
-                    counts[point_key_vec(v2, frag.kind, frag.exact)] += 1
+                    counts[point_key_vec(v2, frag.kind)] += 1
         ok = (set(counts) == target
               and all(c == 1 for c in counts.values()))
         sides[name] = {"targets": len(target),
@@ -522,13 +484,12 @@ class CertVerifier:
             if node.rule == "FreeTransport":
                 pair = get_pair(node.params["pair"])
                 self._frag_cache[path] = orbit_fragment(
-                    node.space.base, node.params["seed"], pair,
-                    cfg.depth, cfg.mode)
+                    node.space.base, node.params["seed"], pair, cfg.depth)
             elif node.rule == "Intertwine":
                 f = node.params["field"]
                 self._frag_cache[path] = orbit_fragment(
                     Projective(f, 2), _intertwine_seed(f),
-                    _INTERTWINE_PAIR[f], min(cfg.depth, 5), cfg.mode)
+                    _INTERTWINE_PAIR[f], min(cfg.depth, 5))
             else:
                 raise VerificationError(f"no fragment at rule {node.rule}")
         return self._frag_cache[path]
@@ -541,8 +502,7 @@ class CertVerifier:
             for w in frag.words:
                 v = frag.vectors[w]
                 if frag.kind == "ray":
-                    fv = [to_float_scalar(x) if frag.exact else x
-                          for x in v]
+                    fv = [to_float_scalar(x) for x in v]
                     norm = math.sqrt(sum(x * x for x in fv))
                     reps.append(np.array([x / norm for x in fv]))
                 else:
@@ -617,12 +577,10 @@ class CertVerifier:
         rule = node.rule
         if rule == "FreeTransport":
             frag = self._fragment_for(node, path)
-            if getattr(point, "exact", True) and frag.exact:
-                if isinstance(point, SpherePoint):
-                    key = ("ray", point.sign) + tuple(
-                        scalar_key(x) for x in point.direction)
-                else:
-                    key = _point_line_key(point)
+            if point.exact:
+                key = (_ray_key(point.sign, point.direction)
+                       if isinstance(point, SpherePoint)
+                       else _point_line_key(point))
                 w = frag.index.get(key)
                 return "Unknown" if w is None else classify_prefix(w)
             arr, labels = self._fragment_float_index(node, path)
@@ -708,8 +666,7 @@ class CertVerifier:
         return selftest(m, n, self.config.seed, tol=self.config.tol)
 
     def _eq(self, p, q, exact):
-        return equals(p, q, 0.0 if (exact and self.config.exact)
-                      else self.config.tol)
+        return equals(p, q, 0.0 if exact else self.config.tol)
 
     def _rule_BaseF2(self, node, path, child_samples):
         rep = check_translate_identity(max(1, self.config.depth))
@@ -742,7 +699,7 @@ class CertVerifier:
             failures.append(
                 f"fragment has {len(frag.words)} points, expected {expected}")
         chosen = self._subsample(frag.words, path, "subsample")
-        samples = [Sample(frag.point_for(w), classify_prefix(w), frag.exact)
+        samples = [Sample(frag.point_for(w), classify_prefix(w))
                    for w in chosen]
         checks = free_rep["words_checked"] + len(frag.words) * 2
         stats = {"freeness_words": free_rep["words_checked"],
@@ -780,8 +737,8 @@ class CertVerifier:
         cfg = self.config
         failures = []
         ambient = node.space.star_ambient
-        lifted = [Sample(block_embed_point(s.point, ambient), s.label,
-                         s.exact) for s in child_samples[0]]
+        lifted = [Sample(block_embed_point(s.point, ambient), s.label)
+                  for s in child_samples[0]]
         # spot equivariance of the embedding
         checks = len(lifted)
         ring = _sampling_ring(_field_of(node.space.base))
@@ -793,7 +750,7 @@ class CertVerifier:
             lhs = block_embed_point(_act_sample(u, s.point), ambient)
             rhs = _act_sample(ub, block_embed_point(s.point, ambient))
             checks += 1
-            if not self._eq(lhs, rhs, s.exact):
+            if not self._eq(lhs, rhs, s.point.exact):
                 failures.append("embedding does not intertwine the action")
         stats = {"ambient": ambient, "spot_checks": len(spot),
                  "samples_out": len(lifted)}
@@ -825,9 +782,9 @@ class CertVerifier:
                 domain_failures += 1
                 failures.append("section left the map domain")
                 continue
-            if not self._eq(m.apply(x), s.point, s.exact):
+            if not self._eq(m.apply(x), s.point, s.point.exact):
                 replay_failures += 1
-            lifted.append(Sample(x, s.label, s.exact))
+            lifted.append(Sample(x, s.label))
         if replay_failures:
             failures.append(
                 f"{replay_failures} section lifts did not replay to their "
@@ -853,7 +810,7 @@ class CertVerifier:
                         f"branch {tag} sample on the wrong side of the "
                         f"padded-subspace split")
                 label = None if s.label is None else f"{tag}:{s.label}"
-                merged.append(Sample(s.point, label, s.exact))
+                merged.append(Sample(s.point, label))
         merged = self._subsample(merged, path, "merge")
         stats = {"m": node.params["m"],
                  "branch_sizes": [len(c) for c in child_samples],
@@ -875,9 +832,9 @@ class CertVerifier:
         for s in child_samples[0]:
             img = m.apply(s.point)
             checks += 1
-            if not self._eq(m_back.apply(img), s.point, s.exact):
+            if not self._eq(m_back.apply(img), s.point, s.point.exact):
                 involution_failures += 1
-            out.append(Sample(img, s.label, s.exact))
+            out.append(Sample(img, s.label))
         if involution_failures:
             failures.append(
                 f"duality failed to be an involution on "
@@ -913,8 +870,8 @@ class CertVerifier:
             checks += scanned
         else:
             checks += 1
-            moved = point_key_vec(mat_vec(g, ctx["dirs"][0]), "line", True)
-            if moved == point_key_vec(ctx["dirs"][0], "line", True):
+            moved = point_key_vec(mat_vec(g, ctx["dirs"][0]), "line")
+            if moved == point_key_vec(ctx["dirs"][0], "line"):
                 failures.append("absorber fixes the removed line")
 
         # 3. bounded equidecomposition witness X ~ X minus D
@@ -941,7 +898,7 @@ class CertVerifier:
             failures.append(
                 f"{removed_hits} child samples lie in the removed set "
                 f"claimed deleted")
-        absorbed_samples = _absorbed_samples(node, ctx, cfg)
+        absorbed_samples = _absorbed_samples(node, ctx)
         eq_rep = equidecomp_verify(
             witness, [s.point for s in child + absorbed_samples])
         checks += eq_rep["points"]
@@ -982,7 +939,7 @@ class CertVerifier:
             if s.label is None:
                 continue
             p = (SpherePoint.from_vector(s.point.to_float_vector())
-                 if s.exact else s.point)
+                 if s.point.exact else s.point)
             line = stereographic_lift(f, p)
             back = stereographic_apply(f, line)
             dev = max(abs(a - b) for a, b in
@@ -993,11 +950,10 @@ class CertVerifier:
                 failures.append(
                     f"chart lift failed to replay within tol: {dev}")
                 continue
-            lifted.append(Sample(line, s.label, False))
+            lifted.append(Sample(line, s.label))
         frag = self._fragment_for(node, path)
         chosen = self._subsample(frag.words, path, "fragment")
-        exact_samples = [Sample(frag.point_for(w), None, frag.exact)
-                         for w in chosen]
+        exact_samples = [Sample(frag.point_for(w), None) for w in chosen]
         samples = self._subsample(lifted + exact_samples, path, "merge")
         stats = {"chart_selftest": _slim_selftest(st1),
                  "rotation_selftest": _slim_selftest(st2),
@@ -1085,27 +1041,15 @@ def _build_float_lane(ctx):
     ctx["float_levels"] = levels
 
 
-def _absorbed_samples(node, ctx, cfg) -> list:
+def _absorbed_samples(node, ctx) -> list:
     """Explicit points of the absorbed set A = U g^n(D), labelled."""
     out = []
     base = node.space.base
-    ring_exact = cfg.exact
-    dirs = ctx["dirs"][:4]
-    if ring_exact:
-        cur = list(dirs)
-        for power in range(3):
-            for d in cur:
-                out.append(Sample(_point_from_line(base, d), "absorbed",
-                                  True))
-            cur = [mat_vec(ctx["g"], d) for d in cur]
-    else:
-        field = _field_of(base)
-        cur = [tuple(_float_in_field(x, field) for x in d) for d in dirs]
-        for power in range(3):
-            for d in cur:
-                out.append(Sample(_point_from_line(base, d), "absorbed",
-                                  False))
-            cur = [mat_vec(ctx["gf"], d) for d in cur]
+    cur = list(ctx["dirs"][:4])
+    for power in range(3):
+        for d in cur:
+            out.append(Sample(_point_from_line(base, d), "absorbed"))
+        cur = [mat_vec(ctx["g"], d) for d in cur]
     return out
 
 
@@ -1168,17 +1112,16 @@ def _slim_selftest(st: dict) -> dict:
 
 
 def _config_json(cfg: RunConfig) -> dict:
+    # every run is exact; "mode" stays so the report schema is unchanged
     return {"depth": cfg.depth, "samples": cfg.samples, "seed": cfg.seed,
-            "mode": cfg.mode, "tol": cfg.tol,
+            "mode": "exact", "tol": cfg.tol,
             "absorber_bound": cfg.absorber_bound,
             "absorber_depth": cfg.absorber_depth}
 
 
 def verify(root: Node, config: RunConfig | None = None, **overrides) -> dict:
     """Run every node check of a certificate; returns the full report."""
-    cfg = config or RunConfig()
-    if overrides:
-        cfg = RunConfig(**{**_config_json(cfg), **overrides})
+    cfg = replace(config or RunConfig(), **overrides)
     return CertVerifier(root, cfg).verify()
 
 

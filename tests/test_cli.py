@@ -1,5 +1,6 @@
 """The command-line front end: exit codes, file emission, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -53,6 +54,44 @@ def test_verify_reports_are_byte_identical(tmp_path):
     assert main(["verify", str(cert), "--depth", "3", "--samples", "20",
                  "-o", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_sphere2_default_report_digest(tmp_path, capsys):
+    # the sphere(2) report has no float fields, so its bytes are the same
+    # on every platform
+    cert = tmp_path / "cert.json"
+    report = tmp_path / "report.json"
+    assert main(["derive", "sphere(2)", "-o", str(cert)]) == 0
+    assert main(["verify", str(cert), "-o", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "c8a09e7bfe864f83f73fb4f457676b286f28b424c80acbb2b8a7a2fa08f98585")
+
+
+def test_verify_has_no_mode_option(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    main(["derive", "sphere(2)", "-o", str(cert)])
+    assert main(["verify", str(cert), "--mode", "float"]) == 2
+    assert "--mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda blob: blob.update(space={}),
+     "certificate space {} does not match"),
+    (lambda blob: blob.update(group="SO(7)"),
+     "certificate group 'SO(7)' does not match"),
+    (lambda blob: blob.pop("root"), "certificate has no root node"),
+], ids=["space", "group", "root"])
+def test_verify_rejects_a_broken_envelope(tmp_path, capsys, mutate, message):
+    cert = tmp_path / "cert.json"
+    main(["derive", "sphere(2)", "-o", str(cert)])
+    blob = json.loads(cert.read_text())
+    mutate(blob)
+    cert.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert main(["verify", str(cert), "--depth", "2", "--samples", "5"]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_verify_missing_file_exits_2(capsys):
@@ -125,12 +164,6 @@ def test_maps_selftest(capsys):
     assert main(["maps", "selftest", "--samples", "2"]) == 0
     err = capsys.readouterr().err
     assert "pass" in err
-
-
-def test_maps_selftest_exact_mode_rejects_float_only_maps(capsys):
-    assert main(["maps", "selftest", "--samples", "2",
-                 "--mode", "exact"]) == 2
-    assert "exact" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2():

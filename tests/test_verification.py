@@ -129,7 +129,6 @@ def test_equidecomp_witness_checks_the_image():
 def test_run_config_defaults():
     cfg = RunConfig()
     assert (cfg.depth, cfg.samples, cfg.seed) == (6, 500, 42)
-    assert cfg.mode == "exact" and cfg.exact
     assert cfg.tol == 1e-9
     assert cfg.absorber_bound == 50
 
@@ -220,12 +219,19 @@ def test_free_transport_names_a_trivial_word(monkeypatch):
     assert any("word abAB is trivial" in f for f in failed[0]["failures"])
 
 
-def test_verify_small_sphere_run_in_float_mode():
-    report = verify(derive("sphere(2)"), depth=3, samples=30, mode="float")
-    assert report["config"]["mode"] == "float"
+def test_verify_classifies_intertwine_lifted_float_samples():
+    # proj(C,2) lifts its sphere(2) samples through the float chart, so the
+    # root classification of those labelled samples runs the FreeTransport
+    # float index and the absorber float lane
+    from paradoxcert.verification import CertVerifier
+    v = CertVerifier(derive("proj(C,2)"), RunConfig(depth=3, samples=30))
+    report = v.verify()
     assert report["overall"] == "pass"
     assert report["provenance"]["ok"]
     assert report["provenance"]["labelled_samples"] > 0
+    assert list(v._frag_float) == ["0.0.0.0"]
+    assert [path for path, ctx in v._absorb_cache.items()
+            if "float_arr" in ctx] == ["0.0"]
 
 
 def _failures_at_root(report):
