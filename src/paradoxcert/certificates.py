@@ -491,6 +491,9 @@ def _removed_to_json(r):
 def _removed_from_json(obj):
     if obj is None:
         return None
+    if not isinstance(obj, dict):
+        raise CertificateError(
+            f"removed set must be an object or null, not {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "exceptional":
         return RemovedExceptional(obj["pair"], bool(obj["projective"]))
@@ -538,6 +541,9 @@ def _params_to_json(params: dict):
 
 
 def _params_from_json(obj) -> dict:
+    if not isinstance(obj, dict):
+        raise CertificateError(
+            f"node params must be an object, not {type(obj).__name__}")
     out = {}
     for k, v in obj.items():
         if isinstance(v, dict) and "__matrix__" in v:

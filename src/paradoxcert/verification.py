@@ -25,6 +25,14 @@ by replaying group words and map sections, so its piece membership is a
 theorem about the construction, not a floating-point guess.  Every run is
 exact; the only float points are the samples an ``Intertwine`` chart lifts,
 and those are matched within a tolerance.
+
+Facts that do not depend on a node's place in the tree (orbit fragments
+and their float indexes, absorber contexts, the pair-word, freeness and
+translate scans, map selftests and maps) are computed once per verify and
+keyed by the content they are computed from, so a repeated subtree reuses
+them.  Whatever depends on a node's samples (sample draws, random
+unitaries, section and involution replays, witness checks) stays keyed by
+node path, so sharing changes no report byte.
 """
 
 from __future__ import annotations
@@ -232,9 +240,9 @@ class Fragment:
     """
 
     __slots__ = ("kind", "depth", "words", "vectors", "keys", "index",
-                 "mats", "seed")
+                 "mats")
 
-    def __init__(self, kind, depth, words, vectors, keys, index, mats, seed):
+    def __init__(self, kind, depth, words, vectors, keys, index, mats):
         self.kind = kind
         self.depth = depth
         self.words = words
@@ -242,7 +250,6 @@ class Fragment:
         self.keys = keys
         self.index = index
         self.mats = mats
-        self.seed = seed
 
     def point_for(self, w):
         v = self.vectors[w]
@@ -250,9 +257,6 @@ class Fragment:
             sign, d = ray_canonical(v)
             return SpherePoint(sign, d, True)
         return ProjectivePoint.from_vector(normalize_leading(v))
-
-    def provenanced(self):
-        return [(w, self.point_for(w)) for w in self.words]
 
 
 def orbit_fragment(space, seed, pair, depth: int) -> Fragment:
@@ -305,7 +309,7 @@ def orbit_fragment(space, seed, pair, depth: int) -> Fragment:
                 index[k2] = w2
                 nxt.append(w2)
         frontier = nxt
-    return Fragment(kind, depth, words, vectors, keys, index, mats, seed_vec)
+    return Fragment(kind, depth, words, vectors, keys, index, mats)
 
 
 def piece_sizes(frag: Fragment) -> dict:
@@ -466,50 +470,47 @@ def _sampling_ring(field: str):
 # --------------------------------------------------------------------------
 
 class CertVerifier:
-    """Runs all node checks of one certificate and classifies points."""
+    """Runs all node checks of one certificate and classifies points.
+
+    Path-independent facts live in one store keyed by their content (see
+    the module docstring); sample draws stay keyed by node path.
+    """
 
     def __init__(self, root: Node, config: RunConfig | None = None):
         self.root = root
         self.config = config or RunConfig()
-        self._frag_cache = {}       # path -> Fragment
-        self._frag_float = {}       # path -> (np array, labels list)
-        self._absorb_cache = {}     # path -> absorber context dict
-        self._map_cache = {}        # path -> MapInstance
+        self._facts = {}        # content key -> shared fact
+        self._node_keys = {}    # path -> content key of the node's own fact
 
-    # -- shared contexts ---------------------------------------------------
+    # -- shared facts --------------------------------------------------------
+
+    def _fact(self, key, build):
+        """The fact stored under ``key``, built on first use."""
+        fact = self._facts.get(key)
+        if fact is None:
+            fact = self._facts[key] = build()
+        return fact
+
+    def _node_key(self, node: Node, path: str):
+        """Content key of the fragment, absorber context or map a node
+        reads, computed once per node."""
+        key = self._node_keys.get(path)
+        if key is None:
+            key = self._node_keys[path] = _content_key(node, self.config)
+        return key
 
     def _fragment_for(self, node: Node, path: str) -> Fragment:
-        if path not in self._frag_cache:
-            cfg = self.config
-            if node.rule == "FreeTransport":
-                pair = get_pair(node.params["pair"])
-                self._frag_cache[path] = orbit_fragment(
-                    node.space.base, node.params["seed"], pair, cfg.depth)
-            elif node.rule == "Intertwine":
-                f = node.params["field"]
-                self._frag_cache[path] = orbit_fragment(
-                    Projective(f, 2), _intertwine_seed(f),
-                    _INTERTWINE_PAIR[f], min(cfg.depth, 5))
-            else:
-                raise VerificationError(f"no fragment at rule {node.rule}")
-        return self._frag_cache[path]
+        def build():
+            space, seed, pair, depth = _fragment_inputs(node,
+                                                        self.config.depth)
+            return orbit_fragment(space, seed, pair, depth)
+        return self._fact(self._node_key(node, path), build)
 
     def _fragment_float_index(self, node: Node, path: str):
         """(reps array, labels) for nearest-point classification."""
-        if path not in self._frag_float:
-            frag = self._fragment_for(node, path)
-            reps, labels = [], []
-            for w in frag.words:
-                v = frag.vectors[w]
-                if frag.kind == "ray":
-                    fv = [to_float_scalar(x) for x in v]
-                    norm = math.sqrt(sum(x * x for x in fv))
-                    reps.append(np.array([x / norm for x in fv]))
-                else:
-                    reps.append(_vec_line_rep(v))
-                labels.append(classify_prefix(w))
-            self._frag_float[path] = (np.vstack(reps), labels)
-        return self._frag_float[path]
+        frag = self._fragment_for(node, path)
+        return self._fact(("float index", self._node_key(node, path)),
+                          lambda: _float_index(frag))
 
     def _removed_dirs(self, removed, base):
         """Deterministic list of line directions realizing the removed set."""
@@ -534,21 +535,19 @@ class CertVerifier:
         The float lane is built by ``_absorbed_level`` on the first float
         point it is asked about.
         """
-        if path in self._absorb_cache:
-            return self._absorb_cache[path]
-        g = node.params["absorber"]
-        removed = node.children[0].space.removed
-        dirs = self._removed_dirs(removed, node.space.base)
-        ab = absorber_check(g, dirs, self.config.absorber_bound)
-        exact_levels = {}
-        for lvl, level in enumerate(ab.pop("levels")):
-            for v in level:
-                exact_levels.setdefault(_line_key(v), lvl)
-        ctx = {"g": g, "gf": to_float_matrix(g), "dirs": dirs,
-               "field": _field_of(node.space.base), "absorber_check": ab,
-               "exact_levels": exact_levels}
-        self._absorb_cache[path] = ctx
-        return ctx
+        def build():
+            g = node.params["absorber"]
+            dirs = self._removed_dirs(node.children[0].space.removed,
+                                      node.space.base)
+            ab = absorber_check(g, dirs, self.config.absorber_bound)
+            exact_levels = {}
+            for lvl, level in enumerate(ab.pop("levels")):
+                for v in level:
+                    exact_levels.setdefault(_line_key(v), lvl)
+            return {"g": g, "gf": to_float_matrix(g), "dirs": dirs,
+                    "field": _field_of(node.space.base),
+                    "absorber_check": ab, "exact_levels": exact_levels}
+        return self._fact(self._node_key(node, path), build)
 
     def _absorbed_level(self, ctx, point):
         """Bounded membership of the point's line in the absorber orbit."""
@@ -564,9 +563,13 @@ class CertVerifier:
         return None
 
     def _map_for(self, node: Node, path: str):
-        if path not in self._map_cache:
-            self._map_cache[path] = map_from_params(node.params)
-        return self._map_cache[path]
+        return self._fact(self._node_key(node, path),
+                          lambda: map_from_params(node.params))
+
+    def _selftest(self, m, n):
+        cfg = self.config
+        return self._fact(("selftest", m.name, n),
+                          lambda: selftest(m, n, cfg.seed, tol=cfg.tol))
 
     # -- classification ----------------------------------------------------
 
@@ -662,14 +665,13 @@ class CertVerifier:
         idx = sorted(rng.sample(range(len(items)), cap))
         return [items[i] for i in idx]
 
-    def _selftest_at(self, m, path, n):
-        return selftest(m, n, self.config.seed, tol=self.config.tol)
-
     def _eq(self, p, q, exact):
         return equals(p, q, 0.0 if exact else self.config.tol)
 
     def _rule_BaseF2(self, node, path, child_samples):
-        rep = check_translate_identity(max(1, self.config.depth))
+        depth = max(1, self.config.depth)
+        rep = self._fact(("translate identity", depth),
+                         lambda: check_translate_identity(depth))
         failures = []
         if not rep["ok"]:
             failures.append(
@@ -683,7 +685,8 @@ class CertVerifier:
         cfg = self.config
         failures = []
         pair = get_pair(node.params["pair"])
-        free_rep = check_freeness(pair, cfg.depth)
+        free_rep = self._fact(("freeness", pair.name, cfg.depth),
+                              lambda: check_freeness(pair, cfg.depth))
         if not free_rep["ok"]:
             failures.append(
                 f"pair {pair.name} not free to depth {cfg.depth}: "
@@ -760,7 +763,7 @@ class CertVerifier:
         cfg = self.config
         failures = []
         m = self._map_for(node, path)
-        st = self._selftest_at(m, path, min(120, cfg.samples))
+        st = self._selftest(m, min(120, cfg.samples))
         if not st["ok"]:
             failures.append(
                 f"map selftest failed for {m.name}: "
@@ -823,7 +826,7 @@ class CertVerifier:
         m = self._map_for(node, path)
         field, n, kc = node.params["args"]
         m_back = duality(field, int(n), int(n) - int(kc))
-        st = self._selftest_at(m, path, min(60, cfg.samples))
+        st = self._selftest(m, min(60, cfg.samples))
         if not st["ok"]:
             failures.append(f"duality selftest failed: {st['failures']}")
         out = []
@@ -860,13 +863,11 @@ class CertVerifier:
 
         # 2. the absorber is not trapped in the acting subgroup
         if isinstance(removed, RemovedExceptional):
-            pair = get_pair(removed.pair)
-            scanned = 0
-            for w, m in ball_products(pair, min(cfg.depth, 6)):
-                scanned += 1
-                if m == g:
-                    failures.append(
-                        f"absorber equals pair word {word_text(w)}")
+            depth = min(cfg.depth, 6)
+            scanned, hits = self._fact(
+                ("pair words", removed.pair, depth, g.scalar_ring().name, g),
+                lambda: _pair_word_scan(get_pair(removed.pair), depth, g))
+            failures.extend(f"absorber equals pair word {w}" for w in hits)
             checks += scanned
         else:
             checks += 1
@@ -925,8 +926,8 @@ class CertVerifier:
         f = node.params["field"]
         stereo = stereographic(f)
         hom = induced_rotation_map(f)
-        st1 = self._selftest_at(stereo, path, min(120, cfg.samples))
-        st2 = self._selftest_at(hom, path, min(40, cfg.samples))
+        st1 = self._selftest(stereo, min(120, cfg.samples))
+        st2 = self._selftest(hom, min(40, cfg.samples))
         for st, nm in ((st1, "chart"), (st2, "induced rotation")):
             if not st["ok"]:
                 failures.append(
@@ -1023,6 +1024,71 @@ class CertVerifier:
                 "unknown": unknown,
                 "totals": totals,
                 "overall": overall}
+
+
+def _content_key(node: Node, cfg: RunConfig):
+    """Key of everything a node's fragment, absorber context or map is
+    computed from; nodes with equal keys share one fact."""
+    rule = node.rule
+    if rule in ("FreeTransport", "Intertwine"):
+        space, seed, pair, depth = _fragment_inputs(node, cfg.depth)
+        # 1 and 1.0 compare equal but give different fragments
+        return ("fragment", rule, space.text, pair,
+                tuple((type(x), x) for x in seed), depth)
+    if rule == "CountableAbsorb":
+        g = node.params["absorber"]
+        return ("absorber", g.scalar_ring().name, g,
+                node.children[0].space.removed, node.space.base.text,
+                cfg.absorber_bound, cfg.absorber_depth)
+    if rule in ("Pullback", "EquidecompTransfer"):
+        return ("map", node.params.get("map"),
+                _frozen(node.params.get("args", ())))
+    raise VerificationError(f"no shared fact at rule {rule}")
+
+
+def _frozen(value):
+    """Hashable copy of a JSON value: lists become tuples."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_frozen(v) for v in value)
+    return value
+
+
+def _fragment_inputs(node: Node, depth: int):
+    """(space, seed, pair name, depth) of the orbit fragment a node reads."""
+    if node.rule == "FreeTransport":
+        return (node.space.base, tuple(node.params["seed"]),
+                node.params["pair"], depth)
+    if node.rule == "Intertwine":
+        f = node.params["field"]
+        return (Projective(f, 2), _intertwine_seed(f), _INTERTWINE_PAIR[f],
+                min(depth, 5))
+    raise VerificationError(f"no fragment at rule {node.rule}")
+
+
+def _float_index(frag: Fragment):
+    """(float reps array, piece labels) of a fragment's points."""
+    reps, labels = [], []
+    for w in frag.words:
+        v = frag.vectors[w]
+        if frag.kind == "ray":
+            fv = [to_float_scalar(x) for x in v]
+            norm = math.sqrt(sum(x * x for x in fv))
+            reps.append(np.array([x / norm for x in fv]))
+        else:
+            reps.append(_vec_line_rep(v))
+        labels.append(classify_prefix(w))
+    return np.vstack(reps), labels
+
+
+def _pair_word_scan(pair, depth: int, g: Matrix):
+    """(words scanned, texts of the pair words equal to g) up to depth."""
+    scanned = 0
+    hits = []
+    for w, m in ball_products(pair, depth):
+        scanned += 1
+        if m == g:
+            hits.append(word_text(w))
+    return scanned, hits
 
 
 def _build_float_lane(ctx):

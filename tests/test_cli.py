@@ -80,7 +80,11 @@ def test_verify_has_no_mode_option(tmp_path, capsys):
     (lambda blob: blob.update(group="SO(7)"),
      "certificate group 'SO(7)' does not match"),
     (lambda blob: blob.pop("root"), "certificate has no root node"),
-], ids=["space", "group", "root"])
+    (lambda blob: blob["root"].update(params=[1, 2]),
+     "node params must be an object, not list"),
+    (lambda blob: blob["root"]["children"][0]["space"].update(removed="axis"),
+     "removed set must be an object or null, not str"),
+], ids=["space", "group", "root", "params", "removed"])
 def test_verify_rejects_a_broken_envelope(tmp_path, capsys, mutate, message):
     cert = tmp_path / "cert.json"
     main(["derive", "sphere(2)", "-o", str(cert)])
@@ -92,6 +96,23 @@ def test_verify_rejects_a_broken_envelope(tmp_path, capsys, mutate, message):
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def test_python_m_paradoxcert_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-m", "paradoxcert", "--help"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "usage: paradoxcert" in done.stdout
+    assert "verify" in done.stdout
 
 
 def test_verify_missing_file_exits_2(capsys):

@@ -1,5 +1,6 @@
 """Orbit fragments, paradoxical reassembly, witnesses, and full runs."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -229,9 +230,12 @@ def test_verify_classifies_intertwine_lifted_float_samples():
     assert report["overall"] == "pass"
     assert report["provenance"]["ok"]
     assert report["provenance"]["labelled_samples"] > 0
-    assert list(v._frag_float) == ["0.0.0.0"]
-    assert [path for path, ctx in v._absorb_cache.items()
-            if "float_arr" in ctx] == ["0.0"]
+    keys = v._node_keys
+    assert [path for path, key in keys.items()
+            if ("float index", key) in v._facts] == ["0.0.0.0"]
+    assert [path for path, key in keys.items()
+            if key[0] == "absorber" and "float_arr" in v._facts[key]] == [
+        "0.0"]
 
 
 def _failures_at_root(report):
@@ -260,3 +264,70 @@ def test_countable_absorb_rejects_an_absorber_fixing_the_removed_line():
     bad = dataclasses.replace(root, params={**root.params, "absorber": ident})
     report = verify(bad, depth=2, samples=5)
     assert "absorber fixes the removed line" in _failures_at_root(report)
+
+
+# grass(C,4,2) holds the proj(C,3) -> proj(C,2) -> sphere(2) chain twice:
+# once under 0.0.0.0 and once under 0.0.1.0, with the same suffixes
+GRASS_SMALL = {"depth": 3, "samples": 30}
+
+
+def _grass_c42_with(path, tamper):
+    import json
+    from paradoxcert.certificates import cert_from_json, cert_to_json
+    blob = json.loads(json.dumps(cert_to_json(derive("grass(C,4,2)"))))
+    node = blob["root"]
+    for i in path.split(".")[1:]:
+        node = node["children"][int(i)]
+    tamper(node["params"])
+    return cert_from_json(blob)
+
+
+def _identity_absorber(params):
+    params["absorber"] = {"__matrix__": {
+        "ring": "rational",
+        "entries": [["1" if i == j else "0" for j in range(3)]
+                    for i in range(3)]}}
+
+
+def _fixed_seed(params):
+    params["seed"] = [0, 0, 1]
+
+
+@pytest.mark.parametrize("path,tamper,rule,reason", [
+    ("0.0.1.0.0.0.0.0.0.0", _identity_absorber, "CountableAbsorb",
+     "absorber orbit self-intersects: (0, 1)"),
+    ("0.0.1.0.0.0.0.0.0.0.0.0", _fixed_seed, "FreeTransport",
+     "seed rejected"),
+    ("0.0.0.0.0.0.0.0.0.0", _identity_absorber, "CountableAbsorb",
+     "absorber orbit self-intersects: (0, 1)"),
+    ("0.0.0.0.0.0.0.0.0.0.0.0", _fixed_seed, "FreeTransport",
+     "seed rejected"),
+], ids=["absorber-second", "seed-second", "absorber-first", "seed-first"])
+def test_a_tampered_copy_of_a_repeated_subtree_fails_alone(
+        path, tamper, rule, reason):
+    report = verify(_grass_c42_with(path, tamper), **GRASS_SMALL)
+    failed = [n for n in report["nodes"] if n["status"] == "fail"]
+    assert [(n["path"], n["rule"]) for n in failed] == [(path, rule)]
+    assert any(reason in f for f in failed[0]["failures"])
+    parts = path.split(".")
+    twin = ".".join(parts[:2] + [str(1 - int(parts[2]))] + parts[3:])
+    assert [n["status"] for n in report["nodes"]
+            if n["path"] == twin] == ["pass"]
+
+
+def test_repeated_subtrees_compute_each_fact_once(monkeypatch):
+    from paradoxcert import verification
+    calls = Counter()
+    for name in ("absorber_check", "orbit_fragment", "selftest",
+                 "check_freeness", "check_translate_identity",
+                 "exceptional_set", "ball_products"):
+        def counted(*args, _fn=getattr(verification, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(verification, name, counted)
+    report = verify(derive("grass(C,4,2)"), **GRASS_SMALL)
+    assert report["overall"] == "pass"
+    assert calls == {"absorber_check": 2, "orbit_fragment": 2, "selftest": 5,
+                     "check_freeness": 1, "check_translate_identity": 1,
+                     "exceptional_set": 1, "ball_products": 1}
