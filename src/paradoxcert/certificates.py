@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CertificateError, DescriptorError
+from .errors import CertificateError, DescriptorError, ParadoxError
 from .freegroup import default_absorber, get_pair, plane_rotation
 from .linalg import Matrix, is_unitary, matrix_from_json, matrix_to_json
 from .spaces import (
@@ -305,8 +305,10 @@ def _check_node(node: Node, path: str, violations: list):
             else:
                 ex(sp.base == Sphere(2), "spherical transport lives on S^2")
         seed = node.params.get("seed")
-        ex(bool(seed) and len(seed) == 3 and any(seed),
-           "seed must be a nonzero 3-vector")
+        ex(isinstance(seed, (list, tuple)) and len(seed) == 3
+           and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                   for x in seed)
+           and any(seed), "seed must be a nonzero 3-vector")
 
     elif node.rule == "SubgroupLift":
         ex(len(ch) == 1, "SubgroupLift takes one child")
@@ -547,7 +549,12 @@ def _params_from_json(obj) -> dict:
     out = {}
     for k, v in obj.items():
         if isinstance(v, dict) and "__matrix__" in v:
-            out[k] = matrix_from_json(v["__matrix__"])
+            try:
+                out[k] = matrix_from_json(v["__matrix__"])
+            except (KeyError, TypeError, ValueError, ZeroDivisionError,
+                    ParadoxError) as e:
+                raise CertificateError(
+                    f"param {k!r} is not a matrix literal: {e}")
         elif isinstance(v, list):
             out[k] = tuple(v)
         else:

@@ -19,7 +19,15 @@ from .errors import (
     RankDeficientError,
     SingularMatrixError,
 )
-from .scalars import Ring, abs_float, ring_of, scalar_from_json, scalar_to_json
+from .scalars import (
+    Ring,
+    abs_float,
+    dot_products,
+    ring_of,
+    scalar_from_json,
+    scalar_to_json,
+    sub_scaled,
+)
 
 _PIVOT_EPS = 1e-12  # float-lane rank decisions only
 
@@ -50,6 +58,16 @@ class Matrix:
 
     def __setattr__(self, *args):
         raise AttributeError("immutable")
+
+    @classmethod
+    def _of_rows(cls, data):
+        """Matrix over a nonempty tuple of equal-length row tuples that the
+        caller built, without validating them again."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "data", data)
+        object.__setattr__(m, "rows", len(data))
+        object.__setattr__(m, "cols", len(data[0]))
+        return m
 
     @classmethod
     def identity(cls, n, ring: Ring):
@@ -130,6 +148,9 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise DimensionMismatchError(
             f"matmul shape mismatch: {a.rows}x{a.cols} by {b.rows}x{b.cols}")
+    fused = dot_products(a.data, tuple(zip(*b.data)))
+    if fused is not None:
+        return Matrix._of_rows(tuple(fused))
     bt = b.data
     out = []
     for i in range(a.rows):
@@ -141,12 +162,15 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
                 s = s + ra[k] * bt[k][j]
             row.append(s)
         out.append(tuple(row))
-    return Matrix(out)
+    return Matrix._of_rows(tuple(out))
 
 
 def mat_vec(a: Matrix, v) -> tuple:
     if a.cols != len(v):
         raise DimensionMismatchError("mat_vec shape mismatch")
+    fused = dot_products(a.data, (v,))
+    if fused is not None:
+        return tuple(r[0] for r in fused)
     out = []
     for i in range(a.rows):
         ra = a.data[i]
@@ -158,8 +182,8 @@ def mat_vec(a: Matrix, v) -> tuple:
 
 
 def conj_transpose(a: Matrix) -> Matrix:
-    return Matrix(tuple(_conj(a.data[i][j]) for i in range(a.rows))
-                  for j in range(a.cols))
+    return Matrix._of_rows(tuple(tuple(_conj(x) for x in col)
+                                 for col in zip(*a.data)))
 
 
 def vec_scale_right(v, s):
@@ -201,7 +225,9 @@ def _rref_rows(rows, exact):
             if i != r and not _is_zero(rows[i][j], exact):
                 f = rows[i][j]
                 ref = rows[r]
-                rows[i] = [rows[i][k] - f * ref[k] for k in range(n)]
+                fused = sub_scaled(rows[i], f, ref)
+                rows[i] = fused if fused is not None else [
+                    rows[i][k] - f * ref[k] for k in range(n)]
         pivots.append(j)
         r += 1
     return pivots
@@ -212,7 +238,7 @@ def rref(a: Matrix):
     exact = a.scalar_ring().exact
     rows = [list(r) for r in a.data]
     pivots = _rref_rows(rows, exact)
-    return Matrix(rows), tuple(pivots)
+    return Matrix._of_rows(tuple(map(tuple, rows))), tuple(pivots)
 
 
 def rank(a: Matrix) -> int:
@@ -255,7 +281,7 @@ def mat_inverse(a: Matrix) -> Matrix:
     pivots = _rref_rows(rows, ring.exact)
     if len(pivots) < n or any(p != i for i, p in enumerate(pivots)):
         raise SingularMatrixError("matrix is singular")
-    return Matrix(tuple(r[n:]) for r in rows)
+    return Matrix._of_rows(tuple(tuple(r[n:]) for r in rows))
 
 
 def projector_of_basis(b: Matrix) -> Matrix:

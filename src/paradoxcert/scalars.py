@@ -19,12 +19,27 @@ canonical form (den > 0, gcd of all five = 1), so equal values have equal
 components and no operation pays for per-component rational gcds.  The
 subclasses only pin D, whether i is present, and the constructor: QSqrt2
 and QSqrt5 take two rationals, GaussSqrt5 the five integers.
+
+Exact kernels canonicalise once per result entry.  ``dot_products`` (the
+core of ``linalg.matmul`` and ``linalg.mat_vec``) reads each operand once
+as integer components over one common denominator and forms every entry
+of the result from pure integer sums; ``sub_scaled`` (the row update
+x - f*y of ``linalg`` row reduction) forms each entry in one step; and a
+product of two quaternions forms each component as one 4-term integer dot
+product.  They run when every entry of an operand has one type, Fraction
+or one QuadExt class, and the two types mix; the result then has exactly
+the class the left-to-right ``*``/``+`` loop gives.  Any other input (mixed
+types, int, float, complex, Quaternion entries of a matrix) takes that
+generic loop, and so does a matrix product over vectors of length 1, whose
+every entry is a single ``*`` already.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
+from operator import mul, neg
 
 from .errors import BackendMismatchError
 
@@ -97,13 +112,19 @@ class QuadExt:
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        return self + (-co[1])
+        cls, o = co
+        e, f = self.den, o.den
+        return _make(cls, self.a * f - o.a * e, self.b * f - o.b * e,
+                     self.c * f - o.c * e, self.d * f - o.d * e, e * f)
 
     def __rsub__(self, other):
         co = self._coerce(other)
         if co is None:
             return NotImplemented
-        return co[1] + (-self)
+        cls, o = co
+        e, f = self.den, o.den
+        return _make(cls, o.a * e - self.a * f, o.b * e - self.b * f,
+                     o.c * e - self.c * f, o.d * e - self.d * f, e * f)
 
     def __mul__(self, other):
         co = self._coerce(other)
@@ -333,18 +354,22 @@ class Quaternion:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return Quaternion(self.w - o.w, self.x - o.x,
+                          self.y - o.y, self.z - o.z)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        p = _quaternion_product(self, o)
+        if p is not None:
+            return p
         w1, x1, y1, z1 = self.w, self.x, self.y, self.z
         w2, x2, y2, z2 = o.w, o.x, o.y, o.z
         return Quaternion(
@@ -410,6 +435,213 @@ class Quaternion:
 
     def __repr__(self):
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
+
+
+# -- exact kernels -------------------------------------------------------------
+#
+# A sum of products over Fraction or one QuadExt class is formed from raw
+# integer components over one common denominator per operand, and brought
+# to canonical form once per result entry instead of once per partial
+# product and partial sum.  Each kernel returns None when its operands are
+# not of that shape, and the caller then runs the plain ``*``/``+`` loop.
+
+
+def _product_class(c1, c2):
+    """Class of x * y for x of class c1 and y of class c2, as ``*`` gives
+    it, or None unless both are Fraction or QuadExt classes that mix."""
+    if c1 is None or c2 is None:
+        return None
+    if c1 is Fraction:
+        return c2
+    if c2 is Fraction:
+        return c1
+    if c1.D != c2.D:
+        return None
+    return c1 if c1.HAS_I else c2
+
+
+def _one_class(xs):
+    """The exact class every scalar in xs has, or None."""
+    types = set(map(type, xs))
+    if len(types) != 1:
+        return None
+    cls = types.pop()
+    if cls is Fraction or issubclass(cls, QuadExt):
+        return cls
+    return None
+
+
+def _int_form(vectors, cls, width):
+    """(den, forms): every entry of ``vectors`` (all of class cls) as its
+    integer components over the common den.
+
+    An entry becomes an int for a Fraction, and otherwise a tuple of the
+    first ``width`` components (a, b) or (a, b, c, d); a real entry has
+    c = d = 0.
+    """
+    if cls is Fraction:
+        den = math.lcm(*[x.denominator for v in vectors for x in v])
+        return den, [[x.numerator * (den // x.denominator) for x in v]
+                     for v in vectors]
+    den = math.lcm(*[x.den for v in vectors for x in v])
+    forms = []
+    for v in vectors:
+        scale = [den // x.den for x in v]
+        if width == 2:
+            forms.append([(x.a * s, x.b * s) for x, s in zip(v, scale)])
+        else:
+            forms.append([(x.a * s, x.b * s, x.c * s, x.d * s)
+                          for x, s in zip(v, scale)])
+    return den, forms
+
+
+def _dot_rational(x, y, D):
+    return (sum(map(mul, x, y)),)
+
+
+def _dot_scaled(x, y, D):
+    # x: integers (a rational operand); y: component tuples
+    return tuple([sum(map(mul, x, c)) for c in zip(*y)])
+
+
+def _dot_real(x, y, D):
+    # (a1 + b1 sqrt(D)) (a2 + b2 sqrt(D)), summed
+    p = q = 0
+    for (a1, b1), (a2, b2) in zip(x, y):
+        p += a1 * a2 + D * b1 * b2
+        q += a1 * b2 + b1 * a2
+    return p, q
+
+
+def _dot_complex(x, y, D):
+    # the product of QuadExt.__mul__, summed
+    p = q = r = s = 0
+    for (a1, b1, c1, d1), (a2, b2, c2, d2) in zip(x, y):
+        p += a1 * a2 + D * (b1 * b2 - d1 * d2) - c1 * c2
+        q += a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2
+        r += a1 * c2 + c1 * a2 + D * (b1 * d2 + d1 * b2)
+        s += a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2
+    return p, q, r, s
+
+
+def _kernel(c1, c2):
+    """(result class, component width, dot) for a left operand of class c1
+    and a right one of class c2, or None when the generic loop must run.
+
+    ``dot(x, y, D)`` returns the integer components of sum_k x[k] y[k] for
+    integer forms x and y; the fields are commutative, so a rational right
+    operand is handled by swapping the two sides.
+    """
+    cls = _product_class(c1, c2)
+    if cls is None:
+        return None
+    if cls is Fraction:
+        return cls, 1, _dot_rational
+    width = 4 if cls.HAS_I else 2
+    if c1 is Fraction:
+        return cls, width, _dot_scaled
+    if c2 is Fraction:
+        return cls, width, lambda x, y, D: _dot_scaled(y, x, D)
+    return cls, width, (_dot_complex if cls.HAS_I else _dot_real)
+
+
+def _canonical(cls, comps, den):
+    """The canonical element of cls with integer components over den."""
+    if cls is Fraction:
+        return Fraction(comps[0], den)
+    if len(comps) == 2:
+        return _make(cls, comps[0], comps[1], 0, 0, den)
+    return _make(cls, *comps, den)
+
+
+def dot_products(rows, cols):
+    """[[sum_k r[k] c[k] for c in cols] for r in rows], as row tuples.
+
+    Each operand (a sequence of equal-length scalar tuples) is read once
+    as integers over one denominator, and each result entry is made once.
+    The result has the class and value the left-to-right ``*``/``+`` loop
+    gives.  None unless each operand's entries share one Fraction or
+    QuadExt class and the two classes mix, and None for vectors of length
+    1, whose products ``*`` already makes in one step.
+    """
+    if len(rows[0]) < 2:
+        return None
+    c1 = _one_class(chain.from_iterable(rows))
+    c2 = _one_class(chain.from_iterable(cols))
+    kernel = _kernel(c1, c2)
+    if kernel is None:
+        return None
+    cls, width, dot = kernel
+    den1, xs = _int_form(rows, c1, width)
+    den2, ys = _int_form(cols, c2, width)
+    den = den1 * den2
+    D = cls.D if cls is not Fraction else None
+    return [tuple([_canonical(cls, dot(x, y, D), den) for y in ys])
+            for x in xs]
+
+
+def _components(x):
+    """(a, b, c, d, den) of a Fraction or QuadExt."""
+    if type(x) is Fraction:
+        return x.numerator, 0, 0, 0, x.denominator
+    return x.a, x.b, x.c, x.d, x.den
+
+
+def sub_scaled(xs, f, ys):
+    """[x - f * y for x, y in zip(xs, ys)] with one canonicalisation per
+    entry, or None under the same condition as ``dot_products``."""
+    cls = _product_class(_one_class(xs),
+                         _product_class(_one_class((f,)), _one_class(ys)))
+    if cls is None:
+        return None
+    fa, fb, fc, fd, fden = _components(f)
+    if cls is Fraction:
+        return [Fraction(x.numerator * fden * y.denominator
+                         - fa * y.numerator * x.denominator,
+                         x.denominator * fden * y.denominator)
+                for x, y in zip(xs, ys)]
+    D = cls.D
+    out = []
+    for x, y in zip(xs, ys):
+        if not y and type(x) is cls:
+            out.append(x)
+            continue
+        xa, xb, xc, xd, xden = _components(x)
+        ya, yb, yc, yd, yden = _components(y)
+        s = fden * yden  # f * y = (pa + pb sqrt(D) + (pc + pd sqrt(D)) i) / s
+        if cls.HAS_I:
+            pa = fa * ya + D * (fb * yb - fd * yd) - fc * yc
+            pb = fa * yb + fb * ya - fc * yd - fd * yc
+            pc = fa * yc + fc * ya + D * (fb * yd + fd * yb)
+            pd = fa * yd + fd * ya + fb * yc + fc * yb
+            out.append(_make(cls, xa * s - pa * xden, xb * s - pb * xden,
+                             xc * s - pc * xden, xd * s - pd * xden,
+                             xden * s))
+        else:
+            pa = fa * ya + D * fb * yb
+            pb = fa * yb + fb * ya
+            out.append(_make(cls, xa * s - pa * xden, xb * s - pb * xden,
+                             0, 0, xden * s))
+    return out
+
+
+def _quaternion_product(p, q):
+    """p * q with each component one 4-term integer dot product, or None
+    unless the components of p, and of q, share one exact class."""
+    left, right = (p.w, p.x, p.y, p.z), (q.w, q.x, q.y, q.z)
+    c1, c2 = _one_class(left), _one_class(right)
+    kernel = _kernel(c1, c2)
+    if kernel is None:
+        return None
+    cls, width, dot = kernel
+    den1, (x,) = _int_form((left,), c1, width)
+    den2, ((w, i, j, k),) = _int_form((right,), c2, width)
+    ni, nj, nk = (-t if c2 is Fraction else tuple(map(neg, t))
+                  for t in (i, j, k))
+    den = den1 * den2
+    D = cls.D if cls is not Fraction else None
+    return Quaternion(*(_canonical(cls, dot(x, y, D), den) for y in (
+        (w, ni, nj, nk), (i, w, k, nj), (j, nk, w, i), (k, j, ni, w))))
 
 
 class Ring:

@@ -74,6 +74,16 @@ def test_verify_has_no_mode_option(tmp_path, capsys):
     assert "--mode" in capsys.readouterr().err
 
 
+def _transport(blob):
+    """params of the sphere(2) certificate's FreeTransport node (0.0.0)."""
+    return blob["root"]["children"][0]["children"][0]["params"]
+
+
+def _absorber_entries(blob):
+    """Entry rows of the sphere(2) certificate's absorber literal."""
+    return blob["root"]["params"]["absorber"]["__matrix__"]["entries"]
+
+
 @pytest.mark.parametrize("mutate,message", [
     (lambda blob: blob.update(space={}),
      "certificate space {} does not match"),
@@ -84,7 +94,21 @@ def test_verify_has_no_mode_option(tmp_path, capsys):
      "node params must be an object, not list"),
     (lambda blob: blob["root"]["children"][0]["space"].update(removed="axis"),
      "removed set must be an object or null, not str"),
-], ids=["space", "group", "root", "params", "removed"])
+    (lambda blob: _transport(blob).update(seed=["1", "2", "3"]),
+     "seed must be a nonzero 3-vector"),
+    (lambda blob: _transport(blob).update(seed=[[1], [2], [3]]),
+     "seed must be a nonzero 3-vector"),
+    (lambda blob: _transport(blob).update(seed=7),
+     "seed must be a nonzero 3-vector"),
+    (lambda blob: _transport(blob).update(seed=[True, 2, 3]),
+     "seed must be a nonzero 3-vector"),
+    (lambda blob: _absorber_entries(blob)[0].__setitem__(0, "x"),
+     "param 'absorber' is not a matrix literal"),
+    (lambda blob: _absorber_entries(blob)[0].__setitem__(0, "1/0"),
+     "param 'absorber' is not a matrix literal"),
+], ids=["space", "group", "root", "params", "removed", "seed-strings",
+        "seed-lists", "seed-number", "seed-bool", "absorber-literal",
+        "absorber-zero-denominator"])
 def test_verify_rejects_a_broken_envelope(tmp_path, capsys, mutate, message):
     cert = tmp_path / "cert.json"
     main(["derive", "sphere(2)", "-o", str(cert)])

@@ -23,6 +23,7 @@ from paradoxcert.linalg import (
     projector_of_basis,
     rank,
     ray_canonical,
+    rref,
     to_float_matrix,
 )
 from paradoxcert.sampling import random_unitary, rng_for
@@ -31,6 +32,11 @@ from paradoxcert.scalars import (
     RING_QSQRT2,
     RING_QUAT_SQRT5,
     RING_RATIONAL,
+    RINGS as RINGS_BY_NAME,
+    GaussSqrt5,
+    QSqrt2,
+    QSqrt5,
+    Quaternion,
 )
 
 RINGS = (RING_RATIONAL, RING_QSQRT2, RING_GAUSS_SQRT5, RING_QUAT_SQRT5)
@@ -195,3 +201,161 @@ def test_matrix_json_round_trip():
     for ring in RINGS:
         m = _rand_matrix(3, ring, rng)
         assert matrix_from_json(matrix_to_json(m)) == m
+
+
+# -- fused kernels against the plain left-to-right ``*``/``+`` loop ---------
+
+def _rand_fraction(rng):
+    if rng.random() < 0.25:  # zeros exercise the skipped row-update entries
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 9, 25)))
+
+
+_ENTRY = {
+    "rational": _rand_fraction,
+    "qsqrt2": lambda rng: QSqrt2(_rand_fraction(rng), _rand_fraction(rng)),
+    "qsqrt5": lambda rng: QSqrt5(_rand_fraction(rng), _rand_fraction(rng)),
+    "gauss_sqrt5": lambda rng: GaussSqrt5(
+        *(rng.randint(-9, 9) for _ in range(4)), rng.choice((1, 2, 5, 9))),
+    "quat_rational": lambda rng: Quaternion(
+        *(_rand_fraction(rng) for _ in range(4))),
+    "quat_sqrt5": lambda rng: Quaternion(
+        *(QSqrt5(_rand_fraction(rng), _rand_fraction(rng))
+          for _ in range(4))),
+}
+
+
+def _rand_rows(kind, m, n, rng):
+    return tuple(tuple(_ENTRY[kind](rng) for _ in range(n)) for _ in range(m))
+
+
+def _mixed_rows(m, n, rng, odd):
+    """Rational rows with one ``odd`` entry, so not all of one class."""
+    rows = [list(r) for r in _rand_rows("rational", m, n, rng)]
+    rows[rng.randrange(m)][rng.randrange(n)] = odd
+    return tuple(tuple(r) for r in rows)
+
+
+def _exact_form(x):
+    """Type and integer components of a scalar, so equal forms mean the
+    same class and the same canonical representation."""
+    if isinstance(x, Quaternion):
+        return ("quaternion",) + tuple(
+            _exact_form(c) for c in (x.w, x.x, x.y, x.z))
+    if isinstance(x, Fraction):
+        return (Fraction, x.numerator, x.denominator)
+    if isinstance(x, int):
+        return (int, x)
+    return (type(x), x.a, x.b, x.c, x.d, x.den)
+
+
+def _forms(rows):
+    return [[_exact_form(x) for x in r] for r in rows]
+
+
+def _ref_dot(r, c):
+    s = r[0] * c[0]
+    for k in range(1, len(r)):
+        s = s + r[k] * c[k]
+    return s
+
+
+def _ref_matmul(a, b):
+    return [tuple(_ref_dot(r, c) for c in zip(*b)) for r in a]
+
+
+def _ref_rref(rows):
+    """Exact row reduction with the operators alone: (rows, pivots)."""
+    rows = [list(r) for r in rows]
+    m, n = len(rows), len(rows[0])
+    pivots, r = [], 0
+    for j in range(n):
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if rows[i][j]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        x = rows[r][j]
+        pinv = 1 / x if isinstance(x, Fraction) else x.inverse()
+        rows[r] = [pinv * e for e in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][j]:
+                f = rows[i][j]
+                rows[i] = [rows[i][k] - f * rows[r][k] for k in range(n)]
+        pivots.append(j)
+        r += 1
+    return rows, pivots
+
+
+_KINDS = tuple(_ENTRY)
+_MIXED_PAIRS = (("rational", "qsqrt2"), ("qsqrt2", "rational"),
+                ("rational", "gauss_sqrt5"), ("gauss_sqrt5", "rational"),
+                ("qsqrt5", "gauss_sqrt5"), ("gauss_sqrt5", "qsqrt5"))
+
+
+@pytest.mark.parametrize("left,right",
+                         [(k, k) for k in _KINDS] + list(_MIXED_PAIRS))
+def test_matmul_and_mat_vec_match_the_operator_loop(left, right):
+    rng = random.Random(f"{left}*{right}")
+    for _ in range(12):
+        m, k, n = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a = _rand_rows(left, m, k, rng)
+        b = _rand_rows(right, k, n, rng)
+        assert _forms(matmul(Matrix(a), Matrix(b)).data) == \
+            _forms(_ref_matmul(a, b))
+        v = tuple(r[0] for r in b)
+        assert _forms([mat_vec(Matrix(a), v)]) == \
+            _forms([tuple(_ref_dot(r, v) for r in a)])
+
+
+def test_a_mixed_operand_takes_the_operator_loop():
+    rng = random.Random(23)
+    for _ in range(12):
+        for odd in (QSqrt2(1, 1), 3):
+            a = _mixed_rows(3, 3, rng, odd)
+            b = _rand_rows("qsqrt2", 3, 2, rng)
+            for x, y in ((a, b), (tuple(zip(*b)), a)):
+                assert _forms(matmul(Matrix(x), Matrix(y)).data) == \
+                    _forms(_ref_matmul(x, y))
+            v = tuple(r[0] for r in b)
+            assert _forms([mat_vec(Matrix(a), v)]) == \
+                _forms([tuple(_ref_dot(r, v) for r in a)])
+        a = _mixed_rows(3, 4, rng, QSqrt2(1, 1))
+        got, pivots = rref(Matrix(a))
+        ref_rows, ref_pivots = _ref_rref(a)
+        assert _forms(got.data) == _forms(ref_rows)
+        assert list(pivots) == ref_pivots
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_rref_inverse_and_kernel_match_the_operator_loop(kind):
+    rng = random.Random(kind)
+    ring = RINGS_BY_NAME[kind]
+    for _ in range(6):
+        # rref and kernel of a wide matrix with a repeated row
+        a = _rand_rows(kind, 3, 5, rng)
+        a = a[:2] + (tuple(x + y for x, y in zip(a[0], a[1])),)
+        got, pivots = rref(Matrix(a))
+        ref_rows, ref_pivots = _ref_rref(a)
+        assert _forms(got.data) == _forms(ref_rows)
+        assert list(pivots) == ref_pivots
+        ref_kernel = []
+        for f in (j for j in range(5) if j not in ref_pivots):
+            v = [ring.zero] * 5
+            v[f] = ring.one
+            for row, p in enumerate(ref_pivots):
+                v[p] = -ref_rows[row][f]
+            ref_kernel.append(tuple(v))
+        assert _forms(kernel(Matrix(a))) == _forms(ref_kernel)
+        # inverse of a square matrix, through [a | I]
+        sq = _rand_rows(kind, 3, 3, rng)
+        ident = Matrix.identity(3, ring).data
+        ref_rows, ref_pivots = _ref_rref(
+            [r + i for r, i in zip(sq, ident)])
+        if ref_pivots != [0, 1, 2]:
+            with pytest.raises(SingularMatrixError):
+                mat_inverse(Matrix(sq))
+            continue
+        assert _forms(mat_inverse(Matrix(sq)).data) == \
+            _forms([r[3:] for r in ref_rows])

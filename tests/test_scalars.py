@@ -20,6 +20,7 @@ from paradoxcert.scalars import (
     scalar_from_json,
     scalar_key,
     scalar_to_json,
+    sub_scaled,
     to_float_scalar,
 )
 
@@ -257,3 +258,91 @@ def test_copy_and_pickle_rebuild_every_ring():
             assert hash(y) == hash(x)
             if not isinstance(x, Quaternion):
                 _assert_canonical(y)
+
+
+def _exact_form(x):
+    if isinstance(x, Quaternion):
+        return tuple(_exact_form(c) for c in (x.w, x.x, x.y, x.z))
+    if isinstance(x, Fraction):
+        return (Fraction, x.numerator, x.denominator)
+    if isinstance(x, float):
+        return (float, x)
+    return (type(x), x.a, x.b, x.c, x.d, x.den)
+
+
+def _ref_quaternion_product(p, q):
+    # Hamilton's product, one ``*``/``+``/``-`` per term, left to right
+    w1, x1, y1, z1 = p.w, p.x, p.y, p.z
+    w2, x2, y2, z2 = q.w, q.x, q.y, q.z
+    return Quaternion(w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+                      w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+                      w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+                      w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
+
+
+def _rand_quat_rational(rng):
+    return Quaternion(*(Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                        for _ in range(4)))
+
+
+def _rand_quat_float(rng):
+    return Quaternion(*(rng.uniform(-2, 2) for _ in range(4)))
+
+
+def _rand_quat_mixed(rng):
+    """Components of two classes: the product takes the operator loop."""
+    return Quaternion(_rand_qsqrt5(rng), Fraction(rng.randint(-9, 9)),
+                      _rand_qsqrt5(rng), _rand_qsqrt5(rng))
+
+
+@pytest.mark.parametrize("left,right", [
+    (_rand_quat_rational, _rand_quat_rational), (_rand_quat, _rand_quat),
+    (_rand_quat_rational, _rand_quat), (_rand_quat, _rand_quat_rational),
+    (_rand_quat_float, _rand_quat_float), (_rand_quat_mixed, _rand_quat),
+], ids=["quat_rational", "quat_sqrt5", "rational*sqrt5", "sqrt5*rational",
+        "float", "mixed"])
+def test_quaternion_product_matches_the_operator_formula(left, right):
+    rng = random.Random(29)
+    for _ in range(100):
+        p, q = left(rng), right(rng)
+        assert _exact_form(p * q) == _exact_form(_ref_quaternion_product(p, q))
+
+
+def test_subtraction_is_addition_of_the_negative():
+    rng = random.Random(31)
+    for _ in range(200):
+        g, r, f = _rand_gauss(rng), _rand_qsqrt5(rng), Fraction(
+            rng.randint(-9, 9), rng.randint(1, 7))
+        for x, y in ((g, r), (r, g), (g, f), (f, g), (r, f), (f, r), (g, g),
+                     (r, 2), (2, g)):
+            got = x - y
+            assert _exact_form(got) == _exact_form(x + (-y))
+            if not isinstance(got, Fraction):
+                _assert_canonical(got)
+        p, q = _rand_quat(rng), _rand_quat(rng)
+        assert _exact_form(p - q) == _exact_form(p + (-q))
+        assert _exact_form(f - p) == _exact_form(f + (-p))
+
+
+@pytest.mark.parametrize("xs_kind,f_kind,ys_kind", [
+    ("rational", "rational", "rational"), ("gauss", "gauss", "gauss"),
+    ("sqrt5", "sqrt5", "sqrt5"), ("rational", "sqrt5", "rational"),
+    ("rational", "rational", "gauss"), ("sqrt5", "gauss", "rational"),
+    ("gauss", "rational", "sqrt5"),
+])
+def test_sub_scaled_matches_the_operator_loop(xs_kind, f_kind, ys_kind):
+    rng = random.Random(37)
+    make = {"rational": lambda: Fraction(rng.randint(-9, 9),
+                                         rng.randint(1, 7)),
+            "sqrt5": lambda: _rand_qsqrt5(rng),
+            "gauss": lambda: _rand_gauss(rng)}
+    for _ in range(40):
+        # zero entries of ys leave the matching entry of xs as it is
+        xs = [make[xs_kind]() for _ in range(5)]
+        ys = [make[ys_kind]() for _ in range(5)]
+        ys[rng.randrange(5)] *= 0
+        f = make[f_kind]()
+        assert [_exact_form(z) for z in sub_scaled(xs, f, ys)] == \
+            [_exact_form(x - f * y) for x, y in zip(xs, ys)]
+    assert sub_scaled([1.0], 2.0, [3.0]) is None
+    assert sub_scaled([QSqrt2(1, 1)], Fraction(1), [QSqrt5(1, 1)]) is None
