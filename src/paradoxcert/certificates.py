@@ -306,7 +306,7 @@ def _check_node(node: Node, path: str, violations: list):
                 ex(sp.base == Sphere(2), "spherical transport lives on S^2")
         seed = node.params.get("seed")
         ex(isinstance(seed, (list, tuple)) and len(seed) == 3
-           and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+           and all(isinstance(x, int) and not isinstance(x, bool)
                    for x in seed)
            and any(seed), "seed must be a nonzero 3-vector")
 

@@ -20,7 +20,7 @@ orbit <space> [--seed-point 1,2,3] [--pair P] [--depth L] [-o points.json]
 absorber [--max-len L] [--bound M] [--identity]
     Check that powers g^0..g^M of the default absorbing rotation move the
     depth-L exceptional axis set to pairwise disjoint copies.
-maps selftest [--samples N] [--seed S] [--tol T]
+maps selftest [--samples N] [--seed S]
     Randomized equivariance checks for every map in the catalog.
 
 Exit codes: 0 all checks pass; 1 verification or structural failure;
@@ -187,7 +187,7 @@ def _cmd_absorber(args, err) -> int:
 def _cmd_maps_selftest(args, err) -> int:
     failures = 0
     for m in default_catalog():
-        result = selftest(m, args.samples, args.seed, tol=args.tol)
+        result = selftest(m, args.samples, args.seed)
         status = "pass" if result["ok"] else "FAIL"
         print(f"{status} {result['map']:28s} samples={result['samples']} "
               f"max_dev={result['max_deviation']:.3e}", file=err)
@@ -244,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = maps_sub.add_parser("selftest", help="randomized equivariance suite")
     p.add_argument("--samples", type=int, default=60)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-9)
 
     return parser
 

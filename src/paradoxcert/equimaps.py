@@ -1,36 +1,32 @@
 """Catalog of equivariant maps between the spaces, plus a selftest harness.
 
 Each map instance knows how to apply itself, how to sample domain points and
-compatible acting-group pairs, and (when exact) how to lift target points
-back through a section. The selftest draws (point, group element) samples
-and measures f(g x) against g f(x): exact maps must agree identically,
-float-lane maps within a tolerance.
+compatible acting-group pairs, and how to lift target points back through a
+section. The selftest draws (point, group element) samples and checks
+f(g x) == g f(x) exactly: every map in the catalog is exact.
 
-Two maps have no exact backend and always run in the float lane: the
-stereographic chart identifying the projective line over C (resp. H) with
-S^2 (resp. S^4), and the induced rotation carrying a 2x2 unitary to the
-orthogonal matrix it acts by on that sphere.
+That includes the stereographic chart identifying the projective line over
+C (resp. H) with S^2 (resp. S^4), and the induced rotation carrying a 2x2
+unitary to the orthogonal matrix it acts by on that sphere: both are
+rational, so they stay inside Q(sqrt5) on exact input.  Only the inverse
+chart, ``stereographic_lift``, is float: the unit vector of a ray needs a
+square root outside the field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DomainError, GapCaseError, ParadoxError
 from .linalg import (
     Matrix,
-    block_embed_matrix,
     mat_vec,
     matmul,
-    max_abs_diff,
     to_float_matrix,
 )
 from .sampling import (
     random_flag,
     random_projective_point,
-    random_scalar,
     random_sphere_point,
     random_star_unitary,
     random_subspace,
@@ -38,12 +34,13 @@ from .sampling import (
     rng_for,
 )
 from .scalars import (
+    GaussSqrt5,
     Quaternion,
     RING_QUAT_FLOAT,
+    RING_QUAT_SQRT5,
     RING_RATIONAL,
     abs_float,
     ring_of,
-    to_float_scalar,
 )
 from .spaces import (
     FlagPoint,
@@ -65,13 +62,13 @@ class MapInstance:
     name: str
     source: str
     target: str
-    exact: bool
     apply: callable
     in_domain: callable
     section: callable | None
     sample_source: callable          # rng -> point
     sample_pair: callable            # rng -> (g_source, g_target) matrices
     kind: str = "equivariant"        # equivariant | homomorphism
+    exact = True                     # every catalog map is exact
 
     def __repr__(self):
         return f"MapInstance({self.name}: {self.source} -> {self.target})"
@@ -129,7 +126,6 @@ def sphere_drop(k: int) -> MapInstance:
         name=f"sphere_drop({k + 1})",
         source=f"sphere({k + 1}) minus poles",
         target=f"sphere({k})* in R^{ambient}",
-        exact=True,
         apply=apply, in_domain=in_domain, section=section,
         sample_source=sample_source, sample_pair=sample_pair)
 
@@ -183,7 +179,6 @@ def proj_drop(field: str, n: int) -> MapInstance:
         name=f"proj_drop({field},{n})",
         source=f"proj({field},{n}) minus the e_{n} axis",
         target=f"proj({field},{n - 1})* in K^{n}",
-        exact=True,
         apply=apply, in_domain=in_domain, section=section,
         sample_source=sample_source, sample_pair=sample_pair)
 
@@ -252,7 +247,6 @@ def grass_slice(field: str, n0: int, k: int) -> MapInstance:
         name=f"grass_slice({field},{n0},{k})",
         source=f"grass({field},{n0},{k}) minus the hyperplane copy",
         target=f"proj({field},{m})* in K^{n0}",
-        exact=True,
         apply=apply, in_domain=in_domain, section=section,
         sample_source=sample_source, sample_pair=sample_pair)
 
@@ -283,7 +277,6 @@ def duality(field: str, n: int, k: int) -> MapInstance:
         name=f"duality({field},{n},{k})",
         source=f"grass({field},{n},{k})",
         target=f"grass({field},{n},{n - k})",
-        exact=True,
         apply=apply, in_domain=lambda v: True, section=section,
         sample_source=sample_source, sample_pair=sample_pair)
 
@@ -341,31 +334,42 @@ def flag_to_grass(field: str, dims: tuple, i: int) -> MapInstance:
         name=f"flag_to_grass({field};{dims_text};i={i})",
         source=f"flag({field};{dims_text})",
         target=f"grass({field},{n},{di})",
-        exact=True,
         apply=apply, in_domain=lambda f: True, section=section,
         sample_source=sample_source, sample_pair=sample_pair)
 
 
 # --------------------------------------------------------------------------
-# stereographic chart: projective line over C/H to S^2/S^4 (float lane)
+# stereographic chart: projective line over C/H to S^2/S^4
 # --------------------------------------------------------------------------
 
-def _scalar_to_real_coords(q):
-    """Flatten a float complex/quaternion into real coordinates."""
+def _real_coords(q):
+    """Real coordinates of a complex or quaternionic scalar."""
+    if isinstance(q, GaussSqrt5):
+        return list(q.real_imag())
     if isinstance(q, complex):
         return [q.real, q.imag]
-    if isinstance(q, Quaternion):
-        return [q.w, q.x, q.y, q.z]
-    return [float(q)]
+    return [q.w, q.x, q.y, q.z]
 
 
-def _chart_point_to_sphere(q) -> SpherePoint:
-    """[q : 1] -> (2q, |q|^2 - 1) / (|q|^2 + 1)."""
-    coords = _scalar_to_real_coords(q)
+def _chart_vector(v1, v2) -> tuple:
+    """The chart image of the line [v1 : v2] as a unit vector.
+
+    [q : 1] goes to (2q, |q|^2 - 1) / (|q|^2 + 1) and [1 : 0] to the north
+    pole, in the real backend of the entries: Q(sqrt5) for exact lines.
+    """
+    if ring_of(v2).exact:
+        at_pole = not v2
+    else:
+        at_pole = abs_float(v2) < 1e-14 * max(1.0, abs_float(v1))
+    if at_pole:
+        coords = _real_coords(v1)
+        zero = coords[0] - coords[0]
+        return (zero,) * len(coords) + (zero + 1,)
+    q = v1 / v2 if isinstance(v2, complex) else v1 * v2.inverse()
+    coords = _real_coords(q)
     norm_sq = sum(c * c for c in coords)
-    scale = 1.0 / (norm_sq + 1.0)
-    vec = tuple(2.0 * c * scale for c in coords) + ((norm_sq - 1.0) * scale,)
-    return SpherePoint(1, vec, exact=False)
+    scale = 1 / (norm_sq + 1)
+    return tuple(2 * c * scale for c in coords) + ((norm_sq - 1) * scale,)
 
 
 def _sphere_dim(field: str) -> int:
@@ -373,26 +377,13 @@ def _sphere_dim(field: str) -> int:
 
 
 def stereographic_apply(field: str, line: ProjectivePoint) -> SpherePoint:
+    """The chart: exact on an exact line, float on a float one."""
     if line.ambient_dim != 2:
         raise DomainError("expected a line in K^2")
-    rep = line.representative()
+    vec = _chart_vector(*line.representative())
     if line.exact:
-        v1, v2 = rep
-        if not v2:
-            # the line [1 : 0] maps to the north pole
-            d = _sphere_dim(field)
-            return SpherePoint(1, (0.0,) * d + (1.0,), exact=False)
-        q = to_float_scalar(v1 * v2.inverse())
-        return _chart_point_to_sphere(q)
-    v1, v2 = rep
-    if abs_float(v2) < 1e-14 * max(1.0, abs_float(v1)):
-        d = _sphere_dim(field)
-        return SpherePoint(1, (0.0,) * d + (1.0,), exact=False)
-    if isinstance(v2, complex):
-        q = v1 / v2
-    else:
-        q = v1 * v2.inverse()
-    return _chart_point_to_sphere(q)
+        return SpherePoint.from_vector(vec)
+    return SpherePoint(1, vec, exact=False)
 
 
 def stereographic_lift(field: str, p: SpherePoint) -> ProjectivePoint:
@@ -416,45 +407,33 @@ def stereographic_lift(field: str, p: SpherePoint) -> ProjectivePoint:
     return ProjectivePoint.from_vector(v)
 
 
+def _chart_preimages(field: str, exact: bool) -> list:
+    """Vectors of the lines the chart puts on e_1, ..., e_{d+1}:
+    [1 : 1], [i : 1] (then [j : 1], [k : 1] over H) and [1 : 0]."""
+    if field == "C":
+        one, i = (GaussSqrt5(1), GaussSqrt5(0, 0, 1)) if exact else (1 + 0j, 1j)
+        units = [one, i]
+    else:
+        one = (RING_QUAT_SQRT5 if exact else RING_QUAT_FLOAT).one
+        o, z = one.w, one.x
+        units = [Quaternion(*(o if k == u else z for k in range(4)))
+                 for u in range(4)]
+    return [(u, one) for u in units] + [(one, one - one)]
+
+
 def induced_rotation(field: str, g: Matrix) -> Matrix:
     """The orthogonal matrix by which a 2x2 unitary acts on S^2 / S^4.
 
-    Solved from chart samples by least squares: rows are stereographic
-    images of a spanning set of lines and of their g-translates. Float lane
-    only; callers check orthogonality and residuals.
+    The rotation is linear and carries the chart image of a line to that of
+    its g-translate, so its column j is the chart image of g l_j, where l_j
+    is the line the chart puts on e_j.  Exact over Q(sqrt5) for an exact g,
+    float for a float g.
     """
     if g.rows != 2 or g.cols != 2:
         raise DomainError("expected a 2x2 unitary")
-    ring = g.scalar_ring()
-    if field == "C":
-        charts = [complex(c) for c in
-                  (0, 1, -1, 1j, -1j, 2, 1 + 1j, 3 - 2j)]
-        mk = lambda q: (q, complex(1.0))
-        inf_line = (complex(1.0), complex(0.0))
-    else:
-        o, z = 1.0, 0.0
-        qs = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
-              (0, 0, 0, 1), (-1, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0),
-              (1, 0, 0, 1), (2, -1, 0, 0), (0, 1, 1, 0), (1, -1, 1, -1)]
-        charts = [Quaternion(float(a), float(b), float(c), float(d))
-                  for a, b, c, d in qs]
-        mk = lambda q: (q, Quaternion(o, z, z, z))
-        inf_line = (Quaternion(o, z, z, z), Quaternion(z, z, z, z))
-    gf = to_float_matrix(g) if ring.exact else g
-    sources, targets = [], []
-    lines = [mk(q) for q in charts] + [inf_line]
-    for v in lines:
-        line = ProjectivePoint.from_vector(v)
-        s = stereographic_apply(field, line)
-        t = stereographic_apply(field, act(gf, line))
-        sources.append(s.to_float_vector())
-        targets.append(t.to_float_vector())
-    a = np.array(sources, dtype=float)
-    b = np.array(targets, dtype=float)
-    # rows satisfy R s_i = t_i, so solve a R^T = b
-    rt, *_ = np.linalg.lstsq(a, b, rcond=None)
-    r = rt.T
-    return Matrix(tuple(tuple(float(x) for x in row) for row in r))
+    cols = [_chart_vector(*mat_vec(g, v))
+            for v in _chart_preimages(field, g.scalar_ring().exact)]
+    return Matrix(zip(*cols))
 
 
 def _random_su2_like(field: str, rng) -> Matrix:
@@ -482,7 +461,6 @@ def stereographic(field: str) -> MapInstance:
         name=f"stereographic({field})",
         source=f"proj({field},2)",
         target=f"sphere({d})",
-        exact=False,
         apply=apply, in_domain=lambda p: True, section=None,
         sample_source=sample_source, sample_pair=sample_pair)
 
@@ -502,8 +480,7 @@ def induced_rotation_map(field: str) -> MapInstance:
     return MapInstance(
         name=f"induced_rotation({field})",
         source=f"U(2)-like over {field}",
-        target=f"SO({d + 1}) (float)",
-        exact=False,
+        target=f"SO({d + 1})",
         apply=apply, in_domain=lambda g: True, section=None,
         sample_source=sample_source, sample_pair=None,
         kind="homomorphism")
@@ -513,72 +490,52 @@ def induced_rotation_map(field: str) -> MapInstance:
 # selftest harness
 # --------------------------------------------------------------------------
 
-def _deviation(p, q) -> float:
-    """Float distance between two points of the same space type."""
-    if isinstance(p, SpherePoint):
-        from .linalg import max_abs_diff_vec
-        return max_abs_diff_vec(p.to_float_vector(), q.to_float_vector())
-    if isinstance(p, Subspace):
-        return max_abs_diff(p.projector, q.projector)
-    if isinstance(p, FlagPoint):
-        return max(_deviation(a, b)
-                   for a, b in zip(p.components, q.components))
-    raise ParadoxError(f"cannot compare {p!r}")
-
-
-def _check_equivariance_once(m: MapInstance, rng, tol: float):
-    x = _resample(lambda r: m.sample_source(r), rng)
+def _check_equivariance_once(m: MapInstance, rng):
+    """f(g x) == g f(x) on one sample; None when g x leaves the domain."""
+    x = _resample(m.sample_source, rng)
     g_src, g_tgt = m.sample_pair(rng)
     try:
         lhs = m.apply(act(g_src, x))
     except (DomainError, GapCaseError):
         return None  # g moved x out of the domain; counted, not a failure
-    rhs = act(g_tgt, m.apply(x))
-    if m.exact:
-        return 0.0 if equals(lhs, rhs, 0.0) else float("inf")
-    return _deviation(lhs, rhs)
+    return equals(lhs, act(g_tgt, m.apply(x)))
 
 
-def _check_homomorphism_once(m: MapInstance, rng, tol: float):
+def _check_homomorphism_once(m: MapInstance, rng):
+    """R(gh) == R(g) R(h) and R(g)^T R(g) == I on one sample."""
     g = m.sample_source(rng)
     h = m.sample_source(rng)
     rg, rh = m.apply(g), m.apply(h)
-    rgh = m.apply(matmul(g, h))
-    dev = max_abs_diff(rgh, matmul(rg, rh))
-    # orthogonality of each output
-    n = rg.rows
-    from .scalars import RING_FLOAT
-    ident = Matrix.identity(n, RING_FLOAT)
-    dev_orth = max_abs_diff(matmul(rg.transpose(), rg), ident)
-    return max(dev, dev_orth)
+    ident = Matrix.identity(rg.rows, rg.scalar_ring())
+    return (m.apply(matmul(g, h)) == matmul(rg, rh)
+            and matmul(rg.transpose(), rg) == ident)
 
 
-def selftest(m: MapInstance, samples: int, seed, tol: float = 1e-9) -> dict:
-    """Sampled equivariance (or homomorphism) checks for one map."""
-    worst = 0.0
+def selftest(m: MapInstance, samples: int, seed) -> dict:
+    """Sampled equivariance (or homomorphism) checks for one map.
+
+    Every check is exact, so ``max_deviation`` is 0.0 when all of them
+    hold and infinite otherwise.
+    """
+    check = (_check_homomorphism_once if m.kind == "homomorphism"
+             else _check_equivariance_once)
     failures = 0
     skipped = 0
     ran = 0
     for i in range(samples):
-        rng = rng_for(seed, "selftest", m.name, i)
-        if m.kind == "homomorphism":
-            dev = _check_homomorphism_once(m, rng, tol)
-        else:
-            dev = _check_equivariance_once(m, rng, tol)
-        if dev is None:
+        ok = check(m, rng_for(seed, "selftest", m.name, i))
+        if ok is None:
             skipped += 1
             continue
         ran += 1
-        if dev > worst:
-            worst = dev
-        if dev > tol:
+        if not ok:
             failures += 1
     return {
         "map": m.name,
         "samples": ran,
         "skipped": skipped,
         "failures": failures,
-        "max_deviation": worst,
+        "max_deviation": float("inf") if failures else 0.0,
         "exact": m.exact,
         "ok": failures == 0,
     }
@@ -591,12 +548,9 @@ def corrupted(m: MapInstance) -> MapInstance:
     def bad_apply(x):
         y = m.apply(x)
         if isinstance(y, SpherePoint):
-            vec = y.to_float_vector()
             # swap two coordinates: almost never commutes with the action
-            v = (vec[1], vec[0]) + vec[2:]
-            return SpherePoint(1, v, exact=False) if not y.exact else \
-                SpherePoint(y.sign, (y.direction[1], y.direction[0])
-                            + y.direction[2:], True)
+            return SpherePoint(y.sign, (y.direction[1], y.direction[0])
+                               + y.direction[2:], True)
         if isinstance(y, ProjectivePoint):
             rep = y.representative()
             v = (rep[1], rep[0]) + rep[2:]

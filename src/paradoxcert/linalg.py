@@ -33,6 +33,8 @@ _PIVOT_EPS = 1e-12  # float-lane rank decisions only
 
 
 def _inv(x):
+    if isinstance(x, int):
+        return Fraction(1, x)
     if isinstance(x, (Fraction, float, complex)):
         return 1 / x
     return x.inverse()

@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
-from operator import mul, neg
+from operator import ge, gt, le, lt, mul, neg
 
 from .errors import BackendMismatchError
 
@@ -285,6 +285,32 @@ class RealQuadExt(QuadExt):
             return str(a)
         return f"{a}+{b}*sqrt{self.D}"
 
+    # a real quadratic field is ordered: compare and take magnitudes exactly
+    def __abs__(self):
+        return -self if self and not self.is_positive() else self
+
+    def _compare(self, other, op):
+        """op(sign of self - other, 0); a finite float counts at its exact
+        binary value, as it does for Fraction."""
+        if isinstance(other, float):
+            if not math.isfinite(other):
+                return op(0.0, other)
+            other = Fraction(other)
+        d = self - other
+        return op(0 if not d else 1 if d.is_positive() else -1, 0)
+
+    def __lt__(self, other):
+        return self._compare(other, lt)
+
+    def __le__(self, other):
+        return self._compare(other, le)
+
+    def __gt__(self, other):
+        return self._compare(other, gt)
+
+    def __ge__(self, other):
+        return self._compare(other, ge)
+
 
 class QSqrt2(RealQuadExt):
     D = 2
@@ -307,6 +333,11 @@ class GaussSqrt5(QuadExt):
         # rounds the sum, where the real fields round each part: float-lane
         # deviations in reports depend on the last bit of both
         return (p + q * math.sqrt(self.D)) / self.den
+
+    def real_imag(self):
+        """The real and imaginary parts, in QSqrt5."""
+        return (_make(QSqrt5, self.a, self.b, 0, 0, self.den),
+                _make(QSqrt5, self.c, self.d, 0, 0, self.den))
 
     def __repr__(self):
         return (f"GaussSqrt5({self.a}, {self.b}, {self.c}, {self.d}, "
@@ -723,19 +754,6 @@ def ring_of(x) -> Ring:
     if isinstance(x, complex):
         return RING_COMPLEX
     raise BackendMismatchError(f"unknown scalar backend for {x!r}")
-
-
-_FLOAT_LANE = {
-    "rational": "float", "qsqrt2": "float", "qsqrt5": "float",
-    "gauss_sqrt5": "complex", "quat_rational": "quat_float",
-    "quat_sqrt5": "quat_float", "float": "float",
-    "complex": "complex", "quat_float": "quat_float",
-}
-
-
-def float_ring_of(ring: Ring) -> Ring:
-    """Float lane counterpart of an exact ring."""
-    return RINGS[_FLOAT_LANE[ring.name]]
 
 
 def abs_float(x) -> float:

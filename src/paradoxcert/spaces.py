@@ -40,7 +40,6 @@ from .linalg import (
     stack_rows,
     to_float_matrix,
     to_float_vector,
-    vec_scale_right,
 )
 from .scalars import (
     RING_FLOAT,
@@ -48,9 +47,7 @@ from .scalars import (
     RING_QSQRT2,
     RING_QUAT_SQRT5,
     RING_RATIONAL,
-    RINGS,
     Ring,
-    float_ring_of,
     ring_of,
 )
 
@@ -558,15 +555,6 @@ def equals(p, q, tol: float = 0.0) -> bool:
     raise BackendMismatchError(f"cannot compare {p!r} with {q!r}")
 
 
-def antipodal_project(point: SpherePoint) -> ProjectivePoint:
-    """The 2-to-1 covering S^n -> RP^n: a signed ray to its line."""
-    if not point.exact:
-        v = point.direction
-        b = Matrix.from_columns([v])
-        return ProjectivePoint(projector_of_basis(b))
-    return ProjectivePoint.from_vector(point.direction)
-
-
 def block_embed_point(point, n: int):
     """Zero-pad a point of K^m into K^n (the starred copy)."""
     if isinstance(point, SpherePoint):
@@ -595,11 +583,6 @@ def block_embed_point(point, n: int):
     if isinstance(point, FlagPoint):
         return FlagPoint(block_embed_point(c, n) for c in point.components)
     raise BackendMismatchError(f"cannot embed {point!r}")
-
-
-def flag_component(flag: FlagPoint, i: int) -> Subspace:
-    """The i-th component subspace (0-based)."""
-    return flag.components[i]
 
 
 def orthogonal_complement(sub: Subspace) -> Subspace:

@@ -567,9 +567,8 @@ class CertVerifier:
                           lambda: map_from_params(node.params))
 
     def _selftest(self, m, n):
-        cfg = self.config
         return self._fact(("selftest", m.name, n),
-                          lambda: selftest(m, n, cfg.seed, tol=cfg.tol))
+                          lambda: selftest(m, n, self.config.seed))
 
     # -- classification ----------------------------------------------------
 
@@ -627,8 +626,7 @@ class CertVerifier:
                 return "absorbed"
             return self.classify(point, node.children[0], path + ".0")
         if rule == "Intertwine":
-            fv = point.to_float() if point.exact else point
-            img = stereographic_apply(node.params["field"], fv)
+            img = stereographic_apply(node.params["field"], point)
             return self.classify(img, node.children[0], path + ".0")
         raise VerificationError(f"cannot classify points at rule {rule}")
 

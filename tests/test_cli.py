@@ -102,13 +102,17 @@ def _absorber_entries(blob):
      "seed must be a nonzero 3-vector"),
     (lambda blob: _transport(blob).update(seed=[True, 2, 3]),
      "seed must be a nonzero 3-vector"),
+    (lambda blob: _transport(blob).update(seed=[1.5, 2, 3]),
+     "seed must be a nonzero 3-vector"),
+    (lambda blob: _transport(blob).update(seed=[1e300, 2, 3]),
+     "seed must be a nonzero 3-vector"),
     (lambda blob: _absorber_entries(blob)[0].__setitem__(0, "x"),
      "param 'absorber' is not a matrix literal"),
     (lambda blob: _absorber_entries(blob)[0].__setitem__(0, "1/0"),
      "param 'absorber' is not a matrix literal"),
 ], ids=["space", "group", "root", "params", "removed", "seed-strings",
-        "seed-lists", "seed-number", "seed-bool", "absorber-literal",
-        "absorber-zero-denominator"])
+        "seed-lists", "seed-number", "seed-bool", "seed-float",
+        "seed-huge-float", "absorber-literal", "absorber-zero-denominator"])
 def test_verify_rejects_a_broken_envelope(tmp_path, capsys, mutate, message):
     cert = tmp_path / "cert.json"
     main(["derive", "sphere(2)", "-o", str(cert)])

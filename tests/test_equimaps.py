@@ -12,19 +12,22 @@ from paradoxcert.equimaps import (
     proj_drop,
     selftest,
     sphere_drop,
+    stereographic,
     stereographic_apply,
     stereographic_lift,
 )
 from paradoxcert.errors import DomainError, GapCaseError
-from paradoxcert.linalg import matmul, to_float_matrix
+from paradoxcert.linalg import Matrix, mat_vec, matmul, to_float_matrix
 from paradoxcert.sampling import (
     random_projective_point,
     random_subspace,
     random_unitary,
     rng_for,
 )
+from paradoxcert.scalars import GaussSqrt5, Quaternion, QSqrt5
 from paradoxcert.spaces import (
     ProjectivePoint,
+    SpherePoint,
     Subspace,
     act,
     equals,
@@ -147,7 +150,7 @@ def test_stereographic_round_trip():
         for i in range(25):
             line = random_projective_point(2, ring, rng)
             p = stereographic_apply(field, line)
-            vec = p.direction
+            vec = p.to_float_vector()
             assert abs(sum(x * x for x in vec) - 1.0) < 1e-9
             back = stereographic_lift(field, p)
             again = stereographic_apply(field, back)
@@ -169,6 +172,68 @@ def test_induced_rotation_is_orthogonal():
             for j in range(n):
                 target = 1.0 if i == j else 0.0
                 assert abs(prod.data[i][j] - target) < 1e-9
+
+
+def _chart_basis_lines(field):
+    """The lines [1 : 1], [i : 1] (, [j : 1], [k : 1]) and [1 : 0]."""
+    if field == "C":
+        one, zero = GaussSqrt5(1), GaussSqrt5(0)
+        units = [one, GaussSqrt5(0, 0, 1)]
+    else:
+        o, z = QSqrt5(1), QSqrt5(0)
+        one, zero = Quaternion(o, z, z, z), Quaternion(z, z, z, z)
+        units = [one, Quaternion(z, o, z, z), Quaternion(z, z, o, z),
+                 Quaternion(z, z, z, o)]
+    return [(u, one) for u in units] + [(one, zero)]
+
+
+def test_the_chart_puts_each_basis_line_on_its_basis_vector():
+    for field in ("C", "H"):
+        lines = _chart_basis_lines(field)
+        for j, v in enumerate(lines):
+            e = tuple(QSqrt5(int(i == j)) for i in range(len(lines)))
+            p = stereographic_apply(field, ProjectivePoint.from_vector(v))
+            assert p.exact
+            assert p == SpherePoint.from_vector(e)
+
+
+def test_the_exact_induced_rotation_is_an_orthogonal_homomorphism():
+    for field in ("C", "H"):
+        ring = exact_ring_for_field(field)
+        rng = rng_for(71, "exact-ir", field)
+        gs = [random_unitary(2, ring, rng) for _ in range(6)]
+        for g, h in zip(gs, gs[1:]):
+            r = induced_rotation(field, g)
+            assert r.scalar_ring().exact
+            ident = Matrix.identity(r.rows, r.scalar_ring())
+            assert matmul(r.transpose(), r) == ident
+            assert induced_rotation(field, matmul(g, h)) == \
+                matmul(r, induced_rotation(field, h))
+            # column j is the chart image of g l_j
+            for j, v in enumerate(_chart_basis_lines(field)):
+                image = ProjectivePoint.from_vector(mat_vec(g, v))
+                assert SpherePoint.from_vector(r.column(j)) == \
+                    stereographic_apply(field, image)
+
+
+def test_the_exact_chart_commutes_with_the_action():
+    for field in ("C", "H"):
+        ring = exact_ring_for_field(field)
+        rng = rng_for(73, "exact-chart", field)
+        for _ in range(8):
+            line = random_projective_point(2, ring, rng)
+            g = random_unitary(2, ring, rng)
+            lhs = stereographic_apply(field, act(g, line))
+            rhs = act(induced_rotation(field, g),
+                      stereographic_apply(field, line))
+            assert lhs.exact and rhs.exact
+            assert lhs == rhs
+
+
+def test_corrupted_charts_fail_the_selftest():
+    for field in ("C", "H"):
+        result = selftest(corrupted(stereographic(field)), 6, seed=2024)
+        assert not result["ok"], result
 
 
 def test_selftest_reports_gap_skips():

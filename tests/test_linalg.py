@@ -97,6 +97,20 @@ def test_singular_matrix_raises():
         mat_inverse(m)
 
 
+def test_an_int_pivot_reduces_like_its_fraction():
+    # row 1 supplies the first pivot, as the int 3 in the mixed copy
+    rows = [[Fraction(0), Fraction(1, 2), Fraction(1, 3)],
+            [Fraction(3), Fraction(1, 5), Fraction(2, 7)],
+            [Fraction(1, 4), Fraction(1), Fraction(5)]]
+    mixed = [list(r) for r in rows]
+    mixed[1][0] = 3
+    for op in (lambda m: rref(m)[0], mat_inverse):
+        want, got = op(Matrix(rows)), op(Matrix(mixed))
+        assert got == want
+        assert all(type(x) is Fraction for r in got.data for x in r)
+    assert rref(Matrix(mixed))[1] == rref(Matrix(rows))[1]
+
+
 def test_kernel_vectors_are_annihilated():
     rng = random.Random(13)
     for ring in RINGS:

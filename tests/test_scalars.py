@@ -199,6 +199,19 @@ def test_is_positive_is_exact():
         GaussSqrt5(1, 0, 1, 0).is_positive()
 
 
+def test_real_quadratic_fields_are_ordered_exactly():
+    x = QSqrt2(99, -70)  # about 0.00505, positive
+    assert abs(x) == x and abs(-x) == x and abs(QSqrt5(0)) == 0
+    assert 0 < Fraction(1, 198) < x < Fraction(1, 197) and -x < 0 <= x
+    # floats compare at their exact binary value, as Fractions do
+    third = QSqrt5(Fraction(1, 3))
+    assert third > 1 / 3 and not third <= 1 / 3
+    assert third < math.inf and not third > math.nan
+    assert max(QSqrt5(0, 1), QSqrt5(2), QSqrt5(-3)) == QSqrt5(0, 1)
+    with pytest.raises(TypeError):
+        QSqrt5(1) < GaussSqrt5(0, 0, 1, 0)
+
+
 def test_inverse_of_every_quadratic_ring():
     rng = random.Random(31)
     for make in (_rand_qsqrt2, _rand_qsqrt5, _rand_gauss):

@@ -28,11 +28,9 @@ from paradoxcert.spaces import (
     SpherePoint,
     Subspace,
     act,
-    antipodal_project,
     block_embed_point,
     equals,
     exact_ring_for_field,
-    flag_component,
     intersect,
     natural_group,
     orthogonal_complement,
@@ -96,12 +94,6 @@ def test_sphere_points_are_signed_rays():
     m = SpherePoint.from_vector((Fraction(-1), Fraction(0), Fraction(0)))
     assert not equals(p, m)
     assert equals(p.antipode(), m)
-
-
-def test_antipodal_projection_forgets_the_sign():
-    p = SpherePoint.from_vector((Fraction(1), Fraction(-2), Fraction(2)))
-    q = p.antipode()
-    assert equals(antipodal_project(p), antipodal_project(q))
 
 
 # -------------------------------------------------------- projective points
@@ -178,13 +170,6 @@ def test_flag_nesting_is_validated():
     FlagPoint([v1, v2])      # nested: fine
     with pytest.raises(Exception):
         FlagPoint([v1, bad])  # v1 is not inside bad
-
-
-def test_flag_component_access():
-    rng = rng_for(11, "flag")
-    f = random_flag((1, 2), 3, RING_RATIONAL, rng)
-    assert flag_component(f, 0).dim == 1
-    assert flag_component(f, 1).dim == 2
 
 
 # ------------------------------------------------------------------ actions

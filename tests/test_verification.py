@@ -205,6 +205,19 @@ def test_classify_marks_absorbed_points():
     assert v.classify(fp) == "absorbed"
 
 
+def test_classify_carries_an_exact_line_through_the_exact_chart():
+    from paradoxcert.scalars import GaussSqrt5
+    from paradoxcert.spaces import ProjectivePoint
+    from paradoxcert.verification import CertVerifier
+    v = CertVerifier(derive("proj(C,2)"), RunConfig(depth=3, samples=10))
+    one, zero, i = GaussSqrt5(1), GaussSqrt5(0), GaussSqrt5(0, 0, 1, 0)
+    # [1 : 0] and [1 : 1] go to the axes e_3 and e_1, which lie in D[so3-ab]
+    for vec in ((one, zero), (one, one)):
+        assert v.classify(ProjectivePoint.from_vector(vec)) == "absorbed"
+    # [i : 1] goes to e_2, which is neither absorbed nor a fragment point
+    assert v.classify(ProjectivePoint.from_vector((i, one))) == "Unknown"
+
+
 def test_free_transport_names_a_trivial_word(monkeypatch):
     from paradoxcert import verification
 
