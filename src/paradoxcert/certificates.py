@@ -28,7 +28,6 @@ verified empirically at finite depth (see ``verification``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CertificateError, DescriptorError, ParadoxError
 from .freegroup import default_absorber, get_pair, plane_rotation
@@ -40,7 +39,6 @@ from .spaces import (
     Projective,
     Sphere,
     natural_group,
-    n_min,
     parse_descriptor,
 )
 
@@ -280,9 +278,9 @@ def _check_node(node: Node, path: str, violations: list):
 
     if node.rule == "BaseF2":
         ex(len(ch) == 0, "BaseF2 takes no children")
-        ex(isinstance(sp.base, F2Space), "BaseF2 concludes about F2 itself")
-        ex(gr.family == "free" and gr.pair is None,
-           "BaseF2 group is the abstract F2")
+        ex(isinstance(sp.base, F2Space) and sp.star_ambient is None
+           and sp.removed is None, "BaseF2 concludes about F2 itself")
+        ex(gr == GroupTag("free", 0), "BaseF2 group is the abstract F2")
 
     elif node.rule == "FreeTransport":
         ex(len(ch) == 1 and ch[0].rule == "BaseF2",
@@ -293,8 +291,9 @@ def _check_node(node: Node, path: str, violations: list):
             ex(pair.dim == 3, "transport pair must act on R^3")
         except Exception:
             ex(False, f"unknown pair {pairname!r}")
-        ex(gr.family == "free" and gr.pair == pairname,
+        ex(gr == GroupTag("free", 3, pair=pairname),
            "group must be the free group of the pair")
+        ex(sp.star_ambient is None, "transport space is not starred")
         rem = sp.removed
         ex(isinstance(rem, RemovedExceptional) and rem.pair == pairname,
            "removed set must be the pair's fixed locus")
@@ -498,7 +497,12 @@ def _removed_from_json(obj):
             f"removed set must be an object or null, not {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "exceptional":
-        return RemovedExceptional(obj["pair"], bool(obj["projective"]))
+        projective = obj["projective"]
+        if not isinstance(projective, bool):
+            raise CertificateError(
+                f"removed set flag 'projective' must be a boolean, not "
+                f"{type(projective).__name__}")
+        return RemovedExceptional(obj["pair"], projective)
     if kind == "poles":
         return RemovedPoles()
     if kind == "axis":
@@ -514,9 +518,19 @@ def _space_to_json(sp: SpaceExpr):
             "removed": _removed_to_json(sp.removed)}
 
 
+def _int_from_json(obj, key, optional=False):
+    """An int field (3.0 and true are not 3 and 1); None if optional."""
+    value = obj.get(key) if optional else obj[key]
+    if (value is None and optional) or (
+            isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    raise CertificateError(
+        f"field {key!r} must be an integer, not {type(value).__name__}")
+
+
 def _space_from_json(obj) -> SpaceExpr:
     return SpaceExpr(_desc_from_text(obj["base"]),
-                     obj.get("star_ambient"),
+                     _int_from_json(obj, "star_ambient", optional=True),
                      _removed_from_json(obj.get("removed")))
 
 
@@ -526,8 +540,9 @@ def _group_to_json(g: GroupTag):
 
 
 def _group_from_json(obj) -> GroupTag:
-    return GroupTag(obj["family"], obj["n"],
-                    obj.get("star_ambient"), obj.get("pair"))
+    return GroupTag(obj["family"], _int_from_json(obj, "n"),
+                    _int_from_json(obj, "star_ambient", optional=True),
+                    obj.get("pair"))
 
 
 def _params_to_json(params: dict):

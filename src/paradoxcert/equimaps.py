@@ -376,7 +376,7 @@ def _sphere_dim(field: str) -> int:
     return 2 if field == "C" else 4
 
 
-def stereographic_apply(field: str, line: ProjectivePoint) -> SpherePoint:
+def stereographic_apply(line: ProjectivePoint) -> SpherePoint:
     """The chart: exact on an exact line, float on a float one."""
     if line.ambient_dim != 2:
         raise DomainError("expected a line in K^2")
@@ -447,9 +447,6 @@ def stereographic(field: str) -> MapInstance:
     ring = exact_ring_for_field(field)
     d = _sphere_dim(field)
 
-    def apply(line):
-        return stereographic_apply(field, line)
-
     def sample_source(rng):
         return random_projective_point(2, ring, rng)
 
@@ -461,7 +458,7 @@ def stereographic(field: str) -> MapInstance:
         name=f"stereographic({field})",
         source=f"proj({field},2)",
         target=f"sphere({d})",
-        apply=apply, in_domain=lambda p: True, section=None,
+        apply=stereographic_apply, in_domain=lambda p: True, section=None,
         sample_source=sample_source, sample_pair=sample_pair)
 
 

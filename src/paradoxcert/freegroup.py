@@ -35,9 +35,6 @@ from .scalars import (
     QSqrt2,
     QSqrt5,
     Quaternion,
-    RING_GAUSS_SQRT5,
-    RING_QSQRT2,
-    RING_RATIONAL,
 )
 from .words import A, A_INV, B, B_INV, IDENTITY, word_text
 

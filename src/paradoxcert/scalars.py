@@ -13,6 +13,11 @@ plus plain ``float``/``complex``/float quaternions for the verification-only
 float lane. Every scalar type supports ``+ - * /``, ``conjugate()`` and is
 hashable, so generic linear algebra can stay backend-agnostic.
 
+Equal exact values are ``==`` and hash alike in every class: a rational is
+one number as a ``Fraction``, in any quadratic field and as a real
+quaternion, and so is an element of Q(sqrt5) in Q(sqrt5, i).  So a
+canonical point vector is its own key, whatever its entries' classes.
+
 The three quadratic fields share one implementation, ``QuadExt``: integers
 (a, b, c, d, den) standing for (a + b*sqrt(D) + (c + d*sqrt(D))i) / den in
 canonical form (den > 0, gcd of all five = 1), so equal values have equal
@@ -59,8 +64,8 @@ class QuadExt:
 
     Subclasses pin D and ``HAS_I`` (whether the field contains i; when it
     does not, c = d = 0 always). Mixing two classes of the same D gives the
-    wider one, so QSqrt5 * GaussSqrt5 is a GaussSqrt5; classes of different
-    D do not mix.
+    wider one, so QSqrt5 * GaussSqrt5 is a GaussSqrt5. Of a class of
+    another D only the rational elements mix, as the rationals they are.
     """
 
     D = None  # set by subclass
@@ -89,8 +94,12 @@ class QuadExt:
             return cls, other
         if isinstance(other, (int, Fraction)):
             return cls, cls.from_rational(other)
-        if isinstance(other, QuadExt) and other.D == self.D:
-            return (cls if self.HAS_I else type(other)), other
+        if isinstance(other, QuadExt):
+            if other.D == self.D:
+                return (cls if self.HAS_I else type(other)), other
+            if not (other.b or other.c or other.d):
+                # a rational of another field is that rational
+                return cls, _make(cls, other.a, 0, 0, 0, other.den)
         return None
 
     def __add__(self, other):
@@ -456,12 +465,17 @@ class Quaternion:
         return not self.is_zero()
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self.w, self.x, self.y, self.z) == (o.w, o.x, o.y, o.z)
+        if isinstance(other, Quaternion):
+            return ((self.w, self.x, self.y, self.z)
+                    == (other.w, other.x, other.y, other.z))
+        if isinstance(other, (int, Fraction, float, QuadExt)):
+            return not (self.x or self.y or self.z) and self.w == other
+        return NotImplemented
 
     def __hash__(self):
+        # a real quaternion hashes like its real part, which it equals
+        if not (self.x or self.y or self.z):
+            return hash(self.w)
         return hash((self.w, self.x, self.y, self.z))
 
     def __repr__(self):
@@ -812,30 +826,3 @@ def scalar_from_json(obj, ring: Ring):
 def to_float_scalar(x):
     """Map any exact scalar into its float-lane counterpart."""
     return ring_of(x).to_float(x)
-
-
-def scalar_key(x):
-    """Ring-independent hashable form of an exact scalar.
-
-    Equal values land on equal keys even when they live in different exact
-    backends (a rational inside QSqrt2 versus a bare Fraction, a real
-    quaternion versus its real part, and so on).  Used wherever point keys
-    built over one ring are looked up against keys built over another.
-    """
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, QuadExt):
-        if x.c or x.d:
-            return (f"gauss{x.D}",) + x._parts()
-        if x.b:
-            return ("sqrt", x.D) + x._parts()[:2]
-        return Fraction(x.a, x.den)
-    if isinstance(x, Quaternion):
-        parts = (scalar_key(x.w), scalar_key(x.x),
-                 scalar_key(x.y), scalar_key(x.z))
-        if parts[1] == 0 and parts[2] == 0 and parts[3] == 0:
-            return parts[0]
-        return ("quat",) + parts
-    raise BackendMismatchError(f"no exact key for {x!r}")

@@ -5,7 +5,7 @@ module checks their finitely checkable consequences at a chosen depth:
 
 * free-group facts -> exhaustive word enumeration to depth L;
 * free actions -> explicit orbit fragments from seed points, with an exact
-  injectivity check (a hash collision recovers the fixing word);
+  injectivity check (a key collision recovers the fixing word);
 * the two paradoxical reassemblies -> exact cover-with-multiplicity-one
   bookkeeping on the radius-(L-1) fragment;
 * absorber claims -> pairwise disjointness of the absorber orbit of the
@@ -25,6 +25,12 @@ by replaying group words and map sections, so its piece membership is a
 theorem about the construction, not a floating-point guess.  Every run is
 exact; the only float points are the samples an ``Intertwine`` chart lifts,
 and those are matched within a tolerance.
+
+An exact point is keyed by its canonical vector: a ray by the
+``(sign, direction)`` of ``ray_canonical`` (``SpherePoint.key()``), a line
+by its leading-1 vector (as the ``absorber_check`` levels hold it).  Equal
+exact scalars are ``==`` and hash alike in every class, so a key built
+over one ring finds a key built over another.
 
 Facts that do not depend on a node's place in the tree (orbit fragments
 and their float indexes, absorber contexts, the pair-word, freeness and
@@ -63,6 +69,7 @@ from .equimaps import (
     stereographic_lift,
 )
 from .errors import (
+    BackendMismatchError,
     CertificateError,
     DomainError,
     GapCaseError,
@@ -96,7 +103,7 @@ from .scalars import (
     Quaternion,
     QSqrt5,
     Fraction,
-    scalar_key,
+    ring_of,
     to_float_scalar,
 )
 from .spaces import (
@@ -148,7 +155,7 @@ class Sample:
 
 
 # --------------------------------------------------------------------------
-# point keys (exact) and float representations
+# point keys (exact canonical vectors) and float representations
 # --------------------------------------------------------------------------
 
 def _flatten_scalar(x):
@@ -166,10 +173,11 @@ def _conj(x):
 
 
 def point_key_vec(vec, kind: str):
-    """Canonical hashable key of the ray/line spanned by an exact vector."""
+    """Canonical vector of the ray/line spanned by an exact vector: the
+    ``(sign, direction)`` pair of a ray, the leading-1 vector of a line."""
     if kind == "ray":
-        return _ray_key(*ray_canonical(vec))
-    return _line_key(normalize_leading(vec))
+        return ray_canonical(vec)
+    return normalize_leading(vec)
 
 
 def _vec_line_rep(vec) -> np.ndarray:
@@ -206,23 +214,13 @@ def _point_ray_rep(point: SpherePoint) -> np.ndarray:
 
 
 def _point_line_key(point):
-    """Exact canonical key of the line through an exact point."""
+    """Leading-1 vector of the line through an exact point."""
     if isinstance(point, SpherePoint):
-        return _line_key(point.direction)
+        return point.direction
     if point.dim != 1:
         raise VerificationError(
             "line keys are defined for rays and one-dimensional subspaces")
-    return _line_key(normalize_leading(point.basis()[0]))
-
-
-def _ray_key(sign, direction):
-    """Key of a signed ray through a leading-1 canonical direction."""
-    return ("ray", sign) + tuple(scalar_key(x) for x in direction)
-
-
-def _line_key(nv):
-    """Key of the line through a leading-1 canonical vector."""
-    return ("line",) + tuple(scalar_key(x) for x in nv)
+    return normalize_leading(point.basis()[0])
 
 
 # --------------------------------------------------------------------------
@@ -233,7 +231,8 @@ class Fragment:
     """The ball-of-radius-L orbit fragment of a seed under a free pair.
 
     ``words`` is in breadth-first order (identity first); ``keys`` maps
-    each word to the canonical key of its point; ``index`` inverts it.
+    each word to the canonical vector of its point (``point_key_vec``);
+    ``index`` inverts it.
     Injectivity of ``index`` is enforced during construction: a key
     collision between words u and w means reduce(u^-1 w) fixes the seed,
     and that word is reported.
@@ -252,11 +251,9 @@ class Fragment:
         self.mats = mats
 
     def point_for(self, w):
-        v = self.vectors[w]
         if self.kind == "ray":
-            sign, d = ray_canonical(v)
-            return SpherePoint(sign, d, True)
-        return ProjectivePoint.from_vector(normalize_leading(v))
+            return SpherePoint(*self.keys[w], True)
+        return ProjectivePoint.from_vector(self.keys[w])
 
 
 def orbit_fragment(space, seed, pair, depth: int) -> Fragment:
@@ -264,7 +261,8 @@ def orbit_fragment(space, seed, pair, depth: int) -> Fragment:
 
     Raises SeedFixedError (naming the fixing word) if two words of length
     <= depth land on the same point -- i.e. the seed is fixed by a reduced
-    word of length <= 2*depth.
+    word of length <= 2*depth -- and BackendMismatchError if a seed
+    coordinate is not exact, since only exact points have keys.
     """
     if isinstance(space, str):
         space = parse_descriptor(space)
@@ -280,6 +278,9 @@ def orbit_fragment(space, seed, pair, depth: int) -> Fragment:
         pair = get_pair(pair)
     mats = [pair.letter_matrix(x) for x in range(4)]
     seed_vec = tuple(Fraction(x) if isinstance(x, int) else x for x in seed)
+    for x in seed_vec:
+        if not ring_of(x).exact:
+            raise BackendMismatchError(f"seed coordinate {x!r} is not exact")
     if len(seed_vec) != mats[0].rows:
         raise DomainError(
             f"seed has {len(seed_vec)} coordinates, pair acts on "
@@ -543,7 +544,7 @@ class CertVerifier:
             exact_levels = {}
             for lvl, level in enumerate(ab.pop("levels")):
                 for v in level:
-                    exact_levels.setdefault(_line_key(v), lvl)
+                    exact_levels.setdefault(v, lvl)
             return {"g": g, "gf": to_float_matrix(g), "dirs": dirs,
                     "field": _field_of(node.space.base),
                     "absorber_check": ab, "exact_levels": exact_levels}
@@ -580,8 +581,7 @@ class CertVerifier:
         if rule == "FreeTransport":
             frag = self._fragment_for(node, path)
             if point.exact:
-                key = (_ray_key(point.sign, point.direction)
-                       if isinstance(point, SpherePoint)
+                key = (point.key() if isinstance(point, SpherePoint)
                        else _point_line_key(point))
                 w = frag.index.get(key)
                 return "Unknown" if w is None else classify_prefix(w)
@@ -626,7 +626,7 @@ class CertVerifier:
                 return "absorbed"
             return self.classify(point, node.children[0], path + ".0")
         if rule == "Intertwine":
-            img = stereographic_apply(node.params["field"], point)
+            img = stereographic_apply(point)
             return self.classify(img, node.children[0], path + ".0")
         raise VerificationError(f"cannot classify points at rule {rule}")
 
@@ -886,9 +886,10 @@ class CertVerifier:
                                  lambda x: not absorbed(x), None),
                     WitnessPiece("absorbed-orbit", absorbed, g)),
             target_predicate=outside_removed,
-            image_key=lambda x: (_point_line_key(x)
-                                 if getattr(x, "exact", True)
-                                 else tuple(np.round(_point_line_rep(x), 6))))
+            # tagged, so an exact and a float image never share a key
+            image_key=lambda x: (
+                ("exact", _point_line_key(x)) if getattr(x, "exact", True)
+                else ("float", tuple(np.round(_point_line_rep(x), 6)))))
 
         child = list(child_samples[0])
         removed_hits = sum(
@@ -940,7 +941,7 @@ class CertVerifier:
             p = (SpherePoint.from_vector(s.point.to_float_vector())
                  if s.point.exact else s.point)
             line = stereographic_lift(f, p)
-            back = stereographic_apply(f, line)
+            back = stereographic_apply(line)
             dev = max(abs(a - b) for a, b in
                       zip(back.to_float_vector(), p.to_float_vector()))
             max_dev = max(max_dev, dev)

@@ -74,9 +74,24 @@ def test_verify_has_no_mode_option(tmp_path, capsys):
     assert "--mode" in capsys.readouterr().err
 
 
+def _transport_node(blob):
+    """The sphere(2) certificate's FreeTransport node (0.0.0)."""
+    return blob["root"]["children"][0]["children"][0]
+
+
 def _transport(blob):
-    """params of the sphere(2) certificate's FreeTransport node (0.0.0)."""
-    return blob["root"]["children"][0]["children"][0]["params"]
+    """params of the sphere(2) certificate's FreeTransport node."""
+    return _transport_node(blob)["params"]
+
+
+def _base(blob):
+    """The sphere(2) certificate's BaseF2 node (0.0.0.0)."""
+    return _transport_node(blob)["children"][0]
+
+
+def _projective(value):
+    return lambda blob: _transport_node(blob)["space"]["removed"].update(
+        projective=value)
 
 
 def _absorber_entries(blob):
@@ -110,9 +125,29 @@ def _absorber_entries(blob):
      "param 'absorber' is not a matrix literal"),
     (lambda blob: _absorber_entries(blob)[0].__setitem__(0, "1/0"),
      "param 'absorber' is not a matrix literal"),
+    (lambda blob: _base(blob)["space"].update(star_ambient=3),
+     "BaseF2 concludes about F2 itself"),
+    (lambda blob: _base(blob)["group"].update(star_ambient=3),
+     "BaseF2 group is the abstract F2"),
+    (lambda blob: _base(blob)["group"].update(n=3),
+     "BaseF2 group is the abstract F2"),
+    (lambda blob: _transport_node(blob)["group"].update(star_ambient=4),
+     "group must be the free group of the pair"),
+    (lambda blob: _transport_node(blob)["group"].update(n=4),
+     "group must be the free group of the pair"),
+    (lambda blob: _transport_node(blob)["group"].update(n=3.0),
+     "field 'n' must be an integer, not float"),
+    (_projective([]), "flag 'projective' must be a boolean, not list"),
+    (_projective({}), "flag 'projective' must be a boolean, not dict"),
+    (_projective(None), "flag 'projective' must be a boolean, not NoneType"),
+    (_projective(0), "flag 'projective' must be a boolean, not int"),
 ], ids=["space", "group", "root", "params", "removed", "seed-strings",
         "seed-lists", "seed-number", "seed-bool", "seed-float",
-        "seed-huge-float", "absorber-literal", "absorber-zero-denominator"])
+        "seed-huge-float", "absorber-literal", "absorber-zero-denominator",
+        "base-space-star", "base-group-star", "base-group-n",
+        "transport-group-star", "transport-group-n", "group-n-float",
+        "projective-list", "projective-object", "projective-null",
+        "projective-zero"])
 def test_verify_rejects_a_broken_envelope(tmp_path, capsys, mutate, message):
     cert = tmp_path / "cert.json"
     main(["derive", "sphere(2)", "-o", str(cert)])

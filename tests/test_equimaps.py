@@ -149,11 +149,11 @@ def test_stereographic_round_trip():
         rng = rng_for(61, "st", field)
         for i in range(25):
             line = random_projective_point(2, ring, rng)
-            p = stereographic_apply(field, line)
+            p = stereographic_apply(line)
             vec = p.to_float_vector()
             assert abs(sum(x * x for x in vec) - 1.0) < 1e-9
             back = stereographic_lift(field, p)
-            again = stereographic_apply(field, back)
+            again = stereographic_apply(back)
             assert max(abs(x - y)
                        for x, y in zip(again.direction, vec)) < 1e-9
 
@@ -192,7 +192,7 @@ def test_the_chart_puts_each_basis_line_on_its_basis_vector():
         lines = _chart_basis_lines(field)
         for j, v in enumerate(lines):
             e = tuple(QSqrt5(int(i == j)) for i in range(len(lines)))
-            p = stereographic_apply(field, ProjectivePoint.from_vector(v))
+            p = stereographic_apply(ProjectivePoint.from_vector(v))
             assert p.exact
             assert p == SpherePoint.from_vector(e)
 
@@ -213,7 +213,7 @@ def test_the_exact_induced_rotation_is_an_orthogonal_homomorphism():
             for j, v in enumerate(_chart_basis_lines(field)):
                 image = ProjectivePoint.from_vector(mat_vec(g, v))
                 assert SpherePoint.from_vector(r.column(j)) == \
-                    stereographic_apply(field, image)
+                    stereographic_apply(image)
 
 
 def test_the_exact_chart_commutes_with_the_action():
@@ -223,9 +223,9 @@ def test_the_exact_chart_commutes_with_the_action():
         for _ in range(8):
             line = random_projective_point(2, ring, rng)
             g = random_unitary(2, ring, rng)
-            lhs = stereographic_apply(field, act(g, line))
+            lhs = stereographic_apply(act(g, line))
             rhs = act(induced_rotation(field, g),
-                      stereographic_apply(field, line))
+                      stereographic_apply(line))
             assert lhs.exact and rhs.exact
             assert lhs == rhs
 

@@ -18,7 +18,6 @@ from paradoxcert.scalars import (
     abs_float,
     ring_of,
     scalar_from_json,
-    scalar_key,
     scalar_to_json,
     sub_scaled,
     to_float_scalar,
@@ -122,41 +121,60 @@ def test_quaternion_associativity():
         assert (x * y) * z == x * (y * z)
 
 
-def test_scalar_key_identifies_rationals_across_rings():
-    # the same rational value embedded in different rings keys identically
+def _agree(values):
+    """Every two of the values are == (both ways) and hash alike."""
+    for x in values:
+        for y in values:
+            assert x == y and y == x, (x, y)
+            assert hash(x) == hash(y), (x, y)
+
+
+def test_a_rational_is_one_value_in_every_class():
     val = Fraction(3, 2)
-    z = QSqrt5(0, 0)
-    keys = {
-        scalar_key(val),
-        scalar_key(QSqrt2(val, 0)),
-        scalar_key(QSqrt5(val, 0)),
-        scalar_key(GaussSqrt5(3, 0, 0, 0, 2)),
-        scalar_key(Quaternion(QSqrt5(val, 0), z, z, z)),
-    }
-    assert len(keys) == 1
-    # rational elements of every quadratic ring equal and hash like Fractions
-    for x in (QSqrt2(val, 0), QSqrt5(val, 0), GaussSqrt5(3, 0, 0, 0, 2),
-              QSqrt2(val) - QSqrt2(0, 1) + QSqrt2(0, 1)):
-        assert x == val and val == x
-        assert hash(x) == hash(val)
+    z, zq = QSqrt5(0, 0), Fraction(0)
+    values = [
+        val,
+        QSqrt2(val, 0),
+        QSqrt5(val, 0),
+        GaussSqrt5(3, 0, 0, 0, 2),
+        Quaternion(QSqrt5(val, 0), z, z, z),
+        Quaternion(val, zq, zq, zq),
+        QSqrt2(val) - QSqrt2(0, 1) + QSqrt2(0, 1),
+    ]
+    _agree(values)
+    assert len(set(values)) == 1
+    # the two cross-class identities the canonical point keys rely on
+    assert QSqrt2(val, 0) == QSqrt5(val, 0)
+    assert hash(Quaternion(val, zq, zq, zq)) == hash(val)
 
 
-def test_scalar_key_identifies_sqrt5_across_rings():
+def test_a_sqrt5_value_is_one_value_in_every_class():
     a, b = Fraction(1, 3), Fraction(-2, 3)
-    k1 = scalar_key(QSqrt5(a, b))
-    k2 = scalar_key(GaussSqrt5(1, -2, 0, 0, 3))
-    assert k1 == k2
+    z = QSqrt5(0, 0)
+    values = [QSqrt5(a, b), GaussSqrt5(1, -2, 0, 0, 3),
+              Quaternion(QSqrt5(a, b), z, z, z)]
+    _agree(values)
+    assert len(set(values)) == 1
 
 
-def test_scalar_key_distinguishes_values():
+def test_distinct_values_are_distinct_keys():
     rng = random.Random(23)
     seen = {}
     for _ in range(200):
         x = _rand_gauss(rng)
-        k = scalar_key(x)
-        if k in seen:
-            assert seen[k] == x
-        seen[k] = x
+        if x in seen:
+            y = seen[x]
+            assert (y.a, y.b, y.c, y.d, y.den) == (x.a, x.b, x.c, x.d, x.den)
+            assert hash(y) == hash(x)
+        seen[x] = x
+    # irrational values of different fields, and a non-real quaternion
+    # against its real part, are different numbers
+    z = QSqrt5(0, 0)
+    assert QSqrt2(1, 1) != QSqrt5(1, 1)
+    assert QSqrt2(0, 1) != QSqrt5(0, 1)
+    assert Quaternion(QSqrt5(1), QSqrt5(1), z, z) != QSqrt5(1)
+    assert GaussSqrt5(1, 0, 1, 0, 1) != Quaternion(QSqrt5(1), z, z, z)
+    assert len({QSqrt2(1, 1), QSqrt5(1, 1), Fraction(1)}) == 3
 
 
 def test_ring_of_dispatch():

@@ -6,7 +6,11 @@ from fractions import Fraction
 import pytest
 
 from paradoxcert.certificates import derive
-from paradoxcert.errors import SeedFixedError, VerificationError
+from paradoxcert.errors import (
+    BackendMismatchError,
+    SeedFixedError,
+    VerificationError,
+)
 from paradoxcert.freegroup import default_absorber, get_pair
 from paradoxcert.linalg import Matrix
 from paradoxcert.scalars import RING_RATIONAL
@@ -49,6 +53,13 @@ def test_fixed_seed_is_reported_with_the_word():
     with pytest.raises(SeedFixedError) as err:
         orbit_fragment("sphere(2)", e1, "so3-ab", 2)
     assert err.value.word_text == "b"
+
+
+@pytest.mark.parametrize("space", ["sphere(2)", "proj(R,3)"])
+def test_a_float_seed_coordinate_is_rejected(space):
+    # only exact scalars give point keys, and 1.5 is a float
+    with pytest.raises(BackendMismatchError, match="1.5 is not exact"):
+        orbit_fragment(space, (1.5, Fraction(2), Fraction(3)), "so3-ab", 1)
 
 
 def test_projective_fragment():
