@@ -269,12 +269,50 @@ def _known_subgroup(sub: GroupTag, sup: GroupTag) -> bool:
     return False
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# the arguments of each map a Pullback or EquidecompTransfer names
+_MAP_ARGS = {
+    "sphere_drop": ("k",),
+    "proj_drop": ("field", "n"),
+    "grass_slice": ("field", "n", "k"),
+    "flag_to_grass": ("field", "dims", "i"),
+    "duality": ("field", "n", "k"),
+}
+
+
+def _fits(name: str, value) -> bool:
+    if name == "field":
+        return isinstance(value, str)
+    if name == "dims":
+        return (isinstance(value, (list, tuple)) and len(value) > 0
+                and all(map(_is_int, value)))
+    return _is_int(value)
+
+
+def _map_args(params: dict, ex):
+    """The args of the node's map when they fit its signature; otherwise
+    None, and the violation is named (an unknown map is the caller's)."""
+    name, args = params.get("map"), params.get("args")
+    sig = _MAP_ARGS.get(name)
+    if sig is None:
+        return None
+    ok = (isinstance(args, tuple) and len(args) == len(sig)
+          and all(map(_fits, sig, args)))
+    ex(ok, f"{name} args must be ({', '.join(sig)}), not {args!r}")
+    return args if ok else None
+
+
 def _check_node(node: Node, path: str, violations: list):
     if node.rule not in RULES:
         violations.append(f"{path}: unknown rule {node.rule!r}")
         return
     sp, gr, ch = node.space, node.group, node.children
     ex = lambda c, m: _expect(c, violations, path, m)
+    if gr.family != "free":
+        ex(gr.pair is None, "only a free group names a pair")
 
     if node.rule == "BaseF2":
         ex(len(ch) == 0, "BaseF2 takes no children")
@@ -305,9 +343,8 @@ def _check_node(node: Node, path: str, violations: list):
                 ex(sp.base == Sphere(2), "spherical transport lives on S^2")
         seed = node.params.get("seed")
         ex(isinstance(seed, (list, tuple)) and len(seed) == 3
-           and all(isinstance(x, int) and not isinstance(x, bool)
-                   for x in seed)
-           and any(seed), "seed must be a nonzero 3-vector")
+           and all(map(_is_int, seed)) and any(seed),
+           "seed must be a nonzero 3-vector")
 
     elif node.rule == "SubgroupLift":
         ex(len(ch) == 1, "SubgroupLift takes one child")
@@ -335,12 +372,14 @@ def _check_node(node: Node, path: str, violations: list):
     elif node.rule == "Pullback":
         ex(len(ch) == 1, "Pullback takes one child")
         name = node.params.get("map")
-        args = tuple(node.params.get("args", ()))
         if not ch:
             return
         c = ch[0]
         ex(gr == c.group, "Pullback acts with the child's group")
-        if name == "sphere_drop":
+        args = _map_args(node.params, ex)
+        if args is None and name in _MAP_ARGS:
+            pass  # the malformed args are named
+        elif name == "sphere_drop":
             (k,) = args
             ex(sp.base == Sphere(k + 1) and sp.star_ambient is None
                and isinstance(sp.removed, RemovedPoles),
@@ -406,8 +445,9 @@ def _check_node(node: Node, path: str, violations: list):
         ex(len(ch) == 1, "EquidecompTransfer takes one child")
         name = node.params.get("map")
         ex(name == "duality", "transfer map must be the duality involution")
-        if ch and name == "duality":
-            field, n, kc = node.params.get("args")
+        args = _map_args(node.params, ex) if name == "duality" else None
+        if ch and args is not None:
+            field, n, kc = args
             c = ch[0]
             ex(c.space == SpaceExpr(_grass_desc(field, n, kc)),
                "duality child space mismatch")
@@ -521,8 +561,7 @@ def _space_to_json(sp: SpaceExpr):
 def _int_from_json(obj, key, optional=False):
     """An int field (3.0 and true are not 3 and 1); None if optional."""
     value = obj.get(key) if optional else obj[key]
-    if (value is None and optional) or (
-            isinstance(value, int) and not isinstance(value, bool)):
+    if (value is None and optional) or _is_int(value):
         return value
     raise CertificateError(
         f"field {key!r} must be an integer, not {type(value).__name__}")

@@ -10,7 +10,10 @@ Three built-in generator pairs, each with exact entries:
 
 plus block-embedded copies diag(g, I) in any larger dimension. Freeness is
 checked by exhaustive exact evaluation of every reduced word up to a length
-bound; integer fast paths keep that affordable at length 10.
+bound. The scan reads the letter matrices of any pair once as integers over
+one common denominator den (a quaternion as the real 4x4 matrix of right
+multiplication by it), so a word of length d is trivial iff its integer
+product is den**d * I, and each step is one integer dot product per entry.
 
 ``ball_products`` walks a ball of words with their exact products, each
 built from its prefix's product and one letter matrix; the exceptional set
@@ -35,8 +38,9 @@ from .scalars import (
     QSqrt2,
     QSqrt5,
     Quaternion,
+    integer_forms,
 )
-from .words import A, A_INV, B, B_INV, IDENTITY, word_text
+from .words import A, IDENTITY, word_text
 
 
 class GeneratorPair:
@@ -179,151 +183,67 @@ def ball_products(pair: GeneratorPair, max_len: int):
         frontier = nxt
 
 
-# ---------------------------------------------------------------------------
-# Integer fast paths for the freeness scan.
-#
-# so3-ab: entries are pairs (p, q) = p + q sqrt2 with implicit denominator
-# 3^depth; generator matrices are stored pre-scaled by 3.
-# su2-sqrt5: entries are quadruples (a, b, c, d) = a + b sqrt5 + (c+d sqrt5)i
-# with implicit denominator sqrt5^depth; generators pre-scaled by sqrt5.
-# sp1-sqrt5: quaternions with components (p, q) = p + q sqrt5 over
-# sqrt5^depth.
-#
-# Identity tests need no normalization: e.g. (p + q sqrt2)/3^d = 1 iff q = 0
-# and p = 3^d.
-# ---------------------------------------------------------------------------
-
-_SO3_GEN = {
-    A: (((1, 0), (0, -2), (0, 0)),
-        ((0, 2), (1, 0), (0, 0)),
-        ((0, 0), (0, 0), (3, 0))),
-    B: (((3, 0), (0, 0), (0, 0)),
-        ((0, 0), (1, 0), (0, -2)),
-        ((0, 0), (0, 2), (1, 0))),
-}
-_SO3_GEN[A_INV] = tuple(zip(*_SO3_GEN[A]))
-_SO3_GEN[B_INV] = tuple(zip(*_SO3_GEN[B]))
-
-_SU2_GEN = {
-    A: (((1, 0, 2, 0), (0, 0, 0, 0)),
-        ((0, 0, 0, 0), (1, 0, -2, 0))),
-    B: (((1, 0, 0, 0), (-2, 0, 0, 0)),
-        ((2, 0, 0, 0), (1, 0, 0, 0))),
-}
-_SU2_GEN[A_INV] = (((1, 0, -2, 0), (0, 0, 0, 0)),
-                   ((0, 0, 0, 0), (1, 0, 2, 0)))
-_SU2_GEN[B_INV] = (((1, 0, 0, 0), (2, 0, 0, 0)),
-                   ((-2, 0, 0, 0), (1, 0, 0, 0)))
-
-_SP1_GEN = {
-    A: ((1, 0), (2, 0), (0, 0), (0, 0)),
-    A_INV: ((1, 0), (-2, 0), (0, 0), (0, 0)),
-    B: ((1, 0), (0, 0), (2, 0), (0, 0)),
-    B_INV: ((1, 0), (0, 0), (-2, 0), (0, 0)),
-}
+# 1, i, j, k: row e of the real form of a quaternion q holds e * q
+_UNITS = tuple(Quaternion(*(Fraction(int(e == c)) for c in range(4)))
+               for e in range(4))
 
 
-def _mul_so3(m1, m2):
-    out = []
-    for i in range(3):
-        r = m1[i]
-        row = []
-        for j in range(3):
-            p = q = 0
-            for k in range(3):
-                p1, q1 = r[k]
-                p2, q2 = m2[k][j]
-                p += p1 * p2 + 2 * q1 * q2
-                q += p1 * q2 + q1 * p2
-            row.append((p, q))
-        out.append(tuple(row))
-    return tuple(out)
+def _real_form(m: Matrix):
+    """(rows, stride): m over a commutative field, and the stride of the
+    rows that fix a product.
+
+    A quaternion entry q becomes the 4x4 block of right multiplication by q
+    on components (w, x, y, z), whose row e holds e * q; a product is then
+    fixed by its rows at e = 1. Any other matrix is its own real form.
+    """
+    if not isinstance(m[0, 0], Quaternion):
+        return m.data, 1
+    rows = []
+    for row in m.data:
+        for e in _UNITS:
+            prods = [e * q for q in row]
+            rows.append(tuple(c for p in prods for c in (p.w, p.x, p.y, p.z)))
+    return rows, 4
 
 
-def _ident_so3(m, depth):
-    scale = 3 ** depth
-    for i in range(3):
-        for j in range(3):
-            p, q = m[i][j]
-            if q != 0 or p != (scale if i == j else 0):
-                return False
-    return True
+def _integer_products(pair: GeneratorPair, max_len: int):
+    """(den, ones, products): the freeness scan's integer products.
 
+    The letter matrices of ``pair.root()`` are read once, in real form, as
+    integers over one common den by ``integer_forms``. ``products`` yields
+    (word, rows) depth first for every nonidentity reduced word of length
+    <= max_len: the rows that fix the word's product, times den**len(word).
+    ``ones[d]`` holds those rows of den**d * I, so a word is trivial iff
+    its rows equal ``ones[len(word)]``.
+    """
+    root = pair.root()
+    forms = [_real_form(root.letter_matrix(x)) for x in range(4)]
+    size, stride = len(forms[0][0]), forms[0][1]
+    ident = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    den, cols, dot = integer_forms(
+        [c for rows, _ in forms for c in zip(*rows)] + ident)
+    # cols[x]: the columns of letter x, and cols[4] those of den * I
+    cols = [cols[k * size:(k + 1) * size] for k in range(5)]
+    kept = range(0, size, stride)
+    ones = [None, [list(cols[4][i]) for i in kept]]
+    while len(ones) <= max_len:
+        ones.append([[dot(r, c) for c in cols[4]] for r in ones[-1]])
 
-def _mul_entry_su2(e1, e2):
-    a1, b1, c1, d1 = e1
-    a2, b2, c2, d2 = e2
-    return (a1 * a2 + 5 * b1 * b2 - c1 * c2 - 5 * d1 * d2,
-            a1 * b2 + b1 * a2 - c1 * d2 - d1 * c2,
-            a1 * c2 + c1 * a2 + 5 * (b1 * d2 + d1 * b2),
-            a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2)
+    def products():
+        # depth-first with an explicit stack; it never exceeds ~3 * max_len
+        stack = [([[c[i] for c in cols[x]] for i in kept], (x,))
+                 for x in reversed(range(4))]
+        while stack:
+            m, w = stack.pop()
+            yield w, m
+            if len(w) < max_len:
+                last_inv = w[-1] ^ 1
+                for x in reversed(range(4)):
+                    if x != last_inv:
+                        stack.append(([[dot(r, c) for c in cols[x]]
+                                       for r in m], w + (x,)))
 
-
-def _mul_su2(m1, m2):
-    out = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            x = _mul_entry_su2(m1[i][0], m2[0][j])
-            y = _mul_entry_su2(m1[i][1], m2[1][j])
-            row.append(tuple(u + v for u, v in zip(x, y)))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _sqrt5_power_quad(depth):
-    if depth % 2 == 0:
-        return (5 ** (depth // 2), 0, 0, 0)
-    return (0, 5 ** ((depth - 1) // 2), 0, 0)
-
-
-def _ident_su2(m, depth):
-    one = _sqrt5_power_quad(depth)
-    return (m[0][1] == (0, 0, 0, 0) and m[1][0] == (0, 0, 0, 0)
-            and m[0][0] == one and m[1][1] == one)
-
-
-def _mul_pair5(e1, e2):
-    p1, q1 = e1
-    p2, q2 = e2
-    return (p1 * p2 + 5 * q1 * q2, p1 * q2 + q1 * p2)
-
-
-def _mul_sp1(x, y):
-    w1, x1, y1, z1 = x
-    w2, x2, y2, z2 = y
-    def m(u, v):
-        return _mul_pair5(u, v)
-    def add(*ts):
-        p = q = 0
-        for (u, v) in ts:
-            p += u
-            q += v
-        return (p, q)
-    def neg(t):
-        return (-t[0], -t[1])
-    return (
-        add(m(w1, w2), neg(m(x1, x2)), neg(m(y1, y2)), neg(m(z1, z2))),
-        add(m(w1, x2), m(x1, w2), m(y1, z2), neg(m(z1, y2))),
-        add(m(w1, y2), neg(m(x1, z2)), m(y1, w2), m(z1, x2)),
-        add(m(w1, z2), m(x1, y2), neg(m(y1, x2)), m(z1, w2)),
-    )
-
-
-def _ident_sp1(m, depth):
-    if depth % 2 == 0:
-        one = (5 ** (depth // 2), 0)
-    else:
-        one = (0, 5 ** ((depth - 1) // 2))
-    zero = (0, 0)
-    return m == (one, zero, zero, zero)
-
-
-_FAST = {
-    "so3": (_SO3_GEN, _mul_so3, _ident_so3),
-    "su2": (_SU2_GEN, _mul_su2, _ident_su2),
-    "sp1": (_SP1_GEN, _mul_sp1, _ident_sp1),
-}
+    return den, ones, products()
 
 
 def check_freeness(pair: GeneratorPair, max_len: int) -> dict:
@@ -333,34 +253,14 @@ def check_freeness(pair: GeneratorPair, max_len: int) -> dict:
     2 * 3**max_len - 2 (the ball minus the empty word).
     """
     start = time.monotonic()
-    root = pair.root()
     counterexample = None
     checked = 0
-
-    if root.kind in _FAST:
-        gens, mul, is_ident = _FAST[root.kind]
-        step = mul
-    else:
-        ring = pair.letter_matrix(A).scalar_ring()
-        ident_m = Matrix.identity(pair.dim, ring)
-        gens = {x: pair.letter_matrix(x) for x in range(4)}
-        step = matmul
-        is_ident = lambda m, depth: m == ident_m
-
-    # depth-first with an explicit stack; it never exceeds ~3 * max_len
-    stack = [(gens[x], 1, (x,)) for x in reversed(range(4))]
-    while stack:
-        m, depth, w = stack.pop()
+    _, ones, products = _integer_products(pair, max_len)
+    for w, m in products:
         checked += 1
-        if is_ident(m, depth):
+        if m == ones[len(w)]:
             counterexample = w
             break
-        if depth < max_len:
-            last_inv = w[-1] ^ 1
-            for x in reversed(range(4)):
-                if x != last_inv:
-                    stack.append((step(m, gens[x]), depth + 1, w + (x,)))
-
     return {
         "pair": pair.name,
         "max_len": max_len,

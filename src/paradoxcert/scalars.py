@@ -36,17 +36,23 @@ or one QuadExt class, and the two types mix; the result then has exactly
 the class the left-to-right ``*``/``+`` loop gives.  Any other input (mixed
 types, int, float, complex, Quaternion entries of a matrix) takes that
 generic loop, and so does a matrix product over vectors of length 1, whose
-every entry is a single ``*`` already.
+every entry is a single ``*`` already.  ``integer_forms`` hands the same
+integer reading and dot formula to callers that keep integer forms across
+many products, as the freeness scan does.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import chain
 from operator import ge, gt, le, lt, mul, neg
 
 from .errors import BackendMismatchError
+
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
 
 
 def _frac(x) -> Fraction:
@@ -222,10 +228,19 @@ class QuadExt:
                 and self.d == o.d and self.den == o.den)
 
     def __hash__(self):
-        # rational values hash like the equal Fraction
+        a, den = self.a, self.den
         if self.b or self.c or self.d:
-            return hash((self.D, self.a, self.b, self.c, self.d, self.den))
-        return hash(Fraction(self.a, self.den))
+            return hash((self.D, a, self.b, self.c, self.d, den))
+        # a rational value hashes like the equal Fraction and int: the
+        # numeric hash of a / den (a and den are already coprime)
+        if den == 1:
+            return hash(a)
+        try:
+            h = hash(hash(abs(a)) * pow(den, -1, _HASH_MODULUS))
+        except ValueError:  # den is a multiple of the modulus
+            h = _HASH_INF
+        h = h if a >= 0 else -h
+        return -2 if h == -1 else h
 
     def _parts(self):
         """a, b (and c, d when the field has i) over den, as Fractions."""
@@ -541,7 +556,7 @@ def _int_form(vectors, cls, width):
 
 
 def _dot_rational(x, y, D):
-    return (sum(map(mul, x, y)),)
+    return sum(map(mul, x, y))
 
 
 def _dot_scaled(x, y, D):
@@ -573,9 +588,10 @@ def _kernel(c1, c2):
     """(result class, component width, dot) for a left operand of class c1
     and a right one of class c2, or None when the generic loop must run.
 
-    ``dot(x, y, D)`` returns the integer components of sum_k x[k] y[k] for
-    integer forms x and y; the fields are commutative, so a rational right
-    operand is handled by swapping the two sides.
+    ``dot(x, y, D)`` returns the integer form of sum_k x[k] y[k] for
+    integer forms x and y (an int for the rationals); the fields are
+    commutative, so a rational right operand is handled by swapping the
+    two sides.
     """
     cls = _product_class(c1, c2)
     if cls is None:
@@ -593,7 +609,7 @@ def _kernel(c1, c2):
 def _canonical(cls, comps, den):
     """The canonical element of cls with integer components over den."""
     if cls is Fraction:
-        return Fraction(comps[0], den)
+        return Fraction(comps, den)
     if len(comps) == 2:
         return _make(cls, comps[0], comps[1], 0, 0, den)
     return _make(cls, *comps, den)
@@ -623,6 +639,29 @@ def dot_products(rows, cols):
     D = cls.D if cls is not Fraction else None
     return [tuple([_canonical(cls, dot(x, y, D), den) for y in ys])
             for x in xs]
+
+
+def integer_forms(vectors):
+    """(den, forms, dot): exact vectors read once as integers over one den.
+
+    The entries are Fractions or QuadExt elements whose classes mix, taken
+    in the class ``*`` gives them together; each becomes its integer form
+    over the common den, as ``dot_products`` reads it.  ``dot(x, y)`` is
+    the integer form of sum_k x[k] y[k] over den**2 for two such forms.
+    """
+    cls = Fraction
+    for c in set(map(type, chain.from_iterable(vectors))):
+        if c is not Fraction and not issubclass(c, QuadExt):
+            raise BackendMismatchError(f"no integer form for {c.__name__}")
+        cls = _product_class(cls, c)
+        if cls is None:
+            raise BackendMismatchError("entries from fields that do not mix")
+    cls, width, dot = _kernel(cls, cls)
+    vectors = [[x if type(x) is cls else _make(cls, *_components(x))
+                for x in v] for v in vectors]
+    den, forms = _int_form(vectors, cls, width)
+    D = cls.D if cls is not Fraction else None
+    return den, forms, lambda x, y: dot(x, y, D)
 
 
 def _components(x):

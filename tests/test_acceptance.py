@@ -58,12 +58,12 @@ ALL_DESCRIPTORS = (
 
 
 def test_criterion_01_freeness_scans_at_depth_10():
-    for pair_name in ("so3-ab", "su2-sqrt5"):
+    for pair_name in ("so3-ab", "su2-sqrt5", "sp1-sqrt5"):
         result = check_freeness(get_pair(pair_name), 10)
         assert result["ok"], result
         assert result["words_checked"] == 118096 == 2 * (3 ** 10 - 1)
         assert result["elapsed_s"] < 60.0
-    print("criterion 1 PASS: 118,096 words identity-free for both pairs")
+    print("criterion 1 PASS: 118,096 words identity-free for all three pairs")
 
 
 def test_criterion_02_translate_identities_at_depth_12():

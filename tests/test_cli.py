@@ -99,6 +99,26 @@ def _absorber_entries(blob):
     return blob["root"]["params"]["absorber"]["__matrix__"]["entries"]
 
 
+def _on(desc, mutate):
+    """``mutate`` applied to the certificate of ``desc``, not sphere(2)."""
+    mutate.desc = desc
+    return mutate
+
+
+def _map_params(path):
+    """A mutation of the params of the grass(R,4,2) node at ``path``."""
+    def node_params(blob):
+        node = blob["root"]
+        for i in path:
+            node = node["children"][i]
+        return node["params"]
+    return node_params
+
+
+_SLICE = _map_params((0, 0))      # Pullback by grass_slice
+_DUALITY = _map_params((0, 1, 0))  # EquidecompTransfer by duality
+
+
 @pytest.mark.parametrize("mutate,message", [
     (lambda blob: blob.update(space={}),
      "certificate space {} does not match"),
@@ -141,16 +161,35 @@ def _absorber_entries(blob):
     (_projective({}), "flag 'projective' must be a boolean, not dict"),
     (_projective(None), "flag 'projective' must be a boolean, not NoneType"),
     (_projective(0), "flag 'projective' must be a boolean, not int"),
+    (lambda blob: blob["root"]["group"].update(pair="x"),
+     "only a free group names a pair"),
+    (_on("grass(R,4,2)",
+         lambda blob: _SLICE(blob)["args"].__setitem__(1, "x")),
+     "grass_slice args must be (field, n, k), not ('R', 'x', 2)"),
+    (_on("grass(R,4,2)", lambda blob: _SLICE(blob).update(args=[1])),
+     "grass_slice args must be (field, n, k), not (1,)"),
+    (_on("grass(R,4,2)", lambda blob: _DUALITY(blob).update(args=[1])),
+     "duality args must be (field, n, k), not (1,)"),
+    (_on("grass(R,4,2)", lambda blob: _DUALITY(blob).update(args=None)),
+     "duality args must be (field, n, k), not None"),
+    (_on("flag(R;1,3,4)",
+         lambda blob: blob["root"]["params"]["args"].__setitem__(1, 4)),
+     "flag_to_grass args must be (field, dims, i), not ('R', 4, 0)"),
+    (_on("sphere(3)", lambda blob: blob["root"]["children"][0]["children"][0]
+         ["params"].update(args="x")),
+     "sphere_drop args must be (k), not 'x'"),
 ], ids=["space", "group", "root", "params", "removed", "seed-strings",
         "seed-lists", "seed-number", "seed-bool", "seed-float",
         "seed-huge-float", "absorber-literal", "absorber-zero-denominator",
         "base-space-star", "base-group-star", "base-group-n",
         "transport-group-star", "transport-group-n", "group-n-float",
         "projective-list", "projective-object", "projective-null",
-        "projective-zero"])
+        "projective-zero", "root-group-pair", "grass-slice-arg-type",
+        "grass-slice-arity", "duality-arity", "duality-args-null",
+        "flag-dims-type", "sphere-drop-args-type"])
 def test_verify_rejects_a_broken_envelope(tmp_path, capsys, mutate, message):
     cert = tmp_path / "cert.json"
-    main(["derive", "sphere(2)", "-o", str(cert)])
+    main(["derive", getattr(mutate, "desc", "sphere(2)"), "-o", str(cert)])
     blob = json.loads(cert.read_text())
     mutate(blob)
     cert.write_text(json.dumps(blob))

@@ -6,6 +6,8 @@ import pytest
 
 from paradoxcert.errors import ParadoxError
 from paradoxcert.freegroup import (
+    GeneratorPair,
+    _integer_products,
     absorber_check,
     axis_of,
     ball_products,
@@ -18,12 +20,13 @@ from paradoxcert.freegroup import (
 )
 from paradoxcert.linalg import (
     Matrix,
+    block_embed_matrix,
     is_unitary,
     mat_vec,
     matmul,
     normalize_leading,
 )
-from paradoxcert.scalars import RING_RATIONAL
+from paradoxcert.scalars import RING_RATIONAL, Quaternion
 from paradoxcert.words import enumerate_ball, parse_word
 
 PAIRS = ("so3-ab", "su2-sqrt5", "sp1-sqrt5")
@@ -81,6 +84,63 @@ def test_freeness_small_depth_all_pairs():
 def test_freeness_of_block_embedded_pair():
     result = check_freeness(get_pair("so3-ab@4"), 3)
     assert result["ok"], result
+
+
+def _quarter_turn_pair(kind):
+    """a: the quarter-turn about z (a^4 = I); b: the 3/5, 4/5 rotation
+    about x."""
+    f = Fraction
+    a = Matrix([(f(0), f(-1), f(0)), (f(1), f(0), f(0)), (f(0), f(0), f(1))])
+    b = Matrix([(f(1), f(0), f(0)), (f(0), f(3, 5), f(-4, 5)),
+                (f(0), f(4, 5), f(3, 5))])
+    return GeneratorPair("quarter", kind, 3,
+                         (a, a.transpose(), b, b.transpose()), "SO", "R")
+
+
+@pytest.mark.parametrize("kind", ["so3", "rational"])
+def test_freeness_scans_the_pair_itself_whatever_its_kind(kind):
+    result = check_freeness(_quarter_turn_pair(kind), 5)
+    assert not result["ok"]
+    assert result["counterexample"] == "aaaa"
+    assert result["words_checked"] == 4
+
+
+def _over(x, n):
+    """The integer form of the exact scalar x over the denominator n."""
+    if isinstance(x, Fraction):
+        assert n % x.denominator == 0
+        return x.numerator * (n // x.denominator)
+    assert n % x.den == 0
+    comps = tuple(c * (n // x.den) for c in (x.a, x.b, x.c, x.d))
+    return comps if x.HAS_I else comps[:2]
+
+
+def _component_rows(m):
+    """m's rows, each quaternion entry spread into its four components."""
+    return [[c for q in row for c in (
+        (q.w, q.x, q.y, q.z) if isinstance(q, Quaternion) else (q,))]
+        for row in m.data]
+
+
+@pytest.mark.parametrize("name", PAIRS + ("so3-ab@4",))
+def test_the_integer_scan_is_den_powers_times_the_exact_products(name):
+    pair = get_pair(name)
+    root = pair.root()
+    den, ones, products = _integer_products(pair, 5)
+    seen = []
+    for w, rows in products:
+        seen.append(w)
+        exact = evaluate(w, root)
+        if pair is not root:
+            assert evaluate(w, pair) == block_embed_matrix(exact, pair.dim)
+        n = den ** len(w)
+        assert rows == [[_over(x, n) for x in r]
+                        for r in _component_rows(exact)], (name, w)
+    assert sorted(seen) == sorted(w for w in enumerate_ball(5) if w)
+    ident = Matrix.identity(root.dim, root.letter_matrix(0).scalar_ring())
+    for d in range(1, 6):
+        assert ones[d] == [[_over(x, den ** d) for x in r]
+                           for r in _component_rows(ident)]
 
 
 def test_axis_of_generators():

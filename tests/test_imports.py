@@ -1,8 +1,10 @@
-"""Every module-level import in the package is used.
+"""Every module-level import and private name in the package is used.
 
 No linter ships with the project, so this parses each module with ``ast``
 and fails on a name a top-level import binds but the module never reads.
-``__init__.py`` is exempt: its imports are the package's re-exports.
+``__init__.py`` is exempt: its imports are the package's re-exports.  It
+also fails on a module-level private (``_name``) function, class or
+constant that no module of the package or its tests reads.
 """
 
 import ast
@@ -12,6 +14,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "paradoxcert"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list:
@@ -40,3 +43,59 @@ def test_the_scan_finds_an_unused_import():
               "import math\nimport os.path\nfrom fractions import Fraction\n"
               "x = math.pi\n")
     assert _unused_imports(source) == [(3, "os"), (4, "Fraction")]
+
+
+def _private_definitions(tree) -> list:
+    """(line, name) of each module-level private function, class or
+    constant; dunder names are not private."""
+    out = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(stmt, "targets", None) or [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        out.extend((stmt.lineno, name) for name in names
+                   if name.startswith("_") and not name.startswith("__"))
+    return out
+
+
+def _names_read(tree) -> set:
+    """Every name a module loads, reads as an attribute or imports."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def _unread_privates(modules: dict, readers: list) -> list:
+    """(module, line, name) of each private definition in ``modules``
+    (name -> source) that no source in ``readers`` reads."""
+    read = set().union(*(_names_read(ast.parse(src)) for src in readers))
+    return sorted((mod, line, name) for mod, src in modules.items()
+                  for line, name in _private_definitions(ast.parse(src))
+                  if name not in read)
+
+
+def test_every_module_level_private_name_is_read():
+    modules = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    readers = list(modules.values()) + [p.read_text() for p in TESTS]
+    assert _unread_privates(modules, readers) == []
+
+
+def test_the_scan_finds_an_unread_private_name():
+    source = ("_USED = 1\n_UNUSED, _ALSO = 2, 3\n__dunder__ = 4\n"
+              "def _helper():\n    return _USED\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n"
+              "class _Unread:\n    pass\n")
+    other = "from mod import _helper\nimport mod\nmod._recursive(3)\n"
+    assert _unread_privates({"mod": source}, [source, other]) == [
+        ("mod", 2, "_ALSO"), ("mod", 2, "_UNUSED"), ("mod", 8, "_Unread")]

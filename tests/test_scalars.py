@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from paradoxcert.errors import BackendMismatchError
 from paradoxcert.scalars import (
     GaussSqrt5,
     QSqrt2,
@@ -16,6 +17,7 @@ from paradoxcert.scalars import (
     RING_QUAT_SQRT5,
     RING_RATIONAL,
     abs_float,
+    integer_forms,
     ring_of,
     scalar_from_json,
     scalar_to_json,
@@ -130,22 +132,28 @@ def _agree(values):
 
 
 def test_a_rational_is_one_value_in_every_class():
-    val = Fraction(3, 2)
-    z, zq = QSqrt5(0, 0), Fraction(0)
-    values = [
-        val,
-        QSqrt2(val, 0),
-        QSqrt5(val, 0),
-        GaussSqrt5(3, 0, 0, 0, 2),
-        Quaternion(QSqrt5(val, 0), z, z, z),
-        Quaternion(val, zq, zq, zq),
-        QSqrt2(val) - QSqrt2(0, 1) + QSqrt2(0, 1),
-    ]
-    _agree(values)
-    assert len(set(values)) == 1
-    # the two cross-class identities the canonical point keys rely on
-    assert QSqrt2(val, 0) == QSqrt5(val, 0)
-    assert hash(Quaternion(val, zq, zq, zq)) == hash(val)
+    # integers, fractions and negatives, some of them with a numerator or
+    # denominator past the hash modulus 2**61 - 1
+    for val in (Fraction(3, 2), Fraction(0), Fraction(4), Fraction(-7),
+                Fraction(-5, 3), Fraction(2 ** 61 - 1, 3),
+                Fraction(1, 2 ** 61 - 1), Fraction(-(2 ** 70), 2 ** 61 - 1)):
+        z, zq = QSqrt5(0, 0), Fraction(0)
+        values = [
+            val,
+            QSqrt2(val, 0),
+            QSqrt5(val, 0),
+            GaussSqrt5(val.numerator, 0, 0, 0, val.denominator),
+            Quaternion(QSqrt5(val, 0), z, z, z),
+            Quaternion(val, zq, zq, zq),
+            QSqrt2(val) - QSqrt2(0, 1) + QSqrt2(0, 1),
+        ]
+        if val.denominator == 1:
+            values.append(val.numerator)
+        _agree(values)
+        assert len(set(values)) == 1
+        # the two cross-class identities the canonical point keys rely on
+        assert QSqrt2(val, 0) == QSqrt5(val, 0)
+        assert hash(Quaternion(val, zq, zq, zq)) == hash(val)
 
 
 def test_a_sqrt5_value_is_one_value_in_every_class():
@@ -377,3 +385,21 @@ def test_sub_scaled_matches_the_operator_loop(xs_kind, f_kind, ys_kind):
             [_exact_form(x - f * y) for x, y in zip(xs, ys)]
     assert sub_scaled([1.0], 2.0, [3.0]) is None
     assert sub_scaled([QSqrt2(1, 1)], Fraction(1), [QSqrt5(1, 1)]) is None
+
+
+def test_integer_forms_lift_to_one_field_and_dot_exactly():
+    f = Fraction
+    vectors = [(f(1, 2), QSqrt5(0, f(1, 3))),
+               (GaussSqrt5(1, 0, 2, 0, 5), f(-1))]
+    den, forms, dot = integer_forms(vectors)
+    assert den == 30
+    assert forms == [[(15, 0, 0, 0), (0, 10, 0, 0)],
+                     [(6, 0, 12, 0), (-30, 0, 0, 0)]]
+    # 1/2 * (1 + 2i)/5 + sqrt5/3 * -1, over 30**2
+    want = f(1, 2) * GaussSqrt5(1, 0, 2, 0, 5) - QSqrt5(0, f(1, 3))
+    assert GaussSqrt5(*dot(*forms), 30 ** 2) == want
+    den, forms, dot = integer_forms([(f(1, 2), f(2, 3)), (f(3), f(-1))])
+    assert (den, forms, dot(*forms)) == (6, [[3, 4], [18, -6]], 30)
+    for bad in ([(QSqrt2(0, 1), QSqrt5(0, 1))], [(f(1), 0.5)]):
+        with pytest.raises(BackendMismatchError):
+            integer_forms(bad)
