@@ -296,7 +296,7 @@ def _map_args(params: dict, ex):
     """The args of the node's map when they fit its signature; otherwise
     None, and the violation is named (an unknown map is the caller's)."""
     name, args = params.get("map"), params.get("args")
-    sig = _MAP_ARGS.get(name)
+    sig = _MAP_ARGS.get(name) if isinstance(name, str) else None
     if sig is None:
         return None
     ok = (isinstance(args, tuple) and len(args) == len(sig)
@@ -377,8 +377,9 @@ def _check_node(node: Node, path: str, violations: list):
         c = ch[0]
         ex(gr == c.group, "Pullback acts with the child's group")
         args = _map_args(node.params, ex)
-        if args is None and name in _MAP_ARGS:
-            pass  # the malformed args are named
+        if args is None:  # a known map's malformed args are named already
+            ex(isinstance(name, str) and name in _MAP_ARGS,
+               f"unknown pullback map {name!r}")
         elif name == "sphere_drop":
             (k,) = args
             ex(sp.base == Sphere(k + 1) and sp.star_ambient is None

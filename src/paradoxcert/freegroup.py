@@ -190,11 +190,11 @@ _UNITS = tuple(Quaternion(*(Fraction(int(e == c)) for c in range(4)))
 
 def _real_form(m: Matrix):
     """(rows, stride): m over a commutative field, and the stride of the
-    rows that fix a product.
+    rows that determine a product.
 
     A quaternion entry q becomes the 4x4 block of right multiplication by q
     on components (w, x, y, z), whose row e holds e * q; a product is then
-    fixed by its rows at e = 1. Any other matrix is its own real form.
+    determined by its rows at e = 1. Any other matrix is its own real form.
     """
     if not isinstance(m[0, 0], Quaternion):
         return m.data, 1
@@ -212,9 +212,10 @@ def _integer_products(pair: GeneratorPair, max_len: int):
     The letter matrices of ``pair.root()`` are read once, in real form, as
     integers over one common den by ``integer_forms``. ``products`` yields
     (word, rows) depth first for every nonidentity reduced word of length
-    <= max_len: the rows that fix the word's product, times den**len(word).
-    ``ones[d]`` holds those rows of den**d * I, so a word is trivial iff
-    its rows equal ``ones[len(word)]``.
+    <= max_len: the rows that determine the word's product, times
+    den**len(word), as integer forms. ``ones[d]`` holds those rows of
+    den**d * I, so a word is trivial iff its rows equal
+    ``ones[len(word)]``.
     """
     root = pair.root()
     forms = [_real_form(root.letter_matrix(x)) for x in range(4)]

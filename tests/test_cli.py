@@ -168,6 +168,8 @@ _DUALITY = _map_params((0, 1, 0))  # EquidecompTransfer by duality
      "grass_slice args must be (field, n, k), not ('R', 'x', 2)"),
     (_on("grass(R,4,2)", lambda blob: _SLICE(blob).update(args=[1])),
      "grass_slice args must be (field, n, k), not (1,)"),
+    (_on("grass(R,4,2)", lambda blob: _SLICE(blob).update(map={})),
+     "unknown pullback map {}"),
     (_on("grass(R,4,2)", lambda blob: _DUALITY(blob).update(args=[1])),
      "duality args must be (field, n, k), not (1,)"),
     (_on("grass(R,4,2)", lambda blob: _DUALITY(blob).update(args=None)),
@@ -175,6 +177,9 @@ _DUALITY = _map_params((0, 1, 0))  # EquidecompTransfer by duality
     (_on("flag(R;1,3,4)",
          lambda blob: blob["root"]["params"]["args"].__setitem__(1, 4)),
      "flag_to_grass args must be (field, dims, i), not ('R', 4, 0)"),
+    (_on("flag(R;1,3,4)", lambda blob: blob["root"]["children"][0]
+         ["children"][0]["children"][0]["params"].update(args=["R"])),
+     "proj_drop args must be (field, n), not ('R',)"),
     (_on("sphere(3)", lambda blob: blob["root"]["children"][0]["children"][0]
          ["params"].update(args="x")),
      "sphere_drop args must be (k), not 'x'"),
@@ -185,8 +190,9 @@ _DUALITY = _map_params((0, 1, 0))  # EquidecompTransfer by duality
         "transport-group-star", "transport-group-n", "group-n-float",
         "projective-list", "projective-object", "projective-null",
         "projective-zero", "root-group-pair", "grass-slice-arg-type",
-        "grass-slice-arity", "duality-arity", "duality-args-null",
-        "flag-dims-type", "sphere-drop-args-type"])
+        "grass-slice-arity", "pullback-map-object", "duality-arity",
+        "duality-args-null", "flag-dims-type", "proj-drop-arity",
+        "sphere-drop-args-type"])
 def test_verify_rejects_a_broken_envelope(tmp_path, capsys, mutate, message):
     cert = tmp_path / "cert.json"
     main(["derive", getattr(mutate, "desc", "sphere(2)"), "-o", str(cert)])
