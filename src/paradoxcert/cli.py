@@ -196,6 +196,15 @@ def _cmd_maps_selftest(args, err) -> int:
     return 0 if failures == 0 else 1
 
 
+def _count(text: str) -> int:
+    """argparse type of a depth, length, bound or sample count: an integer
+    >= 1, so any other value is a usage error (exit 2)."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paradoxcert",
@@ -210,39 +219,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify a certificate file")
     p.add_argument("certificate")
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--depth", type=_count, default=6)
+    p.add_argument("--samples", type=_count, default=500)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--absorber-bound", type=int, default=50)
+    p.add_argument("--absorber-bound", type=_count, default=50)
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("freeness", help="exact freeness scan for a pair")
     p.add_argument("--pair", default="so3-ab")
-    p.add_argument("--max-len", type=int, default=6)
+    p.add_argument("--max-len", type=_count, default=6)
 
     p = sub.add_parser("axes", help="fixed axes of short words")
     p.add_argument("--pair", default="so3-ab")
-    p.add_argument("--max-len", type=int, default=4)
+    p.add_argument("--max-len", type=_count, default=4)
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("orbit", help="dump an orbit fragment")
     p.add_argument("space", help='e.g. "sphere(2)"')
     p.add_argument("--seed-point", default="1,2,3")
     p.add_argument("--pair", default="so3-ab")
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=_count, default=6)
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("absorber", help="disjoint-powers absorber check")
-    p.add_argument("--max-len", type=int, default=4)
-    p.add_argument("--bound", type=int, default=50)
+    p.add_argument("--max-len", type=_count, default=4)
+    p.add_argument("--bound", type=_count, default=50)
     p.add_argument("--identity", action="store_true",
                    help="negative control: use g = I instead")
 
     p = sub.add_parser("maps", help="equivariant map utilities")
     maps_sub = p.add_subparsers(dest="maps_command", required=True)
     p = maps_sub.add_parser("selftest", help="randomized equivariance suite")
-    p.add_argument("--samples", type=int, default=60)
+    p.add_argument("--samples", type=_count, default=60)
     p.add_argument("--seed", type=int, default=42)
 
     return parser
@@ -257,13 +266,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0,) else 0
     out, err = sys.stdout, sys.stderr
 
-    if args.command == "verify":
-        if args.depth < 1:
-            print("depth must be >= 1", file=err)
-            return 2
-        if args.tol <= 0:
-            print("tolerance must be positive", file=err)
-            return 2
+    if args.command == "verify" and args.tol <= 0:
+        print("tolerance must be positive", file=err)
+        return 2
 
     try:
         if args.command == "derive":

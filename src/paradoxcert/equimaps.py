@@ -140,28 +140,23 @@ def proj_drop(field: str, n: int) -> MapInstance:
     def apply(p: ProjectivePoint):
         if p.ambient_dim != n:
             raise DomainError(f"expected a line in K^{n}")
-        rep = p.representative()
-        head = rep[:-1]
-        if p.exact:
-            if not any(head):
-                raise DomainError("the dropped coordinate axis has no image")
-            zero = rep[0] - rep[0]
-            return ProjectivePoint.from_vector(head + (zero,))
-        if all(abs_float(x) < 1e-12 for x in head):
+        if not in_domain(p):
             raise DomainError("the dropped coordinate axis has no image")
-        return ProjectivePoint.from_vector(head + (0.0 * rep[0],))
+        # the leading 1 lies in the head, so the image stays leading-1
+        head = p.vector[:-1]
+        return ProjectivePoint(head + (head[0] - head[0],))
 
     def in_domain(p):
-        rep = p.representative()
+        head = p.vector[:-1]
         if p.exact:
-            return any(rep[:-1])
-        return any(abs_float(x) >= 1e-12 for x in rep[:-1])
+            return any(head)
+        return any(abs_float(x) >= 1e-12 for x in head)
 
     def section(q: ProjectivePoint):
-        rep = q.representative()
-        if q.exact and rep[-1]:
+        # the hyperplane copy embeds in the source as itself
+        if q.exact and q.vector[-1]:
             raise DomainError("section expects a line inside the hyperplane")
-        return ProjectivePoint.from_vector(rep)
+        return q
 
     def sample_source(rng):
         def draw(r):
@@ -207,7 +202,7 @@ def grass_slice(field: str, n0: int, k: int) -> MapInstance:
         if x.dim != 1:
             raise GapCaseError(
                 f"slice intersection has dimension {x.dim}, not 1")
-        return ProjectivePoint(x.projector)
+        return x
 
     def in_domain(v):
         h = _hyper_for(v)
@@ -216,7 +211,7 @@ def grass_slice(field: str, n0: int, k: int) -> MapInstance:
         return intersect(v, h).dim == 1
 
     def section(line: ProjectivePoint):
-        rep = line.representative()
+        rep = line.vector
         if line.exact:
             inside = not any(rep[m:])
         else:
@@ -299,7 +294,8 @@ def flag_to_grass(field: str, dims: tuple, i: int) -> MapInstance:
     def section(v: Subspace):
         """Deterministic flag completion around the given component."""
         from .linalg import column_space
-        basis = list(column_space(v.projector))
+        basis = ([v.vector] if isinstance(v, ProjectivePoint)
+                 else column_space(v.projector))
         comps = []
         for d in proper[:i]:
             comps.append(Subspace.from_basis(basis[:d]))
@@ -380,7 +376,7 @@ def stereographic_apply(line: ProjectivePoint) -> SpherePoint:
     """The chart: exact on an exact line, float on a float one."""
     if line.ambient_dim != 2:
         raise DomainError("expected a line in K^2")
-    vec = _chart_vector(*line.representative())
+    vec = _chart_vector(*line.vector)
     if line.exact:
         return SpherePoint.from_vector(vec)
     return SpherePoint(1, vec, exact=False)
@@ -549,7 +545,7 @@ def corrupted(m: MapInstance) -> MapInstance:
             return SpherePoint(y.sign, (y.direction[1], y.direction[0])
                                + y.direction[2:], True)
         if isinstance(y, ProjectivePoint):
-            rep = y.representative()
+            rep = y.vector
             v = (rep[1], rep[0]) + rep[2:]
             return ProjectivePoint.from_vector(v)
         if isinstance(y, Subspace):

@@ -30,6 +30,7 @@ from .linalg import (
     Matrix,
     block_embed_matrix,
     kernel,
+    mat_vec,
     matmul,
     normalize_leading,
 )
@@ -233,7 +234,7 @@ def _integer_products(pair: GeneratorPair, max_len: int):
     def products():
         # depth-first with an explicit stack; it never exceeds ~3 * max_len
         stack = [([[c[i] for c in cols[x]] for i in kept], (x,))
-                 for x in reversed(range(4))]
+                 for x in reversed(range(4))] if max_len else []
         while stack:
             m, w = stack.pop()
             yield w, m
@@ -251,8 +252,12 @@ def check_freeness(pair: GeneratorPair, max_len: int) -> dict:
     """Evaluate every nonidentity reduced word of length <= max_len exactly.
 
     Passes when none evaluates to the identity. The word count is always
-    2 * 3**max_len - 2 (the ball minus the empty word).
+    2 * 3**max_len - 2 (the ball minus the empty word), so none at
+    max_len = 0; a negative max_len raises ValueError, as in
+    ``ball_products``.
     """
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
     start = time.monotonic()
     counterexample = None
     checked = 0
@@ -345,13 +350,8 @@ def absorber_check(g: Matrix, lines, bound: int) -> dict:
     set of those forms for g^k(D), so callers can index the orbit without
     computing it again.
     """
-    base = list(lines)
-    ring = g.scalar_ring()
-    from .linalg import lift_vector, mat_vec
-    vecs = [lift_vector(v, ring) if ring.name != "rational" else v
-            for v in base]
     levels = []
-    current = [tuple(v) for v in vecs]
+    current = [tuple(v) for v in lines]
     for _ in range(bound + 1):
         levels.append(frozenset(normalize_leading(v) for v in current))
         current = [mat_vec(g, v) for v in current]

@@ -301,6 +301,15 @@ def projector_of_basis(b: Matrix) -> Matrix:
     return matmul(matmul(b, ginv), bs)
 
 
+def line_projector(v) -> Matrix:
+    """Orthogonal projector v (v*v)^-1 v* onto the right line through a
+    nonzero vector, formed entry by entry with one scalar inverse."""
+    conj = [_conj(x) for x in v]
+    inv = _inv(sum((c * x for c, x in zip(conj[1:], v[1:])), conj[0] * v[0]))
+    return Matrix._of_rows(tuple(tuple(w * c for c in conj)
+                                 for w in (x * inv for x in v)))
+
+
 def cayley_unitary(x: Matrix) -> Matrix:
     """Cayley transform (I - X)(I + X)^-1 of an anti-Hermitian X.
 
@@ -349,21 +358,6 @@ def stack_rows(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.cols:
         raise DimensionMismatchError("stack width mismatch")
     return Matrix(a.data + b.data)
-
-
-def lift_matrix(a: Matrix, ring: Ring) -> Matrix:
-    """Re-express a rational-entried matrix in a larger backend."""
-    if a.scalar_ring() is ring:
-        return a
-    if a.scalar_ring().name != "rational":
-        raise DimensionMismatchError(
-            f"can only lift rational matrices, got {a.scalar_ring().name}")
-    return Matrix(tuple(ring.from_rational(e) for e in r) for r in a.data)
-
-
-def lift_vector(v, ring: Ring):
-    return tuple(ring.from_rational(e) if isinstance(e, (int, Fraction))
-                 else e for e in v)
 
 
 def to_float_matrix(a: Matrix) -> Matrix:

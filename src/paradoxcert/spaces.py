@@ -13,28 +13,30 @@ flag with exactly one proper component is the Grassmannian; both are
 normalized at parse time.
 
 All vector spaces are right K-modules: scalars act on the right of vectors,
-group matrices on the left. Subspaces are stored as their orthogonal
-projectors, which are basis-independent; sphere points are stored as signed
-rays with a leading-1 representative.
+group matrices on the left. A line is stored as its leading-1 vector (first
+nonzero entry 1), which is canonical for the line, and its orthogonal
+projector is derived from that vector on first use. Subspaces of higher
+dimension are stored as their orthogonal projectors, which are
+basis-independent. Sphere points are stored as signed rays with a leading-1
+representative.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import BackendMismatchError, DescriptorError, DimensionMismatchError
 from .linalg import (
     Matrix,
     conj_transpose,
     kernel,
-    lift_matrix,
-    lift_vector,
+    line_projector,
     mat_vec,
     matmul,
     max_abs_diff,
     max_abs_diff_vec,
+    normalize_leading,
     projector_of_basis,
     ray_canonical,
     stack_rows,
@@ -42,12 +44,11 @@ from .linalg import (
     to_float_vector,
 )
 from .scalars import (
-    RING_FLOAT,
     RING_GAUSS_SQRT5,
     RING_QSQRT2,
     RING_QUAT_SQRT5,
-    RING_RATIONAL,
     Ring,
+    abs_float,
     ring_of,
 )
 
@@ -295,8 +296,6 @@ class SpherePoint:
             if norm == 0:
                 raise ValueError("zero vector is not a ray")
             return cls(1, tuple(x / norm for x in v), exact=False)
-        if isinstance(v[0], int):
-            v = tuple(Fraction(x) for x in v)
         sign, direction = ray_canonical(v)
         return cls(sign, direction, exact=True)
 
@@ -361,11 +360,14 @@ class Subspace:
 
     @classmethod
     def from_basis(cls, columns):
+        """The right span of the columns; one column spans a line."""
         cols = [tuple(c) for c in columns]
         if not cols:
             raise DimensionMismatchError("empty basis")
+        if len(cols) == 1:
+            return ProjectivePoint.from_vector(cols[0])
         b = Matrix.from_columns(cols)
-        return cls(projector_of_basis(b), len(cols))
+        return Subspace(projector_of_basis(b), len(cols))
 
     @classmethod
     def coordinate(cls, n: int, indices, ring: Ring):
@@ -384,24 +386,19 @@ class Subspace:
     def exact(self):
         return self.projector.scalar_ring().exact
 
-    def basis(self):
-        """Some orthogonal-projection-compatible basis: pivot columns of P."""
-        from .linalg import column_space
-        return column_space(self.projector)
-
     def contains_vector(self, v) -> bool:
         return mat_vec(self.projector, v) == tuple(v)
 
     def contains(self, other: "Subspace") -> bool:
-        """Exact subspace containment via P_big P_small = P_small."""
+        """Exact subspace containment: P_big v = v for the vector v of a
+        line, P_big P_small = P_small otherwise."""
+        if isinstance(other, ProjectivePoint):
+            return self.contains_vector(other.vector)
         return matmul(self.projector, other.projector) == other.projector
 
     def apply_matrix(self, m: Matrix):
         p = matmul(matmul(m, self.projector), conj_transpose(m))
         return Subspace(p, self.dim)
-
-    def to_float(self):
-        return Subspace(to_float_matrix(self.projector), self.dim)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -416,33 +413,62 @@ class Subspace:
 
 
 class ProjectivePoint(Subspace):
-    """A line in K^n: the dim-1 case of Subspace with vector constructors."""
+    """A line in K^n, stored as its leading-1 vector.
 
-    __slots__ = ()
+    The vector (first nonzero entry 1, see ``normalize_leading``) is
+    canonical for the line, so it is the line's key, and two exact lines
+    are equal when their vectors are.  The projector that Subspace
+    equality and hashing read is derived from the vector on first use.
+    """
 
-    def __init__(self, projector: Matrix, dim: int = 1):
-        if dim != 1:
-            raise DimensionMismatchError("projective points have dim 1")
-        super().__init__(projector, 1)
+    __slots__ = ("vector",)
+
+    def __init__(self, vector):
+        """The line of a leading-1 vector (``from_vector`` takes any)."""
+        object.__setattr__(self, "vector", tuple(vector))
+        object.__setattr__(self, "dim", 1)
+
+    def __getattr__(self, name):
+        # reached only while a slot is unset: the projector, on first read
+        if name != "projector":
+            raise AttributeError(name)
+        p = line_projector(self.vector)
+        object.__setattr__(self, "projector", p)
+        return p
 
     @classmethod
-    def from_vector(cls, v, ring: Ring | None = None):
-        v = tuple(v)
-        if isinstance(v[0], (int, Fraction)) and ring is not None:
-            v = lift_vector(v, ring)
-        elif isinstance(v[0], int):
-            v = tuple(Fraction(x) for x in v)
-        b = Matrix.from_columns([v])
-        return cls(projector_of_basis(b))
+    def from_vector(cls, v):
+        """The line through a nonzero vector."""
+        return cls(normalize_leading(tuple(v)))
+
+    @classmethod
+    def from_projector(cls, p: Matrix):
+        """The line of a rank-1 projector, read off a nonzero column: the
+        first with a nonzero diagonal entry when exact, else the largest."""
+        n = p.rows
+        if p.scalar_ring().exact:
+            j = next(j for j in range(n) if p[j, j])
+        else:
+            j = max(range(n), key=lambda j: abs_float(p[j, j]))
+        return cls.from_vector(p.column(j))
+
+    @property
+    def ambient_dim(self):
+        return len(self.vector)
+
+    @property
+    def exact(self):
+        return ring_of(self.vector[0]).exact
 
     def apply_matrix(self, m: Matrix):
-        p = matmul(matmul(m, self.projector), conj_transpose(m))
-        return ProjectivePoint(p)
+        return ProjectivePoint(normalize_leading(mat_vec(m, self.vector)))
 
-    def representative(self):
-        """A nonzero vector spanning the line (leading-1 normalized)."""
-        from .linalg import column_space, normalize_leading
-        return normalize_leading(column_space(self.projector)[0])
+    def __eq__(self, other):
+        if isinstance(other, ProjectivePoint) and self.exact and other.exact:
+            return self.vector == other.vector
+        return Subspace.__eq__(self, other)
+
+    __hash__ = Subspace.__hash__
 
 
 class FlagPoint:
@@ -473,9 +499,6 @@ class FlagPoint:
     def exact(self):
         return self.components[0].exact
 
-    def to_float(self):
-        return FlagPoint(c.to_float() for c in self.components)
-
     def __eq__(self, other):
         if not isinstance(other, FlagPoint):
             return NotImplemented
@@ -493,46 +516,27 @@ class FlagPoint:
 # operations
 # --------------------------------------------------------------------------
 
-def _lift_point_matrix(point_ring: Ring, mat: Matrix):
-    """Reconcile backends: rational lifts into any exact ring."""
-    mring = mat.scalar_ring()
-    if point_ring is mring:
-        return mat, None
-    if mring is RING_RATIONAL:
-        return lift_matrix(mat, point_ring), None
-    if point_ring is RING_RATIONAL:
-        return mat, mring  # lift the point instead
-    raise BackendMismatchError(
-        f"cannot act: matrix over {mring.name}, point over {point_ring.name}")
-
-
 def act(g, point):
-    """Apply a group element (or bare matrix) to a point of any space type."""
+    """Apply a group element (or bare matrix) to a point of any space type.
+
+    A float point is moved by the float copy of the matrix and an exact
+    point by the exact matrix. Exact entries mix by value whatever their
+    class, so a rational matrix moves a point over any field; entries from
+    fields that do not mix raise BackendMismatchError.
+    """
     m = g.matrix if isinstance(g, GroupElement) else g
-    if isinstance(point, SpherePoint):
-        pring = (ring_of(point.direction[0]) if point.exact else RING_FLOAT)
-        if not point.exact:
-            m2 = to_float_matrix(m)
-            return point.apply_matrix(m2)
-        m2, lift_to = _lift_point_matrix(pring, m)
-        if lift_to is not None:
-            # lifting preserves the canonical leading-1 form; keep the sign
-            point = SpherePoint(point.sign,
-                                lift_vector(point.direction, lift_to), True)
-        return point.apply_matrix(m2)
-    if isinstance(point, (ProjectivePoint, Subspace)):
-        pring = point.projector.scalar_ring()
-        if not pring.exact:
-            return point.apply_matrix(to_float_matrix(m))
-        m2, lift_to = _lift_point_matrix(pring, m)
-        if lift_to is not None:
-            point = Subspace(lift_matrix(point.projector, lift_to), point.dim) \
-                if not isinstance(point, ProjectivePoint) else \
-                ProjectivePoint(lift_matrix(point.projector, lift_to))
-        return point.apply_matrix(m2)
     if isinstance(point, FlagPoint):
         return FlagPoint(act(m, c) for c in point.components)
-    raise BackendMismatchError(f"cannot act on {point!r}")
+    if not isinstance(point, (SpherePoint, Subspace)):
+        raise BackendMismatchError(f"cannot act on {point!r}")
+    if not point.exact:
+        return point.apply_matrix(to_float_matrix(m))
+    try:
+        return point.apply_matrix(m)
+    except TypeError:
+        raise BackendMismatchError(
+            f"cannot act on {point!r} with a matrix over "
+            f"{m.scalar_ring().name}: their fields do not mix") from None
 
 
 def equals(p, q, tol: float = 0.0) -> bool:
@@ -545,7 +549,7 @@ def equals(p, q, tol: float = 0.0) -> bool:
         if p.dim != q.dim:
             return False
         if p.exact and q.exact:
-            return p.projector == q.projector
+            return p == q
         return max_abs_diff(p.projector, q.projector) <= tol
     if isinstance(p, FlagPoint) and isinstance(q, FlagPoint):
         if len(p.components) != len(q.components):
@@ -564,6 +568,11 @@ def block_embed_point(point, n: int):
         ring = ring_of(point.direction[0])
         pad = (ring.zero,) * (n - len(point.direction))
         return SpherePoint(point.sign, point.direction + pad, True)
+    if isinstance(point, ProjectivePoint):
+        v = point.vector
+        if n < len(v):
+            raise DimensionMismatchError("embedding must not shrink")
+        return ProjectivePoint(v + (ring_of(v[0]).zero,) * (n - len(v)))
     if isinstance(point, Subspace):
         p = point.projector
         if n < p.rows:
@@ -576,10 +585,7 @@ def block_embed_point(point, n: int):
                 rows.append(tuple(p.data[i]) + (z,) * (n - p.cols))
             else:
                 rows.append((z,) * n)
-        newp = Matrix(rows)
-        if isinstance(point, ProjectivePoint):
-            return ProjectivePoint(newp)
-        return Subspace(newp, point.dim)
+        return Subspace(Matrix(rows), point.dim)
     if isinstance(point, FlagPoint):
         return FlagPoint(block_embed_point(c, n) for c in point.components)
     raise BackendMismatchError(f"cannot embed {point!r}")
@@ -590,7 +596,7 @@ def orthogonal_complement(sub: Subspace) -> Subspace:
     ident = Matrix.identity(p.rows, p.scalar_ring())
     dim = p.rows - sub.dim
     if dim == 1:
-        return ProjectivePoint(ident - p)
+        return ProjectivePoint.from_projector(ident - p)
     return Subspace(ident - p, dim)
 
 
@@ -607,7 +613,4 @@ def intersect(v: Subspace, w: Subspace) -> Subspace:
     basis = kernel(stacked)
     if not basis:
         return Subspace(Matrix.zero(v.ambient_dim, v.ambient_dim, ring), 0)
-    sub = Subspace.from_basis(basis)
-    if sub.dim == 1:
-        return ProjectivePoint(sub.projector)
-    return sub
+    return Subspace.from_basis(basis)

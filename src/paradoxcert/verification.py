@@ -28,7 +28,8 @@ and those are matched within a tolerance.
 
 An exact point is keyed by its canonical vector: a ray by the
 ``(sign, direction)`` of ``ray_canonical`` (``SpherePoint.key()``), a line
-by its leading-1 vector (as the ``absorber_check`` levels hold it).  Equal
+by the leading-1 vector ``ProjectivePoint`` stores (as the
+``absorber_check`` levels hold it), read without any row reduction.  Equal
 exact scalars are ``==`` and hash alike in every class, so a key built
 over one ring finds a key built over another.
 
@@ -87,6 +88,7 @@ from .linalg import (
     Matrix,
     block_embed_matrix,
     is_unitary,
+    line_projector,
     mat_vec,
     matmul,
     max_abs_diff,
@@ -103,6 +105,7 @@ from .scalars import (
     Quaternion,
     QSqrt5,
     Fraction,
+    abs_float,
     ring_of,
     to_float_scalar,
 )
@@ -112,6 +115,7 @@ from .spaces import (
     Sphere,
     SpherePoint,
     Subspace,
+    act,
     block_embed_point,
     equals,
     exact_ring_for_field,
@@ -134,6 +138,7 @@ SCHEMA_REPORT = "paradox-report/1"
 
 _NEAREST_TOL = 1e-6   # float-lane point matching against exact-born sets
 _PRED_TOL = 1e-7      # float-lane containment predicates
+_ABSORBER_DEPTH = 4   # word length of the exceptional set an absorber moves
 
 
 @dataclass
@@ -144,7 +149,6 @@ class RunConfig:
     seed: int = 42
     tol: float = 1e-9
     absorber_bound: int = 50
-    absorber_depth: int = 4
 
 
 @dataclass
@@ -166,12 +170,6 @@ def _flatten_scalar(x):
     return (float(x),)
 
 
-def _conj(x):
-    if isinstance(x, float):
-        return x
-    return x.conjugate()
-
-
 def point_key_vec(vec, kind: str):
     """Canonical vector of the ray/line spanned by an exact vector: the
     ``(sign, direction)`` pair of a ray, the leading-1 vector of a line."""
@@ -188,25 +186,16 @@ def _vec_line_rep(vec) -> np.ndarray:
     """
     fv = [x if isinstance(x, (float, complex, Quaternion))
           else to_float_scalar(x) for x in vec]
-    norm = sum(_flatten_scalar(x * _conj(x))[0] for x in fv)
-    out = []
-    for xi in fv:
-        for xj in fv:
-            e = xi * _conj(xj)
-            out.extend(c / norm for c in _flatten_scalar(e))
-    return np.array(out, dtype=float)
+    return np.array([c for row in line_projector(fv).data for e in row
+                     for c in _flatten_scalar(e)], dtype=float)
 
 
 def _point_line_rep(point) -> np.ndarray:
+    """Flattened float projector of the line through a ray or a line."""
     if isinstance(point, SpherePoint):
         u = point.to_float_vector()
         return np.array([a * b for a in u for b in u], dtype=float)
-    sub = point if not point.exact else point.to_float()
-    out = []
-    for i in range(sub.projector.rows):
-        for j in range(sub.projector.cols):
-            out.extend(_flatten_scalar(sub.projector[i, j]))
-    return np.array(out, dtype=float)
+    return _vec_line_rep(point.vector)
 
 
 def _point_ray_rep(point: SpherePoint) -> np.ndarray:
@@ -217,10 +206,9 @@ def _point_line_key(point):
     """Leading-1 vector of the line through an exact point."""
     if isinstance(point, SpherePoint):
         return point.direction
-    if point.dim != 1:
-        raise VerificationError(
-            "line keys are defined for rays and one-dimensional subspaces")
-    return normalize_leading(point.basis()[0])
+    if not isinstance(point, ProjectivePoint):
+        raise VerificationError("line keys are defined for rays and lines")
+    return point.vector
 
 
 # --------------------------------------------------------------------------
@@ -253,7 +241,7 @@ class Fragment:
     def point_for(self, w):
         if self.kind == "ray":
             return SpherePoint(*self.keys[w], True)
-        return ProjectivePoint.from_vector(self.keys[w])
+        return ProjectivePoint(self.keys[w])
 
 
 def orbit_fragment(space, seed, pair, depth: int) -> Fragment:
@@ -390,7 +378,7 @@ def equidecomp_verify(witness: EquidecompWitness, points) -> dict:
             continue
         piece = members[0]
         piece_counts[piece.name] += 1
-        y = x if piece.element is None else _act_sample(piece.element, x)
+        y = x if piece.element is None else act(piece.element, x)
         if witness.target_predicate is not None \
                 and not witness.target_predicate(y):
             failures.append(
@@ -404,13 +392,6 @@ def equidecomp_verify(witness: EquidecompWitness, points) -> dict:
             seen_images[k] = piece.name
     return {"points": checked, "pieces": dict(piece_counts),
             "failures": failures, "ok": not failures}
-
-
-def _act_sample(m: Matrix, point):
-    from .spaces import act
-    if getattr(point, "exact", True):
-        return act(m, point)
-    return act(to_float_matrix(m), point)
 
 
 # --------------------------------------------------------------------------
@@ -518,7 +499,7 @@ class CertVerifier:
         cfg = self.config
         if isinstance(removed, RemovedExceptional):
             pair = get_pair(removed.pair)
-            lines = exceptional_set(pair, cfg.absorber_depth)
+            lines = exceptional_set(pair, _ABSORBER_DEPTH)
             return sorted(lines, key=repr)
         if isinstance(removed, (RemovedPoles, RemovedAxis)):
             n = base.ambient_dim
@@ -748,8 +729,8 @@ class CertVerifier:
         for s in spot:
             u = random_unitary(node.children[0].group.matrix_dim, ring, rng)
             ub = block_embed_matrix(u, ambient)
-            lhs = block_embed_point(_act_sample(u, s.point), ambient)
-            rhs = _act_sample(ub, block_embed_point(s.point, ambient))
+            lhs = block_embed_point(act(u, s.point), ambient)
+            rhs = act(ub, block_embed_point(s.point, ambient))
             checks += 1
             if not self._eq(lhs, rhs, s.point.exact):
                 failures.append("embedding does not intertwine the action")
@@ -944,7 +925,7 @@ class CertVerifier:
             back = stereographic_apply(line)
             dev = max(abs(a - b) for a, b in
                       zip(back.to_float_vector(), p.to_float_vector()))
-            max_dev = max(max_dev, dev)
+            max_dev = max(max_dev, _decade_ceiling(dev))
             checks += 1
             if dev > cfg.tol:
                 failures.append(
@@ -1038,7 +1019,7 @@ def _content_key(node: Node, cfg: RunConfig):
         g = node.params["absorber"]
         return ("absorber", g.scalar_ring().name, g,
                 node.children[0].space.removed, node.space.base.text,
-                cfg.absorber_bound, cfg.absorber_depth)
+                cfg.absorber_bound)
     if rule in ("Pullback", "EquidecompTransfer"):
         return ("map", node.params.get("map"),
                 _frozen(node.params.get("args", ())))
@@ -1124,6 +1105,14 @@ def _point_from_line(base, d):
     return ProjectivePoint.from_vector(d)
 
 
+def _decade_ceiling(x: float) -> float:
+    """The least power of ten >= x (0.0 stays 0.0), so a reported float
+    deviation does not hang on the last bits of the float arithmetic."""
+    if not 0.0 < x < math.inf:
+        return x
+    return float(f"1e{math.ceil(math.log10(x))}")
+
+
 def _strip_star(point, child_base):
     """Inverse of block_embed_point when the padding is (near) zero."""
     m = child_base.ambient_dim
@@ -1136,6 +1125,15 @@ def _strip_star(point, child_base):
         if any(abs(x) > _PRED_TOL for x in pad):
             return None
         return SpherePoint.from_vector(point.direction[:m])
+    if isinstance(point, ProjectivePoint):
+        pad = point.vector[m:]
+        if point.exact:
+            if any(pad):
+                return None
+        elif any(abs_float(x) > _PRED_TOL for x in pad):
+            return None
+        # the leading 1 is not in a zero padding, so the head is leading-1
+        return ProjectivePoint(point.vector[:m])
     if isinstance(point, Subspace):
         p = point.projector
         n = p.rows
@@ -1153,8 +1151,6 @@ def _strip_star(point, child_base):
                         return None
         block = Matrix(tuple(tuple(p[i, j] for j in range(m))
                              for i in range(m)))
-        if isinstance(point, ProjectivePoint):
-            return ProjectivePoint(block)
         return Subspace(block, point.dim)
     return None
 
@@ -1165,9 +1161,8 @@ def _contained_in(hyper: Subspace, point) -> bool:
         raise VerificationError("containment is defined for subspaces")
     if sub.exact:
         return hyper.contains(sub)
-    hf = hyper.to_float()
-    return max_abs_diff(matmul(hf.projector, sub.projector),
-                        sub.projector) <= _PRED_TOL
+    return max_abs_diff(matmul(to_float_matrix(hyper.projector),
+                               sub.projector), sub.projector) <= _PRED_TOL
 
 
 def _slim_selftest(st: dict) -> dict:
@@ -1181,7 +1176,7 @@ def _config_json(cfg: RunConfig) -> dict:
     return {"depth": cfg.depth, "samples": cfg.samples, "seed": cfg.seed,
             "mode": "exact", "tol": cfg.tol,
             "absorber_bound": cfg.absorber_bound,
-            "absorber_depth": cfg.absorber_depth}
+            "absorber_depth": _ABSORBER_DEPTH}
 
 
 def verify(root: Node, config: RunConfig | None = None, **overrides) -> dict:

@@ -67,6 +67,17 @@ def test_sphere2_default_report_digest(tmp_path, capsys):
         "c8a09e7bfe864f83f73fb4f457676b286f28b424c80acbb2b8a7a2fa08f98585")
 
 
+def test_proj_r3_default_report_digest(tmp_path, capsys):
+    # a line certificate pinned beside sphere(2): its report has no float
+    # field either
+    cert = tmp_path / "cert.json"
+    report = tmp_path / "report.json"
+    assert main(["derive", "proj(R,3)", "-o", str(cert)]) == 0
+    assert main(["verify", str(cert), "-o", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "d9cbd9f86aa628404229a3852890cb2f9ab89f0f321f594068a02d232a0d613c")
+
+
 def test_verify_has_no_mode_option(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     main(["derive", "sphere(2)", "-o", str(cert)])
@@ -232,6 +243,24 @@ def test_verify_guard_rails(tmp_path, capsys):
     main(["derive", "sphere(2)", "-o", str(cert)])
     assert main(["verify", str(cert), "--depth", "0"]) == 2
     assert main(["verify", str(cert), "--tol", "-1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{cert}", "--samples", "-5"],
+    ["verify", "{cert}", "--absorber-bound", "-1"],
+    ["freeness", "--max-len", "0"],
+    ["axes", "--max-len", "-1"],
+    ["absorber", "--max-len", "-2"],
+    ["absorber", "--bound", "-1"],
+    ["orbit", "sphere(2)", "--depth", "-1"],
+    ["maps", "selftest", "--samples", "0"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_count_flags_below_one_exit_2(argv, tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    assert main(["derive", "sphere(2)", "-o", str(cert)]) == 0
+    capsys.readouterr()
+    assert main([a.format(cert=cert) for a in argv]) == 2
+    assert "expected an integer >= 1" in capsys.readouterr().err
 
 
 def test_verify_tampered_certificate_exits_1(tmp_path, capsys):

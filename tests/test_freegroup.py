@@ -81,6 +81,14 @@ def test_freeness_small_depth_all_pairs():
         assert result["counterexample"] is None
 
 
+def test_freeness_at_length_zero_scans_no_word():
+    result = check_freeness(get_pair("so3-ab"), 0)
+    assert result["words_checked"] == 0 == 2 * 3 ** 0 - 2
+    assert result["ok"]
+    with pytest.raises(ValueError):
+        check_freeness(get_pair("so3-ab"), -1)
+
+
 def test_freeness_of_block_embedded_pair():
     result = check_freeness(get_pair("so3-ab@4"), 3)
     assert result["ok"], result

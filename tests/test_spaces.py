@@ -4,9 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from paradoxcert.errors import DescriptorError, DimensionMismatchError
+from paradoxcert.errors import (
+    BackendMismatchError,
+    DescriptorError,
+    DimensionMismatchError,
+)
 from paradoxcert.freegroup import get_pair
-from paradoxcert.linalg import Matrix, mat_vec, matmul
+from paradoxcert.linalg import (
+    Matrix,
+    line_projector,
+    mat_vec,
+    matmul,
+    max_abs_diff_vec,
+    normalize_leading,
+    projector_of_basis,
+)
 from paradoxcert.sampling import (
     random_flag,
     random_projective_point,
@@ -17,6 +29,9 @@ from paradoxcert.sampling import (
 )
 from paradoxcert.scalars import (
     GaussSqrt5,
+    QSqrt2,
+    QSqrt5,
+    Quaternion,
     RING_GAUSS_SQRT5,
     RING_QSQRT2,
     RING_QUAT_SQRT5,
@@ -36,6 +51,7 @@ from paradoxcert.spaces import (
     orthogonal_complement,
     parse_descriptor,
 )
+from paradoxcert.words import B
 
 
 # ----------------------------------------------------------------- grammar
@@ -113,6 +129,45 @@ def test_projective_right_scalar_equivalence_quaternionic():
     p = ProjectivePoint.from_vector((one, j))
     q = ProjectivePoint.from_vector((j, -one))   # right-multiplied by j
     assert equals(p, q)
+
+
+def _quat(*parts):
+    return Quaternion(*(QSqrt5(*p) for p in parts))
+
+
+_F = Fraction
+
+
+@pytest.mark.parametrize("v", [
+    (_F(0), _F(2), _F(-3)),
+    (QSqrt2(1, 1), QSqrt2(0, _F(2, 3)), QSqrt2(3, 0)),
+    (GaussSqrt5(0), GaussSqrt5(1, 0, 2, 0, 3), GaussSqrt5(0, 1, 0, 0, 1)),
+    (_quat((0, 1), (2, 0), (0, 0), (_F(1, 2), 0)),
+     _quat((1, 0), (0, 0), (-1, 1), (0, 0))),
+], ids=["rational", "qsqrt2", "gauss_sqrt5", "quat_sqrt5"])
+def test_a_line_is_its_leading_one_vector(v):
+    p = ProjectivePoint.from_vector(v)
+    assert p.vector == normalize_leading(v)
+    proj = projector_of_basis(Matrix.from_columns([v]))
+    assert p.projector == proj
+    assert ProjectivePoint.from_projector(proj).vector == p.vector
+    assert p == Subspace(proj, 1) and hash(p) == hash(Subspace(proj, 1))
+
+
+def test_a_float_line_is_read_off_its_largest_projector_column():
+    v = (complex(0.5, 0.5), complex(2.0), complex(0.0, 1.0))
+    p = ProjectivePoint.from_projector(line_projector(v))
+    assert max_abs_diff_vec(p.vector, normalize_leading(v)) < 1e-12
+
+
+def test_act_refuses_fields_that_do_not_mix():
+    # entries mix by value, so the check is the multiplication itself:
+    # 2 sqrt2 / 3 times i sqrt5 has no field to live in
+    b = get_pair("so3-ab").letter_matrix(B)
+    i = GaussSqrt5(0, 0, 1, 0, 1)
+    line = ProjectivePoint.from_vector((GaussSqrt5(1), i, i))
+    with pytest.raises(BackendMismatchError):
+        act(b, line)
 
 
 def test_distinct_lines_differ():
@@ -220,7 +275,7 @@ def test_block_embed_point_fixes_new_coordinates():
     p = random_projective_point(2, RING_GAUSS_SQRT5, rng)
     big = block_embed_point(p, 4)
     assert big.ambient_dim == 4
-    rep = big.representative()
+    rep = big.vector
     assert all(x == RING_GAUSS_SQRT5.zero for x in rep[2:])
 
 

@@ -19,6 +19,7 @@ from paradoxcert.verification import (
     EquidecompWitness,
     RunConfig,
     WitnessPiece,
+    _decade_ceiling,
     classify,
     equidecomp_verify,
     orbit_fragment,
@@ -355,3 +356,15 @@ def test_repeated_subtrees_compute_each_fact_once(monkeypatch):
     assert calls == {"absorber_check": 2, "orbit_fragment": 2, "selftest": 5,
                      "check_freeness": 1, "check_translate_identity": 1,
                      "exceptional_set": 1, "ball_products": 1}
+
+
+@pytest.mark.parametrize("raw,reported", [
+    (0.0, 0.0),
+    (4.440892098500624e-16, 1e-15),
+    (1.6375789613221059e-15, 1e-14),
+    (2.3473410715180165e-14, 1e-13),
+    (2.3096542040024204e-14, 1e-13),
+    (1e-15, 1e-15),
+])
+def test_lift_deviations_are_reported_as_a_power_of_ten(raw, reported):
+    assert _decade_ceiling(raw) == reported
