@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -144,10 +145,14 @@ def _cmd_axes(args, out, err) -> int:
 
 def _parse_seed_point(text: str):
     try:
-        return tuple(Fraction(part) for part in text.split(","))
+        seed = tuple(Fraction(part) for part in text.split(","))
     except (ValueError, ZeroDivisionError) as exc:
         raise DescriptorError(
             f"seed point must be comma-separated rationals: {exc}")
+    if not any(seed):
+        raise DescriptorError(
+            "seed point must be nonzero: the zero vector spans no ray or line")
+    return seed
 
 
 def _cmd_orbit(args, out, err) -> int:
@@ -205,6 +210,16 @@ def _count(text: str) -> int:
     return n
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of ``verify --tol``: a finite number > 0, so nan and
+    inf, which would let every float replay check pass, are usage errors."""
+    x = float(text)
+    if not 0 < x < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number > 0, got {text}")
+    return x
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paradoxcert",
@@ -222,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_count, default=6)
     p.add_argument("--samples", type=_count, default=500)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--absorber-bound", type=_count, default=50)
     p.add_argument("-o", "--output", default=None)
 
@@ -265,10 +280,6 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors already; normalize others
         return 2 if exc.code not in (0,) else 0
     out, err = sys.stdout, sys.stderr
-
-    if args.command == "verify" and args.tol <= 0:
-        print("tolerance must be positive", file=err)
-        return 2
 
     try:
         if args.command == "derive":

@@ -22,6 +22,7 @@ from .linalg import (
     Matrix,
     mat_vec,
     matmul,
+    rank,
     to_float_matrix,
 )
 from .sampling import (
@@ -186,7 +187,7 @@ def grass_slice(field: str, n0: int, k: int) -> MapInstance:
     ring = exact_ring_for_field(field)
     m = n0 + 1 - k
     hyper = Subspace.coordinate(n0, range(m), ring)
-    hyper_float = Subspace(to_float_matrix(hyper.projector), hyper.dim)
+    hyper_float = Subspace(to_float_matrix(hyper.basis), hyper.pivots)
 
     def _hyper_for(v):
         return hyper if v.exact else hyper_float
@@ -293,16 +294,14 @@ def flag_to_grass(field: str, dims: tuple, i: int) -> MapInstance:
 
     def section(v: Subspace):
         """Deterministic flag completion around the given component."""
-        from .linalg import column_space
-        basis = ([v.vector] if isinstance(v, ProjectivePoint)
-                 else column_space(v.projector))
+        basis = v.basis.columns()
         comps = []
         for d in proper[:i]:
             comps.append(Subspace.from_basis(basis[:d]))
         comps.append(v)
         # extend upward with coordinate vectors that increase the rank
         current = list(basis)
-        pad = ring_of(basis[0][0]) if basis else ring
+        pad = v.basis.scalar_ring()
         z, o = pad.zero, pad.one
         for d in proper[i + 1:]:
             j = 0
@@ -311,7 +310,6 @@ def flag_to_grass(field: str, dims: tuple, i: int) -> MapInstance:
                     raise ParadoxError("flag completion ran out of vectors")
                 e = tuple(o if r == j else z for r in range(n))
                 m = Matrix.from_columns(current + [e])
-                from .linalg import rank
                 if rank(m) == len(current) + 1:
                     current.append(e)
                 j += 1
@@ -544,18 +542,11 @@ def corrupted(m: MapInstance) -> MapInstance:
             # swap two coordinates: almost never commutes with the action
             return SpherePoint(y.sign, (y.direction[1], y.direction[0])
                                + y.direction[2:], True)
-        if isinstance(y, ProjectivePoint):
-            rep = y.vector
-            v = (rep[1], rep[0]) + rep[2:]
-            return ProjectivePoint.from_vector(v)
         if isinstance(y, Subspace):
-            p = y.projector
-            perm = list(range(p.rows))
-            perm[0], perm[1] = perm[1], perm[0]
-            newp = Matrix(tuple(p.data[perm[i]][perm[j]]
-                                for j in range(p.cols))
-                          for i in range(p.rows))
-            return Subspace(newp, y.dim)
+            # swap two basis rows, i.e. two coordinates of the subspace
+            rows = y.basis.data
+            swapped = Matrix._of_rows((rows[1], rows[0]) + rows[2:])
+            return Subspace.from_basis(swapped.columns())
         if isinstance(y, FlagPoint):
             raise ParadoxError("corrupt a component map instead")
         return y

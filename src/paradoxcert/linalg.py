@@ -61,6 +61,10 @@ class Matrix:
     def __setattr__(self, *args):
         raise AttributeError("immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not the slots
+        return Matrix, (self.data,)
+
     @classmethod
     def _of_rows(cls, data):
         """Matrix over a nonempty tuple of equal-length row tuples that the
@@ -267,12 +271,6 @@ def kernel(a: Matrix):
     return basis
 
 
-def column_space(a: Matrix):
-    """Basis for the right span of the columns: original pivot columns."""
-    _, pivots = rref(a)
-    return [a.column(j) for j in pivots]
-
-
 def mat_inverse(a: Matrix) -> Matrix:
     if a.rows != a.cols:
         raise DimensionMismatchError("inverse of non-square matrix")
@@ -352,12 +350,6 @@ def block_embed_matrix(a: Matrix, n: int) -> Matrix:
         else:
             out.append(tuple(o if j == i else z for j in range(n)))
     return Matrix(out)
-
-
-def stack_rows(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.cols:
-        raise DimensionMismatchError("stack width mismatch")
-    return Matrix(a.data + b.data)
 
 
 def to_float_matrix(a: Matrix) -> Matrix:

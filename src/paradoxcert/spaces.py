@@ -13,11 +13,12 @@ flag with exactly one proper component is the Grassmannian; both are
 normalized at parse time.
 
 All vector spaces are right K-modules: scalars act on the right of vectors,
-group matrices on the left. A line is stored as its leading-1 vector (first
-nonzero entry 1), which is canonical for the line, and its orthogonal
-projector is derived from that vector on first use. Subspaces of higher
-dimension are stored as their orthogonal projectors, which are
-basis-independent. Sphere points are stored as signed rays with a leading-1
+group matrices on the left. A k-dimensional subspace is stored as its
+reduced column-echelon basis (rows at k pivot indices form the identity),
+which is canonical for the subspace, and every subspace operation reads that
+basis. A line is the one-column case, its leading-1 vector (first nonzero
+entry 1). The orthogonal projector is formed on first read, for float
+comparisons only. Sphere points are stored as signed rays with a leading-1
 representative.
 """
 
@@ -26,7 +27,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import BackendMismatchError, DescriptorError, DimensionMismatchError
+from .errors import (
+    BackendMismatchError,
+    DescriptorError,
+    DimensionMismatchError,
+    RankDeficientError,
+)
 from .linalg import (
     Matrix,
     conj_transpose,
@@ -39,7 +45,7 @@ from .linalg import (
     normalize_leading,
     projector_of_basis,
     ray_canonical,
-    stack_rows,
+    rref,
     to_float_matrix,
     to_float_vector,
 )
@@ -48,7 +54,6 @@ from .scalars import (
     RING_QSQRT2,
     RING_QUAT_SQRT5,
     Ring,
-    abs_float,
     ring_of,
 )
 
@@ -343,132 +348,137 @@ class SpherePoint:
 
 
 class Subspace:
-    """A k-dimensional right subspace of K^n, stored as its projector.
+    """A k-dimensional right subspace of K^n, stored as its reduced
+    column-echelon basis.
 
-    The orthogonal projector P = B (B*B)^-1 B* is basis-independent, so two
-    subspaces are equal exactly when their projectors match entrywise.
+    ``basis`` is an n x k matrix whose columns span the subspace and whose
+    rows at ``pivots`` form the identity: the conjugate transpose of the
+    reduced row echelon form of B* for any basis B.  Left row operations on
+    B* are right column operations on B, so the form is canonical for the
+    right span over R, C and H alike, and two exact subspaces are equal
+    exactly when their bases are.  The orthogonal projector is formed on
+    first read and kept; only float comparisons read it.
     """
 
-    __slots__ = ("projector", "dim")
+    __slots__ = ("basis", "pivots", "_projector")
 
-    def __init__(self, projector: Matrix, dim: int):
-        object.__setattr__(self, "projector", projector)
-        object.__setattr__(self, "dim", dim)
+    def __init__(self, basis: Matrix, pivots):
+        """The subspace of a reduced column-echelon basis with k != 1
+        columns (``from_basis`` takes any basis)."""
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     def __setattr__(self, *args):
         raise AttributeError("immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild from the echelon basis, not the slots
+        return Subspace.from_echelon, (self.basis, self.pivots)
+
     @classmethod
     def from_basis(cls, columns):
-        """The right span of the columns; one column spans a line."""
+        """The right span of linearly independent columns; one column spans
+        a line."""
         cols = [tuple(c) for c in columns]
         if not cols:
             raise DimensionMismatchError("empty basis")
         if len(cols) == 1:
             return ProjectivePoint.from_vector(cols[0])
-        b = Matrix.from_columns(cols)
-        return Subspace(projector_of_basis(b), len(cols))
+        r, pivots = rref(conj_transpose(Matrix.from_columns(cols)))
+        if len(pivots) < len(cols):
+            raise RankDeficientError("basis columns are linearly dependent")
+        return Subspace(conj_transpose(r), pivots)
+
+    @classmethod
+    def from_echelon(cls, basis: Matrix, pivots):
+        """The subspace of a basis already in reduced column-echelon form:
+        a line when it has one column."""
+        if basis.cols == 1:
+            return ProjectivePoint(basis.column(0))
+        return Subspace(basis, pivots)
 
     @classmethod
     def coordinate(cls, n: int, indices, ring: Ring):
         """span{e_i : i in indices} inside K^n."""
+        idx = sorted(set(indices))
         z, o = ring.zero, ring.one
-        idx = set(indices)
-        proj = Matrix(tuple(o if (i == j and i in idx) else z
-                            for j in range(n)) for i in range(n))
-        return cls(proj, len(idx))
+        return Subspace.from_echelon(Matrix.from_columns(
+            tuple(o if i == j else z for i in range(n)) for j in idx), idx)
+
+    @property
+    def dim(self):
+        return self.basis.cols
 
     @property
     def ambient_dim(self):
-        return self.projector.rows
+        return self.basis.rows
 
     @property
     def exact(self):
-        return self.projector.scalar_ring().exact
+        return self.basis.scalar_ring().exact
+
+    @property
+    def projector(self) -> Matrix:
+        """The orthogonal projector B (B*B)^-1 B*, formed on first read."""
+        try:
+            return self._projector
+        except AttributeError:
+            b = self.basis
+            p = (line_projector(b.column(0)) if b.cols == 1
+                 else projector_of_basis(b))
+            object.__setattr__(self, "_projector", p)
+            return p
 
     def contains_vector(self, v) -> bool:
-        return mat_vec(self.projector, v) == tuple(v)
+        """v lies in the span iff v = B v[pivots]."""
+        v = tuple(v)
+        return mat_vec(self.basis, tuple(v[i] for i in self.pivots)) == v
 
     def contains(self, other: "Subspace") -> bool:
-        """Exact subspace containment: P_big v = v for the vector v of a
-        line, P_big P_small = P_small otherwise."""
-        if isinstance(other, ProjectivePoint):
-            return self.contains_vector(other.vector)
-        return matmul(self.projector, other.projector) == other.projector
+        """Exact containment, column by column of the other basis."""
+        b = other.basis
+        return matmul(self.basis, _rows(b, self.pivots)) == b
 
     def apply_matrix(self, m: Matrix):
-        p = matmul(matmul(m, self.projector), conj_transpose(m))
-        return Subspace(p, self.dim)
+        return Subspace.from_basis(matmul(m, self.basis).columns())
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.dim == other.dim and self.projector == other.projector
+        return self.basis == other.basis
 
     def __hash__(self):
-        return hash((self.dim, self.projector))
+        return hash(self.basis)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, n={self.ambient_dim})"
 
 
 class ProjectivePoint(Subspace):
-    """A line in K^n, stored as its leading-1 vector.
+    """A line in K^n: the one-column subspace of its leading-1 vector.
 
-    The vector (first nonzero entry 1, see ``normalize_leading``) is
-    canonical for the line, so it is the line's key, and two exact lines
-    are equal when their vectors are.  The projector that Subspace
-    equality and hashing read is derived from the vector on first use.
+    The vector (first nonzero entry 1, see ``normalize_leading``) is the
+    line's echelon basis, so it is the line's key.
     """
 
     __slots__ = ("vector",)
 
     def __init__(self, vector):
         """The line of a leading-1 vector (``from_vector`` takes any)."""
-        object.__setattr__(self, "vector", tuple(vector))
-        object.__setattr__(self, "dim", 1)
-
-    def __getattr__(self, name):
-        # reached only while a slot is unset: the projector, on first read
-        if name != "projector":
-            raise AttributeError(name)
-        p = line_projector(self.vector)
-        object.__setattr__(self, "projector", p)
-        return p
+        v = tuple(vector)
+        object.__setattr__(self, "vector", v)
+        Subspace.__init__(self, Matrix._of_rows(tuple((x,) for x in v)),
+                          (next(i for i, x in enumerate(v) if x),))
 
     @classmethod
     def from_vector(cls, v):
         """The line through a nonzero vector."""
         return cls(normalize_leading(tuple(v)))
 
-    @classmethod
-    def from_projector(cls, p: Matrix):
-        """The line of a rank-1 projector, read off a nonzero column: the
-        first with a nonzero diagonal entry when exact, else the largest."""
-        n = p.rows
-        if p.scalar_ring().exact:
-            j = next(j for j in range(n) if p[j, j])
-        else:
-            j = max(range(n), key=lambda j: abs_float(p[j, j]))
-        return cls.from_vector(p.column(j))
 
-    @property
-    def ambient_dim(self):
-        return len(self.vector)
-
-    @property
-    def exact(self):
-        return ring_of(self.vector[0]).exact
-
-    def apply_matrix(self, m: Matrix):
-        return ProjectivePoint(normalize_leading(mat_vec(m, self.vector)))
-
-    def __eq__(self, other):
-        if isinstance(other, ProjectivePoint) and self.exact and other.exact:
-            return self.vector == other.vector
-        return Subspace.__eq__(self, other)
-
-    __hash__ = Subspace.__hash__
+def _rows(m: Matrix, indices) -> Matrix:
+    """The rows of m at the given indices, in order."""
+    return Matrix._of_rows(tuple(m.data[i] for i in indices))
 
 
 class FlagPoint:
@@ -568,49 +578,33 @@ def block_embed_point(point, n: int):
         ring = ring_of(point.direction[0])
         pad = (ring.zero,) * (n - len(point.direction))
         return SpherePoint(point.sign, point.direction + pad, True)
-    if isinstance(point, ProjectivePoint):
-        v = point.vector
-        if n < len(v):
-            raise DimensionMismatchError("embedding must not shrink")
-        return ProjectivePoint(v + (ring_of(v[0]).zero,) * (n - len(v)))
     if isinstance(point, Subspace):
-        p = point.projector
-        if n < p.rows:
+        # zero rows below an echelon basis keep it echelon, pivots and all
+        b = point.basis
+        if n < b.rows:
             raise DimensionMismatchError("embedding must not shrink")
-        ring = p.scalar_ring()
-        z = ring.zero
-        rows = []
-        for i in range(n):
-            if i < p.rows:
-                rows.append(tuple(p.data[i]) + (z,) * (n - p.cols))
-            else:
-                rows.append((z,) * n)
-        return Subspace(Matrix(rows), point.dim)
+        pad = ((b.scalar_ring().zero,) * b.cols,) * (n - b.rows)
+        return Subspace.from_echelon(Matrix._of_rows(b.data + pad),
+                                     point.pivots)
     if isinstance(point, FlagPoint):
         return FlagPoint(block_embed_point(c, n) for c in point.components)
     raise BackendMismatchError(f"cannot embed {point!r}")
 
 
 def orthogonal_complement(sub: Subspace) -> Subspace:
-    p = sub.projector
-    ident = Matrix.identity(p.rows, p.scalar_ring())
-    dim = p.rows - sub.dim
-    if dim == 1:
-        return ProjectivePoint.from_projector(ident - p)
-    return Subspace(ident - p, dim)
+    """The kernel of B*."""
+    return Subspace.from_basis(kernel(conj_transpose(sub.basis)))
 
 
 def intersect(v: Subspace, w: Subspace) -> Subspace:
-    """Intersection as the kernel of the stacked complement projectors.
-
-    x in V and x in W iff (I-P_V)x = 0 and (I-P_W)x = 0.
+    """V n W as the vectors B_V c with c in the kernel of
+    B_V - B_W B_V[pivots_W]: x = B_V c lies in W iff x = B_W x[pivots_W].
     """
     if v.ambient_dim != w.ambient_dim:
         raise DimensionMismatchError("ambient dimensions differ")
-    ring = v.projector.scalar_ring()
-    ident = Matrix.identity(v.ambient_dim, ring)
-    stacked = stack_rows(ident - v.projector, ident - w.projector)
-    basis = kernel(stacked)
-    if not basis:
-        return Subspace(Matrix.zero(v.ambient_dim, v.ambient_dim, ring), 0)
-    return Subspace.from_basis(basis)
+    bv = v.basis
+    cs = kernel(bv - matmul(w.basis, _rows(bv, w.pivots)))
+    if not cs:
+        # the zero subspace: an n x 0 basis
+        return Subspace(Matrix._of_rows(((),) * bv.rows), ())
+    return Subspace.from_basis(mat_vec(bv, c) for c in cs)

@@ -90,8 +90,6 @@ from .linalg import (
     is_unitary,
     line_projector,
     mat_vec,
-    matmul,
-    max_abs_diff,
     normalize_leading,
     ray_canonical,
     to_float_matrix,
@@ -1125,44 +1123,29 @@ def _strip_star(point, child_base):
         if any(abs(x) > _PRED_TOL for x in pad):
             return None
         return SpherePoint.from_vector(point.direction[:m])
-    if isinstance(point, ProjectivePoint):
-        pad = point.vector[m:]
-        if point.exact:
-            if any(pad):
-                return None
-        elif any(abs_float(x) > _PRED_TOL for x in pad):
-            return None
-        # the leading 1 is not in a zero padding, so the head is leading-1
-        return ProjectivePoint(point.vector[:m])
     if isinstance(point, Subspace):
-        p = point.projector
-        n = p.rows
+        rows = point.basis.data
         if point.exact:
-            for i in range(n):
-                for j in range(n):
-                    if (i >= m or j >= m) and p[i, j] != 0:
-                        return None
-        else:
-            for i in range(n):
-                for j in range(n):
-                    if (i >= m or j >= m) and \
-                            max(abs(c) for c in _flatten_scalar(p[i, j])) \
-                            > _PRED_TOL:
-                        return None
-        block = Matrix(tuple(tuple(p[i, j] for j in range(m))
-                             for i in range(m)))
-        return Subspace(block, point.dim)
+            if any(x for r in rows[m:] for x in r):
+                return None
+        elif any(abs_float(x) > _PRED_TOL for r in rows[m:] for x in r):
+            return None
+        # the pivot rows are not in a zero padding, so the head stays
+        # echelon with the same pivots
+        return Subspace.from_echelon(Matrix._of_rows(rows[:m]), point.pivots)
     return None
 
 
 def _contained_in(hyper: Subspace, point) -> bool:
-    sub = point
-    if not isinstance(sub, Subspace):
+    """Containment in a coordinate subspace: exact by the echelon basis, a
+    float point by its projector rows off the hyperplane's pivots."""
+    if not isinstance(point, Subspace):
         raise VerificationError("containment is defined for subspaces")
-    if sub.exact:
-        return hyper.contains(sub)
-    return max_abs_diff(matmul(to_float_matrix(hyper.projector),
-                               sub.projector), sub.projector) <= _PRED_TOL
+    if point.exact:
+        return hyper.contains(point)
+    rows = point.projector.data
+    off = set(range(len(rows))) - set(hyper.pivots)
+    return all(abs_float(x) <= _PRED_TOL for i in off for x in rows[i])
 
 
 def _slim_selftest(st: dict) -> dict:

@@ -78,6 +78,17 @@ def test_proj_r3_default_report_digest(tmp_path, capsys):
         "d9cbd9f86aa628404229a3852890cb2f9ab89f0f321f594068a02d232a0d613c")
 
 
+def test_grass_r42_default_report_digest(tmp_path, capsys):
+    # the first pinned report whose certificate moves k >= 2 subspaces;
+    # it has no float field either
+    cert = tmp_path / "cert.json"
+    report = tmp_path / "report.json"
+    assert main(["derive", "grass(R,4,2)", "-o", str(cert)]) == 0
+    assert main(["verify", str(cert), "-o", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "3aeea75e1c06bd27c254cc762d92b6e0065cc19fcd2dc41f843e09ed86996d3d")
+
+
 def test_verify_has_no_mode_option(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     main(["derive", "sphere(2)", "-o", str(cert)])
@@ -245,6 +256,19 @@ def test_verify_guard_rails(tmp_path, capsys):
     assert main(["verify", str(cert), "--tol", "-1"]) == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_verify_tol_must_be_finite_and_positive(tol, tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    report = tmp_path / "report.json"
+    assert main(["derive", "proj(C,2)", "-o", str(cert)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(cert), "--depth", "2", "--samples", "5",
+                 f"--tol={tol}", "-o", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert "--tol" in err and "expected a finite number > 0" in err
+    assert not report.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "{cert}", "--samples", "-5"],
     ["verify", "{cert}", "--absorber-bound", "-1"],
@@ -305,6 +329,12 @@ def test_orbit_fixed_seed_exits_1(capsys):
 
 def test_orbit_bad_seed_point_exits_2(capsys):
     assert main(["orbit", "sphere(2)", "--seed-point", "1,q,0"]) == 2
+
+
+@pytest.mark.parametrize("space", ["proj(R,3)", "sphere(2)"])
+def test_orbit_zero_seed_point_exits_2(space, capsys):
+    assert main(["orbit", space, "--seed-point", "0,0,0"]) == 2
+    assert "seed point must be nonzero" in capsys.readouterr().err
 
 
 def test_axes_dump_is_deterministic(tmp_path):

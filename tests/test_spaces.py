@@ -1,5 +1,7 @@
 """Space descriptors, canonical point forms, and the isometry actions."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,16 +14,17 @@ from paradoxcert.errors import (
 from paradoxcert.freegroup import get_pair
 from paradoxcert.linalg import (
     Matrix,
-    line_projector,
+    kernel,
     mat_vec,
     matmul,
-    max_abs_diff_vec,
     normalize_leading,
     projector_of_basis,
+    rank,
 )
 from paradoxcert.sampling import (
     random_flag,
     random_projective_point,
+    random_scalar,
     random_sphere_point,
     random_subspace,
     random_unitary,
@@ -148,16 +151,12 @@ _F = Fraction
 def test_a_line_is_its_leading_one_vector(v):
     p = ProjectivePoint.from_vector(v)
     assert p.vector == normalize_leading(v)
-    proj = projector_of_basis(Matrix.from_columns([v]))
-    assert p.projector == proj
-    assert ProjectivePoint.from_projector(proj).vector == p.vector
-    assert p == Subspace(proj, 1) and hash(p) == hash(Subspace(proj, 1))
-
-
-def test_a_float_line_is_read_off_its_largest_projector_column():
-    v = (complex(0.5, 0.5), complex(2.0), complex(0.0, 1.0))
-    p = ProjectivePoint.from_projector(line_projector(v))
-    assert max_abs_diff_vec(p.vector, normalize_leading(v)) < 1e-12
+    assert p.basis.columns() == [p.vector] and p.dim == 1
+    assert p.projector == projector_of_basis(Matrix.from_columns([v]))
+    # any other spanning vector gives the same line, equal and hashed alike
+    s = next(x for x in v if x)
+    q = Subspace.from_basis([tuple(x * s for x in v)])
+    assert p == q and hash(p) == hash(q)
 
 
 def test_act_refuses_fields_that_do_not_mix():
@@ -203,6 +202,119 @@ def test_orthogonal_complement_involution_and_dim():
             w = orthogonal_complement(v)
             assert w.dim == 4 - k
             assert orthogonal_complement(w).projector == v.projector
+
+
+_ECHELON_RINGS = [RING_RATIONAL, RING_QSQRT2, RING_GAUSS_SQRT5,
+                  RING_QUAT_SQRT5]
+
+
+def _random_full_rank(rows, cols, ring, rng):
+    """A random rows x cols matrix of rank min(rows, cols)."""
+    while True:
+        m = Matrix(tuple(random_scalar(rng, ring) for _ in range(cols))
+                   for _ in range(rows))
+        if rank(m) == min(rows, cols):
+            return m
+
+
+@pytest.mark.parametrize("ring", _ECHELON_RINGS, ids=lambda r: r.name)
+def test_the_echelon_basis_is_canonical(ring):
+    rng = rng_for(29, "echelon", ring.name)
+    for n, k in ((4, 2), (4, 3), (3, 2)):
+        b = _random_full_rank(n, k, ring, rng)
+        a = _random_full_rank(k, k, ring, rng)   # right column operations
+        v = Subspace.from_basis(b.columns())
+        assert v == Subspace.from_basis(matmul(b, a).columns())
+        assert hash(v) == hash(Subspace.from_basis(matmul(b, a).columns()))
+        assert v.dim == k and v.ambient_dim == n
+        pivot_rows = tuple(v.basis.row(i) for i in v.pivots)
+        assert pivot_rows == Matrix.identity(k, ring).data
+        assert all(v.contains_vector(c) for c in b.columns())
+
+
+def _proj(sub):
+    """The reference projector, formed from the echelon basis."""
+    return projector_of_basis(sub.basis)
+
+
+def _reference_intersection(v, w):
+    """Projector of V n W as the kernel of the stacked I - P_V, I - P_W."""
+    n = v.ambient_dim
+    ident = Matrix.identity(n, v.basis.scalar_ring())
+    basis = kernel(Matrix((ident - _proj(v)).data + (ident - _proj(w)).data))
+    return projector_of_basis(Matrix.from_columns(basis)) if basis else None
+
+
+@pytest.mark.parametrize("field,n", [("R", 4), ("C", 4), ("H", 3)])
+def test_subspace_operations_agree_with_projectors(field, n):
+    ring = exact_ring_for_field(field)
+    rng = rng_for(31, "ops", field)
+    for _ in range(3):
+        v = random_subspace(n, 2, ring, rng)
+        w = random_subspace(n, 2, ring, rng)
+        x = random_projective_point(n, ring, rng)
+        u = random_unitary(n, ring, rng)
+        # a line of V and a plane that shares it with W's first column
+        inner = ProjectivePoint.from_vector(
+            mat_vec(v.basis, (random_scalar(rng, ring), ring.one)))
+        shared = Subspace.from_basis([inner.vector, w.basis.column(0)])
+        for big, small in ((v, inner), (v, x), (v, w), (shared, inner),
+                           (v, shared), (act(u, v), act(u, inner))):
+            pb, ps = _proj(big), _proj(small)
+            assert big.contains(small) == (matmul(pb, ps) == ps)
+        for a, b in ((v, w), (v, shared), (w, shared), (v, x), (v, inner)):
+            got = intersect(a, b)
+            want = _reference_intersection(a, b)
+            assert got.dim == (0 if want is None else rank(want))
+            if want is not None:
+                assert _proj(got) == want
+        for a in (v, x, shared):
+            comp = orthogonal_complement(a)
+            assert comp.dim == n - a.dim
+            assert _proj(comp) == Matrix.identity(n, ring) - _proj(a)
+            assert orthogonal_complement(comp) == a
+
+
+def test_a_zero_dimensional_intersection_has_dim_0():
+    ring = RING_RATIONAL
+    x = intersect(Subspace.coordinate(4, (0, 1), ring),
+                  Subspace.coordinate(4, (2, 3), ring))
+    assert x.dim == 0 and x.ambient_dim == 4
+    rng = rng_for(37, "zero")
+    v = random_subspace(4, 2, RING_GAUSS_SQRT5, rng)
+    w = random_subspace(4, 2, RING_GAUSS_SQRT5, rng)
+    assert intersect(v, w).dim == 0
+
+
+def test_a_one_dimensional_coordinate_subspace_is_a_line():
+    e2 = Subspace.coordinate(3, (2,), RING_RATIONAL)
+    assert isinstance(e2, ProjectivePoint)
+    assert e2 == ProjectivePoint.from_vector((Fraction(0), Fraction(0),
+                                              Fraction(5)))
+
+
+_PICKLED = {
+    "exact line": lambda: ProjectivePoint.from_vector(
+        (Fraction(0), Fraction(2), Fraction(-3))),
+    "exact 2-plane over Q(sqrt5, i)": lambda: random_subspace(
+        4, 2, RING_GAUSS_SQRT5, rng_for(41, "pickle")),
+    "float line": lambda: ProjectivePoint.from_vector(
+        (complex(0.5, 0.5), complex(2.0), complex(0.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PICKLED))
+def test_subspaces_copy_and_pickle(name):
+    p = _PICKLED[name]()
+    p.projector   # a formed projector is not part of the state
+    for q in (copy.copy(p), copy.deepcopy(p),
+              pickle.loads(pickle.dumps(p))):
+        assert type(q) is type(p)
+        assert q.basis == p.basis and q.pivots == p.pivots
+        if p.exact:
+            assert q == p and hash(q) == hash(p)
+        else:
+            assert q.projector == p.projector
 
 
 def test_intersect_of_complementary_coordinate_planes():
