@@ -224,8 +224,8 @@ def test_the_echelon_basis_is_canonical(ring):
         b = _random_full_rank(n, k, ring, rng)
         a = _random_full_rank(k, k, ring, rng)   # right column operations
         v = Subspace.from_basis(b.columns())
-        assert v == Subspace.from_basis(matmul(b, a).columns())
-        assert hash(v) == hash(Subspace.from_basis(matmul(b, a).columns()))
+        w = Subspace.from_basis(matmul(b, a).columns())
+        assert v == w and hash(v) == hash(w)
         assert v.dim == k and v.ambient_dim == n
         pivot_rows = tuple(v.basis.row(i) for i in v.pivots)
         assert pivot_rows == Matrix.identity(k, ring).data
