@@ -127,7 +127,11 @@ class Node:
             yield from c.walk(f"{path}.{i}")
 
 
-Derivation = Node  # a certificate is its root node
+# an absorber is real or over one of the exact rings of the space's field
+_REAL_RINGS = ("rational", "qsqrt2", "qsqrt5")
+_ABSORBER_RINGS = {"R": _REAL_RINGS,
+                   "C": _REAL_RINGS + ("gauss_sqrt5",),
+                   "H": _REAL_RINGS + ("quat_rational", "quat_sqrt5")}
 
 
 def _grass_desc(field, n, k):
@@ -470,8 +474,13 @@ def _check_node(node: Node, path: str, violations: list):
         ex(isinstance(g, Matrix) and g.rows == g.cols,
            "absorber must be a square matrix")
         if isinstance(g, Matrix):
-            ex(g.scalar_ring().exact and is_unitary(g),
+            ring = g.scalar_ring()
+            ex(ring.exact and is_unitary(g),
                "absorber must be exactly unitary")
+            field = getattr(sp.base, "field", None)
+            ex(ring.name in _ABSORBER_RINGS.get(field, ()),
+               f"absorber over {ring.name} does not act on a space over "
+               f"{field}")
             amb = getattr(sp.base, "ambient_dim", None)
             ex(amb == g.rows, "absorber dimension must match the space")
 
@@ -630,12 +639,16 @@ def _node_from_json(obj) -> Node:
         rule = obj["rule"]
         if rule not in RULES:
             raise CertificateError(f"unknown rule {rule!r}")
+        children = obj.get("children", [])
+        if not isinstance(children, list):
+            raise CertificateError(
+                f"node children must be an array, not "
+                f"{type(children).__name__}")
         return Node(rule,
                     _space_from_json(obj["space"]),
                     _group_from_json(obj["group"]),
                     _params_from_json(obj.get("params", {})),
-                    tuple(_node_from_json(c)
-                          for c in obj.get("children", ())))
+                    tuple(_node_from_json(c) for c in children))
     except (KeyError, TypeError) as e:
         raise CertificateError(f"malformed certificate node: {e}")
 

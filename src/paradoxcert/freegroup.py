@@ -8,16 +8,21 @@ Three built-in generator pairs, each with exact entries:
                    (1/sqrt5)[[1,-2],[2,1]], entries in Q(sqrt5, i)
 * ``sp1-sqrt5`` -- unit quaternions (1+2i)/sqrt5 and (1+2j)/sqrt5
 
-plus block-embedded copies diag(g, I) in any larger dimension. Freeness is
-checked by exhaustive exact evaluation of every reduced word up to a length
-bound. The scan reads the letter matrices of any pair once as integers over
-one common denominator den (a quaternion as the real 4x4 matrix of right
-multiplication by it), so a word of length d is trivial iff its integer
-product is den**d * I, and each step is one integer dot product per entry.
+plus block-embedded copies diag(g, I) in any larger dimension.
 
-``ball_products`` walks a ball of words with their exact products, each
-built from its prefix's product and one letter matrix; the exceptional set
-and the verifier's absorber-is-not-a-pair-word scan read it.
+Every scan over the words of a ball is one integer walk,
+``_integer_products``. It reads the letter matrices of the root pair and a
+target matrix g (default I) once as integers over one common denominator
+den (a quaternion as the real 4x4 matrix of right multiplication by it),
+so a word of length d equals g iff its integer product is den**d * g, and
+each step is one integer dot product per entry. The freeness scan looks
+for I, the absorber-is-not-a-pair-word scan for the absorber, and the
+exceptional set rebuilds each word's exact product once from its integers
+to read its fixed axis.
+
+``absorber_check`` indexes the absorber orbit of the removed set D once,
+as {canonical line: least k with the line in g^k(D)}; its disjointness
+verdict and the verifier's classification both read that index.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 
-from .errors import ParadoxError
+from .errors import BackendMismatchError, ParadoxError
 from .linalg import (
     Matrix,
     block_embed_matrix,
@@ -35,26 +40,25 @@ from .linalg import (
     normalize_leading,
 )
 from .scalars import (
+    RING_RATIONAL,
     GaussSqrt5,
     QSqrt2,
     QSqrt5,
+    QuadExt,
     Quaternion,
     integer_forms,
 )
-from .words import A, IDENTITY, word_text
+from .words import A, ball_size, word_text
 
 
 class GeneratorPair:
     """A pair of exact unitary matrices expected to generate a free group."""
 
-    def __init__(self, name, kind, dim, letter_matrices, group_family,
-                 field, base=None):
+    def __init__(self, name, kind, dim, letter_matrices, base=None):
         self.name = name
         self.kind = kind          # so3 | su2 | sp1 | embedded
         self.dim = dim
         self._mats = letter_matrices  # tuple indexed by letter
-        self.group_family = group_family  # SO | U | Sp
-        self.field = field        # R | C | H
         self.base = base          # underlying pair for embedded copies
 
     def letter_matrix(self, letter: int) -> Matrix:
@@ -66,9 +70,8 @@ class GeneratorPair:
         if n < self.dim:
             raise ParadoxError("cannot embed into a smaller dimension")
         mats = tuple(block_embed_matrix(m, n) for m in self._mats)
-        return GeneratorPair(
-            f"{self.name}@{n}", "embedded", n, mats,
-            self.group_family, self.field, base=self)
+        return GeneratorPair(f"{self.name}@{n}", "embedded", n, mats,
+                             base=self)
 
     def root(self) -> "GeneratorPair":
         return self.base.root() if self.base is not None else self
@@ -94,8 +97,7 @@ def _so3_pair() -> GeneratorPair:
     # orthogonal with real entries: inverse = transpose
     return GeneratorPair(
         "so3-ab", "so3", 3,
-        (mat_a, mat_a.transpose(), mat_b, mat_b.transpose()),
-        "SO", "R")
+        (mat_a, mat_a.transpose(), mat_b, mat_b.transpose()))
 
 
 def _su2_pair() -> GeneratorPair:
@@ -112,8 +114,7 @@ def _su2_pair() -> GeneratorPair:
     from .linalg import conj_transpose
     return GeneratorPair(
         "su2-sqrt5", "su2", 2,
-        (ua, conj_transpose(ua), ub, conj_transpose(ub)),
-        "U", "C")
+        (ua, conj_transpose(ua), ub, conj_transpose(ub)))
 
 
 def _sp1_pair() -> GeneratorPair:
@@ -125,8 +126,7 @@ def _sp1_pair() -> GeneratorPair:
     mb = Matrix([(qb,)])
     return GeneratorPair(
         "sp1-sqrt5", "sp1", 1,
-        (ma, Matrix([(qa.conjugate(),)]), mb, Matrix([(qb.conjugate(),)])),
-        "Sp", "H")
+        (ma, Matrix([(qa.conjugate(),)]), mb, Matrix([(qb.conjugate(),)])))
 
 
 _PAIRS = {}
@@ -147,9 +147,6 @@ def get_pair(name: str) -> GeneratorPair:
         f"expected one of {sorted(_PAIRS)} or '<pair>@<dim>'")
 
 
-PAIR_NAMES = ("so3-ab", "su2-sqrt5", "sp1-sqrt5")
-
-
 def evaluate(word, pair: GeneratorPair) -> Matrix:
     """Exact product of letter matrices; empty word gives the identity."""
     ring = pair.letter_matrix(A).scalar_ring()
@@ -159,77 +156,79 @@ def evaluate(word, pair: GeneratorPair) -> Matrix:
     return out
 
 
-def ball_products(pair: GeneratorPair, max_len: int):
-    """(word, exact product) for every reduced word of length <= max_len.
-
-    Words come in ``enumerate_ball`` order. Each product is its prefix's
-    product times one letter matrix, the same multiplications ``evaluate``
-    makes, and only the products of the previous length are kept.
-    """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
-    ring = pair.letter_matrix(A).scalar_ring()
-    frontier = [(IDENTITY, Matrix.identity(pair.dim, ring))]
-    yield frontier[0]
-    for length in range(1, max_len + 1):
-        nxt = []
-        for w, m in frontier:
-            for x in range(4):
-                if w and x == (w[-1] ^ 1):
-                    continue
-                item = (w + (x,), matmul(m, pair.letter_matrix(x)))
-                if length < max_len:
-                    nxt.append(item)
-                yield item
-        frontier = nxt
-
-
 # 1, i, j, k: row e of the real form of a quaternion q holds e * q
 _UNITS = tuple(Quaternion(*(Fraction(int(e == c)) for c in range(4)))
                for e in range(4))
 
 
-def _real_form(m: Matrix):
-    """(rows, stride): m over a commutative field, and the stride of the
-    rows that determine a product.
+def _real_form(rows, quaternionic):
+    """The rows of a matrix over a commutative field.
 
-    A quaternion entry q becomes the 4x4 block of right multiplication by q
-    on components (w, x, y, z), whose row e holds e * q; a product is then
-    determined by its rows at e = 1. Any other matrix is its own real form.
+    Over a quaternionic pair each entry q becomes the 4x4 block of right
+    multiplication by q on components (w, x, y, z), whose row e holds
+    e * q; a product is then determined by its rows at e = 1. Any other
+    matrix is its own real form.
     """
-    if not isinstance(m[0, 0], Quaternion):
-        return m.data, 1
-    rows = []
-    for row in m.data:
+    if not quaternionic:
+        return rows
+    out = []
+    for row in rows:
         for e in _UNITS:
             prods = [e * q for q in row]
-            rows.append(tuple(c for p in prods for c in (p.w, p.x, p.y, p.z)))
-    return rows, 4
+            out.append(tuple(c for p in prods for c in (p.w, p.x, p.y, p.z)))
+    return out
 
 
-def _integer_products(pair: GeneratorPair, max_len: int):
-    """(den, ones, products): the freeness scan's integer products.
+def _rational(x):
+    """x as a Fraction when its value is rational, else x itself.
 
-    The letter matrices of ``pair.root()`` are read once, in real form, as
-    integers over one common den by ``integer_forms``. ``products`` yields
-    (word, rows) depth first for every nonidentity reduced word of length
-    <= max_len: the rows that determine the word's product, times
-    den**len(word), as integer forms. ``ones[d]`` holds those rows of
-    den**d * I, so a word is trivial iff its rows equal
-    ``ones[len(word)]``.
+    A rational mixes with every pair's field, whatever ring it was written
+    over.
     """
+    if isinstance(x, Quaternion) and not (x.x or x.y or x.z):
+        x = x.w
+    if isinstance(x, QuadExt) and not (x.b or x.c or x.d):
+        return Fraction(x.a, x.den)
+    return x
+
+
+def _integer_products(pair: GeneratorPair, max_len: int, target=None):
+    """(den, targets, products, exact): the one integer walk over words.
+
+    The letter matrices of ``pair.root()`` and the target g (default I, a
+    square matrix of the root's size) are read once, in real form, as
+    integers over one common den by ``integer_forms``; g's rational-valued
+    entries are read as rationals. ``products`` yields (word, rows) depth
+    first for every nonidentity reduced word of length <= max_len: the
+    rows that determine the word's product, times den**len(word), as
+    integer forms. ``targets[d]`` holds those rows of den**d * g, so a
+    word equals g iff its rows equal ``targets[len(word)]``.
+    ``exact(rows, d)`` rebuilds the exact product, in ``pair.dim``, from
+    the rows of a word of length d.
+
+    Raises BackendMismatchError when an entry of g lies in a field that
+    does not mix with the pair's: no word equals such a g. A negative
+    max_len raises ValueError.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
     root = pair.root()
-    forms = [_real_form(root.letter_matrix(x)) for x in range(4)]
-    size, stride = len(forms[0][0]), forms[0][1]
-    ident = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
-    den, cols, dot = integer_forms(
-        [c for rows, _ in forms for c in zip(*rows)] + ident)
-    # cols[x]: the columns of letter x, and cols[4] those of den * I
-    cols = [cols[k * size:(k + 1) * size] for k in range(5)]
-    kept = range(0, size, stride)
-    ones = [None, [list(cols[4][i]) for i in kept]]
-    while len(ones) <= max_len:
-        ones.append([[dot(r, c) for c in cols[4]] for r in ones[-1]])
+    quaternionic = isinstance(root.letter_matrix(A)[0, 0], Quaternion)
+    ident = Matrix.identity(root.dim, RING_RATIONAL).data
+    g = ident if target is None else [[_rational(x) for x in row]
+                                      for row in target.data]
+    forms = [_real_form(m, quaternionic) for m in
+             [root.letter_matrix(x).data for x in range(4)] + [g, ident]]
+    size = len(forms[0])
+    den, cols, dot, read = integer_forms(
+        [c for rows in forms for c in zip(*rows)])
+    # cols[x]: the columns of letter x; cols[4] those of den * g, and
+    # cols[5] those of den * I
+    cols = [cols[k * size:(k + 1) * size] for k in range(6)]
+    kept = range(0, size, 4 if quaternionic else 1)
+    targets = [None, [[c[i] for c in cols[4]] for i in kept]]
+    while len(targets) <= max_len:
+        targets.append([[dot(r, c) for c in cols[5]] for r in targets[-1]])
 
     def products():
         # depth-first with an explicit stack; it never exceeds ~3 * max_len
@@ -245,7 +244,16 @@ def _integer_products(pair: GeneratorPair, max_len: int):
                         stack.append(([[dot(r, c) for c in cols[x]]
                                        for r in m], w + (x,)))
 
-    return den, ones, products()
+    def exact(rows, length):
+        n = den ** length
+        entries = [[read(x, n) for x in r] for r in rows]
+        if quaternionic:
+            entries = [[Quaternion(*r[i:i + 4]) for i in range(0, len(r), 4)]
+                       for r in entries]
+        m = Matrix(entries)
+        return m if pair is root else block_embed_matrix(m, pair.dim)
+
+    return den, targets, products(), exact
 
 
 def check_freeness(pair: GeneratorPair, max_len: int) -> dict:
@@ -253,15 +261,12 @@ def check_freeness(pair: GeneratorPair, max_len: int) -> dict:
 
     Passes when none evaluates to the identity. The word count is always
     2 * 3**max_len - 2 (the ball minus the empty word), so none at
-    max_len = 0; a negative max_len raises ValueError, as in
-    ``ball_products``.
+    max_len = 0.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
     start = time.monotonic()
     counterexample = None
     checked = 0
-    _, ones, products = _integer_products(pair, max_len)
+    _, ones, products, _ = _integer_products(pair, max_len)
     for w, m in products:
         checked += 1
         if m == ones[len(w)]:
@@ -276,6 +281,24 @@ def check_freeness(pair: GeneratorPair, max_len: int) -> dict:
                            if counterexample else None),
         "elapsed_s": round(time.monotonic() - start, 3),
     }
+
+
+def pair_word_scan(pair: GeneratorPair, max_len: int, g: Matrix):
+    """(words scanned, texts of the root pair's reduced words of length
+    <= max_len that equal g, in ``enumerate_ball`` order).
+
+    The identity word is checked first, so every word of the ball is
+    scanned. A g with an entry outside every field the words live in
+    equals none of them.
+    """
+    hits = [()] if g == Matrix.identity(g.rows, RING_RATIONAL) else []
+    try:
+        _, targets, products, _ = _integer_products(pair, max_len, g)
+    except BackendMismatchError:
+        targets, products = None, ()
+    hits += sorted((w for w, rows in products if rows == targets[len(w)]),
+                   key=lambda w: (len(w), w))
+    return ball_size(max_len), [word_text(w) for w in hits]
 
 
 def _require_so3(pair: GeneratorPair):
@@ -305,10 +328,12 @@ def axis_of(word, pair: GeneratorPair):
 
 
 def exceptional_set(pair: GeneratorPair, max_len: int) -> frozenset:
-    """Canonical fixed lines of all nonidentity words of length <= max_len."""
+    """Canonical fixed lines of all nonidentity words of length <= max_len,
+    each read off the word's exact product rebuilt from the integer walk."""
     _require_so3(pair)
-    return frozenset(_fixed_line(m, w)
-                     for w, m in ball_products(pair, max_len) if w)
+    _, _, products, exact = _integer_products(pair, max_len)
+    return frozenset(_fixed_line(exact(rows, len(w)), w)
+                     for w, rows in products)
 
 
 def default_absorber() -> Matrix:
@@ -344,29 +369,27 @@ def plane_rotation(n: int, i: int, j: int) -> Matrix:
 def absorber_check(g: Matrix, lines, bound: int) -> dict:
     """Check g^m(D) and g^n(D) are disjoint for all 0 <= m < n <= bound.
 
-    ``lines`` is an iterable of canonical line vectors (the finite stand-in
-    for the removed set D). Disjointness is tested literally on hashed
-    canonical forms of every power image. The result's ``levels[k]`` is the
-    set of those forms for g^k(D), so callers can index the orbit without
-    computing it again.
+    ``lines`` is an iterable of line vectors (the finite stand-in for the
+    removed set D). One pass over the powers builds ``index``, which maps
+    the canonical form of every line of g^k(D), k <= bound, to its least
+    k. g is a bijection on lines, so g^m(D) meets g^n(D) iff D meets
+    g^(n-m)(D): the least colliding pair is always (0, j), for the first
+    level j >= 1 with a line the index already holds.
     """
-    levels = []
     current = [tuple(v) for v in lines]
-    for _ in range(bound + 1):
-        levels.append(frozenset(normalize_leading(v) for v in current))
-        current = [mat_vec(g, v) for v in current]
+    index = {normalize_leading(v): 0 for v in current}
+    set_size = len(index)
     collision = None
-    for m in range(bound + 1):
-        if collision:
-            break
-        for n in range(m + 1, bound + 1):
-            if levels[m] & levels[n]:
-                collision = (m, n)
-                break
+    for k in range(1, bound + 1):
+        current = [mat_vec(g, v) for v in current]
+        for v in current:
+            if index.setdefault(normalize_leading(v), k) < k \
+                    and collision is None:
+                collision = (0, k)
     return {
         "bound": bound,
-        "set_size": len(levels[0]),
+        "set_size": set_size,
         "ok": collision is None,
         "first_collision": collision,
-        "levels": levels,
+        "index": index,
     }

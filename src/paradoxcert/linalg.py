@@ -62,8 +62,9 @@ class Matrix:
         raise AttributeError("immutable")
 
     def __reduce__(self):
-        # copy and pickle rebuild through the constructor, not the slots
-        return Matrix, (self.data,)
+        # copy and pickle rebuild from the rows, not the slots; an n x 0
+        # matrix (the zero subspace's basis) has no entry to validate
+        return Matrix._of_rows, (self.data,)
 
     @classmethod
     def _of_rows(cls, data):
@@ -80,11 +81,6 @@ class Matrix:
         z, o = ring.zero, ring.one
         return cls(tuple(o if i == j else z for j in range(n))
                    for i in range(n))
-
-    @classmethod
-    def zero(cls, rows, cols, ring: Ring):
-        z = ring.zero
-        return cls(tuple(z for _ in range(cols)) for _ in range(rows))
 
     @classmethod
     def from_columns(cls, columns):

@@ -642,12 +642,15 @@ def dot_products(rows, cols):
 
 
 def integer_forms(vectors):
-    """(den, forms, dot): exact vectors read once as integers over one den.
+    """(den, forms, dot, read): exact vectors read once as integers over
+    one den, and the reader's inverse.
 
     The entries are Fractions or QuadExt elements whose classes mix, taken
     in the class ``*`` gives them together; each becomes its integer form
     over the common den, as ``dot_products`` reads it.  ``dot(x, y)`` is
-    the integer form of sum_k x[k] y[k] over den**2 for two such forms.
+    the integer form of sum_k x[k] y[k] over den**2 for two such forms,
+    and ``read(x, n)`` is the exact scalar of that class whose integer
+    form over n is x.
     """
     cls = Fraction
     for c in set(map(type, chain.from_iterable(vectors))):
@@ -661,7 +664,8 @@ def integer_forms(vectors):
                 for x in v] for v in vectors]
     den, forms = _int_form(vectors, cls, width)
     D = cls.D if cls is not Fraction else None
-    return den, forms, lambda x, y: dot(x, y, D)
+    return (den, forms, lambda x, y: dot(x, y, D),
+            lambda x, n: _canonical(cls, x, n))
 
 
 def _components(x):

@@ -134,8 +134,6 @@ class Flag:
         return self.dims[-1]
 
 
-SpaceDescriptor = (Sphere, Projective, Grassmann, Flag)
-
 _DESC_RE = re.compile(
     r"^\s*(sphere|proj|grass|flag)\s*\(\s*([^)]*)\s*\)\s*$")
 
@@ -254,18 +252,6 @@ def natural_group(desc) -> GroupTag:
     if isinstance(desc, Sphere):
         return GroupTag("SO", desc.n + 1)
     return GroupTag(_FAMILY_BY_FIELD[desc.field], desc.ambient_dim)
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    matrix: Matrix
-    tag: GroupTag
-
-    def __post_init__(self):
-        if self.matrix.rows != self.tag.matrix_dim:
-            raise DimensionMismatchError(
-                f"{self.tag.text} element must be "
-                f"{self.tag.matrix_dim}x{self.tag.matrix_dim}")
 
 
 # --------------------------------------------------------------------------
@@ -415,7 +401,8 @@ class Subspace:
 
     @property
     def exact(self):
-        return self.basis.scalar_ring().exact
+        # the zero subspace has no entry and is the same in every lane
+        return not self.dim or self.basis.scalar_ring().exact
 
     @property
     def projector(self) -> Matrix:
@@ -526,15 +513,14 @@ class FlagPoint:
 # operations
 # --------------------------------------------------------------------------
 
-def act(g, point):
-    """Apply a group element (or bare matrix) to a point of any space type.
+def act(m, point):
+    """Apply a matrix to a point of any space type.
 
     A float point is moved by the float copy of the matrix and an exact
     point by the exact matrix. Exact entries mix by value whatever their
     class, so a rational matrix moves a point over any field; entries from
     fields that do not mix raise BackendMismatchError.
     """
-    m = g.matrix if isinstance(g, GroupElement) else g
     if isinstance(point, FlagPoint):
         return FlagPoint(act(m, c) for c in point.components)
     if not isinstance(point, (SpherePoint, Subspace)):

@@ -10,10 +10,11 @@ module checks their finitely checkable consequences at a chosen depth:
   bookkeeping on the radius-(L-1) fragment;
 * absorber claims -> pairwise disjointness of the absorber orbit of the
   removed set up to a bound M, a scan that the absorber is no pair word
-  of length <= min(L, 6) (products built from their prefixes), plus a
-  bounded equidecomposition witness; the orbit computed for the
-  disjointness test also indexes absorbed points, and its float copy is
-  built only when a float point is classified;
+  of length <= min(L, 6) (the integer walk of ``freegroup``, which also
+  checks freeness), plus a bounded equidecomposition witness; the index
+  {line: least power} that the disjointness test builds also classifies
+  absorbed points, and its float copy is made only when a float point is
+  classified;
 * equivariant-map claims -> catalog selftests and section/replay checks
   on every transported sample;
 * every transported sample carries a piece label (its provenance); at the
@@ -29,7 +30,7 @@ and those are matched within a tolerance.
 An exact point is keyed by its canonical vector: a ray by the
 ``(sign, direction)`` of ``ray_canonical`` (``SpherePoint.key()``), a line
 by the leading-1 vector ``ProjectivePoint`` stores (as the
-``absorber_check`` levels hold it), read without any row reduction.  Equal
+``absorber_check`` index holds it), read without any row reduction.  Equal
 exact scalars are ``==`` and hash alike in every class, so a key built
 over one ring finds a key built over another.
 
@@ -79,10 +80,10 @@ from .errors import (
 )
 from .freegroup import (
     absorber_check,
-    ball_products,
     check_freeness,
     exceptional_set,
     get_pair,
+    pair_word_scan,
 )
 from .linalg import (
     Matrix,
@@ -92,7 +93,6 @@ from .linalg import (
     mat_vec,
     normalize_leading,
     ray_canonical,
-    to_float_matrix,
 )
 from .sampling import random_unitary, rng_for
 from .scalars import (
@@ -431,11 +431,11 @@ def _field_of(base) -> str:
 
 
 def _float_in_field(x, field: str):
-    """Rational scalar into the float lane of the given field."""
-    v = float(x)
+    """Exact scalar into the float lane of the given field."""
+    v = to_float_scalar(x)
     if field == "C":
-        return complex(v, 0.0)
-    if field == "H":
+        return complex(v)
+    if field == "H" and not isinstance(v, Quaternion):
         return Quaternion(v, 0.0, 0.0, 0.0)
     return v
 
@@ -486,11 +486,10 @@ class CertVerifier:
             return orbit_fragment(space, seed, pair, depth)
         return self._fact(self._node_key(node, path), build)
 
-    def _fragment_float_index(self, node: Node, path: str):
-        """(reps array, labels) for nearest-point classification."""
-        frag = self._fragment_for(node, path)
-        return self._fact(("float index", self._node_key(node, path)),
-                          lambda: _float_index(frag))
+    def _float_index(self, node: Node, path: str, build):
+        """(reps array, values) of a node's fact for nearest-point
+        matching, built from the fact on the first float query."""
+        return self._fact(("float index", self._node_key(node, path)), build)
 
     def _removed_dirs(self, removed, base):
         """Deterministic list of line directions realizing the removed set."""
@@ -508,39 +507,30 @@ class CertVerifier:
             f"absorption over removed set {removed!r} is not supported")
 
     def _absorb_context(self, node: Node, path: str) -> dict:
-        """The absorber's disjointness check and its g^k(D) orbit index.
-
-        The exact orbit is the one ``absorber_check`` tests for
-        disjointness; its canonical lines are keyed here and then dropped.
-        The float lane is built by ``_absorbed_level`` on the first float
-        point it is asked about.
-        """
+        """The absorber's disjointness check, whose ``index`` maps each
+        line of g^k(D), k <= bound, to its least k."""
         def build():
             g = node.params["absorber"]
             dirs = self._removed_dirs(node.children[0].space.removed,
                                       node.space.base)
-            ab = absorber_check(g, dirs, self.config.absorber_bound)
-            exact_levels = {}
-            for lvl, level in enumerate(ab.pop("levels")):
-                for v in level:
-                    exact_levels.setdefault(v, lvl)
-            return {"g": g, "gf": to_float_matrix(g), "dirs": dirs,
-                    "field": _field_of(node.space.base),
-                    "absorber_check": ab, "exact_levels": exact_levels}
+            return {"g": g, "dirs": dirs,
+                    "absorber_check": absorber_check(
+                        g, dirs, self.config.absorber_bound)}
         return self._fact(self._node_key(node, path), build)
 
-    def _absorbed_level(self, ctx, point):
-        """Bounded membership of the point's line in the absorber orbit."""
+    def _absorbed_level(self, node: Node, path: str, point):
+        """Least k <= bound with the point's line in g^k(D), or None.
+
+        A float point is matched against the float copy of the index,
+        made on the first float query.
+        """
+        index = self._absorb_context(node, path)["absorber_check"]["index"]
         if getattr(point, "exact", True):
-            return ctx["exact_levels"].get(_point_line_key(point))
-        if "float_arr" not in ctx:
-            _build_float_lane(ctx)
-        rep = _point_line_rep(point)
-        d2 = ((ctx["float_arr"] - rep) ** 2).sum(axis=1)
-        i = int(np.argmin(d2))
-        if d2[i] <= _NEAREST_TOL ** 2:
-            return ctx["float_levels"][i]
-        return None
+            return index.get(_point_line_key(point))
+        field = _field_of(node.space.base)
+        return _nearest(self._float_index(
+            node, path, lambda: _line_float_index(index, field)),
+            _point_line_rep(point))
 
     def _map_for(self, node: Node, path: str):
         return self._fact(self._node_key(node, path),
@@ -564,12 +554,11 @@ class CertVerifier:
                        else _point_line_key(point))
                 w = frag.index.get(key)
                 return "Unknown" if w is None else classify_prefix(w)
-            arr, labels = self._fragment_float_index(node, path)
-            rep = (_point_ray_rep(point) if frag.kind == "ray"
-                   else _point_line_rep(point))
-            d2 = ((arr - rep) ** 2).sum(axis=1)
-            i = int(np.argmin(d2))
-            return labels[i] if d2[i] <= _NEAREST_TOL ** 2 else "Unknown"
+            reps = self._float_index(
+                node, path, lambda: _fragment_float_index(frag))
+            label = _nearest(reps, _point_ray_rep(point) if frag.kind == "ray"
+                             else _point_line_rep(point))
+            return "Unknown" if label is None else label
         if rule in ("SubgroupLift",):
             return self.classify(point, node.children[0], path + ".0")
         if rule == "StarEmbed":
@@ -599,9 +588,7 @@ class CertVerifier:
                                             path + ".1")
             return "A:" + self.classify(point, node.children[0], path + ".0")
         if rule == "CountableAbsorb":
-            ctx = self._absorb_context(node, path)
-            lvl = self._absorbed_level(ctx, point)
-            if lvl is not None:
+            if self._absorbed_level(node, path, point) is not None:
                 return "absorbed"
             return self.classify(point, node.children[0], path + ".0")
         if rule == "Intertwine":
@@ -843,7 +830,7 @@ class CertVerifier:
             depth = min(cfg.depth, 6)
             scanned, hits = self._fact(
                 ("pair words", removed.pair, depth, g.scalar_ring().name, g),
-                lambda: _pair_word_scan(get_pair(removed.pair), depth, g))
+                lambda: pair_word_scan(get_pair(removed.pair), depth, g))
             failures.extend(f"absorber equals pair word {w}" for w in hits)
             checks += scanned
         else:
@@ -854,10 +841,10 @@ class CertVerifier:
 
         # 3. bounded equidecomposition witness X ~ X minus D
         def absorbed(x):
-            return self._absorbed_level(ctx, x) is not None
+            return self._absorbed_level(node, path, x) is not None
 
         def outside_removed(x):
-            lvl = self._absorbed_level(ctx, x)
+            lvl = self._absorbed_level(node, path, x)
             return lvl is None or lvl >= 1
 
         witness = EquidecompWitness(
@@ -871,8 +858,8 @@ class CertVerifier:
                 else ("float", tuple(np.round(_point_line_rep(x), 6)))))
 
         child = list(child_samples[0])
-        removed_hits = sum(
-            1 for s in child if self._absorbed_level(ctx, s.point) == 0)
+        levels = [self._absorbed_level(node, path, s.point) for s in child]
+        removed_hits = levels.count(0)
         if removed_hits:
             failures.append(
                 f"{removed_hits} child samples lie in the removed set "
@@ -884,8 +871,7 @@ class CertVerifier:
         if not eq_rep["ok"]:
             failures.extend(eq_rep["failures"][:5])
 
-        bounded = sum(1 for s in child
-                      if self._absorbed_level(ctx, s.point) is None)
+        bounded = levels.count(None)
         samples = child + absorbed_samples
         samples = self._subsample(samples, path, "merge")
         stats = {"absorber_check": {"bound": ab["bound"],
@@ -1043,7 +1029,16 @@ def _fragment_inputs(node: Node, depth: int):
     raise VerificationError(f"no fragment at rule {node.rule}")
 
 
-def _float_index(frag: Fragment):
+def _nearest(float_index, rep):
+    """The value of the float index row nearest rep, or None when no row
+    lies within _NEAREST_TOL."""
+    arr, values = float_index
+    d2 = ((arr - rep) ** 2).sum(axis=1)
+    i = int(np.argmin(d2))
+    return values[i] if d2[i] <= _NEAREST_TOL ** 2 else None
+
+
+def _fragment_float_index(frag: Fragment):
     """(float reps array, piece labels) of a fragment's points."""
     reps, labels = [], []
     for w in frag.words:
@@ -1058,31 +1053,11 @@ def _float_index(frag: Fragment):
     return np.vstack(reps), labels
 
 
-def _pair_word_scan(pair, depth: int, g: Matrix):
-    """(words scanned, texts of the pair words equal to g) up to depth."""
-    scanned = 0
-    hits = []
-    for w, m in ball_products(pair, depth):
-        scanned += 1
-        if m == g:
-            hits.append(word_text(w))
-    return scanned, hits
-
-
-def _build_float_lane(ctx):
-    """Float projectors of g^k(D), k = 0..bound, level by level."""
-    g, bound = ctx["gf"], ctx["absorber_check"]["bound"]
-    cur = [tuple(_float_in_field(x, ctx["field"]) for x in d)
-           for d in ctx["dirs"]]
-    reps, levels = [], []
-    for lvl in range(bound + 1):
-        for d in cur:
-            reps.append(_vec_line_rep(d))
-            levels.append(lvl)
-        if lvl < bound:
-            cur = [mat_vec(g, d) for d in cur]
-    ctx["float_arr"] = np.vstack(reps)
-    ctx["float_levels"] = levels
+def _line_float_index(index: dict, field: str):
+    """(float reps array, least powers) of an absorber index's lines, in
+    the float lane of the field."""
+    return (np.vstack([_vec_line_rep([_float_in_field(x, field) for x in v])
+                       for v in index]), list(index.values()))
 
 
 def _absorbed_samples(node, ctx) -> list:

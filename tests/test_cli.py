@@ -5,7 +5,22 @@ import json
 
 import pytest
 
+from fractions import Fraction
+
 from paradoxcert.cli import main
+from paradoxcert.freegroup import (
+    absorber_check,
+    default_absorber,
+    exceptional_set,
+    get_pair,
+)
+from paradoxcert.linalg import (
+    Matrix,
+    mat_vec,
+    matrix_to_json,
+    normalize_leading,
+)
+from paradoxcert.scalars import RINGS
 
 
 def test_derive_writes_a_certificate(tmp_path, capsys):
@@ -205,6 +220,10 @@ _DUALITY = _map_params((0, 1, 0))  # EquidecompTransfer by duality
     (_on("sphere(3)", lambda blob: blob["root"]["children"][0]["children"][0]
          ["params"].update(args="x")),
      "sphere_drop args must be (k), not 'x'"),
+    (lambda blob: _base(blob).update(children={}),
+     "node children must be an array, not dict"),
+    (lambda blob: _base(blob).update(children="x"),
+     "node children must be an array, not str"),
 ], ids=["space", "group", "root", "params", "removed", "seed-strings",
         "seed-lists", "seed-number", "seed-bool", "seed-float",
         "seed-huge-float", "absorber-literal", "absorber-zero-denominator",
@@ -214,7 +233,7 @@ _DUALITY = _map_params((0, 1, 0))  # EquidecompTransfer by duality
         "projective-zero", "root-group-pair", "grass-slice-arg-type",
         "grass-slice-arity", "pullback-map-object", "duality-arity",
         "duality-args-null", "flag-dims-type", "proj-drop-arity",
-        "sphere-drop-args-type"])
+        "sphere-drop-args-type", "children-object", "children-string"])
 def test_verify_rejects_a_broken_envelope(tmp_path, capsys, mutate, message):
     cert = tmp_path / "cert.json"
     main(["derive", getattr(mutate, "desc", "sphere(2)"), "-o", str(cert)])
@@ -285,6 +304,122 @@ def test_count_flags_below_one_exit_2(argv, tmp_path, capsys):
     capsys.readouterr()
     assert main([a.format(cert=cert) for a in argv]) == 2
     assert "expected an integer >= 1" in capsys.readouterr().err
+
+
+def _sphere2_with_absorber(tmp_path, g):
+    """A sphere(2) certificate file whose absorber is g."""
+    cert = tmp_path / "cert.json"
+    assert main(["derive", "sphere(2)", "-o", str(cert)]) == 0
+    blob = json.loads(cert.read_text())
+    blob["root"]["params"]["absorber"] = {"__matrix__": matrix_to_json(g)}
+    cert.write_text(json.dumps(blob))
+    return cert
+
+
+def _default_absorber_over(ring_name):
+    ring = RINGS[ring_name]
+    return Matrix([[ring.from_rational(x) for x in r]
+                   for r in default_absorber().data])
+
+
+def _verify_at_depth_3(tmp_path, cert, capsys):
+    """(exit code, report, stderr) of CLI verify at depth 3."""
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    rc = main(["verify", str(cert), "--depth", "3", "-o", str(report)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return rc, report, err
+
+
+def _root_failures(report):
+    blob = json.loads(report.read_text())
+    return [f for n in blob["nodes"] if n["path"] == "0"
+            for f in n["failures"]]
+
+
+@pytest.mark.parametrize("ring", ["gauss_sqrt5", "quat_rational",
+                                  "quat_sqrt5"])
+def test_an_absorber_over_a_foreign_field_is_a_named_violation(
+        ring, tmp_path, capsys):
+    # still exactly unitary, but no line of S^2 can be moved by it
+    cert = _sphere2_with_absorber(tmp_path, _default_absorber_over(ring))
+    rc, _, err = _verify_at_depth_3(tmp_path, cert, capsys)
+    assert rc == 1
+    assert f"structure: 0: absorber over {ring} does not act on a space " \
+           f"over R" in err
+
+
+def test_a_real_absorber_over_another_field_reports_the_same_bytes(
+        tmp_path, capsys):
+    # Q(sqrt5) does not mix with the pair's Q(sqrt2): the pair-word scan
+    # reads the rational values the absorber holds
+    reports = []
+    for ring in ("rational", "qsqrt5"):
+        out = tmp_path / ring
+        out.mkdir()
+        cert = _sphere2_with_absorber(out, _default_absorber_over(ring))
+        rc, report, _ = _verify_at_depth_3(out, cert, capsys)
+        assert rc == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_the_identity_absorber_is_a_pair_word_and_keeps_d_in_place(
+        tmp_path, capsys):
+    ident = Matrix.identity(3, RINGS["rational"])
+    cert = _sphere2_with_absorber(tmp_path, ident)
+    rc, report, _ = _verify_at_depth_3(tmp_path, cert, capsys)
+    assert rc == 1
+    failures = _root_failures(report)
+    assert "absorber orbit self-intersects: (0, 1)" in failures
+    assert "absorber equals pair word e" in failures
+    assert any(f.startswith("image of absorbed-orbit sample left the target")
+               for f in failures)
+
+
+def _rotation_by_90(axis, norm):
+    """The quarter turn about the rational unit vector axis / norm."""
+    n = [Fraction(c, norm) for c in axis]
+    cross = [[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]]
+    return Matrix([[n[i] * n[j] + cross[i][j] for j in range(3)]
+                   for i in range(3)])
+
+
+def test_a_quarter_turn_absorber_names_the_least_collision(tmp_path, capsys):
+    g = _rotation_by_90((2, 3, 6), 7)
+    lines = sorted(exceptional_set(get_pair("so3-ab"), 4), key=repr)
+    levels = []
+    current = list(lines)
+    for _ in range(51):
+        levels.append({normalize_leading(v) for v in current})
+        current = [mat_vec(g, v) for v in current]
+    pairs = [(m, n) for m in range(51) for n in range(m + 1, 51)
+             if levels[m] & levels[n]]
+    assert min(pairs) == (0, 2)   # g^4 = I, but g^2 already meets D
+    assert absorber_check(g, lines, 50)["first_collision"] == min(pairs)
+    cert = _sphere2_with_absorber(tmp_path, g)
+    rc, report, _ = _verify_at_depth_3(tmp_path, cert, capsys)
+    assert rc == 1
+    assert "absorber orbit self-intersects: (0, 2)" in _root_failures(report)
+
+
+def test_a_sample_in_the_removed_set_is_named(tmp_path, capsys,
+                                              monkeypatch):
+    # a removed set that also holds the line of the transport seed (1, 2, 3)
+    from paradoxcert import verification
+    real = verification.exceptional_set
+
+    def with_the_seed_line(pair, max_len):
+        return real(pair, max_len) | {normalize_leading(
+            (Fraction(1), Fraction(2), Fraction(3)))}
+    monkeypatch.setattr(verification, "exceptional_set", with_the_seed_line)
+    cert = tmp_path / "cert.json"
+    assert main(["derive", "sphere(2)", "-o", str(cert)]) == 0
+    rc, report, _ = _verify_at_depth_3(tmp_path, cert, capsys)
+    assert rc == 1
+    assert "1 child samples lie in the removed set claimed deleted" in \
+        _root_failures(report)
 
 
 def test_verify_tampered_certificate_exits_1(tmp_path, capsys):

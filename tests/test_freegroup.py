@@ -10,12 +10,12 @@ from paradoxcert.freegroup import (
     _integer_products,
     absorber_check,
     axis_of,
-    ball_products,
     check_freeness,
     default_absorber,
     evaluate,
     exceptional_set,
     get_pair,
+    pair_word_scan,
     plane_rotation,
 )
 from paradoxcert.linalg import (
@@ -102,7 +102,7 @@ def _quarter_turn_pair(kind):
     b = Matrix([(f(1), f(0), f(0)), (f(0), f(3, 5), f(-4, 5)),
                 (f(0), f(4, 5), f(3, 5))])
     return GeneratorPair("quarter", kind, 3,
-                         (a, a.transpose(), b, b.transpose()), "SO", "R")
+                         (a, a.transpose(), b, b.transpose()))
 
 
 @pytest.mark.parametrize("kind", ["so3", "rational"])
@@ -134,21 +134,56 @@ def _component_rows(m):
 def test_the_integer_scan_is_den_powers_times_the_exact_products(name):
     pair = get_pair(name)
     root = pair.root()
-    den, ones, products = _integer_products(pair, 5)
-    seen = []
-    for w, rows in products:
-        seen.append(w)
-        exact = evaluate(w, root)
-        if pair is not root:
-            assert evaluate(w, pair) == block_embed_matrix(exact, pair.dim)
-        n = den ** len(w)
-        assert rows == [[_over(x, n) for x in r]
-                        for r in _component_rows(exact)], (name, w)
-    assert sorted(seen) == sorted(w for w in enumerate_ball(5) if w)
     ident = Matrix.identity(root.dim, root.letter_matrix(0).scalar_ring())
-    for d in range(1, 6):
-        assert ones[d] == [[_over(x, den ** d) for x in r]
-                           for r in _component_rows(ident)]
+    target = evaluate(parse_word("aB"), root)
+    for g in (None, target):
+        want = ident if g is None else g
+        den, targets, products, exact = _integer_products(pair, 5, g)
+        seen, hits = [], []
+        for w, rows in products:
+            seen.append(w)
+            product = evaluate(w, root)
+            n = den ** len(w)
+            assert rows == [[_over(x, n) for x in r]
+                            for r in _component_rows(product)], (name, w)
+            assert exact(rows, len(w)) == evaluate(w, pair), (name, w)
+            if rows == targets[len(w)]:
+                hits.append(w)
+        assert sorted(seen) == sorted(w for w in enumerate_ball(5) if w)
+        assert hits == ([] if g is None else [parse_word("aB")])
+        for d in range(1, 6):
+            assert targets[d] == [[_over(x, den ** d) for x in r]
+                                  for r in _component_rows(want)]
+
+
+def _written_over(m, cls):
+    """m with each rational entry written over the field class cls."""
+    return Matrix([[cls(x) for x in r] for r in m.data])
+
+
+def test_the_pair_word_scan_finds_g_among_the_ball():
+    from paradoxcert.scalars import RING_QSQRT5, QSqrt2, QSqrt5
+    pair = get_pair("so3-ab")
+    as_qsqrt5 = lambda m: _written_over(m, QSqrt5)
+    assert pair_word_scan(pair, 4, evaluate(parse_word("abAb"), pair)) \
+        == (161, ["abAb"])
+    assert pair_word_scan(pair, 6, Matrix.identity(3, RING_QSQRT5)) \
+        == (1457, ["e"])
+    # a rational absorber written over Q(sqrt5), whose irrationals do not
+    # mix with Q(sqrt2), is read as the rationals it holds
+    assert pair_word_scan(pair, 4, as_qsqrt5(default_absorber())) \
+        == (161, [])
+    # an irrational of Q(sqrt5) lies in no word of so3-ab
+    root5 = Matrix([[QSqrt5(0, 1) if i == j else QSqrt5(0)
+                     for j in range(3)] for i in range(3)])
+    assert pair_word_scan(pair, 4, root5) == (161, [])
+    # a^2 = A^2 for the quarter turn, here written over Q(sqrt2): the
+    # rational a^2 written over Q(sqrt5) is found, in enumerate_ball order
+    rational = _quarter_turn_pair("so3")
+    quarter = GeneratorPair("quarter", "so3", 3, tuple(
+        _written_over(rational.letter_matrix(x), QSqrt2) for x in range(4)))
+    a2 = as_qsqrt5(evaluate(parse_word("aa"), rational))
+    assert pair_word_scan(quarter, 3, a2) == (53, ["aa", "AA"])
 
 
 def test_axis_of_generators():
@@ -184,15 +219,6 @@ def test_exceptional_set_counts_and_growth():
     assert len(d2) == 6
     assert len(d4) == 66
     assert d1 <= d2 <= d4
-
-
-def test_ball_products_follow_the_ball_with_exact_products():
-    for name in PAIRS + ("sp1-sqrt5@2",):
-        pair = get_pair(name)
-        got = list(ball_products(pair, 4))
-        assert [w for w, _ in got] == list(enumerate_ball(4))
-        for w, m in got:
-            assert m == evaluate(w, pair), (name, w)
 
 
 def test_exceptional_set_is_the_axes_of_the_ball():

@@ -3,8 +3,9 @@
 No linter ships with the project, so this parses each module with ``ast``
 and fails on a name a top-level import binds but the module never reads.
 ``__init__.py`` is exempt: its imports are the package's re-exports.  It
-also fails on a module-level private (``_name``) function, class or
-constant that no module of the package or its tests reads.
+also fails on a module-level function, class or constant, public or
+private, that nothing reads: no module of the package, of its tests, of
+``perfbench/`` or of ``demos/``.  Dunder names are exempt.
 """
 
 import ast
@@ -12,9 +13,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "paradoxcert"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "paradoxcert"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+READERS = TESTS + sorted((ROOT / "perfbench").glob("*.py")) + sorted(
+    (ROOT / "demos").glob("*.py"))
 
 
 def _unused_imports(source: str) -> list:
@@ -45,9 +49,9 @@ def test_the_scan_finds_an_unused_import():
     assert _unused_imports(source) == [(3, "os"), (4, "Fraction")]
 
 
-def _private_definitions(tree) -> list:
-    """(line, name) of each module-level private function, class or
-    constant; dunder names are not private."""
+def _definitions(tree) -> list:
+    """(line, name) of each module-level function, class or constant,
+    dunder names excepted."""
     out = []
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
@@ -59,7 +63,7 @@ def _private_definitions(tree) -> list:
         else:
             continue
         out.extend((stmt.lineno, name) for name in names
-                   if name.startswith("_") and not name.startswith("__"))
+                   if not name.startswith("__"))
     return out
 
 
@@ -76,26 +80,30 @@ def _names_read(tree) -> set:
     return read
 
 
-def _unread_privates(modules: dict, readers: list) -> list:
-    """(module, line, name) of each private definition in ``modules``
-    (name -> source) that no source in ``readers`` reads."""
+def _unread_names(modules: dict, readers: list) -> list:
+    """(module, line, name) of each definition in ``modules`` (name ->
+    source) that no source in ``readers`` reads."""
     read = set().union(*(_names_read(ast.parse(src)) for src in readers))
     return sorted((mod, line, name) for mod, src in modules.items()
-                  for line, name in _private_definitions(ast.parse(src))
+                  for line, name in _definitions(ast.parse(src))
                   if name not in read)
 
 
 def test_every_module_level_private_name_is_read():
+    # public names too: a name only perfbench or a demo reads is read
     modules = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
-    readers = list(modules.values()) + [p.read_text() for p in TESTS]
-    assert _unread_privates(modules, readers) == []
+    readers = list(modules.values()) + [p.read_text() for p in READERS]
+    assert _unread_names(modules, readers) == []
 
 
 def test_the_scan_finds_an_unread_private_name():
     source = ("_USED = 1\n_UNUSED, _ALSO = 2, 3\n__dunder__ = 4\n"
               "def _helper():\n    return _USED\n"
               "def _recursive(n):\n    return _recursive(n - 1)\n"
-              "class _Unread:\n    pass\n")
-    other = "from mod import _helper\nimport mod\nmod._recursive(3)\n"
-    assert _unread_privates({"mod": source}, [source, other]) == [
-        ("mod", 2, "_ALSO"), ("mod", 2, "_UNUSED"), ("mod", 8, "_Unread")]
+              "class _Unread:\n    pass\n"
+              "PUBLIC = 5\ndef exported():\n    pass\n")
+    other = ("from mod import _helper, exported\nimport mod\n"
+             "mod._recursive(3)\n")
+    assert _unread_names({"mod": source}, [source, other]) == [
+        ("mod", 2, "_ALSO"), ("mod", 2, "_UNUSED"), ("mod", 8, "_Unread"),
+        ("mod", 10, "PUBLIC")]

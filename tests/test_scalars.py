@@ -391,15 +391,22 @@ def test_integer_forms_lift_to_one_field_and_dot_exactly():
     f = Fraction
     vectors = [(f(1, 2), QSqrt5(0, f(1, 3))),
                (GaussSqrt5(1, 0, 2, 0, 5), f(-1))]
-    den, forms, dot = integer_forms(vectors)
+    den, forms, dot, read = integer_forms(vectors)
     assert den == 30
     assert forms == [[(15, 0, 0, 0), (0, 10, 0, 0)],
                      [(6, 0, 12, 0), (-30, 0, 0, 0)]]
     # 1/2 * (1 + 2i)/5 + sqrt5/3 * -1, over 30**2
     want = f(1, 2) * GaussSqrt5(1, 0, 2, 0, 5) - QSqrt5(0, f(1, 3))
     assert GaussSqrt5(*dot(*forms), 30 ** 2) == want
-    den, forms, dot = integer_forms([(f(1, 2), f(2, 3)), (f(3), f(-1))])
+    # read inverts the reading, in the class the vectors mix to
+    back = [[read(x, den) for x in v] for v in forms]
+    assert back == [list(v) for v in vectors]
+    assert {type(x) for v in back for x in v} == {GaussSqrt5}
+    assert read(dot(*forms), 30 ** 2) == want
+    den, forms, dot, read = integer_forms([(f(1, 2), f(2, 3)),
+                                           (f(3), f(-1))])
     assert (den, forms, dot(*forms)) == (6, [[3, 4], [18, -6]], 30)
+    assert read(dot(*forms), 36) == f(5, 6)
     for bad in ([(QSqrt2(0, 1), QSqrt5(0, 1))], [(f(1), 0.5)]):
         with pytest.raises(BackendMismatchError):
             integer_forms(bad)

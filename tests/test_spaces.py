@@ -280,6 +280,11 @@ def test_a_zero_dimensional_intersection_has_dim_0():
     x = intersect(Subspace.coordinate(4, (0, 1), ring),
                   Subspace.coordinate(4, (2, 3), ring))
     assert x.dim == 0 and x.ambient_dim == 4
+    assert x.exact and x.pivots == ()
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is Subspace
+        assert (y.basis, y.pivots) == (x.basis, x.pivots)
+        assert y == x and hash(y) == hash(x)
     rng = rng_for(37, "zero")
     v = random_subspace(4, 2, RING_GAUSS_SQRT5, rng)
     w = random_subspace(4, 2, RING_GAUSS_SQRT5, rng)

@@ -256,11 +256,9 @@ def test_verify_classifies_intertwine_lifted_float_samples():
     assert report["provenance"]["ok"]
     assert report["provenance"]["labelled_samples"] > 0
     keys = v._node_keys
-    assert [path for path, key in keys.items()
-            if ("float index", key) in v._facts] == ["0.0.0.0"]
-    assert [path for path, key in keys.items()
-            if key[0] == "absorber" and "float_arr" in v._facts[key]] == [
-        "0.0"]
+    assert sorted((path, key[0]) for path, key in keys.items()
+                  if ("float index", key) in v._facts) == [
+        ("0.0", "absorber"), ("0.0.0.0", "fragment")]
 
 
 def _failures_at_root(report):
@@ -345,7 +343,7 @@ def test_repeated_subtrees_compute_each_fact_once(monkeypatch):
     calls = Counter()
     for name in ("absorber_check", "orbit_fragment", "selftest",
                  "check_freeness", "check_translate_identity",
-                 "exceptional_set", "ball_products"):
+                 "exceptional_set", "pair_word_scan"):
         def counted(*args, _fn=getattr(verification, name), _name=name,
                     **kwargs):
             calls[_name] += 1
@@ -355,7 +353,7 @@ def test_repeated_subtrees_compute_each_fact_once(monkeypatch):
     assert report["overall"] == "pass"
     assert calls == {"absorber_check": 2, "orbit_fragment": 2, "selftest": 5,
                      "check_freeness": 1, "check_translate_identity": 1,
-                     "exceptional_set": 1, "ball_products": 1}
+                     "exceptional_set": 1, "pair_word_scan": 1}
 
 
 @pytest.mark.parametrize("raw,reported", [
