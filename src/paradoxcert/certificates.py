@@ -478,7 +478,7 @@ def _check_node(node: Node, path: str, violations: list):
             ex(ring.exact and is_unitary(g),
                "absorber must be exactly unitary")
             field = getattr(sp.base, "field", None)
-            ex(ring.name in _ABSORBER_RINGS.get(field, ()),
+            ex(not ring.exact or ring.name in _ABSORBER_RINGS.get(field, ()),
                f"absorber over {ring.name} does not act on a space over "
                f"{field}")
             amb = getattr(sp.base, "ambient_dim", None)

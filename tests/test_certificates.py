@@ -175,6 +175,15 @@ def test_absorber_must_be_exactly_unitary():
     assert any("unitary" in v for v in result["violations"])
 
 
+def test_a_float_absorber_is_one_violation():
+    from paradoxcert.linalg import Matrix
+    from paradoxcert.scalars import RING_FLOAT
+    root = derive("sphere(2)")
+    bad = dataclasses.replace(root, params={
+        **root.params, "absorber": Matrix.identity(3, RING_FLOAT)})
+    assert check(bad)["violations"] == ["0: absorber must be exactly unitary"]
+
+
 def test_walk_paths_are_in_preorder():
     root = derive("grass(C,4,2)")
     paths = [path for path, _ in root.walk()]

@@ -20,7 +20,6 @@ from paradoxcert.freegroup import (
 )
 from paradoxcert.linalg import (
     Matrix,
-    block_embed_matrix,
     is_unitary,
     mat_vec,
     matmul,
@@ -130,7 +129,7 @@ def _component_rows(m):
         for row in m.data]
 
 
-@pytest.mark.parametrize("name", PAIRS + ("so3-ab@4",))
+@pytest.mark.parametrize("name", PAIRS + ("so3-ab@4", "sp1-sqrt5@2"))
 def test_the_integer_scan_is_den_powers_times_the_exact_products(name):
     pair = get_pair(name)
     root = pair.root()
