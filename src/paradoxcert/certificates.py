@@ -46,6 +46,12 @@ RULES = ("BaseF2", "FreeTransport", "SubgroupLift", "StarEmbed", "Pullback",
          "DisjointUnion", "EquidecompTransfer", "CountableAbsorb",
          "Intertwine")
 
+# the params each rule reads; a certificate may hold no other key
+_PARAMS = {"BaseF2": (), "FreeTransport": ("pair", "seed"),
+           "SubgroupLift": (), "StarEmbed": (), "Pullback": ("map", "args"),
+           "DisjointUnion": ("m",), "EquidecompTransfer": ("map", "args"),
+           "CountableAbsorb": ("absorber",), "Intertwine": ("field",)}
+
 SCHEMA_CERT = "paradox-cert/1"
 
 
@@ -539,6 +545,20 @@ def _removed_to_json(r):
     raise CertificateError(f"cannot serialize removed set {r!r}")
 
 
+def _closed(obj, keys, what):
+    """Raise CertificateError when the JSON object obj has a key outside
+    keys; anything that is not an object is left to its reader."""
+    if isinstance(obj, dict):
+        unknown = sorted(set(obj) - set(keys))
+        if unknown:
+            raise CertificateError(f"unknown key {unknown[0]!r} in {what}")
+
+
+_REMOVED_KEYS = {"exceptional": ("kind", "pair", "projective"),
+                 "poles": ("kind",), "axis": ("kind",),
+                 "star": ("kind", "sub")}
+
+
 def _removed_from_json(obj):
     if obj is None:
         return None
@@ -546,6 +566,9 @@ def _removed_from_json(obj):
         raise CertificateError(
             f"removed set must be an object or null, not {type(obj).__name__}")
     kind = obj.get("kind")
+    if kind not in _REMOVED_KEYS:
+        raise CertificateError(f"unknown removed-set kind {kind!r}")
+    _closed(obj, _REMOVED_KEYS[kind], "removed set")
     if kind == "exceptional":
         projective = obj["projective"]
         if not isinstance(projective, bool):
@@ -557,9 +580,7 @@ def _removed_from_json(obj):
         return RemovedPoles()
     if kind == "axis":
         return RemovedAxis()
-    if kind == "star":
-        return RemovedStar(parse_descriptor(obj["sub"]))
-    raise CertificateError(f"unknown removed-set kind {kind!r}")
+    return RemovedStar(parse_descriptor(obj["sub"]))
 
 
 def _space_to_json(sp: SpaceExpr):
@@ -578,6 +599,7 @@ def _int_from_json(obj, key, optional=False):
 
 
 def _space_from_json(obj) -> SpaceExpr:
+    _closed(obj, ("base", "star_ambient", "removed"), "space")
     return SpaceExpr(_desc_from_text(obj["base"]),
                      _int_from_json(obj, "star_ambient", optional=True),
                      _removed_from_json(obj.get("removed")))
@@ -589,6 +611,7 @@ def _group_to_json(g: GroupTag):
 
 
 def _group_from_json(obj) -> GroupTag:
+    _closed(obj, ("family", "n", "star_ambient", "pair"), "group")
     return GroupTag(obj["family"], _int_from_json(obj, "n"),
                     _int_from_json(obj, "star_ambient", optional=True),
                     obj.get("pair"))
@@ -606,13 +629,16 @@ def _params_to_json(params: dict):
     return out
 
 
-def _params_from_json(obj) -> dict:
+def _params_from_json(obj, rule: str) -> dict:
     if not isinstance(obj, dict):
         raise CertificateError(
             f"node params must be an object, not {type(obj).__name__}")
+    _closed(obj, _PARAMS[rule], f"{rule} params")
     out = {}
     for k, v in obj.items():
         if isinstance(v, dict) and "__matrix__" in v:
+            _closed(v, ("__matrix__",), f"param {k!r}")
+            _closed(v["__matrix__"], ("ring", "entries"), f"param {k!r}")
             try:
                 out[k] = matrix_from_json(v["__matrix__"])
             except (KeyError, TypeError, ValueError, ZeroDivisionError,
@@ -639,6 +665,8 @@ def _node_from_json(obj) -> Node:
         rule = obj["rule"]
         if rule not in RULES:
             raise CertificateError(f"unknown rule {rule!r}")
+        _closed(obj, ("rule", "space", "group", "params", "children"),
+                f"a {rule} node")
         children = obj.get("children", [])
         if not isinstance(children, list):
             raise CertificateError(
@@ -647,7 +675,7 @@ def _node_from_json(obj) -> Node:
         return Node(rule,
                     _space_from_json(obj["space"]),
                     _group_from_json(obj["group"]),
-                    _params_from_json(obj.get("params", {})),
+                    _params_from_json(obj.get("params", {}), rule),
                     tuple(_node_from_json(c) for c in children))
     except (KeyError, TypeError) as e:
         raise CertificateError(f"malformed certificate node: {e}")
@@ -667,6 +695,7 @@ def cert_from_json(obj) -> Node:
             if isinstance(obj, dict) else "certificate must be a JSON object")
     if "root" not in obj:
         raise CertificateError("certificate has no root node")
+    _closed(obj, ("schema", "space", "group", "root"), "the certificate")
     root = _node_from_json(obj["root"])
     for field, text in (("space", root.space.text),
                         ("group", root.group.text)):

@@ -157,7 +157,12 @@ def _parse_seed_point(text: str):
 
 def _cmd_orbit(args, out, err) -> int:
     seed = _parse_seed_point(args.seed_point)
-    frag = orbit_fragment(args.space, seed, args.pair, args.depth)
+    pair = get_pair(args.pair)
+    if len(seed) != pair.dim:
+        raise DescriptorError(
+            f"seed point has {len(seed)} coordinates, pair {args.pair} acts "
+            f"on {pair.dim}")
+    frag = orbit_fragment(args.space, seed, pair, args.depth)
     records = [{"word": word_text(w),
                 "point": [scalar_to_json(x) for x in frag.vectors[w]]}
                for w in frag.words]
@@ -220,6 +225,16 @@ def _tolerance(text: str) -> float:
     return x
 
 
+def _pair(text: str) -> str:
+    """argparse type of ``--pair``: the name of a generator pair, so an
+    unknown pair is a usage error (exit 2)."""
+    try:
+        get_pair(text)
+    except (ParadoxError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paradoxcert",
@@ -242,18 +257,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("freeness", help="exact freeness scan for a pair")
-    p.add_argument("--pair", default="so3-ab")
+    p.add_argument("--pair", type=_pair, default="so3-ab")
     p.add_argument("--max-len", type=_count, default=6)
 
     p = sub.add_parser("axes", help="fixed axes of short words")
-    p.add_argument("--pair", default="so3-ab")
+    p.add_argument("--pair", type=_pair, default="so3-ab")
     p.add_argument("--max-len", type=_count, default=4)
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("orbit", help="dump an orbit fragment")
     p.add_argument("space", help='e.g. "sphere(2)"')
     p.add_argument("--seed-point", default="1,2,3")
-    p.add_argument("--pair", default="so3-ab")
+    p.add_argument("--pair", type=_pair, default="so3-ab")
     p.add_argument("--depth", type=_count, default=6)
     p.add_argument("-o", "--output", default=None)
 

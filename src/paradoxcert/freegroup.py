@@ -20,22 +20,29 @@ for I, the absorber-is-not-a-pair-word scan for the absorber, and the
 exceptional set rebuilds each word's exact product once from its integers
 to read its fixed axis.
 
-``absorber_check`` indexes the absorber orbit of the removed set D once,
-as {canonical line: least k with the line in g^k(D)}; its disjointness
-verdict and the verifier's classification both read that index.
+``absorber_check`` walks the absorber orbit of the removed set D as
+integers too (``LineKeys``): g and the lines of D are read once, each line
+is keyed by its primitive integer representative (the leading-1 vector
+over its least denominator), and a step is integer dot products, one
+multiplication by the adjugate of the leading entry and one gcd, with no
+exact scalar made. The walk indexes the orbit once, as {line key: least k
+with the line in g^k(D)}; its disjointness verdict and the verifier's
+classification both read that index.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 
-from .errors import BackendMismatchError, ParadoxError
+from .errors import BackendMismatchError, DimensionMismatchError, ParadoxError
 from .linalg import (
     Matrix,
     block_embed_matrix,
     kernel,
-    mat_vec,
     matmul,
     normalize_leading,
 )
@@ -46,6 +53,8 @@ from .scalars import (
     QSqrt5,
     QuadExt,
     Quaternion,
+    adjugate,
+    common_class,
     integer_forms,
 )
 from .words import A, ball_size, word_text
@@ -366,24 +375,205 @@ def plane_rotation(n: int, i: int, j: int) -> Matrix:
     return Matrix(tuple(tuple(r) for r in rows))
 
 
+_ZERO = Fraction(0)
+
+# row r of the multiplication q * v (left) or v * q (right) on the
+# components w, x, y, z of v: (index, sign) of the component of q that
+# multiplies each component of v
+_LEFT = (((0, 1), (1, -1), (2, -1), (3, -1)),
+         ((1, 1), (0, 1), (3, -1), (2, 1)),
+         ((2, 1), (3, 1), (0, 1), (1, -1)),
+         ((3, 1), (2, -1), (1, 1), (0, 1)))
+_RIGHT = (((0, 1), (1, -1), (2, -1), (3, -1)),
+          ((1, 1), (0, 1), (3, 1), (2, -1)),
+          ((2, 1), (3, -1), (0, 1), (1, 1)),
+          ((3, 1), (2, 1), (1, -1), (0, 1)))
+
+
+def _quaternion_parts(x):
+    """(w, x, y, z) of a quaternion; any other scalar is (x, 0, 0, 0)."""
+    if isinstance(x, Quaternion):
+        return x.w, x.x, x.y, x.z
+    return x, _ZERO, _ZERO, _ZERO
+
+
+def _content_free(v):
+    """The integer vector v divided by the gcd of its entries."""
+    g = math.gcd(*v)
+    return v if g <= 1 else tuple([x // g for x in v])
+
+
+class LineKeys:
+    """The right lines of an absorber orbit as integer vectors.
+
+    g and the lines of D are read once through ``integer_forms`` in the
+    field K their entries share: Q, Q(sqrt2), Q(sqrt5) or Q(sqrt5, i), or
+    the quaternions over Q or Q(sqrt5). A vector becomes integers: each
+    entry its components over the basis 1, sqrt(D), i, sqrt(D) i (as far
+    as K needs them; over the quaternions those of w, x, y and z in turn).
+    g becomes one integer matrix, so ``step`` moves a line's integer
+    vector by integer dot products and divides out the gcd. The key of a
+    line (``canonical``) is its leading-1 vector times the least positive
+    integer that makes it integral: one right multiplication by the
+    adjugate of the leading entry (the formula of ``QuadExt.inverse``) and
+    one gcd. Equal lines have equal keys, and a key is the line's
+    primitive integer representative with a positive integer leading
+    entry.
+    """
+
+    def __init__(self, g: Matrix, lines):
+        vectors = [[_rational(x) for x in v]
+                   for v in list(g.data) + list(lines)]
+        if any(len(v) != g.cols for v in vectors):
+            raise DimensionMismatchError("absorber and lines differ in size")
+        self.quaternionic = any(isinstance(x, Quaternion)
+                                for v in vectors for x in v)
+        if self.quaternionic:
+            vectors = [[p for x in v for p in _quaternion_parts(x)]
+                       for v in vectors]
+        cls = common_class(chain.from_iterable(vectors))
+        if self.quaternionic and cls is not Fraction and cls.HAS_I:
+            raise BackendMismatchError("no quaternion has a complex part")
+        self.D = 0 if cls is Fraction else cls.D
+        self.width = 1 if cls is Fraction else 4 if cls.HAS_I else 2
+        self.size = self.width * (4 if self.quaternionic else 1)
+        _, forms, _, _ = integer_forms(vectors)
+        flat = [tuple(c for f in v for c in (f if self.width > 1 else (f,)))
+                for v in forms]
+        size = self.size
+        self._rows = [
+            tuple(chain.from_iterable(
+                self._times(row[j:j + size], _LEFT)[t]
+                for j in range(0, len(row), size)))
+            for row in flat[:g.rows] for t in range(size)]
+        self.start = [_content_free(v) for v in flat[g.rows:]]
+
+    def step(self, v):
+        """The integer vector, with gcd 1, of g times the line of v."""
+        return _content_free(tuple([sum(map(mul, r, v))
+                                    for r in self._rows]))
+
+    def key(self, vec):
+        """The key of the line of an exact vector, or None when an entry
+        lies outside K (then no line of the orbit is that line)."""
+        if self.quaternionic:
+            vec = chain.from_iterable(map(_quaternion_parts, vec))
+        parts = list(map(self._form, vec))
+        if None in parts:
+            return None
+        den = math.lcm(*[d for d, _ in parts])
+        return self.canonical(tuple([c * (den // d) for d, cs in parts
+                                      for c in cs]))
+
+    def floats(self, key):
+        """The key's leading-1 vector in the float lane, as
+        ``to_float_scalar`` gives it for each exact entry."""
+        w, r = self.width, math.sqrt(self.D)
+        den = next(x for x in key[::self.size] if x)
+        out = []
+        for i in range(0, len(key), w):
+            g = math.gcd(den, *key[i:i + w])
+            a, b, c, d = [x // g for x in key[i:i + w]] + [0] * (4 - w)
+            n = den // g
+            if w == 4:  # GaussSqrt5._to_float
+                out.append(complex((a + b * r) / n, (c + d * r) / n))
+            else:  # QuadExt._to_float, and float(Fraction(a, n))
+                out.append(a / n + b / n * r if w == 2 else a / n)
+        if self.quaternionic:
+            out = [Quaternion(*out[i:i + 4]) for i in range(0, len(out), 4)]
+        return tuple(out)
+
+    def _form(self, x):
+        """(den, components over den) of a scalar of K, or None."""
+        if isinstance(x, Quaternion) and not self.quaternionic:
+            if x.x or x.y or x.z:
+                return None
+            x = x.w
+        if isinstance(x, QuadExt):
+            if (x.b or x.c or x.d) and (
+                    x.D != self.D or (self.width < 4 and (x.c or x.d))):
+                return None
+            return x.den, (x.a, x.b, x.c, x.d)[:self.width]
+        if isinstance(x, (int, Fraction)):
+            return x.denominator, (x.numerator,) + (0,) * (self.width - 1)
+        return None
+
+    def _base(self, x):
+        """Rows of multiplication by the element x of K's real part (for
+        quaternions) or of K, on components: ``QuadExt.__mul__``."""
+        a, b, c, d = tuple(x) + (0,) * (4 - len(x))
+        D, w = self.D, len(x)
+        return [r[:w] for r in ((a, D * b, -c, -D * d), (b, a, -d, -c),
+                                (c, D * d, a, D * b), (d, c, b, a))[:w]]
+
+    def _times(self, e, side):
+        """Rows of multiplication by the entry e on the side ``_LEFT`` or
+        ``_RIGHT``; K is commutative unless it is quaternionic."""
+        if not self.quaternionic:
+            return self._base(e)
+        w = self.width
+        blocks = [self._base(e[u * w:(u + 1) * w]) for u in range(4)]
+        return [tuple(s * c for u, s in part for c in blocks[u][t])
+                for part in side for t in range(w)]
+
+    def _adjugate(self, e):
+        """(z, n): e z = n, a nonzero integer, for a nonzero entry e."""
+        w = self.width
+        if not self.quaternionic:
+            z, n = adjugate(*e, *(0,) * (4 - w), self.D)
+            return z[:w], n
+        parts = [e[u * w:(u + 1) * w] for u in range(4)]
+        conj = [parts[0]] + [tuple(-c for c in p) for p in parts[1:]]
+        # e conj(e) = |e|^2, the sum of the squares of the parts
+        squares = [[sum(map(mul, r, p)) for r in self._base(p)]
+                   for p in parts]
+        norm = [sum(c) for c in zip(*squares)]
+        if not any(norm[1:]):
+            return tuple(chain.from_iterable(conj)), norm[0]
+        z, n = adjugate(*norm, *(0,) * (4 - w), self.D)
+        rows = self._base(z[:w])
+        return tuple(sum(map(mul, r, p)) for p in conj for r in rows), n
+
+    def canonical(self, v):
+        """The key of the line of a nonzero integer vector."""
+        size = self.size
+        j = next(filter(v.__getitem__, range(len(v))), None)
+        if j is None:
+            raise ValueError("zero vector has no direction")
+        j -= j % size  # the first nonzero integer is in the leading entry
+        if any(v[j + 1:j + size]):
+            z, n = self._adjugate(v[j:j + size])
+            rows = self._times(z, _RIGHT)
+            v = tuple([sum(map(mul, r, v[i:i + size]))
+                       for i in range(0, len(v), size) for r in rows])
+        else:
+            n = v[j]
+        g = math.gcd(*v)
+        if n < 0:
+            g = -g
+        return v if g == 1 else tuple([x // g for x in v])
+
+
 def absorber_check(g: Matrix, lines, bound: int) -> dict:
     """Check g^m(D) and g^n(D) are disjoint for all 0 <= m < n <= bound.
 
     ``lines`` is an iterable of line vectors (the finite stand-in for the
-    removed set D). One pass over the powers builds ``index``, which maps
-    the canonical form of every line of g^k(D), k <= bound, to its least
-    k. g is a bijection on lines, so g^m(D) meets g^n(D) iff D meets
-    g^(n-m)(D): the least colliding pair is always (0, j), for the first
-    level j >= 1 with a line the index already holds.
+    removed set D). One integer walk over the powers builds ``index``,
+    which maps the ``LineKeys`` key of every line of g^k(D), k <= bound,
+    to its least k; ``keys`` reads a vector's key and decodes a key. g is
+    a bijection on lines, so g^m(D) meets g^n(D) iff D meets g^(n-m)(D):
+    the least colliding pair is always (0, j), for the first level j >= 1
+    with a line the index already holds.
     """
-    current = [tuple(v) for v in lines]
-    index = {normalize_leading(v): 0 for v in current}
+    keys = LineKeys(g, lines)
+    current = keys.start
+    index = dict.fromkeys(map(keys.canonical, current), 0)
     set_size = len(index)
     collision = None
     for k in range(1, bound + 1):
-        current = [mat_vec(g, v) for v in current]
+        current = [keys.step(v) for v in current]
         for v in current:
-            if index.setdefault(normalize_leading(v), k) < k \
+            if index.setdefault(keys.canonical(v), k) < k \
                     and collision is None:
                 collision = (0, k)
     return {
@@ -392,4 +582,5 @@ def absorber_check(g: Matrix, lines, bound: int) -> dict:
         "ok": collision is None,
         "first_collision": collision,
         "index": index,
+        "keys": keys,
     }

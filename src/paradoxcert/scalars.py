@@ -161,26 +161,11 @@ class QuadExt:
     __rmul__ = __mul__
 
     def inverse(self):
-        # With y = den * self and z = conj(y) (or z = 1 when y is real),
-        # y z = n0 + n1 sqrt(D) is real, and its norm n0^2 - D n1^2 is a
-        # nonzero integer for nonzero y because sqrt(D) is irrational; so
-        # self^-1 = den * z * (n0 - n1 sqrt(D)) / (n0^2 - D n1^2).
-        a, b, c, d, D = self.a, self.b, self.c, self.d, self.D
-        if c or d:
-            n0 = a * a + D * b * b + c * c + D * d * d
-            n1 = 2 * (a * b + c * d)
-            za, zb, zc, zd = a, b, -c, -d
-        elif a or b:
-            n0, n1, za, zb, zc, zd = a, b, 1, 0, 0, 0
-        else:
-            raise ZeroDivisionError("division by zero")
+        # den * self * z = n for the integers z, n of ``adjugate``, so
+        # self^-1 = den * z / n
+        (za, zb, zc, zd), n = adjugate(self.a, self.b, self.c, self.d, self.D)
         k = self.den
-        return _make(
-            type(self),
-            k * (za * n0 - D * zb * n1), k * (zb * n0 - za * n1),
-            k * (zc * n0 - D * zd * n1), k * (zd * n0 - zc * n1),
-            n0 * n0 - D * n1 * n1,
-        )
+        return _make(type(self), k * za, k * zb, k * zc, k * zd, n)
 
     def __truediv__(self, other):
         co = self._coerce(other)
@@ -258,6 +243,29 @@ class QuadExt:
     def __complex__(self):
         return complex(self._to_float(self.a, self.b),
                        self._to_float(self.c, self.d))
+
+
+def adjugate(a, b, c, d, D):
+    """(z, n): integer components z = (za, zb, zc, zd) with
+    (a + b sqrt(D) + (c + d sqrt(D)) i) (za + zb sqrt(D) + (zc + zd sqrt(D)) i)
+    = n, a nonzero integer.
+
+    With y = a + b sqrt(D) + (c + d sqrt(D)) i and w = conj(y) (or w = 1
+    when y is real), y w = n0 + n1 sqrt(D) is real, and its norm
+    n0^2 - D n1^2 is nonzero for nonzero y because sqrt(D) is irrational;
+    so z = w (n0 - n1 sqrt(D)).
+    """
+    if c or d:
+        n0 = a * a + D * b * b + c * c + D * d * d
+        n1 = 2 * (a * b + c * d)
+        wa, wb, wc, wd = a, b, -c, -d
+    elif a or b:
+        n0, n1, wa, wb, wc, wd = a, b, 1, 0, 0, 0
+    else:
+        raise ZeroDivisionError("division by zero")
+    return ((wa * n0 - D * wb * n1, wb * n0 - wa * n1,
+             wc * n0 - D * wd * n1, wd * n0 - wc * n1),
+            n0 * n0 - D * n1 * n1)
 
 
 # writers of the slots, which bypass the immutable __setattr__
@@ -641,6 +649,23 @@ def dot_products(rows, cols):
             for x in xs]
 
 
+def common_class(xs):
+    """The class ``*`` gives the exact scalars xs together: Fraction, or
+    the one QuadExt class their fields mix in.
+
+    Raises BackendMismatchError for any other scalar, and for fields that
+    do not mix.
+    """
+    cls = Fraction
+    for c in set(map(type, xs)):
+        if c is not Fraction and not issubclass(c, QuadExt):
+            raise BackendMismatchError(f"no integer form for {c.__name__}")
+        cls = _product_class(cls, c)
+        if cls is None:
+            raise BackendMismatchError("entries from fields that do not mix")
+    return cls
+
+
 def integer_forms(vectors):
     """(den, forms, dot, read): exact vectors read once as integers over
     one den, and the reader's inverse.
@@ -652,13 +677,7 @@ def integer_forms(vectors):
     and ``read(x, n)`` is the exact scalar of that class whose integer
     form over n is x.
     """
-    cls = Fraction
-    for c in set(map(type, chain.from_iterable(vectors))):
-        if c is not Fraction and not issubclass(c, QuadExt):
-            raise BackendMismatchError(f"no integer form for {c.__name__}")
-        cls = _product_class(cls, c)
-        if cls is None:
-            raise BackendMismatchError("entries from fields that do not mix")
+    cls = common_class(chain.from_iterable(vectors))
     cls, width, dot = _kernel(cls, cls)
     vectors = [[x if type(x) is cls else _make(cls, *_components(x))
                 for x in v] for v in vectors]

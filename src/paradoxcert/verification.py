@@ -12,9 +12,9 @@ module checks their finitely checkable consequences at a chosen depth:
   removed set up to a bound M, a scan that the absorber is no pair word
   of length <= min(L, 6) (the integer walk of ``freegroup``, which also
   checks freeness), plus a bounded equidecomposition witness; the index
-  {line: least power} that the disjointness test builds also classifies
-  absorbed points, and its float copy is made only when a float point is
-  classified;
+  {line key: least power} that the disjointness test's integer walk
+  builds also classifies absorbed points, and its float copy, decoded
+  from the keys, is made only when a float point is classified;
 * equivariant-map claims -> catalog selftests and section/replay checks
   on every transported sample;
 * every transported sample carries a piece label (its provenance); at the
@@ -25,14 +25,18 @@ Points sampled along the way are "provenanced": each one was constructed
 by replaying group words and map sections, so its piece membership is a
 theorem about the construction, not a floating-point guess.  Every run is
 exact; the only float points are the samples an ``Intertwine`` chart lifts,
-and those are matched within a tolerance.
+and those are matched within a tolerance.  numpy serves that float lane
+alone and is imported where it first builds an array, so a run without
+float points never loads it.
 
 An exact point is keyed by its canonical vector: a ray by the
 ``(sign, direction)`` of ``ray_canonical`` (``SpherePoint.key()``), a line
-by the leading-1 vector ``ProjectivePoint`` stores (as the
-``absorber_check`` index holds it), read without any row reduction.  Equal
-exact scalars are ``==`` and hash alike in every class, so a key built
-over one ring finds a key built over another.
+by the leading-1 vector ``ProjectivePoint`` stores, read without any row
+reduction.  Equal exact scalars are ``==`` and hash alike in every class,
+so a key built over one ring finds a key built over another.  The
+absorber index is looked up by the integer key of that leading-1 vector
+(``freegroup.LineKeys.key``), which is None for a point outside the
+field of the absorber orbit.
 
 Facts that do not depend on a node's place in the tree (orbit fragments
 and their float indexes, absorber contexts, the pair-word, freeness and
@@ -48,8 +52,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .certificates import (
     Node,
@@ -176,28 +178,37 @@ def point_key_vec(vec, kind: str):
     return normalize_leading(vec)
 
 
-def _vec_line_rep(vec) -> np.ndarray:
+def _vec_line_rep(vec):
     """Flattened float projector of the line spanned by a vector.
 
     The projector is basis- and phase-independent, which makes it the
     right embedding for nearest-point matching of lines over any K.
     """
+    import numpy as np
     fv = [x if isinstance(x, (float, complex, Quaternion))
           else to_float_scalar(x) for x in vec]
     return np.array([c for row in line_projector(fv).data for e in row
                      for c in _flatten_scalar(e)], dtype=float)
 
 
-def _point_line_rep(point) -> np.ndarray:
+def _point_line_rep(point):
     """Flattened float projector of the line through a ray or a line."""
+    import numpy as np
     if isinstance(point, SpherePoint):
         u = point.to_float_vector()
         return np.array([a * b for a in u for b in u], dtype=float)
     return _vec_line_rep(point.vector)
 
 
-def _point_ray_rep(point: SpherePoint) -> np.ndarray:
+def _point_ray_rep(point: SpherePoint):
+    import numpy as np
     return np.array(point.to_float_vector(), dtype=float)
+
+
+def _float_line_key(point):
+    """Key of the line through a float point: its projector to 6 places."""
+    import numpy as np
+    return tuple(np.round(_point_line_rep(point), 6))
 
 
 def _point_line_key(point):
@@ -524,12 +535,13 @@ class CertVerifier:
         A float point is matched against the float copy of the index,
         made on the first float query.
         """
-        index = self._absorb_context(node, path)["absorber_check"]["index"]
+        ab = self._absorb_context(node, path)["absorber_check"]
         if getattr(point, "exact", True):
-            return index.get(_point_line_key(point))
+            # None, the key of a point outside the index's field, is no key
+            return ab["index"].get(ab["keys"].key(_point_line_key(point)))
         field = _field_of(node.space.base)
         return _nearest(self._float_index(
-            node, path, lambda: _line_float_index(index, field)),
+            node, path, lambda: _line_float_index(ab, field)),
             _point_line_rep(point))
 
     def _map_for(self, node: Node, path: str):
@@ -855,7 +867,7 @@ class CertVerifier:
             # tagged, so an exact and a float image never share a key
             image_key=lambda x: (
                 ("exact", _point_line_key(x)) if getattr(x, "exact", True)
-                else ("float", tuple(np.round(_point_line_rep(x), 6)))))
+                else ("float", _float_line_key(x))))
 
         child = list(child_samples[0])
         levels = [self._absorbed_level(node, path, s.point) for s in child]
@@ -1032,6 +1044,7 @@ def _fragment_inputs(node: Node, depth: int):
 def _nearest(float_index, rep):
     """The value of the float index row nearest rep, or None when no row
     lies within _NEAREST_TOL."""
+    import numpy as np
     arr, values = float_index
     d2 = ((arr - rep) ** 2).sum(axis=1)
     i = int(np.argmin(d2))
@@ -1040,6 +1053,7 @@ def _nearest(float_index, rep):
 
 def _fragment_float_index(frag: Fragment):
     """(float reps array, piece labels) of a fragment's points."""
+    import numpy as np
     reps, labels = [], []
     for w in frag.words:
         v = frag.vectors[w]
@@ -1053,11 +1067,15 @@ def _fragment_float_index(frag: Fragment):
     return np.vstack(reps), labels
 
 
-def _line_float_index(index: dict, field: str):
-    """(float reps array, least powers) of an absorber index's lines, in
-    the float lane of the field."""
-    return (np.vstack([_vec_line_rep([_float_in_field(x, field) for x in v])
-                       for v in index]), list(index.values()))
+def _line_float_index(check: dict, field: str):
+    """(float reps array, least powers) of the lines of an absorber
+    check's index, decoded from their keys into the float lane of the
+    field."""
+    import numpy as np
+    index, floats = check["index"], check["keys"].floats
+    return (np.vstack([_vec_line_rep([_float_in_field(x, field)
+                                      for x in floats(k)])
+                       for k in index]), list(index.values()))
 
 
 def _absorbed_samples(node, ctx) -> list:

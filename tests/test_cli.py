@@ -502,3 +502,98 @@ def test_version_matches_pyproject():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     meta = tomllib.loads(pyproject.read_text(encoding="utf-8"))
     assert paradoxcert.__version__ == meta["project"]["version"]
+
+
+def _intertwine_root(blob):
+    assert blob["root"]["rule"] == "Intertwine"
+    return blob["root"]["params"]
+
+
+@pytest.mark.parametrize("desc,mutate,message", [
+    ("sphere(2)", lambda blob: blob["root"]["params"].update(foo=[1, 2]),
+     "unknown key 'foo' in CountableAbsorb params"),
+    ("sphere(2)", lambda blob: blob["root"].update(bogus=1),
+     "unknown key 'bogus' in a CountableAbsorb node"),
+    ("sphere(2)", lambda blob: _base(blob)["params"].update(seed=[1, 2, 3]),
+     "unknown key 'seed' in BaseF2 params"),
+    ("proj(C,2)", lambda blob: _intertwine_root(blob).update(
+        absorber={"__matrix__": matrix_to_json(default_absorber())}),
+     "unknown key 'absorber' in Intertwine params"),
+    ("proj(H,2)", lambda blob: _intertwine_root(blob).update(
+        absorber={"__matrix__": matrix_to_json(default_absorber())}),
+     "unknown key 'absorber' in Intertwine params"),
+    ("sphere(2)", lambda blob: blob.update(note="x"),
+     "unknown key 'note' in the certificate"),
+    ("sphere(2)", lambda blob: _transport_node(blob)["space"]["removed"]
+     .update(extra=0), "unknown key 'extra' in removed set"),
+    ("sphere(2)", lambda blob: blob["root"]["params"]["absorber"].update(
+        ring="rational"), "unknown key 'ring' in param 'absorber'"),
+    ("sphere(2)", lambda blob: blob["root"]["params"]["absorber"][
+        "__matrix__"].update(den=9), "unknown key 'den' in param 'absorber'"),
+    ("sphere(2)", lambda blob: blob["root"]["space"].update(dim=2),
+     "unknown key 'dim' in space"),
+    ("sphere(2)", lambda blob: _base(blob)["group"].update(rank=2),
+     "unknown key 'rank' in group"),
+], ids=["root-params", "root-node", "base-seed", "intertwine-C",
+        "intertwine-H", "certificate", "removed-set", "matrix-literal",
+        "matrix-entries", "space", "group"])
+def test_an_unknown_key_is_named(tmp_path, capsys, desc, mutate, message):
+    cert = tmp_path / "cert.json"
+    assert main(["derive", desc, "-o", str(cert)]) == 0
+    blob = json.loads(cert.read_text())
+    mutate(blob)
+    cert.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert main(["verify", str(cert), "--depth", "2", "--samples", "5"]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["freeness", "--pair", "so3"], "argument --pair: unknown generator"),
+    (["axes", "--pair", "nope"], "argument --pair: unknown generator"),
+    (["orbit", "sphere(2)", "--pair", "x"], "argument --pair: unknown"),
+    (["freeness", "--pair", "so3-ab@x"], "argument --pair: invalid literal"),
+    (["freeness", "--pair", "so3-ab@2"],
+     "argument --pair: cannot embed into a smaller dimension"),
+    (["orbit", "sphere(2)", "--pair", "su2-sqrt5"],
+     "seed point has 3 coordinates, pair su2-sqrt5 acts on 2"),
+], ids=["freeness", "axes", "orbit", "embedding-text", "embedding-smaller",
+        "orbit-seed-length"])
+def test_a_bad_pair_is_a_usage_error(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_exact_runs_never_import_numpy(tmp_path):
+    # derive, and verify of a certificate with no Intertwine node, stay in
+    # exact arithmetic; proj(C,2)'s float chart lifts are the control
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    script = """if True:
+        import sys
+        from paradoxcert.cli import main
+        def numpy_loaded():
+            return any(m.split(".")[0] == "numpy" for m in sys.modules)
+        assert main(["derive", "sphere(2)", "-o", "c.json"]) == 0
+        print(numpy_loaded())
+        assert main(["verify", "c.json", "--depth", "3", "--samples", "30",
+                     "-o", "r.json"]) == 0
+        print(numpy_loaded())
+        assert main(["derive", "proj(C,2)", "-o", "c.json"]) == 0
+        assert main(["verify", "c.json", "--depth", "3", "--samples", "30",
+                     "-o", "r.json"]) == 0
+        print(numpy_loaded())
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "False", "True"]

@@ -261,3 +261,110 @@ def test_plane_rotation_is_unitary_and_moves_the_plane():
     e2 = tuple(ring.one if i == 1 else ring.zero for i in range(4))
     assert mat_vec(g, e1) != e1   # rotated inside the (0,2) plane
     assert mat_vec(g, e2) == e2   # fixed off the plane
+
+
+def _brute_force_index(g, lines, bound):
+    """({leading-1 line: least k <= bound with it in g^k(D)}, the first
+    colliding pair), by exact ``mat_vec`` and ``normalize_leading``."""
+    index, collision = {}, None
+    current = [tuple(v) for v in lines]
+    for k in range(bound + 1):
+        for v in current:
+            if index.setdefault(normalize_leading(v), k) < k \
+                    and collision is None:
+                collision = (0, k)
+        current = [mat_vec(g, v) for v in current]
+    return index, collision
+
+
+def _pole(n):
+    return [tuple(Fraction(int(i == n - 1)) for i in range(n))]
+
+
+def _absorber_of(desc):
+    from paradoxcert.certificates import derive
+    return derive(desc).params["absorber"]
+
+
+def _gauss_axis_absorber():
+    """diag((1+2i)/sqrt5, b) on C^3, b the real letter of su2-sqrt5."""
+    from paradoxcert.scalars import GaussSqrt5
+    pair = get_pair("su2-sqrt5")
+    a, b = pair.letter_matrix(0), pair.letter_matrix(2)
+    zero = GaussSqrt5()
+    return Matrix([(a[0, 0], zero, zero), (zero, b[0, 0], b[0, 1]),
+                   (zero, b[1, 0], b[1, 1])])
+
+
+def _quaternion_pole_absorber(q):
+    """diag(q, i, 1) times the 3/5, 4/5 rotation of coordinates 0 and 2."""
+    one = q * q.conjugate()
+    zero, i = one - one, Quaternion(*(one.w * c for c in (0, 1, 0, 0)))
+    r = plane_rotation(3, 0, 2)
+    return Matrix([[q * r[0, 0], zero, q * r[0, 2]], [zero, i, zero],
+                   [one * r[2, 0], zero, one * r[2, 2]]])
+
+
+def _case(name):
+    half = Fraction(1, 2)
+    so3_d = sorted(exceptional_set(get_pair("so3-ab"), 4), key=repr)
+    if name == "default":
+        return default_absorber(), so3_d
+    if name == "identity":
+        return Matrix.identity(3, RING_RATIONAL), so3_d
+    if name == "quarter-turn":   # about (2, 3, 6)/7
+        return Matrix([[Fraction(x, 49) for x in row] for row in (
+            (4, -36, 33), (48, 9, 4), (-9, 32, 36))]), so3_d
+    if name in ("sphere(3)", "sphere(4)", "proj(C,3)"):
+        g = _absorber_of(name)
+        return g, _pole(g.rows)
+    if name == "gauss_sqrt5":
+        return _gauss_axis_absorber(), _pole(3)
+    if name == "quat_rational":
+        return _quaternion_pole_absorber(Quaternion(half, half, half, half)), \
+            _pole(3)
+    q = get_pair("sp1-sqrt5").letter_matrix(0)[0, 0]
+    return _quaternion_pole_absorber(q), _pole(3)
+
+
+@pytest.mark.parametrize("name", [
+    "default", "identity", "quarter-turn", "sphere(3)", "sphere(4)",
+    "proj(C,3)", "gauss_sqrt5", "quat_rational", "quat_sqrt5"])
+def test_the_absorber_index_is_the_exact_orbit(name):
+    from paradoxcert.scalars import to_float_scalar
+    g, lines = _case(name)
+    assert is_unitary(g)
+    result = absorber_check(g, lines, 50)
+    index, collision = _brute_force_index(g, lines, 50)
+    keys = result["keys"]
+    assert result["index"] == {keys.key(v): k for v, k in index.items()}
+    assert result["first_collision"] == collision
+    assert result["ok"] == (collision is None)
+    for v in index:
+        assert keys.floats(keys.key(v)) == tuple(map(to_float_scalar, v))
+
+
+def test_the_absorber_index_names_each_collision():
+    assert absorber_check(*_case("identity"), 50)["first_collision"] == (0, 1)
+    assert absorber_check(*_case("quarter-turn"), 50)[
+        "first_collision"] == (0, 2)
+    assert absorber_check(*_case("quat_sqrt5"), 50)["first_collision"] is None
+
+
+def test_a_line_outside_the_index_field_has_no_key():
+    from paradoxcert.scalars import GaussSqrt5, QSqrt2, QSqrt5
+    one, zero = Fraction(1), Fraction(0)
+    rational = absorber_check(*_case("sphere(3)"), 5)["keys"]
+    assert rational.key((zero, zero, QSqrt2(0), QSqrt2(2))) == rational.key(
+        _pole(4)[0])
+    assert rational.key((zero, zero, QSqrt2(0, 1), one)) is None
+    assert rational.key((zero, zero, 0.5, one)) is None
+    assert rational.key((zero, zero, Quaternion(zero, one, zero, zero),
+                         one)) is None
+    so3 = absorber_check(*_case("default"), 5)["keys"]
+    assert so3.key((one, QSqrt5(0, 1), zero)) is None
+    assert so3.key((one, QSqrt5(3), zero)) == so3.key(
+        (Fraction(1, 3), one, zero))
+    quaternionic = absorber_check(*_case("quat_sqrt5"), 5)["keys"]
+    assert quaternionic.key((zero, GaussSqrt5(0, 0, 1), one)) is None
+    assert quaternionic.key((zero, QSqrt5(0, 1), one)) is not None

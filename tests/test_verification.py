@@ -366,3 +366,34 @@ def test_repeated_subtrees_compute_each_fact_once(monkeypatch):
 ])
 def test_lift_deviations_are_reported_as_a_power_of_ten(raw, reported):
     assert _decade_ceiling(raw) == reported
+
+
+def test_absorbed_levels_match_a_brute_force_orbit(monkeypatch):
+    # every exact point the default sphere(2) verify classifies at its
+    # CountableAbsorb root gets the least k of its line in g^k(D), as a
+    # walk of exact mat_vec and normalize_leading finds it
+    from paradoxcert.freegroup import exceptional_set
+    from paradoxcert.linalg import mat_vec, normalize_leading
+    from paradoxcert.verification import CertVerifier, _point_line_key
+    seen = []
+    level = CertVerifier._absorbed_level
+
+    def recorded(self, node, path, point):
+        seen.append((path, point))
+        return level(self, node, path, point)
+    monkeypatch.setattr(CertVerifier, "_absorbed_level", recorded)
+    v = CertVerifier(derive("sphere(2)"), RunConfig())
+    assert v.verify()["overall"] == "pass"
+    monkeypatch.undo()
+    g = default_absorber()
+    current = sorted(exceptional_set(get_pair("so3-ab"), 4), key=repr)
+    brute = {}
+    for k in range(51):
+        for line in current:
+            brute.setdefault(normalize_leading(line), k)
+        current = [mat_vec(g, line) for line in current]
+    points = {p for path, p in seen if path == "0" and p.exact}
+    assert len(points) > 500 and {path for path, _ in seen} == {"0"}
+    levels = [v._absorbed_level(v.root, "0", p) for p in points]
+    assert levels == [brute.get(_point_line_key(p)) for p in points]
+    assert {0, 1, 2} <= set(levels) and None in levels
