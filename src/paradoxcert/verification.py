@@ -1067,12 +1067,12 @@ def _fragment_float_index(frag: Fragment):
     return np.vstack(reps), labels
 
 
-def _line_float_index(check: dict, field: str):
+def _line_float_index(ab: dict, field: str):
     """(float reps array, least powers) of the lines of an absorber
     check's index, decoded from their keys into the float lane of the
     field."""
     import numpy as np
-    index, floats = check["index"], check["keys"].floats
+    index, floats = ab["index"], ab["keys"].floats
     return (np.vstack([_vec_line_rep([_float_in_field(x, field)
                                       for x in floats(k)])
                        for k in index]), list(index.values()))
