@@ -327,28 +327,23 @@ def _case(name):
     return _quaternion_pole_absorber(q), _pole(3)
 
 
-@pytest.mark.parametrize("name", [
-    "default", "identity", "quarter-turn", "sphere(3)", "sphere(4)",
-    "proj(C,3)", "gauss_sqrt5", "quat_rational", "quat_sqrt5"])
-def test_the_absorber_index_is_the_exact_orbit(name):
+@pytest.mark.parametrize("name,collision", [
+    ("default", None), ("identity", (0, 1)), ("quarter-turn", (0, 2)),
+    ("sphere(3)", None), ("sphere(4)", None), ("proj(C,3)", None),
+    ("gauss_sqrt5", None), ("quat_rational", None), ("quat_sqrt5", None)])
+def test_the_absorber_index_is_the_exact_orbit(name, collision):
     from paradoxcert.scalars import to_float_scalar
     g, lines = _case(name)
     assert is_unitary(g)
     result = absorber_check(g, lines, 50)
-    index, collision = _brute_force_index(g, lines, 50)
+    index, first = _brute_force_index(g, lines, 50)
+    assert first == collision
     keys = result["keys"]
     assert result["index"] == {keys.key(v): k for v, k in index.items()}
     assert result["first_collision"] == collision
     assert result["ok"] == (collision is None)
     for v in index:
         assert keys.floats(keys.key(v)) == tuple(map(to_float_scalar, v))
-
-
-def test_the_absorber_index_names_each_collision():
-    assert absorber_check(*_case("identity"), 50)["first_collision"] == (0, 1)
-    assert absorber_check(*_case("quarter-turn"), 50)[
-        "first_collision"] == (0, 2)
-    assert absorber_check(*_case("quat_sqrt5"), 50)["first_collision"] is None
 
 
 def test_a_line_outside_the_index_field_has_no_key():
@@ -368,3 +363,15 @@ def test_a_line_outside_the_index_field_has_no_key():
     quaternionic = absorber_check(*_case("quat_sqrt5"), 5)["keys"]
     assert quaternionic.key((zero, GaussSqrt5(0, 0, 1), one)) is None
     assert quaternionic.key((zero, QSqrt5(0, 1), one)) is not None
+
+
+def test_a_key_decodes_to_the_floats_of_its_exact_line():
+    # over Q(sqrt5, i) each entry rounds (a + b sqrt5) / den, so the decoded
+    # entry must be reduced by its own gcd first, as the exact entry is
+    from paradoxcert.scalars import GaussSqrt5, to_float_scalar
+    keys = absorber_check(_gauss_axis_absorber(), _pole(3), 2)["keys"]
+    line = (GaussSqrt5(1), GaussSqrt5(-33, 22, 47, -42, 17),
+            GaussSqrt5(-35, 13, 47, 7, 31))
+    assert keys.key(line) == (527, 0, 0, 0, -1023, 682, 1457, -1302,
+                              -595, 221, 799, 119)
+    assert keys.floats(keys.key(line)) == tuple(map(to_float_scalar, line))
