@@ -30,7 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificateError, DescriptorError, ParadoxError
-from .freegroup import default_absorber, get_pair, plane_rotation
+from .freegroup import (
+    default_absorber,
+    get_pair,
+    mixes_with_pair,
+    plane_rotation,
+)
 from .linalg import Matrix, is_unitary, matrix_from_json, matrix_to_json
 from .spaces import (
     Flag,
@@ -315,6 +320,15 @@ def _map_args(params: dict, ex):
     return args if ok else None
 
 
+def _known_pair(name):
+    """The generator pair a certificate names, or None for a name that is
+    no pair."""
+    try:
+        return get_pair(name) if isinstance(name, str) else None
+    except (ParadoxError, ValueError):
+        return None
+
+
 def _check_node(node: Node, path: str, violations: list):
     if node.rule not in RULES:
         violations.append(f"{path}: unknown rule {node.rule!r}")
@@ -489,6 +503,13 @@ def _check_node(node: Node, path: str, violations: list):
                f"{field}")
             amb = getattr(sp.base, "ambient_dim", None)
             ex(amb == g.rows, "absorber dimension must match the space")
+            removed = ch[0].space.removed if ch else None
+            if ring.exact and isinstance(removed, RemovedExceptional):
+                pair = _known_pair(removed.pair)
+                ex(pair is not None, f"unknown pair {removed.pair!r}")
+                ex(pair is None or mixes_with_pair(g, pair),
+                   f"absorber over {ring.name} does not act on the lines "
+                   f"of {removed.text}")
 
     elif node.rule == "Intertwine":
         ex(len(ch) == 1, "Intertwine takes one child")

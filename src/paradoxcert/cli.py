@@ -48,6 +48,7 @@ from .freegroup import (
 )
 from .linalg import Matrix
 from .scalars import RING_RATIONAL, scalar_to_json
+from .spaces import parse_descriptor
 from .verification import RunConfig, orbit_fragment, verify
 from .words import enumerate_ball, word_text
 
@@ -162,7 +163,12 @@ def _cmd_orbit(args, out, err) -> int:
         raise DescriptorError(
             f"seed point has {len(seed)} coordinates, pair {args.pair} acts "
             f"on {pair.dim}")
-    frag = orbit_fragment(args.space, seed, pair, args.depth)
+    space = parse_descriptor(args.space)
+    if space.ambient_dim != pair.dim:
+        raise DescriptorError(
+            f"pair {args.pair} acts on {pair.dim} coordinates, {space.text} "
+            f"on {space.ambient_dim}")
+    frag = orbit_fragment(space, seed, pair, args.depth)
     records = [{"word": word_text(w),
                 "point": [scalar_to_json(x) for x in frag.vectors[w]]}
                for w in frag.words]

@@ -14,11 +14,14 @@ Every scan over the words of a ball is one integer walk,
 ``_integer_products``. It reads the letter matrices of the root pair and a
 target matrix g (default I) once as integers over one common denominator
 den (a quaternion as the real 4x4 matrix of right multiplication by it),
-so a word of length d equals g iff its integer product is den**d * g, and
-each step is one integer dot product per entry. The freeness scan looks
-for I, the absorber-is-not-a-pair-word scan for the absorber, and the
-exceptional set rebuilds each word's exact product once from its integers
-to read its fixed axis.
+so the integer product of a word of length d is den**d times its matrix,
+and each step is one integer dot product per entry. The freeness scan
+(g = I) and the absorber-is-not-a-pair-word scan (g = the absorber) walk
+only the ball of radius ceil(L / 2) (``_word_hits``): a reduced word of
+length <= L equals g iff M(u) g = M(v) for u its first half inverted and
+v the rest, so every such word is read off the products the two half
+balls share. The exceptional set walks the whole ball and rebuilds each
+word's exact product once from its integers to read its fixed axis.
 
 ``absorber_check`` walks the absorber orbit of the removed set D as
 integers too (``LineKeys``): g and the lines of D are read once, each line
@@ -57,7 +60,7 @@ from .scalars import (
     common_class,
     integer_forms,
 )
-from .words import A, ball_size, word_text
+from .words import A, ball_size, inverse_word, reduce, word_text
 
 
 class GeneratorPair:
@@ -202,7 +205,7 @@ def _rational(x):
 
 
 def _integer_products(pair: GeneratorPair, max_len: int, target=None):
-    """(den, targets, products, exact): the one integer walk over words.
+    """(den, one, times_g, products, exact): the one integer walk over words.
 
     The letter matrices of ``pair.root()`` and the target g (default I, a
     square matrix of the root's size) are read once, in real form, as
@@ -210,8 +213,8 @@ def _integer_products(pair: GeneratorPair, max_len: int, target=None):
     entries are read as rationals. ``products`` yields (word, rows) depth
     first for every nonidentity reduced word of length <= max_len: the
     rows that determine the word's product, times den**len(word), as
-    integer forms. ``targets[d]`` holds those rows of den**d * g, so a
-    word equals g iff its rows equal ``targets[len(word)]``.
+    integer forms. ``one`` holds those rows of I, the empty word's
+    product, and ``times_g(rows)`` those of the product times den * g.
     ``exact(rows, d)`` rebuilds the exact product, in ``pair.dim``, from
     the rows of a word of length d.
 
@@ -235,9 +238,11 @@ def _integer_products(pair: GeneratorPair, max_len: int, target=None):
     # cols[5] those of den * I
     cols = [cols[k * size:(k + 1) * size] for k in range(6)]
     kept = range(0, size, 4 if quaternionic else 1)
-    targets = [None, [[c[i] for c in cols[4]] for i in kept]]
-    while len(targets) <= max_len:
-        targets.append([[dot(r, c) for c in cols[5]] for r in targets[-1]])
+    # I over den**0: the integers of den * I, divided by den
+    one = [[_times(c[i], 1, den) for c in cols[5]] for i in kept]
+
+    def times_g(rows):
+        return [[dot(r, c) for c in cols[4]] for r in rows]
 
     def products():
         # depth-first with an explicit stack; it never exceeds ~3 * max_len
@@ -262,29 +267,82 @@ def _integer_products(pair: GeneratorPair, max_len: int, target=None):
         m = Matrix(entries)
         return m if pair is root else block_embed_matrix(m, pair.dim)
 
-    return den, targets, products(), exact
+    return den, one, times_g, products(), exact
+
+
+def _times(x, n, d=1):
+    """The integer form x times n // d, for integers n and d dividing
+    every component of n * x."""
+    if type(x) is int:
+        return x * n // d
+    return tuple([c * n // d for c in x])
+
+
+def _key(rows, n):
+    """Integer-form rows times the integer n, hashable."""
+    return tuple(tuple([_times(x, n) for x in r]) for r in rows)
+
+
+def _word_hits(pair: GeneratorPair, max_len: int, g=None) -> set:
+    """Every reduced word of length <= max_len that equals g (default I),
+    the empty word included, from the products of two half balls.
+
+    Let hi = ceil(max_len / 2) and lo = floor(max_len / 2). A reduced word
+    w equals g iff M(u) g = M(v) for u the inverse of its first
+    ceil(|w| / 2) letters (in the ball of radius hi) and v the rest (in
+    the ball of radius lo); and every u, v with M(u) g = M(v) gives the
+    hit reduce(u^-1 v), of length <= max_len. So the ball of radius hi is
+    walked once, each product's integer rows are scaled to den**(hi + 1)
+    (the u side times den * g), and the hits are read off the rows the
+    two sides share.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+    hi, lo = (max_len + 1) // 2, max_len // 2
+    den, one, times_g, products, _ = _integer_products(pair, hi, g)
+    starts, ends = {}, {}
+    for w, rows in chain([((), one)], products):
+        n = den ** (hi - len(w))
+        starts.setdefault(_key(times_g(rows), n), []).append(w)
+        if len(w) <= lo:
+            ends.setdefault(_key(rows, n * den), []).append(w)
+    return {reduce(inverse_word(u) + v)
+            for key in starts.keys() & ends.keys()
+            for u in starts[key] for v in ends[key]}
+
+
+def _depth_first_position(word, max_len: int) -> int:
+    """The 1-based position of a nonidentity reduced word among those of
+    length <= max_len in depth-first order, which is tuple order."""
+    position, last_inv = len(word), None
+    for depth, x in enumerate(word, 1):
+        before = x - (last_inv is not None and last_inv < x)
+        # a word of length depth heads a subtree of 1 + 3 + ... words
+        position += before * (3 ** (max_len - depth + 1) - 1) // 2
+        last_inv = x ^ 1
+    return position
 
 
 def check_freeness(pair: GeneratorPair, max_len: int) -> dict:
-    """Evaluate every nonidentity reduced word of length <= max_len exactly.
+    """Prove every nonidentity reduced word of length <= max_len
+    nontrivial, exactly, from the products of two half balls.
 
-    Passes when none evaluates to the identity. The word count is always
-    2 * 3**max_len - 2 (the ball minus the empty word), so none at
-    max_len = 0.
+    A trivial word w of length <= max_len would make the products of two
+    words of length <= ceil(max_len / 2) equal: its first half inverted
+    and the rest (``_word_hits``). The counterexample is the least trivial
+    word in depth-first (tuple) order, and ``words_checked`` counts the
+    words proven nontrivial: those before it in that order, it included,
+    or on a pass all 2 * 3**max_len - 2 (the ball minus the empty word),
+    so none at max_len = 0.
     """
     start = time.monotonic()
-    counterexample = None
-    checked = 0
-    _, ones, products, _ = _integer_products(pair, max_len)
-    for w, m in products:
-        checked += 1
-        if m == ones[len(w)]:
-            counterexample = w
-            break
+    counterexample = min(_word_hits(pair, max_len) - {()}, default=None)
     return {
         "pair": pair.name,
         "max_len": max_len,
-        "words_checked": checked,
+        "words_checked": (ball_size(max_len) - 1 if counterexample is None
+                          else _depth_first_position(counterexample,
+                                                     max_len)),
         "ok": counterexample is None,
         "counterexample": (word_text(counterexample)
                            if counterexample else None),
@@ -296,18 +354,16 @@ def pair_word_scan(pair: GeneratorPair, max_len: int, g: Matrix):
     """(words scanned, texts of the root pair's reduced words of length
     <= max_len that equal g, in ``enumerate_ball`` order).
 
-    The identity word is checked first, so every word of the ball is
-    scanned. A g with an entry outside every field the words live in
-    equals none of them.
+    Every word of the ball is covered, the empty one too, by the products
+    of two half balls (``_word_hits``). A g with an entry outside every
+    field the words live in equals none of them.
     """
-    hits = [()] if g == Matrix.identity(g.rows, RING_RATIONAL) else []
     try:
-        _, targets, products, _ = _integer_products(pair, max_len, g)
+        hits = _word_hits(pair, max_len, g)
     except BackendMismatchError:
-        targets, products = None, ()
-    hits += sorted((w for w, rows in products if rows == targets[len(w)]),
-                   key=lambda w: (len(w), w))
-    return ball_size(max_len), [word_text(w) for w in hits]
+        hits = ()
+    return ball_size(max_len), [word_text(w) for w in
+                                sorted(hits, key=lambda w: (len(w), w))]
 
 
 def _require_so3(pair: GeneratorPair):
@@ -340,7 +396,7 @@ def exceptional_set(pair: GeneratorPair, max_len: int) -> frozenset:
     """Canonical fixed lines of all nonidentity words of length <= max_len,
     each read off the word's exact product rebuilt from the integer walk."""
     _require_so3(pair)
-    _, _, products, exact = _integer_products(pair, max_len)
+    _, _, _, products, exact = _integer_products(pair, max_len)
     return frozenset(_fixed_line(exact(rows, len(w)), w)
                      for w, rows in products)
 
@@ -401,6 +457,18 @@ def _content_free(v):
     """The integer vector v divided by the gcd of its entries."""
     g = math.gcd(*v)
     return v if g <= 1 else tuple([x // g for x in v])
+
+
+def mixes_with_pair(g: Matrix, pair: GeneratorPair) -> bool:
+    """Whether g's entries, each read by value, share one exact field with
+    the letters of the pair, where the lines of its fixed locus D lie:
+    otherwise ``absorber_check`` cannot walk g over D."""
+    try:
+        common_class([_rational(x) for m in (g, pair.root().letter_matrix(A))
+                      for row in m.data for x in row])
+    except BackendMismatchError:
+        return False
+    return True
 
 
 class LineKeys:

@@ -365,6 +365,23 @@ def test_a_real_absorber_over_another_field_reports_the_same_bytes(
     assert reports[0] == reports[1]
 
 
+def test_an_irrational_absorber_off_the_pair_field_is_a_named_violation(
+        tmp_path, capsys):
+    # cosine 1/sqrt5 about z: real and exactly unitary, but Q(sqrt5) and
+    # the Q(sqrt2) lines of D[so3-ab] share no exact field
+    from paradoxcert.scalars import QSqrt5
+    c, s = QSqrt5(0, Fraction(1, 5)), QSqrt5(0, Fraction(2, 5))
+    zero, one = QSqrt5(0), QSqrt5(1)
+    g = Matrix([[c, -s, zero], [s, c, zero], [zero, zero, one]])
+    cert = _sphere2_with_absorber(tmp_path, g)
+    capsys.readouterr()
+    assert main(["verify", str(cert), "--depth", "2", "--samples", "5"]) == 1
+    err = capsys.readouterr().err
+    assert "structure: 0: absorber over qsqrt5 does not act on the lines " \
+           "of D[so3-ab]" in err
+    assert "Traceback" not in err
+
+
 def test_the_identity_absorber_is_a_pair_word_and_keeps_d_in_place(
         tmp_path, capsys):
     ident = Matrix.identity(3, RINGS["rational"])
@@ -559,8 +576,13 @@ def test_an_unknown_key_is_named(tmp_path, capsys, desc, mutate, message):
      "argument --pair: cannot embed into a smaller dimension"),
     (["orbit", "sphere(2)", "--pair", "su2-sqrt5"],
      "seed point has 3 coordinates, pair su2-sqrt5 acts on 2"),
+    (["orbit", "proj(C,2)", "--depth", "1"],
+     "pair so3-ab acts on 3 coordinates, proj(C,2) on 2"),
+    (["orbit", "sphere(5)", "--depth", "1"],
+     "pair so3-ab acts on 3 coordinates, sphere(5) on 6"),
 ], ids=["freeness", "axes", "orbit", "embedding-text", "embedding-smaller",
-        "orbit-seed-length"])
+        "orbit-seed-length", "orbit-proj-dimension",
+        "orbit-sphere-dimension"])
 def test_a_bad_pair_is_a_usage_error(capsys, argv, message):
     assert main(argv) == 2
     assert message in capsys.readouterr().err

@@ -26,7 +26,7 @@ from paradoxcert.linalg import (
     normalize_leading,
 )
 from paradoxcert.scalars import RING_RATIONAL, Quaternion
-from paradoxcert.words import enumerate_ball, parse_word
+from paradoxcert.words import ball_size, enumerate_ball, parse_word, word_text
 
 PAIRS = ("so3-ab", "su2-sqrt5", "sp1-sqrt5")
 
@@ -137,8 +137,10 @@ def test_the_integer_scan_is_den_powers_times_the_exact_products(name):
     target = evaluate(parse_word("aB"), root)
     for g in (None, target):
         want = ident if g is None else g
-        den, targets, products, exact = _integer_products(pair, 5, g)
-        seen, hits = [], []
+        den, one, times_g, products, exact = _integer_products(pair, 5, g)
+        assert one == [[_over(x, 1) for x in r]
+                       for r in _component_rows(ident)]
+        seen = []
         for w, rows in products:
             seen.append(w)
             product = evaluate(w, root)
@@ -146,13 +148,96 @@ def test_the_integer_scan_is_den_powers_times_the_exact_products(name):
             assert rows == [[_over(x, n) for x in r]
                             for r in _component_rows(product)], (name, w)
             assert exact(rows, len(w)) == evaluate(w, pair), (name, w)
-            if rows == targets[len(w)]:
-                hits.append(w)
+            assert times_g(rows) == [
+                [_over(x, n * den) for x in r]
+                for r in _component_rows(matmul(product, want))], (name, w)
         assert sorted(seen) == sorted(w for w in enumerate_ball(5) if w)
-        assert hits == ([] if g is None else [parse_word("aB")])
-        for d in range(1, 6):
-            assert targets[d] == [[_over(x, den ** d) for x in r]
-                                  for r in _component_rows(want)]
+
+
+def _degenerate_pair(name):
+    """A rational pair that is not free: the quarter turn pair, its letters
+    swapped, b = a^2 for the quarter turn a, or a = b q for the quarter
+    turn q."""
+    quarter = _quarter_turn_pair("rational")
+    q, r = quarter.letter_matrix(0), quarter.letter_matrix(2)
+    a, b = {"quarter": (q, r), "swapped": (r, q), "b=a^2": (q, matmul(q, q)),
+            "a=bq": (matmul(r, q), r)}[name]
+    return GeneratorPair(name, "rational", 3,
+                         (a, a.transpose(), b, b.transpose()))
+
+
+def _depth_first_freeness(pair, max_len):
+    """check_freeness, less elapsed_s, by the depth-first integer walk
+    over every word of the ball: the first word whose rows are those of
+    den**len(word) * I, and the count of words walked up to it."""
+    root = pair.root()
+    ident = _component_rows(
+        Matrix.identity(root.dim, root.letter_matrix(0).scalar_ring()))
+    den, _, _, products, _ = _integer_products(pair, max_len)
+    checked, counterexample = 0, None
+    for w, rows in products:
+        checked += 1
+        if rows == [[_over(x, den ** len(w)) for x in r] for r in ident]:
+            counterexample = w
+            break
+    return {"pair": pair.name, "max_len": max_len, "words_checked": checked,
+            "ok": counterexample is None,
+            "counterexample": counterexample and word_text(counterexample)}
+
+
+@pytest.mark.parametrize("name", PAIRS + ("so3-ab@4", "sp1-sqrt5@2",
+                                          "quarter", "swapped", "b=a^2",
+                                          "a=bq"))
+def test_freeness_equals_the_depth_first_walk(name):
+    pair = get_pair(name) if "-" in name else _degenerate_pair(name)
+    for max_len in range(8):
+        result = check_freeness(pair, max_len)
+        del result["elapsed_s"]
+        assert result == _depth_first_freeness(pair, max_len)
+    assert result["ok"] == ("-" in name)
+
+
+def _ball_products(pair, max_len):
+    """{word: its exact product} over the ball, breadth first."""
+    out = {}
+    for w in enumerate_ball(max_len):
+        out[w] = (matmul(out[w[:-1]], pair.letter_matrix(w[-1])) if w else
+                  Matrix.identity(pair.dim, RING_RATIONAL))
+    return out
+
+
+@pytest.mark.parametrize("name", ["so3-ab", "quarter"])
+def test_the_pair_word_scan_equals_the_depth_first_walk(name):
+    pair = get_pair(name) if "-" in name else _degenerate_pair(name)
+    products = _ball_products(pair, 6)
+    if name == "so3-ab":
+        targets = [evaluate(parse_word(w), pair) for w in (
+            "e", "b", "aB", "Aba", "abAB", "bbAba", "aBabAb")]
+        targets.append(default_absorber())
+    else:
+        targets = [evaluate(parse_word("aa"), pair)]
+    targets.append(Matrix.identity(3, RING_RATIONAL))
+    for g in targets:
+        for max_len in range(7):
+            hits = [word_text(w) for w, m in products.items()
+                    if len(w) <= max_len and m == g]
+            assert pair_word_scan(pair, max_len, g) == (ball_size(max_len),
+                                                        hits)
+
+
+def test_the_freeness_proof_walks_only_the_half_ball(monkeypatch):
+    from paradoxcert import freegroup
+    walked = []
+    real = freegroup._integer_products
+
+    def counting(*args):
+        den, one, times_g, products, exact = real(*args)
+        return den, one, times_g, ((walked.append(w), (w, rows))[1]
+                                   for w, rows in products), exact
+
+    monkeypatch.setattr(freegroup, "_integer_products", counting)
+    assert check_freeness(get_pair("so3-ab"), 10)["words_checked"] == 118096
+    assert 0 < len(walked) <= ball_size(5) - 1 == 484
 
 
 def _written_over(m, cls):
