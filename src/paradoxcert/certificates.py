@@ -348,11 +348,9 @@ def _check_node(node: Node, path: str, violations: list):
         ex(len(ch) == 1 and ch[0].rule == "BaseF2",
            "FreeTransport consumes the BaseF2 fact")
         pairname = node.params.get("pair")
-        try:
-            pair = get_pair(pairname)
-            ex(pair.dim == 3, "transport pair must act on R^3")
-        except Exception:
-            ex(False, f"unknown pair {pairname!r}")
+        pair = _known_pair(pairname)
+        ex(pair is not None, f"unknown pair {pairname!r}")
+        ex(pair is None or pair.dim == 3, "transport pair must act on R^3")
         ex(gr == GroupTag("free", 3, pair=pairname),
            "group must be the free group of the pair")
         ex(sp.star_ambient is None, "transport space is not starred")

@@ -207,7 +207,7 @@ def _ball_products(pair, max_len):
 
 
 @pytest.mark.parametrize("name", ["so3-ab", "quarter"])
-def test_the_pair_word_scan_equals_the_depth_first_walk(name):
+def test_the_pair_word_scan_equals_a_brute_force_over_the_ball(name):
     pair = get_pair(name) if "-" in name else _degenerate_pair(name)
     products = _ball_products(pair, 6)
     if name == "so3-ab":
