@@ -354,9 +354,11 @@ def pair_word_scan(pair: GeneratorPair, max_len: int, g: Matrix):
     """(words scanned, texts of the root pair's reduced words of length
     <= max_len that equal g, in ``enumerate_ball`` order).
 
-    Every word of the ball is covered, the empty one too, by the products
-    of two half balls (``_word_hits``). A g with an entry outside every
-    field the words live in equals none of them.
+    A word w of the ball equals g iff M(u) g = M(v) for u its first
+    ceil(|w| / 2) letters inverted and v the rest, so every word of the
+    ball, the empty one too, is decided by the products of the ball of
+    radius ceil(max_len / 2) (``_word_hits``). A g with an entry outside
+    every field the words live in equals none of them.
     """
     try:
         hits = _word_hits(pair, max_len, g)
