@@ -382,6 +382,20 @@ def test_an_irrational_absorber_off_the_pair_field_is_a_named_violation(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["nope", "so3-ab@x", 123])
+def test_a_removed_set_of_no_pair_is_named(tmp_path, capsys, name):
+    cert = tmp_path / "cert.json"
+    assert main(["derive", "sphere(2)", "-o", str(cert)]) == 0
+    blob = json.loads(cert.read_text())
+    blob["root"]["children"][0]["space"]["removed"]["pair"] = name
+    cert.write_text(json.dumps(blob))
+    capsys.readouterr()
+    assert main(["verify", str(cert), "--depth", "2", "--samples", "5"]) == 1
+    err = capsys.readouterr().err
+    assert f"structure: 0: unknown pair {name!r}" in err
+    assert "Traceback" not in err
+
+
 def test_the_identity_absorber_is_a_pair_word_and_keeps_d_in_place(
         tmp_path, capsys):
     ident = Matrix.identity(3, RINGS["rational"])
