@@ -20,7 +20,6 @@ from .scalars import (
     Quaternion,
     RING_GAUSS_SQRT5,
     RING_QSQRT2,
-    RING_QSQRT5,
     RING_QUAT_SQRT5,
     RING_RATIONAL,
     Ring,
@@ -43,8 +42,6 @@ def random_scalar(rng: random.Random, ring: Ring):
         return random_fraction(rng)
     if ring is RING_QSQRT2:
         return QSqrt2(random_fraction(rng), random_fraction(rng))
-    if ring is RING_QSQRT5:
-        return QSqrt5(random_fraction(rng), random_fraction(rng))
     if ring is RING_GAUSS_SQRT5:
         return GaussSqrt5(rng.randrange(-3, 4), rng.randrange(-2, 3),
                           rng.randrange(-3, 4), rng.randrange(-2, 3),
@@ -57,7 +54,7 @@ def random_scalar(rng: random.Random, ring: Ring):
 
 def _imaginary_scalar(rng: random.Random, ring: Ring):
     """A scalar with conj(x) = -x (the diagonal of an anti-Hermitian)."""
-    if ring in (RING_RATIONAL, RING_QSQRT2, RING_QSQRT5):
+    if ring in (RING_RATIONAL, RING_QSQRT2):
         return ring.zero
     if ring is RING_GAUSS_SQRT5:
         return GaussSqrt5(0, 0, rng.randrange(-3, 4), rng.randrange(-2, 3),

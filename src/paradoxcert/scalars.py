@@ -10,8 +10,10 @@ group elements and points carry entries from one of a few field towers:
 * ``Quaternion``          -- w + xi + yj + zk over any real backend above
 
 plus plain ``float``/``complex``/float quaternions for the verification-only
-float lane. Every scalar type supports ``+ - * /``, ``conjugate()`` and is
-hashable, so generic linear algebra can stay backend-agnostic.
+float lane. Every scalar type supports ``+ - *`` and ``conjugate()``, is
+hashable, and inverts a nonzero value (``1 / x`` for the stdlib numbers,
+``x.inverse()`` for the classes here), so generic linear algebra can stay
+backend-agnostic.
 
 Equal exact values are ``==`` and hash alike in every class: a rational is
 one number as a ``Fraction``, in any quadratic field and as a real
@@ -468,19 +470,6 @@ class Quaternion:
         c = self.conjugate()
         return Quaternion(c.w * inv, c.x * inv, c.y * inv, c.z * inv)
 
-    def __truediv__(self, other):
-        # right division: self * other^-1 (matches elimination usage)
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def is_zero(self):
         return not (self.w or self.x or self.y or self.z)
 
@@ -803,10 +792,10 @@ RING_COMPLEX = Ring("complex", complex(0), complex(1), False,
 RING_QUAT_FLOAT = Ring("quat_float", _quat_float(0), _quat_float(1), False,
                        _quat_float, lambda x: x)
 
+# the exact rings by name: the rings a matrix literal may name
 RINGS = {r.name: r for r in (
     RING_RATIONAL, RING_QSQRT2, RING_QSQRT5, RING_GAUSS_SQRT5,
-    RING_QUAT_RATIONAL, RING_QUAT_SQRT5, RING_FLOAT, RING_COMPLEX,
-    RING_QUAT_FLOAT,
+    RING_QUAT_RATIONAL, RING_QUAT_SQRT5,
 )}
 
 
@@ -854,10 +843,6 @@ def scalar_to_json(x):
     if isinstance(x, Quaternion):
         return {"w": scalar_to_json(x.w), "x": scalar_to_json(x.x),
                 "y": scalar_to_json(x.y), "z": scalar_to_json(x.z)}
-    if isinstance(x, float):
-        return x
-    if isinstance(x, complex):
-        return {"re": x.real, "im": x.imag}
     raise BackendMismatchError(f"cannot serialize {x!r}")
 
 
@@ -872,16 +857,10 @@ def scalar_from_json(obj, ring: Ring):
     if name == "gauss_sqrt5":
         return GaussSqrt5(int(obj["a"]), int(obj["b"]), int(obj["c"]),
                           int(obj["d"]), int(obj["den"]))
-    if name in ("quat_rational", "quat_sqrt5", "quat_float"):
-        comp = {"quat_rational": RING_RATIONAL,
-                "quat_sqrt5": RING_QSQRT5,
-                "quat_float": RING_FLOAT}[name]
+    if name in ("quat_rational", "quat_sqrt5"):
+        comp = RING_RATIONAL if name == "quat_rational" else RING_QSQRT5
         return Quaternion(*(scalar_from_json(obj[k], comp)
                             for k in ("w", "x", "y", "z")))
-    if name == "float":
-        return float(obj)
-    if name == "complex":
-        return complex(obj["re"], obj["im"])
     raise BackendMismatchError(f"unknown ring {name}")
 
 

@@ -41,7 +41,6 @@ from .linalg import (
     mat_vec,
     matmul,
     max_abs_diff,
-    max_abs_diff_vec,
     normalize_leading,
     projector_of_basis,
     ray_canonical,
@@ -290,10 +289,6 @@ class SpherePoint:
         sign, direction = ray_canonical(v)
         return cls(sign, direction, exact=True)
 
-    @property
-    def dim(self):
-        return len(self.direction) - 1
-
     def antipode(self):
         if self.exact:
             return SpherePoint(-self.sign, self.direction, True)
@@ -489,9 +484,6 @@ class FlagPoint:
     def __setattr__(self, *args):
         raise AttributeError("immutable")
 
-    def apply_matrix(self, m: Matrix):
-        return FlagPoint(c.apply_matrix(m) for c in self.components)
-
     @property
     def exact(self):
         return self.components[0].exact
@@ -536,11 +528,14 @@ def act(m, point):
 
 
 def equals(p, q, tol: float = 0.0) -> bool:
-    """Point equality: exact when both sides are exact, else within tol."""
-    if isinstance(p, SpherePoint) and isinstance(q, SpherePoint):
-        if p.exact and q.exact:
-            return p.key() == q.key()
-        return max_abs_diff_vec(p.to_float_vector(), q.to_float_vector()) <= tol
+    """Point equality: exact when both sides are exact, else within tol.
+
+    Sphere points compare only when both are exact; a float sphere point
+    cannot be compared.
+    """
+    if (isinstance(p, SpherePoint) and isinstance(q, SpherePoint)
+            and p.exact and q.exact):
+        return p.key() == q.key()
     if isinstance(p, Subspace) and isinstance(q, Subspace):
         if p.dim != q.dim:
             return False
@@ -556,11 +551,9 @@ def equals(p, q, tol: float = 0.0) -> bool:
 
 
 def block_embed_point(point, n: int):
-    """Zero-pad a point of K^m into K^n (the starred copy)."""
-    if isinstance(point, SpherePoint):
-        if not point.exact:
-            pad = (0.0,) * (n - len(point.direction))
-            return SpherePoint(1, point.direction + pad, False)
+    """Zero-pad a point of K^m into K^n (the starred copy): an exact sphere
+    point, or a subspace or flag in either lane."""
+    if isinstance(point, SpherePoint) and point.exact:
         ring = ring_of(point.direction[0])
         pad = (ring.zero,) * (n - len(point.direction))
         return SpherePoint(point.sign, point.direction + pad, True)

@@ -42,7 +42,8 @@ Facts that do not depend on a node's place in the tree (orbit fragments
 and their float indexes, absorber contexts, the pair-word, freeness and
 translate scans, map selftests and maps) are computed once per verify and
 keyed by the content they are computed from, so a repeated subtree reuses
-them.  Whatever depends on a node's samples (sample draws, random
+them; each node looks its own fact up by that key once and keeps it by
+path.  Whatever depends on a node's samples (sample draws, random
 unitaries, section and involution replays, witness checks) stays keyed by
 node path, so sharing changes no report byte.
 """
@@ -471,7 +472,7 @@ class CertVerifier:
         self.root = root
         self.config = config or RunConfig()
         self._facts = {}        # content key -> shared fact
-        self._node_keys = {}    # path -> content key of the node's own fact
+        self._node_facts = {}   # path -> the node's own fact, resolved once
 
     # -- shared facts --------------------------------------------------------
 
@@ -482,25 +483,28 @@ class CertVerifier:
             fact = self._facts[key] = build()
         return fact
 
-    def _node_key(self, node: Node, path: str):
-        """Content key of the fragment, absorber context or map a node
-        reads, computed once per node."""
-        key = self._node_keys.get(path)
-        if key is None:
-            key = self._node_keys[path] = _content_key(node, self.config)
-        return key
+    def _node_fact(self, node: Node, path: str, build):
+        """The fragment, absorber context or map a node reads: shared by
+        content key, and looked up by that key once per node, so later
+        reads hash no matrix."""
+        fact = self._node_facts.get(path)
+        if fact is None:
+            fact = self._node_facts[path] = self._fact(
+                _content_key(node, self.config), build)
+        return fact
 
     def _fragment_for(self, node: Node, path: str) -> Fragment:
         def build():
             space, seed, pair, depth = _fragment_inputs(node,
                                                         self.config.depth)
             return orbit_fragment(space, seed, pair, depth)
-        return self._fact(self._node_key(node, path), build)
+        return self._node_fact(node, path, build)
 
-    def _float_index(self, node: Node, path: str, build):
+    def _float_index(self, fact, build):
         """(reps array, values) of a node's fact for nearest-point
-        matching, built from the fact on the first float query."""
-        return self._fact(("float index", self._node_key(node, path)), build)
+        matching, built from the fact on the first float query.  Facts
+        live as long as the verifier, so a fact's id names it."""
+        return self._fact(("float index", id(fact)), build)
 
     def _removed_dirs(self, removed, base):
         """Deterministic list of line directions realizing the removed set."""
@@ -527,7 +531,7 @@ class CertVerifier:
             return {"g": g, "dirs": dirs,
                     "absorber_check": absorber_check(
                         g, dirs, self.config.absorber_bound)}
-        return self._fact(self._node_key(node, path), build)
+        return self._node_fact(node, path, build)
 
     def _absorbed_level(self, node: Node, path: str, point):
         """Least k <= bound with the point's line in g^k(D), or None.
@@ -535,18 +539,19 @@ class CertVerifier:
         A float point is matched against the float copy of the index,
         made on the first float query.
         """
-        ab = self._absorb_context(node, path)["absorber_check"]
+        ctx = self._absorb_context(node, path)
+        ab = ctx["absorber_check"]
         if getattr(point, "exact", True):
             # None, the key of a point outside the index's field, is no key
             return ab["index"].get(ab["keys"].key(_point_line_key(point)))
         field = _field_of(node.space.base)
         return _nearest(self._float_index(
-            node, path, lambda: _line_float_index(ab, field)),
+            ctx, lambda: _line_float_index(ab, field)),
             _point_line_rep(point))
 
     def _map_for(self, node: Node, path: str):
-        return self._fact(self._node_key(node, path),
-                          lambda: map_from_params(node.params))
+        return self._node_fact(node, path,
+                               lambda: map_from_params(node.params))
 
     def _selftest(self, m, n):
         return self._fact(("selftest", m.name, n),
@@ -567,7 +572,7 @@ class CertVerifier:
                 w = frag.index.get(key)
                 return "Unknown" if w is None else classify_prefix(w)
             reps = self._float_index(
-                node, path, lambda: _fragment_float_index(frag))
+                frag, lambda: _fragment_float_index(frag))
             label = _nearest(reps, _point_ray_rep(point) if frag.kind == "ray"
                              else _point_line_rep(point))
             return "Unknown" if label is None else label

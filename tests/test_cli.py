@@ -136,6 +136,16 @@ def _absorber_entries(blob):
     return blob["root"]["params"]["absorber"]["__matrix__"]["entries"]
 
 
+def _absorber_over(ring, entry):
+    """The sphere(2) certificate's absorber made a literal over ``ring``,
+    the identity written entry by entry as ``entry(0)`` and ``entry(1)``."""
+    def mutate(blob):
+        blob["root"]["params"]["absorber"]["__matrix__"] = {
+            "ring": ring, "entries": [[entry(int(i == j)) for j in range(3)]
+                                      for i in range(3)]}
+    return mutate
+
+
 def _on(desc, mutate):
     """``mutate`` applied to the certificate of ``desc``, not sphere(2)."""
     mutate.desc = desc
@@ -224,6 +234,14 @@ _DUALITY = _map_params((0, 1, 0))  # EquidecompTransfer by duality
      "node children must be an array, not dict"),
     (lambda blob: _base(blob).update(children="x"),
      "node children must be an array, not str"),
+    (_absorber_over("float", float), "unknown exact ring 'float'"),
+    (_absorber_over("complex", lambda x: {"re": x, "im": 0.0}),
+     "unknown exact ring 'complex'"),
+    (_absorber_over("quat_float", lambda x: {
+        "w": float(x), "x": 0.0, "y": 0.0, "z": 0.0}),
+     "unknown exact ring 'quat_float'"),
+    (_absorber_over("octonion", lambda x: [str(x)] + ["0"] * 7),
+     "unknown exact ring 'octonion'"),
 ], ids=["space", "group", "root", "params", "removed", "seed-strings",
         "seed-lists", "seed-number", "seed-bool", "seed-float",
         "seed-huge-float", "absorber-literal", "absorber-zero-denominator",
@@ -233,7 +251,9 @@ _DUALITY = _map_params((0, 1, 0))  # EquidecompTransfer by duality
         "projective-zero", "root-group-pair", "grass-slice-arg-type",
         "grass-slice-arity", "pullback-map-object", "duality-arity",
         "duality-args-null", "flag-dims-type", "proj-drop-arity",
-        "sphere-drop-args-type", "children-object", "children-string"])
+        "sphere-drop-args-type", "children-object", "children-string",
+        "absorber-ring-float", "absorber-ring-complex",
+        "absorber-ring-quat-float", "absorber-ring-octonion"])
 def test_verify_rejects_a_broken_envelope(tmp_path, capsys, mutate, message):
     cert = tmp_path / "cert.json"
     main(["derive", getattr(mutate, "desc", "sphere(2)"), "-o", str(cert)])
@@ -286,6 +306,15 @@ def test_verify_tol_must_be_finite_and_positive(tol, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--tol" in err and "expected a finite number > 0" in err
     assert not report.exists()
+
+
+def test_verify_takes_a_valid_tol_into_the_report(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    report = tmp_path / "report.json"
+    assert main(["derive", "proj(C,2)", "-o", str(cert)]) == 0
+    assert main(["verify", str(cert), "--depth", "2", "--samples", "5",
+                 "--tol", "1e-6", "-o", str(report)]) == 0
+    assert json.loads(report.read_text())["config"]["tol"] == 1e-06
 
 
 @pytest.mark.parametrize("argv", [

@@ -115,6 +115,18 @@ def test_sphere_points_are_signed_rays():
     assert equals(p.antipode(), m)
 
 
+def test_a_float_sphere_point_is_neither_compared_nor_embedded():
+    # float sphere points live only inside the Intertwine lift, which
+    # matches them against float indexes; no check compares or pads one
+    exact = SpherePoint.from_vector((Fraction(1), Fraction(2), Fraction(2)))
+    lifted = SpherePoint.from_vector((1.0, 2.0, 2.0))
+    for p, q in ((lifted, lifted), (exact, lifted), (lifted, exact)):
+        with pytest.raises(BackendMismatchError, match="cannot compare"):
+            equals(p, q, 1e-9)
+    with pytest.raises(BackendMismatchError, match="cannot embed"):
+        block_embed_point(lifted, 4)
+
+
 # -------------------------------------------------------- projective points
 
 def test_projective_right_scalar_equivalence():

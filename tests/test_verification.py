@@ -249,16 +249,33 @@ def test_verify_classifies_intertwine_lifted_float_samples():
     # proj(C,2) lifts its sphere(2) samples through the float chart, so the
     # root classification of those labelled samples runs the FreeTransport
     # float index and the absorber float lane
-    from paradoxcert.verification import CertVerifier
-    v = CertVerifier(derive("proj(C,2)"), RunConfig(depth=3, samples=30))
+    from paradoxcert.verification import CertVerifier, _content_key
+    root = derive("proj(C,2)")
+    v = CertVerifier(root, RunConfig(depth=3, samples=30))
     report = v.verify()
     assert report["overall"] == "pass"
     assert report["provenance"]["ok"]
     assert report["provenance"]["labelled_samples"] > 0
-    keys = v._node_keys
-    assert sorted((path, key[0]) for path, key in keys.items()
-                  if ("float index", key) in v._facts) == [
+    nodes = dict(root.walk())
+    assert sorted((path, _content_key(nodes[path], v.config)[0])
+                  for path, fact in v._node_facts.items()
+                  if ("float index", id(fact)) in v._facts) == [
         ("0.0", "absorber"), ("0.0.0.0", "fragment")]
+
+
+def test_grass_h42_runs_the_quaternion_paths():
+    # the one certificate in reach whose verify multiplies a rational by a
+    # quaternion (Quaternion.__rmul__, in the slice intersection of an H
+    # 2-plane), flattens float quaternions (_flatten_scalar), decodes real
+    # absorber keys into float quaternions (_float_in_field) and reads
+    # real quaternion entries into a real absorber's integer keys
+    # (LineKeys._form); depth 1 and one sample reach all four
+    report = verify(derive("grass(H,4,2)"), depth=1, samples=1)
+    assert report["overall"] == "pass"
+    assert report["unknown"] == 0
+    assert report["provenance"]["labelled_samples"] == 1
+    assert [n["stats"]["lifted"] for n in report["nodes"]
+            if n["rule"] == "Intertwine"] == [1, 1]
 
 
 def _failures_at_root(report):
