@@ -264,11 +264,11 @@ def test_verify_classifies_intertwine_lifted_float_samples():
 
 
 def test_grass_h42_runs_the_quaternion_paths():
-    # the one certificate in reach whose verify multiplies a rational by a
-    # quaternion (Quaternion.__rmul__, in the slice intersection of an H
-    # 2-plane), flattens float quaternions (_flatten_scalar), decodes real
-    # absorber keys into float quaternions (_float_in_field) and reads
-    # real quaternion entries into a real absorber's integer keys
+    # no other certificate found multiplies a rational by a quaternion
+    # (Quaternion.__rmul__, in the slice intersection of an H 2-plane),
+    # flattens float quaternions (_flatten_scalar), decodes real absorber
+    # keys into float quaternions (_float_in_field) and reads real
+    # quaternion entries into a real absorber's integer keys
     # (LineKeys._form); depth 1 and one sample reach all four
     report = verify(derive("grass(H,4,2)"), depth=1, samples=1)
     assert report["overall"] == "pass"
