@@ -10,12 +10,19 @@ Three built-in generator pairs, each with exact entries:
 
 plus block-embedded copies diag(g, I) in any larger dimension.
 
+Both integer walks below read exact matrices through one reader,
+``IntegerReader``: it reads a set of matrices and vectors once, in the
+one field their entries share, as flat integer vectors over one common
+denominator den (each entry its integer components, a quaternion those of
+w, x, y and z in turn), and turns a matrix into the integer matrix of
+multiplying by it on the left or on the right.
+
 Every scan over the words of a ball is one integer walk,
-``_integer_products``. It reads the letter matrices of the root pair and a
-target matrix g (default I) once as integers over one common denominator
-den (a quaternion as the real 4x4 matrix of right multiplication by it),
-so the integer product of a word of length d is den**d times its matrix,
-and each step is one integer dot product per entry. The freeness scan
+``_integer_products``. It reads the letter matrices a, A, b, B of the root
+pair and a target matrix g (default I) once, so the integer rows of a
+word of length d are den**d times its matrix, and appending a letter is
+one integer dot product per integer of the result, with the columns of
+right multiplication by den times the letter. The freeness scan
 (g = I) and the absorber-is-not-a-pair-word scan (g = the absorber) walk
 only the ball of radius ceil(L / 2) (``_word_hits``): a reduced word of
 length <= L equals g iff M(u) g = M(v) for u its first half inverted and
@@ -58,7 +65,6 @@ from .scalars import (
     Quaternion,
     adjugate,
     common_class,
-    integer_forms,
 )
 from .words import A, ball_size, inverse_word, reduce, word_text
 
@@ -168,29 +174,6 @@ def evaluate(word, pair: GeneratorPair) -> Matrix:
     return out
 
 
-# 1, i, j, k: row e of the real form of a quaternion q holds e * q
-_UNITS = tuple(Quaternion(*(Fraction(int(e == c)) for c in range(4)))
-               for e in range(4))
-
-
-def _real_form(rows, quaternionic):
-    """The rows of a matrix over a commutative field.
-
-    Over a quaternionic pair each entry q becomes the 4x4 block of right
-    multiplication by q on components (w, x, y, z), whose row e holds
-    e * q; a product is then determined by its rows at e = 1. Any other
-    matrix is its own real form.
-    """
-    if not quaternionic:
-        return rows
-    out = []
-    for row in rows:
-        for e in _UNITS:
-            prods = [e * q for q in row]
-            out.append(tuple(c for p in prods for c in (p.w, p.x, p.y, p.z)))
-    return out
-
-
 def _rational(x):
     """x as a Fraction when its value is rational, else x itself.
 
@@ -204,16 +187,148 @@ def _rational(x):
     return x
 
 
+_ZERO = Fraction(0)
+
+# row r of the multiplication q * v (left) or v * q (right) on the
+# components w, x, y, z of v: (index, sign) of the component of q that
+# multiplies each component of v
+_LEFT = (((0, 1), (1, -1), (2, -1), (3, -1)),
+         ((1, 1), (0, 1), (3, -1), (2, 1)),
+         ((2, 1), (3, 1), (0, 1), (1, -1)),
+         ((3, 1), (2, -1), (1, 1), (0, 1)))
+_RIGHT = (((0, 1), (1, -1), (2, -1), (3, -1)),
+          ((1, 1), (0, 1), (3, 1), (2, -1)),
+          ((2, 1), (3, -1), (0, 1), (1, 1)),
+          ((3, 1), (2, 1), (1, -1), (0, 1)))
+
+
+def _quaternion_parts(x):
+    """(w, x, y, z) of a quaternion; any other scalar is (x, 0, 0, 0)."""
+    if isinstance(x, Quaternion):
+        return x.w, x.x, x.y, x.z
+    return x, _ZERO, _ZERO, _ZERO
+
+
+class IntegerReader:
+    """Exact matrices and vectors read once as flat integer vectors.
+
+    The entries share one field K: Q, Q(sqrt2), Q(sqrt5) or Q(sqrt5, i), or
+    the quaternions over Q or Q(sqrt5); a rational-valued entry is read as
+    the rational it is, whatever ring it was written over. Each entry
+    becomes its ``width`` integer components over the basis 1, sqrt(D), i,
+    sqrt(D) i, as far as K needs them (over the quaternions those of w, x,
+    y and z in turn: ``size`` integers an entry), and a vector the flat
+    tuple of its entries' integers. ``vectors`` holds the vectors read,
+    all over one common ``den``. ``blocks`` turns the integer rows (or
+    columns) of a matrix into the integer matrix of multiplication by it,
+    so every product of exact matrices is integer dot products, and
+    ``entries`` reads integers back as exact scalars.
+
+    Raises BackendMismatchError when the entries share no such field.
+    """
+
+    def __init__(self, vectors):
+        vectors = [[_rational(x) for x in v] for v in vectors]
+        self.quaternionic = any(isinstance(x, Quaternion)
+                                for v in vectors for x in v)
+        parts = chain.from_iterable(vectors)
+        if self.quaternionic:
+            parts = chain.from_iterable(map(_quaternion_parts, parts))
+        cls = common_class(parts)
+        if self.quaternionic and cls is not Fraction and cls.HAS_I:
+            raise BackendMismatchError("no quaternion has a complex part")
+        self.cls = cls
+        self.D = 0 if cls is Fraction else cls.D
+        self.width = 1 if cls is Fraction else 4 if cls.HAS_I else 2
+        self.size = self.width * (4 if self.quaternionic else 1)
+        reads = [self._read(v) for v in vectors]
+        self.den = math.lcm(*[d for d, _ in reads])
+        self.vectors = [tuple([c * (self.den // d) for c in v])
+                        for d, v in reads]
+
+    def _read(self, vec):
+        """(den, integers over den) of an exact vector, den the least
+        common denominator of its entries, or None when an entry lies
+        outside K."""
+        if self.quaternionic:
+            vec = chain.from_iterable(map(_quaternion_parts, vec))
+        parts = list(map(self._form, vec))
+        if None in parts:
+            return None
+        den = math.lcm(*[d for d, _ in parts])
+        return den, tuple([c * (den // d) for d, cs in parts for c in cs])
+
+    def _form(self, x):
+        """(den, components over den) of a scalar of K, or None."""
+        if isinstance(x, Quaternion) and not self.quaternionic:
+            if x.x or x.y or x.z:
+                return None
+            x = x.w
+        if isinstance(x, QuadExt):
+            if (x.b or x.c or x.d) and (
+                    x.D != self.D or (self.width < 4 and (x.c or x.d))):
+                return None
+            return x.den, (x.a, x.b, x.c, x.d)[:self.width]
+        if isinstance(x, (int, Fraction)):
+            return x.denominator, (x.numerator,) + (0,) * (self.width - 1)
+        return None
+
+    def _base(self, x):
+        """Rows of multiplication by the element x of K's real part (for
+        quaternions) or of K, on components: ``QuadExt.__mul__``."""
+        a, b, c, d = tuple(x) + (0,) * (4 - len(x))
+        D, w = self.D, len(x)
+        return [r[:w] for r in ((a, D * b, -c, -D * d), (b, a, -d, -c),
+                                (c, D * d, a, D * b), (d, c, b, a))[:w]]
+
+    def _times(self, e, side):
+        """Rows of multiplication by the entry e on the side ``_LEFT`` or
+        ``_RIGHT``; K is commutative unless it is quaternionic."""
+        if not self.quaternionic:
+            return self._base(e)
+        w = self.width
+        blocks = [self._base(e[u * w:(u + 1) * w]) for u in range(4)]
+        return [tuple(s * c for u, s in part for c in blocks[u][t])
+                for part in side for t in range(w)]
+
+    def blocks(self, rows, side):
+        """The integer matrix of multiplication by an exact matrix M, as
+        rows: with ``rows`` the integer rows of M and side ``_LEFT``, the
+        dot products of its rows with v are M v; with ``rows`` the integer
+        columns of M and side ``_RIGHT``, the dot products of r with its
+        rows are r M."""
+        size = self.size
+        return [tuple(chain.from_iterable(
+            self._times(row[j:j + size], side)[t]
+            for j in range(0, len(row), size)))
+            for row in rows for t in range(size)]
+
+    def entries(self, v, n):
+        """The exact scalars of K whose integers over n are v."""
+        w = self.width
+        if self.cls is Fraction:
+            out = [Fraction(c, n) for c in v]
+        else:
+            # the five-integer constructor, which RealQuadExt hides
+            out = [QuadExt.__new__(self.cls, *v[i:i + w], *(0,) * (4 - w), n)
+                   for i in range(0, len(v), w)]
+        if self.quaternionic:
+            out = [Quaternion(*out[i:i + 4]) for i in range(0, len(out), 4)]
+        return out
+
+
 def _integer_products(pair: GeneratorPair, max_len: int, target=None):
     """(den, one, times_g, products, exact): the one integer walk over words.
 
-    The letter matrices of ``pair.root()`` and the target g (default I, a
-    square matrix of the root's size) are read once, in real form, as
-    integers over one common den by ``integer_forms``; g's rational-valued
-    entries are read as rationals. ``products`` yields (word, rows) depth
-    first for every nonidentity reduced word of length <= max_len: the
-    rows that determine the word's product, times den**len(word), as
-    integer forms. ``one`` holds those rows of I, the empty word's
+    The letter matrices a, A, b, B of ``pair.root()`` and the target g
+    (default I, a square matrix of the root's size) are read once by one
+    ``IntegerReader``, over one common den; g's rational-valued entries are
+    read as rationals. A product's row is one flat integer vector, and a
+    letter x is appended by the dot products of each row with the integer
+    columns of right multiplication by den * x (``IntegerReader.blocks``).
+    ``products`` yields (word, rows) depth first for every nonidentity
+    reduced word of length <= max_len: the rows of the word's product,
+    times den**len(word). ``one`` holds the rows of I, the empty word's
     product, and ``times_g(rows)`` those of the product times den * g.
     ``exact(rows, d)`` rebuilds the exact product, in ``pair.dim``, from
     the rows of a word of length d.
@@ -225,62 +340,42 @@ def _integer_products(pair: GeneratorPair, max_len: int, target=None):
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     root = pair.root()
-    quaternionic = isinstance(root.letter_matrix(A)[0, 0], Quaternion)
-    ident = Matrix.identity(root.dim, RING_RATIONAL).data
-    g = ident if target is None else [[_rational(x) for x in row]
-                                      for row in target.data]
-    forms = [_real_form(m, quaternionic) for m in
-             [root.letter_matrix(x).data for x in range(4)] + [g, ident]]
-    size = len(forms[0])
-    den, cols, dot, read = integer_forms(
-        [c for rows in forms for c in zip(*rows)])
-    # cols[x]: the columns of letter x; cols[4] those of den * g, and
-    # cols[5] those of den * I
-    cols = [cols[k * size:(k + 1) * size] for k in range(6)]
-    kept = range(0, size, 4 if quaternionic else 1)
-    # I over den**0: the integers of den * I, divided by den
-    one = [[_times(c[i], 1, den) for c in cols[5]] for i in kept]
+    g = Matrix.identity(root.dim, RING_RATIONAL) if target is None else target
+    mats = [root.letter_matrix(x) for x in range(4)] + [g]
+    reader = IntegerReader([c for m in mats for c in zip(*m.data)])
+    n, size = root.dim, reader.size
+    # cols[x]: the integer columns of right multiplication by den * letter
+    # x; cols[4] those of den * g
+    cols = [reader.blocks(reader.vectors[k * n:(k + 1) * n], _RIGHT)
+            for k in range(5)]
+    one = [tuple([int(j == i * size) for j in range(n * size)])
+           for i in range(n)]
 
-    def times_g(rows):
-        return [[dot(r, c) for c in cols[4]] for r in rows]
+    def times(rows, x):
+        return [tuple([sum(map(mul, r, c)) for c in cols[x]]) for r in rows]
 
     def products():
         # depth-first with an explicit stack; it never exceeds ~3 * max_len
-        stack = [([[c[i] for c in cols[x]] for i in kept], (x,))
-                 for x in reversed(range(4))] if max_len else []
+        stack = [(one, ())]
         while stack:
             m, w = stack.pop()
-            yield w, m
+            if w:
+                yield w, m
             if len(w) < max_len:
-                last_inv = w[-1] ^ 1
-                for x in reversed(range(4)):
-                    if x != last_inv:
-                        stack.append(([[dot(r, c) for c in cols[x]]
-                                       for r in m], w + (x,)))
+                last_inv = w[-1] ^ 1 if w else None
+                stack.extend((times(m, x), w + (x,))
+                             for x in reversed(range(4)) if x != last_inv)
 
     def exact(rows, length):
-        n = den ** length
-        entries = [[read(x, n) for x in r] for r in rows]
-        if quaternionic:
-            entries = [[Quaternion(*r[i:i + 4]) for i in range(0, len(r), 4)]
-                       for r in entries]
-        m = Matrix(entries)
+        m = Matrix([reader.entries(r, reader.den ** length) for r in rows])
         return m if pair is root else block_embed_matrix(m, pair.dim)
 
-    return den, one, times_g, products(), exact
-
-
-def _times(x, n, d=1):
-    """The integer form x times n // d, for integers n and d dividing
-    every component of n * x."""
-    if type(x) is int:
-        return x * n // d
-    return tuple([c * n // d for c in x])
+    return reader.den, one, lambda rows: times(rows, 4), products(), exact
 
 
 def _key(rows, n):
-    """Integer-form rows times the integer n, hashable."""
-    return tuple(tuple([_times(x, n) for x in r]) for r in rows)
+    """Integer rows times the integer n, as one flat tuple."""
+    return tuple([x * n for r in rows for x in r])
 
 
 def _word_hits(pair: GeneratorPair, max_len: int, g=None) -> set:
@@ -433,28 +528,6 @@ def plane_rotation(n: int, i: int, j: int) -> Matrix:
     return Matrix(tuple(tuple(r) for r in rows))
 
 
-_ZERO = Fraction(0)
-
-# row r of the multiplication q * v (left) or v * q (right) on the
-# components w, x, y, z of v: (index, sign) of the component of q that
-# multiplies each component of v
-_LEFT = (((0, 1), (1, -1), (2, -1), (3, -1)),
-         ((1, 1), (0, 1), (3, -1), (2, 1)),
-         ((2, 1), (3, 1), (0, 1), (1, -1)),
-         ((3, 1), (2, -1), (1, 1), (0, 1)))
-_RIGHT = (((0, 1), (1, -1), (2, -1), (3, -1)),
-          ((1, 1), (0, 1), (3, 1), (2, -1)),
-          ((2, 1), (3, -1), (0, 1), (1, 1)),
-          ((3, 1), (2, 1), (1, -1), (0, 1)))
-
-
-def _quaternion_parts(x):
-    """(w, x, y, z) of a quaternion; any other scalar is (x, 0, 0, 0)."""
-    if isinstance(x, Quaternion):
-        return x.w, x.x, x.y, x.z
-    return x, _ZERO, _ZERO, _ZERO
-
-
 def _content_free(v):
     """The integer vector v divided by the gcd of its entries."""
     g = math.gcd(*v)
@@ -473,15 +546,12 @@ def mixes_with_pair(g: Matrix, pair: GeneratorPair) -> bool:
     return True
 
 
-class LineKeys:
+class LineKeys(IntegerReader):
     """The right lines of an absorber orbit as integer vectors.
 
-    g and the lines of D are read once through ``integer_forms`` in the
-    field K their entries share: Q, Q(sqrt2), Q(sqrt5) or Q(sqrt5, i), or
-    the quaternions over Q or Q(sqrt5). A vector becomes integers: each
-    entry its components over the basis 1, sqrt(D), i, sqrt(D) i (as far
-    as K needs them; over the quaternions those of w, x, y and z in turn).
-    g becomes one integer matrix, so ``step`` moves a line's integer
+    g and the lines of D are read once by one ``IntegerReader``, in the
+    field K their entries share. g becomes one integer matrix (its
+    ``blocks`` of left multiplication), so ``step`` moves a line's integer
     vector by integer dot products and divides out the gcd. The key of a
     line (``canonical``) is its leading-1 vector times the least positive
     integer that makes it integral: one right multiplication by the
@@ -492,31 +562,12 @@ class LineKeys:
     """
 
     def __init__(self, g: Matrix, lines):
-        vectors = [[_rational(x) for x in v]
-                   for v in list(g.data) + list(lines)]
+        vectors = list(g.data) + list(lines)
         if any(len(v) != g.cols for v in vectors):
             raise DimensionMismatchError("absorber and lines differ in size")
-        self.quaternionic = any(isinstance(x, Quaternion)
-                                for v in vectors for x in v)
-        if self.quaternionic:
-            vectors = [[p for x in v for p in _quaternion_parts(x)]
-                       for v in vectors]
-        cls = common_class(chain.from_iterable(vectors))
-        if self.quaternionic and cls is not Fraction and cls.HAS_I:
-            raise BackendMismatchError("no quaternion has a complex part")
-        self.D = 0 if cls is Fraction else cls.D
-        self.width = 1 if cls is Fraction else 4 if cls.HAS_I else 2
-        self.size = self.width * (4 if self.quaternionic else 1)
-        _, forms, _, _ = integer_forms(vectors)
-        flat = [tuple(c for f in v for c in (f if self.width > 1 else (f,)))
-                for v in forms]
-        size = self.size
-        self._rows = [
-            tuple(chain.from_iterable(
-                self._times(row[j:j + size], _LEFT)[t]
-                for j in range(0, len(row), size)))
-            for row in flat[:g.rows] for t in range(size)]
-        self.start = [_content_free(v) for v in flat[g.rows:]]
+        super().__init__(vectors)
+        self._rows = self.blocks(self.vectors[:g.rows], _LEFT)
+        self.start = [_content_free(v) for v in self.vectors[g.rows:]]
 
     def step(self, v):
         """The integer vector, with gcd 1, of g times the line of v."""
@@ -526,14 +577,8 @@ class LineKeys:
     def key(self, vec):
         """The key of the line of an exact vector, or None when an entry
         lies outside K (then no line of the orbit is that line)."""
-        if self.quaternionic:
-            vec = chain.from_iterable(map(_quaternion_parts, vec))
-        parts = list(map(self._form, vec))
-        if None in parts:
-            return None
-        den = math.lcm(*[d for d, _ in parts])
-        return self.canonical(tuple([c * (den // d) for d, cs in parts
-                                      for c in cs]))
+        read = self._read(vec)
+        return None if read is None else self.canonical(read[1])
 
     def floats(self, key):
         """The key's leading-1 vector in the float lane, as
@@ -552,39 +597,6 @@ class LineKeys:
         if self.quaternionic:
             out = [Quaternion(*out[i:i + 4]) for i in range(0, len(out), 4)]
         return tuple(out)
-
-    def _form(self, x):
-        """(den, components over den) of a scalar of K, or None."""
-        if isinstance(x, Quaternion) and not self.quaternionic:
-            if x.x or x.y or x.z:
-                return None
-            x = x.w
-        if isinstance(x, QuadExt):
-            if (x.b or x.c or x.d) and (
-                    x.D != self.D or (self.width < 4 and (x.c or x.d))):
-                return None
-            return x.den, (x.a, x.b, x.c, x.d)[:self.width]
-        if isinstance(x, (int, Fraction)):
-            return x.denominator, (x.numerator,) + (0,) * (self.width - 1)
-        return None
-
-    def _base(self, x):
-        """Rows of multiplication by the element x of K's real part (for
-        quaternions) or of K, on components: ``QuadExt.__mul__``."""
-        a, b, c, d = tuple(x) + (0,) * (4 - len(x))
-        D, w = self.D, len(x)
-        return [r[:w] for r in ((a, D * b, -c, -D * d), (b, a, -d, -c),
-                                (c, D * d, a, D * b), (d, c, b, a))[:w]]
-
-    def _times(self, e, side):
-        """Rows of multiplication by the entry e on the side ``_LEFT`` or
-        ``_RIGHT``; K is commutative unless it is quaternionic."""
-        if not self.quaternionic:
-            return self._base(e)
-        w = self.width
-        blocks = [self._base(e[u * w:(u + 1) * w]) for u in range(4)]
-        return [tuple(s * c for u, s in part for c in blocks[u][t])
-                for part in side for t in range(w)]
 
     def _adjugate(self, e):
         """(z, n): e z = n, a nonzero integer, for a nonzero entry e."""

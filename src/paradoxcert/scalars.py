@@ -38,9 +38,9 @@ or one QuadExt class, and the two types mix; the result then has exactly
 the class the left-to-right ``*``/``+`` loop gives.  Any other input (mixed
 types, int, float, complex, Quaternion entries of a matrix) takes that
 generic loop, and so does a matrix product over vectors of length 1, whose
-every entry is a single ``*`` already.  ``integer_forms`` hands the same
-integer reading and dot formula to callers that keep integer forms across
-many products, as the freeness scan does.
+every entry is a single ``*`` already.  Callers that keep integers across
+many products (the word and orbit walks of ``freegroup``) read their
+matrices once through ``freegroup.IntegerReader`` instead.
 """
 
 from __future__ import annotations
@@ -653,27 +653,6 @@ def common_class(xs):
         if cls is None:
             raise BackendMismatchError("entries from fields that do not mix")
     return cls
-
-
-def integer_forms(vectors):
-    """(den, forms, dot, read): exact vectors read once as integers over
-    one den, and the reader's inverse.
-
-    The entries are Fractions or QuadExt elements whose classes mix, taken
-    in the class ``*`` gives them together; each becomes its integer form
-    over the common den, as ``dot_products`` reads it.  ``dot(x, y)`` is
-    the integer form of sum_k x[k] y[k] over den**2 for two such forms,
-    and ``read(x, n)`` is the exact scalar of that class whose integer
-    form over n is x.
-    """
-    cls = common_class(chain.from_iterable(vectors))
-    cls, width, dot = _kernel(cls, cls)
-    vectors = [[x if type(x) is cls else _make(cls, *_components(x))
-                for x in v] for v in vectors]
-    den, forms = _int_form(vectors, cls, width)
-    D = cls.D if cls is not Fraction else None
-    return (den, forms, lambda x, y: dot(x, y, D),
-            lambda x, n: _canonical(cls, x, n))
 
 
 def _components(x):

@@ -289,17 +289,14 @@ class SpherePoint:
         sign, direction = ray_canonical(v)
         return cls(sign, direction, exact=True)
 
+    # antipode and apply_matrix move exact points only: a float sphere
+    # point is read (``to_float_vector``), never moved
     def antipode(self):
-        if self.exact:
-            return SpherePoint(-self.sign, self.direction, True)
-        return SpherePoint(1, tuple(-x for x in self.direction), False)
+        return SpherePoint(-self.sign, self.direction, True)
 
     def apply_matrix(self, m: Matrix):
-        if self.exact:
-            v = mat_vec(m, self.direction)
-            s, d = ray_canonical(v)
-            return SpherePoint(self.sign * s, d, True)
-        return SpherePoint(1, mat_vec(m, self.direction), False)
+        s, d = ray_canonical(mat_vec(m, self.direction))
+        return SpherePoint(self.sign * s, d, True)
 
     def to_float_vector(self):
         if not self.exact:
@@ -508,17 +505,18 @@ class FlagPoint:
 def act(m, point):
     """Apply a matrix to a point of any space type.
 
-    A float point is moved by the float copy of the matrix and an exact
-    point by the exact matrix. Exact entries mix by value whatever their
-    class, so a rational matrix moves a point over any field; entries from
-    fields that do not mix raise BackendMismatchError.
+    A float subspace is moved by the float copy of the matrix and an exact
+    point by the exact matrix; a float sphere point cannot be moved. Exact
+    entries mix by value whatever their class, so a rational matrix moves a
+    point over any field; entries from fields that do not mix raise
+    BackendMismatchError.
     """
     if isinstance(point, FlagPoint):
         return FlagPoint(act(m, c) for c in point.components)
-    if not isinstance(point, (SpherePoint, Subspace)):
-        raise BackendMismatchError(f"cannot act on {point!r}")
-    if not point.exact:
+    if isinstance(point, Subspace) and not point.exact:
         return point.apply_matrix(to_float_matrix(m))
+    if not isinstance(point, (SpherePoint, Subspace)) or not point.exact:
+        raise BackendMismatchError(f"cannot act on {point!r}")
     try:
         return point.apply_matrix(m)
     except TypeError:

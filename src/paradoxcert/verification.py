@@ -573,8 +573,7 @@ class CertVerifier:
                 return "Unknown" if w is None else classify_prefix(w)
             reps = self._float_index(
                 frag, lambda: _fragment_float_index(frag))
-            label = _nearest(reps, _point_ray_rep(point) if frag.kind == "ray"
-                             else _point_line_rep(point))
+            label = _nearest(reps, _point_ray_rep(point))
             return "Unknown" if label is None else label
         if rule in ("SubgroupLift",):
             return self.classify(point, node.children[0], path + ".0")
@@ -1057,17 +1056,20 @@ def _nearest(float_index, rep):
 
 
 def _fragment_float_index(frag: Fragment):
-    """(float reps array, piece labels) of a fragment's points."""
+    """(float unit vectors array, piece labels) of a ray fragment's points.
+
+    Float points reach a fragment only from an ``Intertwine`` lift, whose
+    subtree fragments are rays; a line fragment has no float index.
+    """
     import numpy as np
+    if frag.kind != "ray":
+        raise VerificationError("a float point cannot be matched against "
+                                f"a {frag.kind} fragment")
     reps, labels = [], []
     for w in frag.words:
-        v = frag.vectors[w]
-        if frag.kind == "ray":
-            fv = [to_float_scalar(x) for x in v]
-            norm = math.sqrt(sum(x * x for x in fv))
-            reps.append(np.array([x / norm for x in fv]))
-        else:
-            reps.append(_vec_line_rep(v))
+        fv = [to_float_scalar(x) for x in frag.vectors[w]]
+        norm = math.sqrt(sum(x * x for x in fv))
+        reps.append(np.array([x / norm for x in fv]))
         labels.append(classify_prefix(w))
     return np.vstack(reps), labels
 

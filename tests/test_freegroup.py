@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from paradoxcert.errors import ParadoxError
+from paradoxcert.errors import BackendMismatchError, ParadoxError
 from paradoxcert.freegroup import (
+    _LEFT,
+    _RIGHT,
     GeneratorPair,
+    IntegerReader,
     _integer_products,
     absorber_check,
     axis_of,
@@ -25,7 +28,13 @@ from paradoxcert.linalg import (
     matmul,
     normalize_leading,
 )
-from paradoxcert.scalars import RING_RATIONAL, Quaternion
+from paradoxcert.scalars import (
+    RING_RATIONAL,
+    GaussSqrt5,
+    QSqrt2,
+    QSqrt5,
+    Quaternion,
+)
 from paradoxcert.words import ball_size, enumerate_ball, parse_word, word_text
 
 PAIRS = ("so3-ab", "su2-sqrt5", "sp1-sqrt5")
@@ -112,46 +121,105 @@ def test_freeness_scans_the_pair_itself_whatever_its_kind(kind):
     assert result["words_checked"] == 4
 
 
-def _over(x, n):
-    """The integer form of the exact scalar x over the denominator n."""
-    if isinstance(x, Fraction):
-        assert n % x.denominator == 0
-        return x.numerator * (n // x.denominator)
-    assert n % x.den == 0
-    comps = tuple(c * (n // x.den) for c in (x.a, x.b, x.c, x.d))
-    return comps if x.HAS_I else comps[:2]
+def _dot(reader, r, m, side):
+    """The exact scalars of r M (side ``_RIGHT``, m the integer columns of
+    M) or M r (side ``_LEFT``, m the integer rows of M) for the integer
+    vector r, both read over ``reader.den``."""
+    blocks = reader.blocks(m, side)
+    return reader.entries([sum(a * b for a, b in zip(r, c)) for c in blocks],
+                          reader.den ** 2)
 
 
-def _component_rows(m):
-    """m's rows, each quaternion entry spread into its four components."""
-    return [[c for q in row for c in (
-        (q.w, q.x, q.y, q.z) if isinstance(q, Quaternion) else (q,))]
-        for row in m.data]
+def test_the_integer_reader_lifts_to_one_field_and_reads_back():
+    f = Fraction
+    vectors = [(f(1, 2), QSqrt5(0, f(1, 3))),
+               (GaussSqrt5(1, 0, 2, 0, 5), f(-1))]
+    reader = IntegerReader(vectors)
+    assert (reader.den, reader.width, reader.size) == (30, 4, 4)
+    assert reader.vectors == [(15, 0, 0, 0, 0, 10, 0, 0),
+                              (6, 0, 12, 0, -30, 0, 0, 0)]
+    # 1/2 * (1 + 2i)/5 + sqrt5/3 * -1, as a row times a column and as a
+    # matrix times a vector
+    want = f(1, 2) * GaussSqrt5(1, 0, 2, 0, 5) - QSqrt5(0, f(1, 3))
+    first, second = reader.vectors
+    assert _dot(reader, first, [second], _RIGHT) == [want]
+    assert _dot(reader, second, [first], _LEFT) == [want]
+    # entries inverts the reading, in the class the vectors mix to
+    back = [reader.entries(v, reader.den) for v in reader.vectors]
+    assert back == [list(v) for v in vectors]
+    assert {type(x) for v in back for x in v} == {GaussSqrt5}
+    reader = IntegerReader([(f(1, 2), f(2, 3)), (f(3), f(-1))])
+    assert (reader.den, reader.vectors) == (6, [(3, 4), (18, -6)])
+    first, second = reader.vectors
+    assert _dot(reader, first, [second], _RIGHT) == [f(5, 6)]
+    for bad in ([(QSqrt2(0, 1), QSqrt5(0, 1))], [(f(1), 0.5)]):
+        with pytest.raises(BackendMismatchError):
+            IntegerReader(bad)
+
+
+def test_the_integer_reader_multiplies_quaternions_on_either_side():
+    # p q and q p differ; the left blocks of p and the right blocks of q
+    # both give p q
+    s = lambda a, b=0: QSqrt5(Fraction(a), Fraction(b))
+    p = Quaternion(s(1, 2), s(Fraction(1, 3)), s(0, -1), s(2))
+    q = Quaternion(s(0, 1), s(-1), s(Fraction(2, 7), 1), s(0, 3))
+    reader = IntegerReader([(p,), (q,)])
+    assert (reader.quaternionic, reader.size) == (True, 8)
+    vp, vq = reader.vectors
+    assert _dot(reader, vq, [vp], _LEFT) == [p * q]
+    assert _dot(reader, vp, [vq], _RIGHT) == [p * q]
+    assert p * q != q * p
+
+
+def _width(pair):
+    """The integers an entry (or quaternion part) of the pair's field takes:
+    1 over Q, 2 over a real quadratic field, 4 over Q(sqrt5, i)."""
+    x = pair.root().letter_matrix(0)[0, 0]
+    x = x.w if isinstance(x, Quaternion) else x
+    return 1 if isinstance(x, Fraction) else 4 if x.HAS_I else 2
+
+
+def _flat_rows(m, n, width):
+    """m's rows over the denominator n, each one flat integer tuple: per
+    entry (per quaternion part w, x, y, z) its first ``width`` components
+    over 1, sqrt(D), i, sqrt(D) i."""
+    out = []
+    for row in m.data:
+        flat = []
+        for x in row:
+            for p in ((x.w, x.x, x.y, x.z) if isinstance(x, Quaternion)
+                      else (x,)):
+                comps, d = ((p.numerator, 0, 0, 0), p.denominator) \
+                    if isinstance(p, Fraction) else ((p.a, p.b, p.c, p.d),
+                                                     p.den)
+                assert n % d == 0
+                flat.extend(c * (n // d) for c in comps[:width])
+        out.append(tuple(flat))
+    return out
 
 
 @pytest.mark.parametrize("name", PAIRS + ("so3-ab@4", "sp1-sqrt5@2"))
 def test_the_integer_scan_is_den_powers_times_the_exact_products(name):
     pair = get_pair(name)
     root = pair.root()
+    width = _width(pair)
     ident = Matrix.identity(root.dim, root.letter_matrix(0).scalar_ring())
     target = evaluate(parse_word("aB"), root)
     for g in (None, target):
         want = ident if g is None else g
         den, one, times_g, products, exact = _integer_products(pair, 5, g)
-        assert one == [[_over(x, 1) for x in r]
-                       for r in _component_rows(ident)]
+        assert one == _flat_rows(ident, 1, width)
         seen = []
         for w, rows in products:
             seen.append(w)
             product = evaluate(w, root)
             n = den ** len(w)
-            assert rows == [[_over(x, n) for x in r]
-                            for r in _component_rows(product)], (name, w)
+            assert rows == _flat_rows(product, n, width), (name, w)
             assert exact(rows, len(w)) == evaluate(w, pair), (name, w)
-            assert times_g(rows) == [
-                [_over(x, n * den) for x in r]
-                for r in _component_rows(matmul(product, want))], (name, w)
-        assert sorted(seen) == sorted(w for w in enumerate_ball(5) if w)
+            assert times_g(rows) == _flat_rows(matmul(product, want),
+                                               n * den, width), (name, w)
+        # depth first is tuple order
+        assert seen == sorted(w for w in enumerate_ball(5) if w)
 
 
 def _degenerate_pair(name):
@@ -171,13 +239,12 @@ def _depth_first_freeness(pair, max_len):
     over every word of the ball: the first word whose rows are those of
     den**len(word) * I, and the count of words walked up to it."""
     root = pair.root()
-    ident = _component_rows(
-        Matrix.identity(root.dim, root.letter_matrix(0).scalar_ring()))
+    ident = Matrix.identity(root.dim, root.letter_matrix(0).scalar_ring())
     den, _, _, products, _ = _integer_products(pair, max_len)
     checked, counterexample = 0, None
     for w, rows in products:
         checked += 1
-        if rows == [[_over(x, den ** len(w)) for x in r] for r in ident]:
+        if rows == _flat_rows(ident, den ** len(w), _width(pair)):
             counterexample = w
             break
     return {"pair": pair.name, "max_len": max_len, "words_checked": checked,

@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from paradoxcert.errors import BackendMismatchError
 from paradoxcert.scalars import (
     GaussSqrt5,
     QSqrt2,
@@ -17,7 +16,6 @@ from paradoxcert.scalars import (
     RING_QUAT_SQRT5,
     RING_RATIONAL,
     abs_float,
-    integer_forms,
     ring_of,
     scalar_from_json,
     scalar_to_json,
@@ -385,28 +383,3 @@ def test_sub_scaled_matches_the_operator_loop(xs_kind, f_kind, ys_kind):
             [_exact_form(x - f * y) for x, y in zip(xs, ys)]
     assert sub_scaled([1.0], 2.0, [3.0]) is None
     assert sub_scaled([QSqrt2(1, 1)], Fraction(1), [QSqrt5(1, 1)]) is None
-
-
-def test_integer_forms_lift_to_one_field_and_dot_exactly():
-    f = Fraction
-    vectors = [(f(1, 2), QSqrt5(0, f(1, 3))),
-               (GaussSqrt5(1, 0, 2, 0, 5), f(-1))]
-    den, forms, dot, read = integer_forms(vectors)
-    assert den == 30
-    assert forms == [[(15, 0, 0, 0), (0, 10, 0, 0)],
-                     [(6, 0, 12, 0), (-30, 0, 0, 0)]]
-    # 1/2 * (1 + 2i)/5 + sqrt5/3 * -1, over 30**2
-    want = f(1, 2) * GaussSqrt5(1, 0, 2, 0, 5) - QSqrt5(0, f(1, 3))
-    assert GaussSqrt5(*dot(*forms), 30 ** 2) == want
-    # read inverts the reading, in the class the vectors mix to
-    back = [[read(x, den) for x in v] for v in forms]
-    assert back == [list(v) for v in vectors]
-    assert {type(x) for v in back for x in v} == {GaussSqrt5}
-    assert read(dot(*forms), 30 ** 2) == want
-    den, forms, dot, read = integer_forms([(f(1, 2), f(2, 3)),
-                                           (f(3), f(-1))])
-    assert (den, forms, dot(*forms)) == (6, [[3, 4], [18, -6]], 30)
-    assert read(dot(*forms), 36) == f(5, 6)
-    for bad in ([(QSqrt2(0, 1), QSqrt5(0, 1))], [(f(1), 0.5)]):
-        with pytest.raises(BackendMismatchError):
-            integer_forms(bad)

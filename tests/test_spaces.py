@@ -117,7 +117,8 @@ def test_sphere_points_are_signed_rays():
 
 def test_a_float_sphere_point_is_neither_compared_nor_embedded():
     # float sphere points live only inside the Intertwine lift, which
-    # matches them against float indexes; no check compares or pads one
+    # matches them against float indexes; no check compares, pads or moves
+    # one
     exact = SpherePoint.from_vector((Fraction(1), Fraction(2), Fraction(2)))
     lifted = SpherePoint.from_vector((1.0, 2.0, 2.0))
     for p, q in ((lifted, lifted), (exact, lifted), (lifted, exact)):
@@ -125,6 +126,8 @@ def test_a_float_sphere_point_is_neither_compared_nor_embedded():
             equals(p, q, 1e-9)
     with pytest.raises(BackendMismatchError, match="cannot embed"):
         block_embed_point(lifted, 4)
+    with pytest.raises(BackendMismatchError, match="cannot act"):
+        act(Matrix.identity(3, RING_RATIONAL), lifted)
 
 
 # -------------------------------------------------------- projective points

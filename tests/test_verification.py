@@ -230,6 +230,18 @@ def test_classify_carries_an_exact_line_through_the_exact_chart():
     assert v.classify(ProjectivePoint.from_vector((i, one))) == "Unknown"
 
 
+def test_a_float_line_is_refused_at_a_line_fragment():
+    # float points reach a FreeTransport fragment only from an Intertwine
+    # lift, whose fragments are rays; a float line that passes the absorber
+    # of proj(R,3) meets its line fragment and is refused by name
+    from paradoxcert.spaces import ProjectivePoint
+    from paradoxcert.verification import CertVerifier
+    line = ProjectivePoint.from_vector((2.0, -1.0, 5.0))
+    assert not line.exact
+    with pytest.raises(VerificationError, match="line fragment"):
+        CertVerifier(derive("proj(R,3)")).classify(line)
+
+
 def test_free_transport_names_a_trivial_word(monkeypatch):
     from paradoxcert import verification
 
