@@ -281,7 +281,7 @@ def test_grass_h42_runs_the_quaternion_paths():
     # flattens float quaternions (_flatten_scalar), decodes real absorber
     # keys into float quaternions (_float_in_field) and reads real
     # quaternion entries into a real absorber's integer keys
-    # (LineKeys._form); depth 1 and one sample reach all four
+    # (IntegerReader._form); depth 1 and one sample reach all four
     report = verify(derive("grass(H,4,2)"), depth=1, samples=1)
     assert report["overall"] == "pass"
     assert report["unknown"] == 0

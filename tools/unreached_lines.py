@@ -6,17 +6,17 @@
 
 ``run`` runs a module (``-m``, as ``python -m`` does) or a script under a
 line tracer, ``sys.settrace`` and ``threading.settrace``, limited to the
-files under ``--root`` (default: the ``src/paradoxcert`` of this
-checkout), and adds the lines it reached to the JSON file ``--data``. A
-line counts as reached when any run recorded there reaches it. Child
-processes are not followed. The exit code is the run's own.
+files under the ``src/paradoxcert`` of this checkout, and adds the lines
+it reached to the JSON file ``--data``. A line counts as reached when any
+run recorded there reaches it. Child processes are not followed. The exit
+code is the run's own.
 
-``report`` reads the executable lines of every file under the root from
-the ``co_lines()`` of each code object its source compiles to, and prints
-how many of them no recorded run reached; ``--list`` names them, as line
-ranges per file.
+``report`` reads the executable lines of every file under that package
+from the ``co_lines()`` of each code object its source compiles to, and
+prints how many of them no recorded run reached; ``--list`` names them,
+as line ranges per file.
 
-Make the package importable from the same root, for example with
+Import the package from this checkout, for example with
 ``PYTHONPATH=src``. Tracing slows a run several times over: the tier-1
 suite takes minutes under it. This is a measuring tool, not a test.
 """
@@ -32,7 +32,7 @@ import threading
 from collections import defaultdict
 from pathlib import Path
 
-DEFAULT_ROOT = Path(__file__).resolve().parents[1] / "src" / "paradoxcert"
+ROOT = Path(__file__).resolve().parents[1] / "src" / "paradoxcert"
 
 
 def _code_lines(code):
@@ -41,7 +41,7 @@ def _code_lines(code):
 
 
 class LineTracer:
-    """Records the lines run in files under root.
+    """Records the lines run in the files under root.
 
     A code object is traced only while some of its lines are still
     unreached, so a function stops costing trace calls once every line of
@@ -117,7 +117,7 @@ def _run(args) -> int:
     # else the script's directory
     sys.path[0] = (os.getcwd() if args.module
                    else str(Path(target).resolve().parent))
-    tracer = LineTracer(Path(args.root))
+    tracer = LineTracer(ROOT)
     tracer.start()
     try:
         if args.module:
@@ -152,7 +152,7 @@ def _ranges(lines):
 def _report(args) -> int:
     reached = _load(Path(args.data))
     unreached = total = 0
-    for name, lines in executable_lines(Path(args.root)).items():
+    for name, lines in executable_lines(ROOT).items():
         missed = lines - reached.get(name, set())
         total += len(lines)
         unreached += len(missed)
@@ -168,13 +168,11 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
     run = sub.add_parser("run", help="run a module or script under trace")
     run.add_argument("--data", required=True)
-    run.add_argument("--root", default=str(DEFAULT_ROOT))
     run.add_argument("-m", dest="module", action="store_true",
                      help="run the first argument as a module")
     run.add_argument("command", nargs=argparse.REMAINDER)
     report = sub.add_parser("report", help="count the unreached lines")
     report.add_argument("--data", required=True)
-    report.add_argument("--root", default=str(DEFAULT_ROOT))
     report.add_argument("--list", action="store_true")
     args = parser.parse_args(argv)
     if args.cmd == "run":
