@@ -170,7 +170,7 @@ def _cmd_orbit(args, out, err) -> int:
             f"on {space.ambient_dim}")
     frag = orbit_fragment(space, seed, pair, args.depth)
     records = [{"word": word_text(w),
-                "point": [scalar_to_json(x) for x in frag.vectors[w]]}
+                "point": [scalar_to_json(x) for x in frag.vector(w)]}
                for w in frag.words]
     _emit({"schema": "paradox-orbit/1", "space": args.space,
            "pair": args.pair, "depth": args.depth,

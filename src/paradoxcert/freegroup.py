@@ -10,12 +10,14 @@ Three built-in generator pairs, each with exact entries:
 
 plus block-embedded copies diag(g, I) in any larger dimension.
 
-Both integer walks below read exact matrices through one reader,
-``IntegerReader``: it reads a set of matrices and vectors once, in the
-one field their entries share, as flat integer vectors over one common
-denominator den (each entry its integer components, a quaternion those of
-w, x, y and z in turn), and turns a matrix into the integer matrix of
-multiplying by it on the left or on the right.
+Three integer walks read exact matrices through one reader,
+``IntegerReader``: the word walk and the absorber orbit walk below, and
+the orbit fragment of ``verification.orbit_fragment``. The reader reads a
+set of matrices and vectors once, in the one field their entries share,
+as flat integer vectors over one common denominator den (each entry its
+integer components, a quaternion those of w, x, y and z in turn), and
+turns a matrix into the integer matrix of multiplying by it on the left
+or on the right.
 
 Every scan over the words of a ball is one integer walk,
 ``_integer_products``. It reads the letter matrices a, A, b, B of the root
@@ -37,7 +39,10 @@ over its least denominator), and a step is integer dot products, one
 multiplication by the adjugate of the leading entry and one gcd, with no
 exact scalar made. The walk indexes the orbit once, as {line key: least k
 with the line in g^k(D)}; its disjointness verdict and the verifier's
-classification both read that index.
+classification both read that index. The orbit fragment reads the four
+letters of a pair and its seed through one ``LineKeys`` the same way,
+and keys a ray by the sign of its leading entry, read from its integers,
+and its line key.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ from .scalars import (
     Quaternion,
     adjugate,
     common_class,
+    real_positive,
 )
 from .words import A, ball_size, inverse_word, reduce, word_text
 
@@ -547,38 +553,54 @@ def mixes_with_pair(g: Matrix, pair: GeneratorPair) -> bool:
 
 
 class LineKeys(IntegerReader):
-    """The right lines of an absorber orbit as integer vectors.
+    """The right lines (or rays) of an orbit as integer vectors.
 
-    g and the lines of D are read once by one ``IntegerReader``, in the
-    field K their entries share. g becomes one integer matrix (its
-    ``blocks`` of left multiplication), so ``step`` moves a line's integer
-    vector by integer dot products and divides out the gcd. The key of a
-    line (``canonical``) is its leading-1 vector times the least positive
-    integer that makes it integral: one right multiplication by the
-    adjugate of the leading entry (the formula of ``QuadExt.inverse``) and
-    one gcd. Equal lines have equal keys, and a key is the line's
+    Exact square matrices and start vectors are read once by one
+    ``IntegerReader``, in the field K their entries share. Each matrix
+    becomes one integer matrix (its ``blocks`` of left multiplication), so
+    ``times(v, x)`` moves an integer vector by den times matrix x with
+    integer dot products alone, and ``step`` also divides out the gcd. The
+    key of a line (``canonical``) is its leading-1 vector times the least
+    positive integer that makes it integral: one right multiplication by
+    the adjugate of the leading entry (the formula of ``QuadExt.inverse``)
+    and one gcd. Equal lines have equal keys, and a key is the line's
     primitive integer representative with a positive integer leading
-    entry.
+    entry. Over a real K, ``sign`` reads the sign of a vector's leading
+    entry exactly from its integers, which with the line key names a ray.
     """
 
-    def __init__(self, g: Matrix, lines):
-        vectors = list(g.data) + list(lines)
-        if any(len(v) != g.cols for v in vectors):
-            raise DimensionMismatchError("absorber and lines differ in size")
-        super().__init__(vectors)
-        self._rows = self.blocks(self.vectors[:g.rows], _LEFT)
-        self.start = [_content_free(v) for v in self.vectors[g.rows:]]
+    def __init__(self, mats, vectors):
+        rows = [r for m in mats for r in m.data]
+        vectors = list(vectors)
+        n = len(rows[0])
+        if any(len(v) != n for v in rows + vectors):
+            raise DimensionMismatchError("matrices and vectors differ in size")
+        super().__init__(rows + vectors)
+        self._rows = [self.blocks(self.vectors[k:k + n], _LEFT)
+                      for k in range(0, len(rows), n)]
+        self.start = self.vectors[len(rows):]
+
+    def times(self, v, x=0):
+        """The integer vector of den times matrix x times that of v."""
+        return tuple([sum(map(mul, r, v)) for r in self._rows[x]])
 
     def step(self, v):
-        """The integer vector, with gcd 1, of g times the line of v."""
-        return _content_free(tuple([sum(map(mul, r, v))
-                                    for r in self._rows]))
+        """The integer vector, with gcd 1, of matrix 0 times the line of v."""
+        return _content_free(self.times(v))
 
     def key(self, vec):
         """The key of the line of an exact vector, or None when an entry
         lies outside K (then no line of the orbit is that line)."""
         read = self._read(vec)
         return None if read is None else self.canonical(read[1])
+
+    def sign(self, v):
+        """+1 or -1: the sign of the leading entry of a nonzero integer
+        vector over a real K."""
+        j = next(filter(v.__getitem__, range(len(v))))
+        j -= j % self.size
+        return 1 if real_positive(v[j], v[j + 1] if self.width == 2 else 0,
+                                  self.D) else -1
 
     def floats(self, key):
         """The key's leading-1 vector in the float lane, as
@@ -647,8 +669,8 @@ def absorber_check(g: Matrix, lines, bound: int) -> dict:
     the least colliding pair is always (0, j), for the first level j >= 1
     with a line the index already holds.
     """
-    keys = LineKeys(g, lines)
-    current = keys.start
+    keys = LineKeys([g], lines)
+    current = [_content_free(v) for v in keys.start]
     index = dict.fromkeys(map(keys.canonical, current), 0)
     set_size = len(index)
     collision = None

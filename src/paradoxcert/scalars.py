@@ -196,15 +196,8 @@ class QuadExt:
         """Sign of a real element as a real number, exactly."""
         if self.c or self.d:
             raise TypeError(f"no real ordering for {self!r}")
-        a, b = self.a, self.b  # den > 0: the sign is that of a + b sqrt(D)
-        if b == 0:
-            return a > 0
-        if a == 0:
-            return b > 0
-        if (a > 0) == (b > 0):
-            return a > 0
-        # opposite signs: compare a^2 vs D b^2 (never equal)
-        return (a * a > self.D * b * b) == (a > 0)
+        # den > 0: the sign is that of a + b sqrt(D)
+        return real_positive(self.a, self.b, self.D)
 
     def __eq__(self, other):
         co = self._coerce(other)
@@ -245,6 +238,19 @@ class QuadExt:
     def __complex__(self):
         return complex(self._to_float(self.a, self.b),
                        self._to_float(self.c, self.d))
+
+
+def real_positive(a, b, D):
+    """Whether a + b sqrt(D) > 0 for integers a, b and a nonsquare D > 0
+    (or b = 0), exactly."""
+    if b == 0:
+        return a > 0
+    if a == 0:
+        return b > 0
+    if (a > 0) == (b > 0):
+        return a > 0
+    # opposite signs: compare a^2 vs D b^2 (never equal)
+    return (a * a > D * b * b) == (a > 0)
 
 
 def adjugate(a, b, c, d, D):

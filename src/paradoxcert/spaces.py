@@ -481,22 +481,6 @@ class FlagPoint:
     def __setattr__(self, *args):
         raise AttributeError("immutable")
 
-    @property
-    def exact(self):
-        return self.components[0].exact
-
-    def __eq__(self, other):
-        if not isinstance(other, FlagPoint):
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
-
-    def __repr__(self):
-        dims = ",".join(str(c.dim) for c in self.components)
-        return f"FlagPoint(dims=({dims}), n={self.components[0].ambient_dim})"
-
 
 # --------------------------------------------------------------------------
 # operations
@@ -550,7 +534,7 @@ def equals(p, q, tol: float = 0.0) -> bool:
 
 def block_embed_point(point, n: int):
     """Zero-pad a point of K^m into K^n (the starred copy): an exact sphere
-    point, or a subspace or flag in either lane."""
+    point, or a subspace in either lane."""
     if isinstance(point, SpherePoint) and point.exact:
         ring = ring_of(point.direction[0])
         pad = (ring.zero,) * (n - len(point.direction))
@@ -563,8 +547,6 @@ def block_embed_point(point, n: int):
         pad = ((b.scalar_ring().zero,) * b.cols,) * (n - b.rows)
         return Subspace.from_echelon(Matrix._of_rows(b.data + pad),
                                      point.pivots)
-    if isinstance(point, FlagPoint):
-        return FlagPoint(block_embed_point(c, n) for c in point.components)
     raise BackendMismatchError(f"cannot embed {point!r}")
 
 

@@ -29,14 +29,16 @@ and those are matched within a tolerance.  numpy serves that float lane
 alone and is imported where it first builds an array, so a run without
 float points never loads it.
 
-An exact point is keyed by its canonical vector: a ray by the
-``(sign, direction)`` of ``ray_canonical`` (``SpherePoint.key()``), a line
-by the leading-1 vector ``ProjectivePoint`` stores, read without any row
-reduction.  Equal exact scalars are ``==`` and hash alike in every class,
-so a key built over one ring finds a key built over another.  The
-absorber index is looked up by the integer key of that leading-1 vector
-(``freegroup.LineKeys.key``), which is None for a point outside the
-field of the absorber orbit.
+An orbit fragment is walked as integer vectors (``freegroup.LineKeys``)
+and keys its points by their integers: a line by its primitive integer
+representative, a ray by the sign of its leading entry and that line key
+(``Fragment``).  An exact query point is keyed the same way, from the
+leading-1 vector a ``SpherePoint`` or ``ProjectivePoint`` stores, read
+without any row reduction, and so is the lookup in the absorber index
+(``freegroup.LineKeys.key``); the key is None for a point outside the
+field of the walk.  Elsewhere an exact point is its canonical vector:
+equal exact scalars are ``==`` and hash alike in every class, so a key
+built over one ring finds a key built over another.
 
 Facts that do not depend on a node's place in the tree (orbit fragments
 and their float indexes, absorber contexts, the pair-word, freeness and
@@ -82,6 +84,7 @@ from .errors import (
     VerificationError,
 )
 from .freegroup import (
+    LineKeys,
     absorber_check,
     check_freeness,
     exceptional_set,
@@ -95,7 +98,6 @@ from .linalg import (
     line_projector,
     mat_vec,
     normalize_leading,
-    ray_canonical,
 )
 from .sampling import random_unitary, rng_for
 from .scalars import (
@@ -171,14 +173,6 @@ def _flatten_scalar(x):
     return (float(x),)
 
 
-def point_key_vec(vec, kind: str):
-    """Canonical vector of the ray/line spanned by an exact vector: the
-    ``(sign, direction)`` pair of a ray, the leading-1 vector of a line."""
-    if kind == "ray":
-        return ray_canonical(vec)
-    return normalize_leading(vec)
-
-
 def _vec_line_rep(vec):
     """Flattened float projector of the line spanned by a vector.
 
@@ -228,39 +222,89 @@ def _point_line_key(point):
 class Fragment:
     """The ball-of-radius-L orbit fragment of a seed under a free pair.
 
-    ``words`` is in breadth-first order (identity first); ``keys`` maps
-    each word to the canonical vector of its point (``point_key_vec``);
-    ``index`` inverts it.
+    ``words`` is in breadth-first order (identity first). The walk reads
+    the pair's four letters and the seed once, through one
+    ``freegroup.LineKeys``, so the point of a word w is an integer vector:
+    den**(|w| + 1) times the exact vector M(w) seed. ``keys`` maps each
+    word to its point's key, read off those integers: a line's key is
+    ``LineKeys.canonical`` of the vector, its primitive integer
+    representative with a positive integer leading entry, and a ray's key
+    is (the sign of the vector's leading entry, read exactly from its
+    integers, that line key). ``index`` inverts ``keys``. The exact vector
+    (``vector``) and the point (``point_for``) are built only when asked
+    for.
     Injectivity of ``index`` is enforced during construction: a key
     collision between words u and w means reduce(u^-1 w) fixes the seed,
     and that word is reported.
     """
 
-    __slots__ = ("kind", "depth", "words", "vectors", "keys", "index",
-                 "mats")
+    __slots__ = ("kind", "depth", "words", "keys", "index", "_seed",
+                 "_walk", "_ints")
 
-    def __init__(self, kind, depth, words, vectors, keys, index, mats):
+    def __init__(self, kind, depth, seed, walk):
         self.kind = kind
         self.depth = depth
-        self.words = words
-        self.vectors = vectors
-        self.keys = keys
-        self.index = index
-        self.mats = mats
+        self._seed = seed
+        self._walk = walk
+        self.words = []
+        self.keys = {}
+        self.index = {}
+        self._ints = {}
+
+    def _key(self, v):
+        """The key of the point of a nonzero integer vector."""
+        line = self._walk.canonical(v)
+        return (self._walk.sign(v), line) if self.kind == "ray" else line
+
+    def _add(self, w, v):
+        """Record the point of the integer vector v as that of the word w;
+        SeedFixedError when an earlier word already has that point."""
+        key = self._key(v)
+        if key in self.index:
+            fix = reduce_word(inverse_word(self.index[key]) + w)
+            raise SeedFixedError(word_text(fix))
+        self.words.append(w)
+        self._ints[w] = v
+        self.keys[w] = key
+        self.index[key] = w
+
+    def moved_key(self, w, x):
+        """The key of letter x times the point of the word w."""
+        return self._key(self._walk.times(self._ints[w], x))
+
+    def key_of(self, point):
+        """The key of an exact ray or line, as the walk keys its points;
+        None when its entries lie outside the field of the walk."""
+        if isinstance(point, SpherePoint):
+            # the direction's leading entry is 1, so the ray's sign is
+            # the point's own
+            line = self._walk.key(point.direction)
+            return None if line is None else (point.sign, line)
+        return self._walk.key(_point_line_key(point))
+
+    def vector(self, w):
+        """The exact vector M(w) seed: the seed itself for the identity."""
+        if not w:
+            return self._seed
+        walk = self._walk
+        return tuple(walk.entries(self._ints[w], walk.den ** (len(w) + 1)))
 
     def point_for(self, w):
         if self.kind == "ray":
-            return SpherePoint(*self.keys[w], True)
-        return ProjectivePoint(self.keys[w])
+            return SpherePoint.from_vector(self.vector(w))
+        return ProjectivePoint.from_vector(self.vector(w))
 
 
 def orbit_fragment(space, seed, pair, depth: int) -> Fragment:
     """All points {w . seed : |w| <= depth} with provenance words.
 
-    Raises SeedFixedError (naming the fixing word) if two words of length
-    <= depth land on the same point -- i.e. the seed is fixed by a reduced
-    word of length <= 2*depth -- and BackendMismatchError if a seed
-    coordinate is not exact, since only exact points have keys.
+    The walk is breadth first, each word prepending a letter to one of the
+    frontier, and every point is an integer vector keyed by its integers
+    (``Fragment``). Raises SeedFixedError (naming the fixing word) if two
+    words of length <= depth land on the same point -- i.e. the seed is
+    fixed by a reduced word of length <= 2*depth -- BackendMismatchError if
+    a seed coordinate is not exact, since only exact points have keys, and
+    DomainError for a ray walk over a field with no real ordering.
     """
     if isinstance(space, str):
         space = parse_descriptor(space)
@@ -274,41 +318,35 @@ def orbit_fragment(space, seed, pair, depth: int) -> Fragment:
             f"not {space.text}")
     if isinstance(pair, str):
         pair = get_pair(pair)
-    mats = [pair.letter_matrix(x) for x in range(4)]
     seed_vec = tuple(Fraction(x) if isinstance(x, int) else x for x in seed)
     for x in seed_vec:
         if not ring_of(x).exact:
             raise BackendMismatchError(f"seed coordinate {x!r} is not exact")
-    if len(seed_vec) != mats[0].rows:
+    if len(seed_vec) != pair.dim:
         raise DomainError(
             f"seed has {len(seed_vec)} coordinates, pair acts on "
-            f"{mats[0].rows}")
+            f"{pair.dim}")
+    walk = LineKeys([pair.letter_matrix(x) for x in range(4)], [seed_vec])
+    if kind == "ray" and (walk.width == 4 or walk.quaternionic):
+        raise DomainError(
+            f"pair {pair.name} has no real ordering, so it moves no ray "
+            f"of {space.text}")
 
-    words = [()]
-    vectors = {(): seed_vec}
-    keys = {(): point_key_vec(seed_vec, kind)}
-    index = {keys[()]: ()}
+    frag = Fragment(kind, depth, seed_vec, walk)
+    frag._add((), walk.start[0])
     frontier = [()]
     for _ in range(depth):
         nxt = []
         for w in frontier:
-            v = vectors[w]
+            v = frag._ints[w]
             for x in range(4):
                 if w and x == (w[0] ^ 1):
                     continue
                 w2 = (x,) + w
-                v2 = mat_vec(mats[x], v)
-                k2 = point_key_vec(v2, kind)
-                if k2 in index:
-                    fix = reduce_word(inverse_word(index[k2]) + w2)
-                    raise SeedFixedError(word_text(fix))
-                words.append(w2)
-                vectors[w2] = v2
-                keys[w2] = k2
-                index[k2] = w2
+                frag._add(w2, walk.times(v, x))
                 nxt.append(w2)
         frontier = nxt
-    return Fragment(kind, depth, words, vectors, keys, index, mats)
+    return frag
 
 
 def piece_sizes(frag: Fragment) -> dict:
@@ -339,8 +377,7 @@ def reassembly_check(frag: Fragment, translate_a: int = A,
                 if translate == head:
                     counts[frag.keys[v[1:]]] += 1
                 else:
-                    v2 = mat_vec(frag.mats[translate], frag.vectors[v])
-                    counts[point_key_vec(v2, frag.kind)] += 1
+                    counts[frag.moved_key(v, translate)] += 1
         ok = (set(counts) == target
               and all(c == 1 for c in counts.values()))
         sides[name] = {"targets": len(target),
@@ -567,9 +604,7 @@ class CertVerifier:
         if rule == "FreeTransport":
             frag = self._fragment_for(node, path)
             if point.exact:
-                key = (point.key() if isinstance(point, SpherePoint)
-                       else _point_line_key(point))
-                w = frag.index.get(key)
+                w = frag.index.get(frag.key_of(point))
                 return "Unknown" if w is None else classify_prefix(w)
             reps = self._float_index(
                 frag, lambda: _fragment_float_index(frag))
@@ -851,8 +886,8 @@ class CertVerifier:
             checks += scanned
         else:
             checks += 1
-            moved = point_key_vec(mat_vec(g, ctx["dirs"][0]), "line")
-            if moved == point_key_vec(ctx["dirs"][0], "line"):
+            moved = normalize_leading(mat_vec(g, ctx["dirs"][0]))
+            if moved == normalize_leading(ctx["dirs"][0]):
                 failures.append("absorber fixes the removed line")
 
         # 3. bounded equidecomposition witness X ~ X minus D
@@ -1067,7 +1102,7 @@ def _fragment_float_index(frag: Fragment):
                                 f"a {frag.kind} fragment")
     reps, labels = [], []
     for w in frag.words:
-        fv = [to_float_scalar(x) for x in frag.vectors[w]]
+        fv = [to_float_scalar(x) for x in frag.vector(w)]
         norm = math.sqrt(sum(x * x for x in fv))
         reps.append(np.array([x / norm for x in fv]))
         labels.append(classify_prefix(w))

@@ -92,12 +92,22 @@ def classify_prefix(word) -> str:
     return _PIECE_BY_LETTER[word[0]]
 
 
+def translate_witness(head, u):
+    """h^-1 u for a head h in {a, b} and a reduced word u, read off u's
+    first letter: u[1:] when u starts with h (reduced, and not starting
+    with h^-1, since u[1] != h^-1), otherwise (h^-1,) + u (reduced, one
+    letter longer, starting with h^-1)."""
+    return u[1:] if u and u[0] == head else (head ^ 1,) + u
+
+
 def check_translate_identity(max_len: int) -> dict:
     """Finite check of F2 = W(a) | a W(A) and F2 = W(b) | b W(B).
 
     Every word u with |u| <= max_len - 1 must lie in exactly one side of
-    each decomposition, with the translated witness a^-1 u (resp. b^-1 u)
-    still inside the length-max_len ball. Purely combinatorial.
+    each decomposition: u is in the piece W(h) iff its witness h^-1 u
+    (``translate_witness``) is not in W(h^-1), and that witness must stay
+    inside the length-max_len ball. Purely combinatorial; no word is
+    reduced.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -107,7 +117,7 @@ def check_translate_identity(max_len: int) -> dict:
         checked += 1
         for head in (A, B):
             in_piece = bool(u) and u[0] == head
-            v = reduce((head ^ 1,) + u)
+            v = translate_witness(head, u)
             in_translate = bool(v) and v[0] == (head ^ 1)
             if in_piece == in_translate:
                 violations.append(

@@ -11,6 +11,7 @@ from paradoxcert.cli import main
 from paradoxcert.freegroup import (
     absorber_check,
     default_absorber,
+    evaluate,
     exceptional_set,
     get_pair,
 )
@@ -20,7 +21,8 @@ from paradoxcert.linalg import (
     matrix_to_json,
     normalize_leading,
 )
-from paradoxcert.scalars import RINGS
+from paradoxcert.scalars import RINGS, scalar_from_json
+from paradoxcert.words import parse_word
 
 
 def test_derive_writes_a_certificate(tmp_path, capsys):
@@ -506,14 +508,29 @@ def test_absorber_default_passes_identity_fails(capsys):
 
 
 def test_orbit_dump(tmp_path, capsys):
-    out = tmp_path / "orbit.json"
-    assert main(["orbit", "sphere(2)", "--depth", "3",
-                 "-o", str(out)]) == 0
-    blob = json.loads(out.read_text())
-    assert blob["count"] == 2 * 3 ** 3 - 1
-    words = [r["word"] for r in blob["points"]]
-    assert words[0] == "e"
-    assert len(set(words)) == len(words)
+    # every record's point is the exact vector evaluate(word) seed; the
+    # default seed (1,2,3) does not fit proj(C,2), and (1,2) is fixed by
+    # the word baB, so proj(C,2) walks the seed (1,3)
+    for space, args, ring in (
+            ("sphere(2)", [], "qsqrt2"),
+            ("proj(C,2)", ["--pair", "su2-sqrt5", "--seed-point", "1,3"],
+             "gauss_sqrt5")):
+        out = tmp_path / "orbit.json"
+        assert main(["orbit", space, "--depth", "3", *args,
+                     "-o", str(out)]) == 0
+        blob = json.loads(out.read_text())
+        assert blob["count"] == 2 * 3 ** 3 - 1
+        words = [r["word"] for r in blob["points"]]
+        assert words[0] == "e"
+        assert len(set(words)) == len(words)
+        pair = get_pair(blob["pair"])
+        seed = tuple(map(Fraction, blob["seed"]))
+        for r in blob["points"]:
+            point = tuple(Fraction(x) if isinstance(x, str)
+                          else scalar_from_json(x, RINGS[ring])
+                          for x in r["point"])
+            assert point == mat_vec(evaluate(parse_word(r["word"]), pair),
+                                    seed), r["word"]
 
 
 def test_orbit_fixed_seed_exits_1(capsys):

@@ -359,6 +359,28 @@ def test_flag_nesting_is_validated():
         FlagPoint([v1, bad])  # v1 is not inside bad
 
 
+def test_flags_are_equal_component_by_component():
+    ring = RING_RATIONAL
+    v1 = Subspace.coordinate(3, (0,), ring)
+    w1 = Subspace.coordinate(3, (1,), ring)
+    v2 = Subspace.coordinate(3, (0, 1), ring)
+    flag = FlagPoint([v1, v2])
+    assert equals(flag, FlagPoint([Subspace.coordinate(3, (0,), ring), v2]))
+    # the same plane with another line in it, and the plane alone
+    assert not equals(flag, FlagPoint([w1, v2]))
+    assert not equals(flag, FlagPoint([v2]))
+
+
+def test_a_flag_is_not_embedded():
+    # no starred node embeds a flag: block_embed_point pads sphere points
+    # and subspaces only
+    ring = RING_RATIONAL
+    flag = FlagPoint([Subspace.coordinate(3, (0,), ring),
+                      Subspace.coordinate(3, (0, 1), ring)])
+    with pytest.raises(BackendMismatchError, match="cannot embed"):
+        block_embed_point(flag, 4)
+
+
 # ------------------------------------------------------------------ actions
 
 def test_action_is_associative_on_every_space_type():

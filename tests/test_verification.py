@@ -8,18 +8,25 @@ import pytest
 from paradoxcert.certificates import derive
 from paradoxcert.errors import (
     BackendMismatchError,
+    DomainError,
     SeedFixedError,
     VerificationError,
 )
 from paradoxcert.freegroup import default_absorber, get_pair
-from paradoxcert.linalg import Matrix
-from paradoxcert.scalars import RING_RATIONAL
-from paradoxcert.spaces import SpherePoint
+from paradoxcert.linalg import (
+    Matrix,
+    mat_vec,
+    normalize_leading,
+    ray_canonical,
+)
+from paradoxcert.scalars import RING_RATIONAL, GaussSqrt5
+from paradoxcert.spaces import ProjectivePoint, SpherePoint
 from paradoxcert.verification import (
     EquidecompWitness,
     RunConfig,
     WitnessPiece,
     _decade_ceiling,
+    _intertwine_seed,
     classify,
     equidecomp_verify,
     orbit_fragment,
@@ -27,7 +34,15 @@ from paradoxcert.verification import (
     reassembly_check,
     verify,
 )
-from paradoxcert.words import A, B, ball_size, classify_prefix
+from paradoxcert.words import (
+    A,
+    B,
+    ball_size,
+    classify_prefix,
+    inverse_word,
+    reduce,
+    word_text,
+)
 
 SEED = (Fraction(1), Fraction(2), Fraction(3))
 
@@ -67,6 +82,90 @@ def test_projective_fragment():
     frag = orbit_fragment("proj(R,3)", SEED, "so3-ab", 2)
     assert len(frag.words) == ball_size(2)
     assert frag.kind == "line"
+
+
+def _exact_point(kind, v):
+    """The ray or line of an exact vector, keyed as the exact walk keys it:
+    by ``ray_canonical`` or ``normalize_leading``."""
+    if kind == "ray":
+        return SpherePoint(*ray_canonical(v), True)
+    return ProjectivePoint(normalize_leading(v))
+
+
+def _exact_walk(kind, seed, pair, depth):
+    """(words, vectors, points) of the orbit walk on exact vectors, one
+    ``mat_vec`` per step: the reference the integer walk must equal."""
+    mats = [pair.letter_matrix(x) for x in range(4)]
+    words, vectors = [()], {(): seed}
+    points = {(): _exact_point(kind, seed)}
+    index = {points[()]: ()}
+    frontier = [()]
+    for _ in range(depth):
+        nxt = []
+        for w in frontier:
+            for x in range(4):
+                if w and x == (w[0] ^ 1):
+                    continue
+                w2 = (x,) + w
+                v2 = mat_vec(mats[x], vectors[w])
+                p2 = _exact_point(kind, v2)
+                if p2 in index:
+                    fix = reduce(inverse_word(index[p2]) + w2)
+                    raise SeedFixedError(word_text(fix))
+                words.append(w2)
+                vectors[w2] = v2
+                points[w2] = p2
+                index[p2] = w2
+                nxt.append(w2)
+        frontier = nxt
+    return words, vectors, points
+
+
+_GAUSS_SEED = (GaussSqrt5(1), GaussSqrt5(2, 0, 1))
+
+
+@pytest.mark.parametrize("space,seed,pair,depth", [
+    ("sphere(2)", SEED, "so3-ab", 4),
+    ("proj(R,3)", SEED, "so3-ab", 4),
+    ("proj(C,2)", _GAUSS_SEED, "su2-sqrt5", 4),
+    ("proj(H,2)", _intertwine_seed("H"), "sp1-sqrt5@2", 3),
+], ids=["sphere2", "projR3", "projC2", "projH2"])
+def test_the_integer_orbit_walk_equals_the_exact_walk(space, seed, pair,
+                                                      depth):
+    frag = orbit_fragment(space, seed, pair, depth)
+    pair = get_pair(pair)
+    words, vectors, points = _exact_walk(frag.kind, seed, pair, depth)
+    assert frag.words == words
+    assert [frag.vector(w) for w in words] == [vectors[w] for w in words]
+    assert [frag.point_for(w) for w in words] == [points[w] for w in words]
+    # classify's key of each exact point finds its word, and the key of a
+    # translate (the wrong-translate branch of reassembly_check) is that of
+    # the moved exact point
+    mats = [pair.letter_matrix(x) for x in range(4)]
+    for w in words:
+        assert frag.index[frag.key_of(points[w])] == w
+        for x in range(4):
+            moved = _exact_point(frag.kind, mat_vec(mats[x], vectors[w]))
+            assert frag.moved_key(w, x) == frag.key_of(moved)
+
+
+@pytest.mark.parametrize("space", ["sphere(2)", "proj(R,3)"])
+@pytest.mark.parametrize("seed", [(0, 0, 1), (1, 0, 0)])
+def test_the_integer_walk_names_the_fixing_word_as_the_exact_walk_does(
+        space, seed):
+    seed = tuple(map(Fraction, seed))
+    kind = "ray" if space.startswith("sphere") else "line"
+    with pytest.raises(SeedFixedError) as want:
+        _exact_walk(kind, seed, get_pair("so3-ab"), 3)
+    with pytest.raises(SeedFixedError) as got:
+        orbit_fragment(space, seed, "so3-ab", 3)
+    assert str(got.value) == str(want.value)
+
+
+def test_a_ray_walk_needs_a_real_pair():
+    seed = tuple(map(Fraction, (1, 2, 3, 4)))
+    with pytest.raises(DomainError, match="no real ordering"):
+        orbit_fragment("sphere(3)", seed, "su2-sqrt5@4", 1)
 
 
 def test_reassembly_two_piece_cover():
@@ -402,7 +501,6 @@ def test_absorbed_levels_match_a_brute_force_orbit(monkeypatch):
     # CountableAbsorb root gets the least k of its line in g^k(D), as a
     # walk of exact mat_vec and normalize_leading finds it
     from paradoxcert.freegroup import exceptional_set
-    from paradoxcert.linalg import mat_vec, normalize_leading
     from paradoxcert.verification import CertVerifier, _point_line_key
     seen = []
     level = CertVerifier._absorbed_level

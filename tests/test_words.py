@@ -9,6 +9,7 @@ from paradoxcert.words import (
     A_INV,
     B,
     B_INV,
+    LETTERS,
     ball_size,
     check_translate_identity,
     classify_prefix,
@@ -85,11 +86,34 @@ def test_prefix_classes_partition_the_ball():
     assert len(sizes) == 1
 
 
+def _reduce_scan(max_len):
+    """The translate scan with every witness h^-1 u made by free
+    reduction, the reference the first-letter scan must equal."""
+    violations = []
+    checked = 0
+    for u in enumerate_ball(max_len - 1):
+        checked += 1
+        for head in (A, B):
+            in_piece = bool(u) and u[0] == head
+            v = reduce((head ^ 1,) + u)
+            in_translate = bool(v) and v[0] == (head ^ 1)
+            if in_piece == in_translate:
+                violations.append(
+                    f"word {word_text(u)} vs generator {LETTERS[head]}: "
+                    f"piece={in_piece} translate={in_translate}")
+            elif len(v) > max_len:
+                violations.append(f"witness {word_text(v)} escapes the ball")
+    return {"max_len": max_len, "words_checked": checked,
+            "ok": not violations, "violations": violations}
+
+
 def test_translate_identity_small_depths():
-    for max_len in (1, 3, 5):
+    for max_len in range(1, 9):
         result = check_translate_identity(max_len)
+        assert result == _reduce_scan(max_len)
         assert result["ok"], result
         assert result["violations"] == []
+        assert result["words_checked"] == ball_size(max_len - 1)
 
 
 def test_word_text_round_trip():
