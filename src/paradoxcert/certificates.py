@@ -153,17 +153,38 @@ def _base_f2() -> Node:
     return Node("BaseF2", SpaceExpr(F2Space()), GroupTag("free", 0), {}, ())
 
 
+# the pair the chart of proj(K,2) induces on its sphere from the
+# Intertwine's own pair (su2-sqrt5, or sp1-sqrt5@2 = diag(q, 1)), so the
+# child subtree's samples are chart images of exact lines
+_CHART_PAIRS = {"C": "so3-su2", "H": "so5-sp1"}
+
+# the removed set on whose complement each transport pair acts freely: a
+# rotation pair of R^3 fixes the lines D[pair] of its words' axes, and
+# diag(L_w, 1) on R^5 fixes the poles alone, since L_w v = v forces w = 1
+# over the division ring H
+_FREED_BY = {"so3-ab": "exceptional", "so3-su2": "exceptional",
+             "so5-sp1": "poles"}
+
+
+def _free_base(base, pair: str, seed: tuple, removed, group: GroupTag,
+               absorber) -> Node:
+    """The free pair's paradox of base minus the removed set, lifted to
+    the group and reabsorbed: CountableAbsorb -> SubgroupLift ->
+    FreeTransport -> BaseF2."""
+    ft_space = SpaceExpr(base, removed=removed)
+    ft = Node("FreeTransport", ft_space,
+              GroupTag("free", len(seed), pair=pair),
+              {"pair": pair, "seed": seed}, (_base_f2(),))
+    sl = Node("SubgroupLift", ft_space, group, {}, (ft,))
+    return Node("CountableAbsorb", SpaceExpr(base), group,
+                {"absorber": absorber}, (sl,))
+
+
 def _derive_sphere(n: int) -> Node:
     if n == 2:
-        ft_space = SpaceExpr(Sphere(2),
-                             removed=RemovedExceptional("so3-ab", False))
-        free_tag = GroupTag("free", 3, pair="so3-ab")
-        ft = Node("FreeTransport", ft_space, free_tag,
-                  {"pair": "so3-ab", "seed": (1, 2, 3)}, (_base_f2(),))
-        sl = Node("SubgroupLift", ft_space, GroupTag("SO", 3), {}, (ft,))
-        return Node("CountableAbsorb", SpaceExpr(Sphere(2)),
-                    GroupTag("SO", 3),
-                    {"absorber": default_absorber()}, (sl,))
+        return _free_base(Sphere(2), "so3-ab", (1, 2, 3),
+                          RemovedExceptional("so3-ab", False),
+                          GroupTag("SO", 3), default_absorber())
     child = _derive_sphere(n - 1)
     ambient = n + 1
     star_tag = GroupTag("SO", n, star_ambient=ambient)
@@ -178,23 +199,29 @@ def _derive_sphere(n: int) -> Node:
                 {"absorber": plane_rotation(ambient, 0, ambient - 1)}, (sl,))
 
 
+def _derive_chart_sphere(field: str) -> Node:
+    """The sphere certificate under the Intertwine of proj(K,2): its pair
+    walks the chart image of the Intertwine seed [1 : 2+i], (2, -1, -2)/3
+    on S^2 and (2, -1, 0, 0, -2)/3 on S^4."""
+    pair = _CHART_PAIRS[field]
+    if field == "C":
+        return _free_base(Sphere(2), pair, (2, -1, -2),
+                          RemovedExceptional(pair, False),
+                          GroupTag("SO", 3), default_absorber())
+    return _free_base(Sphere(4), pair, (2, -1, 0, 0, -2), RemovedPoles(),
+                      GroupTag("SO", 5), plane_rotation(5, 0, 4))
+
+
 def _derive_projective(field: str, n: int) -> Node:
     if field == "R" and n == 3:
-        ft_space = SpaceExpr(Projective("R", 3),
-                             removed=RemovedExceptional("so3-ab", True))
-        free_tag = GroupTag("free", 3, pair="so3-ab")
-        ft = Node("FreeTransport", ft_space, free_tag,
-                  {"pair": "so3-ab", "seed": (1, 2, 3)}, (_base_f2(),))
-        sl = Node("SubgroupLift", ft_space, GroupTag("O", 3), {}, (ft,))
-        return Node("CountableAbsorb", SpaceExpr(Projective("R", 3)),
-                    GroupTag("O", 3),
-                    {"absorber": default_absorber()}, (sl,))
+        return _free_base(Projective("R", 3), "so3-ab", (1, 2, 3),
+                          RemovedExceptional("so3-ab", True),
+                          GroupTag("O", 3), default_absorber())
     if field in ("C", "H") and n == 2:
-        sphere_dim = 2 if field == "C" else 4
-        child = _derive_sphere(sphere_dim)
         fam = "U" if field == "C" else "Sp"
         return Node("Intertwine", SpaceExpr(Projective(field, 2)),
-                    GroupTag(fam, 2), {"field": field}, (child,))
+                    GroupTag(fam, 2), {"field": field},
+                    (_derive_chart_sphere(field),))
     child = _derive_projective(field, n - 1)
     star_tag = GroupTag(child.group.family, n - 1, star_ambient=n)
     star = Node("StarEmbed",
@@ -276,8 +303,10 @@ def _expect(cond, violations, path, msg):
 
 def _known_subgroup(sub: GroupTag, sup: GroupTag) -> bool:
     if sub.family == "free":
-        return (sub.pair == "so3-ab" and sup.n == 3
-                and sup.family in ("SO", "O") and sup.star_ambient is None)
+        pair = _known_pair(sub.pair)
+        return (pair is not None and pair.name in _FREED_BY
+                and sup.n == pair.dim and sup.family in ("SO", "O")
+                and sup.star_ambient is None)
     if sub.star_ambient is not None:
         return (sup.star_ambient is None and sub.family == sup.family
                 and sub.star_ambient == sup.n and sub.n <= sup.n)
@@ -350,23 +379,31 @@ def _check_node(node: Node, path: str, violations: list):
         pairname = node.params.get("pair")
         pair = _known_pair(pairname)
         ex(pair is not None, f"unknown pair {pairname!r}")
-        ex(pair is None or pair.dim == 3, "transport pair must act on R^3")
-        ex(gr == GroupTag("free", 3, pair=pairname),
+        freed_by = None if pair is None else _FREED_BY.get(pair.name)
+        ex(pair is None or freed_by is not None,
+           f"no removed set is known to free {pairname}")
+        dim = 3 if pair is None else pair.dim
+        ex(gr == GroupTag("free", dim, pair=pairname),
            "group must be the free group of the pair")
         ex(sp.star_ambient is None, "transport space is not starred")
         rem = sp.removed
-        ex(isinstance(rem, RemovedExceptional) and rem.pair == pairname,
-           "removed set must be the pair's fixed locus")
-        if isinstance(rem, RemovedExceptional):
-            if rem.projective:
-                ex(sp.base == Projective("R", 3),
-                   "projective transport lives on proj(R,3)")
-            else:
-                ex(sp.base == Sphere(2), "spherical transport lives on S^2")
+        if freed_by == "poles":
+            ex(isinstance(rem, RemovedPoles) and sp.base == Sphere(dim - 1),
+               f"{pairname} acts freely on sphere({dim - 1}) minus its poles")
+        elif freed_by == "exceptional":
+            ex(isinstance(rem, RemovedExceptional) and rem.pair == pairname,
+               "removed set must be the pair's fixed locus")
+            if isinstance(rem, RemovedExceptional):
+                if rem.projective:
+                    ex(sp.base == Projective("R", 3),
+                       "projective transport lives on proj(R,3)")
+                else:
+                    ex(sp.base == Sphere(2),
+                       "spherical transport lives on S^2")
         seed = node.params.get("seed")
-        ex(isinstance(seed, (list, tuple)) and len(seed) == 3
+        ex(isinstance(seed, (list, tuple)) and len(seed) == dim
            and all(map(_is_int, seed)) and any(seed),
-           "seed must be a nonzero 3-vector")
+           f"seed must be a nonzero {dim}-vector")
 
     elif node.rule == "SubgroupLift":
         ex(len(ch) == 1, "SubgroupLift takes one child")
@@ -523,6 +560,11 @@ def _check_node(node: Node, path: str, violations: list):
                "child must be the matching sphere certificate")
             ex(ch[0].group == GroupTag("SO", sphere_dim + 1),
                "child group must be the rotation group")
+            induced = _CHART_PAIRS[field]
+            walked = [n.params.get("pair") for _, n in ch[0].walk()
+                      if n.rule == "FreeTransport"]
+            ex(walked and all(p == induced for p in walked),
+               f"child must walk {induced}, the pair the chart induces")
 
     for i, c in enumerate(ch):
         _check_node(c, f"{path}.{i}", violations)

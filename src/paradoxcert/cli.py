@@ -5,7 +5,7 @@ Subcommands
 derive <space> [-o cert.json]
     Build a paradoxicality certificate for a space descriptor and emit it
     as schema "paradox-cert/1" JSON (stdout by default).
-verify <cert.json> [--depth --samples --seed --tol --absorber-bound]
+verify <cert.json> [--depth --samples --seed --absorber-bound]
                    [-o report.json]
     Structurally check the certificate, then run the sampled verification
     of every rule node. Emits a "paradox-report/1" JSON report.
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -90,7 +89,7 @@ def _cmd_verify(args, out, err) -> int:
         return 2
     root = cert_from_json(obj)
     cfg = RunConfig(depth=args.depth, samples=args.samples, seed=args.seed,
-                    tol=args.tol, absorber_bound=args.absorber_bound)
+                    absorber_bound=args.absorber_bound)
     report = verify(root, cfg)
     emit_report(report, args.output, out)
     totals = report["totals"]
@@ -221,16 +220,6 @@ def _count(text: str) -> int:
     return n
 
 
-def _tolerance(text: str) -> float:
-    """argparse type of ``verify --tol``: a finite number > 0, so nan and
-    inf, which would let every float replay check pass, are usage errors."""
-    x = float(text)
-    if not 0 < x < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number > 0, got {text}")
-    return x
-
-
 def _pair(text: str) -> str:
     """argparse type of ``--pair``: the name of a generator pair, so an
     unknown pair is a usage error (exit 2)."""
@@ -258,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_count, default=6)
     p.add_argument("--samples", type=_count, default=500)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--absorber-bound", type=_count, default=50)
     p.add_argument("-o", "--output", default=None)
 

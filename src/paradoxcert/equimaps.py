@@ -8,9 +8,13 @@ f(g x) == g f(x) exactly: every map in the catalog is exact.
 That includes the stereographic chart identifying the projective line over
 C (resp. H) with S^2 (resp. S^4), and the induced rotation carrying a 2x2
 unitary to the orthogonal matrix it acts by on that sphere: both are
-rational, so they stay inside Q(sqrt5) on exact input.  Only the inverse
-chart, ``stereographic_lift``, is float: the unit vector of a ray needs a
-square root outside the field.
+rational, so they stay inside Q(sqrt5) on exact input.  The inverse chart,
+``stereographic_lift``, is exact too wherever a ray's unit vector lies in
+Q(sqrt5), as every chart image of an exact line does: it reads the norm
+of the ray's leading-1 direction through ``scalars.exact_sqrt`` and
+returns None when that root leaves the field.  The induced rotation also
+takes a float (complex or float quaternion) unitary and computes in
+floats; a chart image is always an exact sphere point.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from .linalg import (
     mat_vec,
     matmul,
     rank,
-    to_float_matrix,
 )
 from .sampling import (
     random_flag,
@@ -40,7 +43,9 @@ from .scalars import (
     RING_QUAT_FLOAT,
     RING_QUAT_SQRT5,
     RING_RATIONAL,
+    QSqrt5,
     abs_float,
+    exact_sqrt,
     ring_of,
 )
 from .spaces import (
@@ -95,24 +100,18 @@ def sphere_drop(k: int) -> MapInstance:
         if len(p.direction) != ambient:
             raise DomainError(f"expected a point of S^{k + 1}")
         head = p.direction[:-1]
-        if p.exact:
-            if not any(head):
-                raise DomainError("poles have no equator image")
-            zero = head[0] - head[0]
-            # leading-1 form survives: the first nonzero entry is retained
-            return SpherePoint(p.sign, head + (zero,), True)
-        if all(abs(x) < 1e-12 for x in head):
+        if not any(head):
             raise DomainError("poles have no equator image")
-        return SpherePoint.from_vector(head + (0.0,))
+        zero = head[0] - head[0]
+        # leading-1 form survives: the first nonzero entry is retained
+        return SpherePoint(p.sign, head + (zero,))
 
     def in_domain(p):
-        if p.exact:
-            return any(p.direction[:-1])
-        return any(abs(x) >= 1e-12 for x in p.direction[:-1])
+        return any(p.direction[:-1])
 
     def section(q: SpherePoint):
         # the equator copy embeds in the source sphere as itself
-        if q.exact and q.direction[-1]:
+        if q.direction[-1]:
             raise DomainError("section expects a zero last coordinate")
         return q
 
@@ -148,14 +147,11 @@ def proj_drop(field: str, n: int) -> MapInstance:
         return ProjectivePoint(head + (head[0] - head[0],))
 
     def in_domain(p):
-        head = p.vector[:-1]
-        if p.exact:
-            return any(head)
-        return any(abs_float(x) >= 1e-12 for x in head)
+        return any(p.vector[:-1])
 
     def section(q: ProjectivePoint):
         # the hyperplane copy embeds in the source as itself
-        if q.exact and q.vector[-1]:
+        if q.vector[-1]:
             raise DomainError("section expects a line inside the hyperplane")
         return q
 
@@ -187,37 +183,27 @@ def grass_slice(field: str, n0: int, k: int) -> MapInstance:
     ring = exact_ring_for_field(field)
     m = n0 + 1 - k
     hyper = Subspace.coordinate(n0, range(m), ring)
-    hyper_float = Subspace(to_float_matrix(hyper.basis), hyper.pivots)
-
-    def _hyper_for(v):
-        return hyper if v.exact else hyper_float
 
     def apply(v: Subspace):
         if v.ambient_dim != n0 or v.dim != k:
             raise DomainError(f"expected a {k}-plane in K^{n0}")
-        h = _hyper_for(v)
-        if h.contains(v):
+        if hyper.contains(v):
             raise DomainError(
                 "subspaces inside the hyperplane copy are excluded")
-        x = intersect(v, h)
+        x = intersect(v, hyper)
         if x.dim != 1:
             raise GapCaseError(
                 f"slice intersection has dimension {x.dim}, not 1")
         return x
 
     def in_domain(v):
-        h = _hyper_for(v)
-        if h.contains(v):
+        if hyper.contains(v):
             return False
-        return intersect(v, h).dim == 1
+        return intersect(v, hyper).dim == 1
 
     def section(line: ProjectivePoint):
         rep = line.vector
-        if line.exact:
-            inside = not any(rep[m:])
-        else:
-            inside = all(abs_float(x) < 1e-9 for x in rep[m:])
-        if not inside:
+        if any(rep[m:]):
             raise DomainError("section expects a line inside the hyperplane")
         cols = [rep]
         pad = ring_of(rep[0])
@@ -371,34 +357,31 @@ def _sphere_dim(field: str) -> int:
 
 
 def stereographic_apply(line: ProjectivePoint) -> SpherePoint:
-    """The chart: exact on an exact line, float on a float one."""
+    """The chart, on an exact line."""
     if line.ambient_dim != 2:
         raise DomainError("expected a line in K^2")
-    vec = _chart_vector(*line.vector)
-    if line.exact:
-        return SpherePoint.from_vector(vec)
-    return SpherePoint(1, vec, exact=False)
+    return SpherePoint.from_vector(_chart_vector(*line.vector))
 
 
-def stereographic_lift(field: str, p: SpherePoint) -> ProjectivePoint:
-    """Inverse chart: a float sphere point to the float line through it."""
-    vec = p.to_float_vector()
-    h = vec[-1]
-    if 1.0 - h < 1e-14:
-        if field == "C":
-            v = (complex(1.0), complex(0.0))
-        else:
-            v = (RING_QUAT_FLOAT.one, RING_QUAT_FLOAT.zero)
-        return ProjectivePoint.from_vector(v)
-    scale = 1.0 / (1.0 - h)
-    coords = [c * scale for c in vec[:-1]]
-    if field == "C":
-        q = complex(coords[0], coords[1])
-        v = (q, complex(1.0))
-    else:
-        q = Quaternion(coords[0], coords[1], coords[2], coords[3])
-        v = (q, RING_QUAT_FLOAT.one)
-    return ProjectivePoint.from_vector(v)
+def stereographic_lift(field: str, p: SpherePoint):
+    """Inverse chart: the exact line the chart puts on the ray p, or None
+    when p's unit vector leaves Q(sqrt5), the real field of the chart.
+
+    The unit vector (c, h) of p is its direction over the norm, an exact
+    root in Q(sqrt5) (``exact_sqrt``); its line is [1 : 0] at the north
+    pole h = 1 and [c / (1 - h) : 1] elsewhere, with c read as an element
+    of Q(sqrt5, i) or as a quaternion over Q(sqrt5).
+    """
+    norm = exact_sqrt(sum((x * x for x in p.direction), QSqrt5(0)))
+    if norm is None:
+        return None
+    *c, h = (p.sign * x / norm for x in p.direction)
+    one = GaussSqrt5(1) if field == "C" else RING_QUAT_SQRT5.one
+    if h == 1:
+        return ProjectivePoint.from_vector((one, one - one))
+    c = [x / (1 - h) for x in c]
+    q = c[0] + GaussSqrt5(0, 0, 1) * c[1] if field == "C" else Quaternion(*c)
+    return ProjectivePoint.from_vector((q, one))
 
 
 def _chart_preimages(field: str, exact: bool) -> list:
@@ -541,7 +524,7 @@ def corrupted(m: MapInstance) -> MapInstance:
         if isinstance(y, SpherePoint):
             # swap two coordinates: almost never commutes with the action
             return SpherePoint(y.sign, (y.direction[1], y.direction[0])
-                               + y.direction[2:], True)
+                               + y.direction[2:])
         if isinstance(y, Subspace):
             # swap two basis rows, i.e. two coordinates of the subspace
             rows = y.basis.data

@@ -1,14 +1,22 @@
 """Matrix realizations of the rank-2 free group.
 
-Three built-in generator pairs, each with exact entries:
+Five built-in generator pairs, each with exact entries:
 
 * ``so3-ab``    -- rotations by arccos(1/3) about the z and x axes, entries
                    in Q(sqrt2) with denominators 3^|word|
 * ``su2-sqrt5`` -- diag((1+2i)/sqrt5, (1-2i)/sqrt5) and the real rotation
                    (1/sqrt5)[[1,-2],[2,1]], entries in Q(sqrt5, i)
 * ``sp1-sqrt5`` -- unit quaternions (1+2i)/sqrt5 and (1+2j)/sqrt5
+* ``so3-su2``   -- the rotations of S^2 by which the stereographic chart of
+                   proj(C,2) carries su2-sqrt5: cosine -3/5 about z and
+                   about y, rational with denominators 5^|word|
+* ``so5-sp1``   -- the rotations diag(L_q, 1) of S^4 by which the chart of
+                   proj(H,2) carries sp1-sqrt5@2 = diag(q, 1), entries in
+                   Q(sqrt5)
 
-plus block-embedded copies diag(g, I) in any larger dimension.
+plus block-embedded copies diag(g, I) in any larger dimension. The last
+two are written out as literal matrices; a test checks that they equal
+the induced rotations of their parents' letters.
 
 Three integer walks read exact matrices through one reader,
 ``IntegerReader``: the word walk and the absorber orbit walk below, and
@@ -80,7 +88,7 @@ class GeneratorPair:
 
     def __init__(self, name, kind, dim, letter_matrices, base=None):
         self.name = name
-        self.kind = kind          # so3 | su2 | sp1 | embedded
+        self.kind = kind          # so3 | so5 | su2 | sp1 | embedded
         self.dim = dim
         self._mats = letter_matrices  # tuple indexed by letter
         self.base = base          # underlying pair for embedded copies
@@ -104,6 +112,12 @@ class GeneratorPair:
         return f"GeneratorPair({self.name})"
 
 
+def _rotations(name, kind, mat_a, mat_b) -> GeneratorPair:
+    """The pair of real orthogonal matrices a and b: inverse = transpose."""
+    return GeneratorPair(name, kind, mat_a.rows,
+                         (mat_a, mat_a.transpose(), mat_b, mat_b.transpose()))
+
+
 def _so3_pair() -> GeneratorPair:
     f = Fraction
     q = lambda a, b=0: QSqrt2(a, b)
@@ -118,10 +132,7 @@ def _so3_pair() -> GeneratorPair:
         (q(0), q(third), q(0, -2 * third)),
         (q(0), q(0, 2 * third), q(third)),
     ])
-    # orthogonal with real entries: inverse = transpose
-    return GeneratorPair(
-        "so3-ab", "so3", 3,
-        (mat_a, mat_a.transpose(), mat_b, mat_b.transpose()))
+    return _rotations("so3-ab", "so3", mat_a, mat_b)
 
 
 def _su2_pair() -> GeneratorPair:
@@ -153,22 +164,55 @@ def _sp1_pair() -> GeneratorPair:
         (ma, Matrix([(qa.conjugate(),)]), mb, Matrix([(qb.conjugate(),)])))
 
 
+def _so3_su2_pair() -> GeneratorPair:
+    """The rotations of S^2 by which the chart of proj(C,2) carries the
+    letters of su2-sqrt5: a^2 = (-3 + 4i)/5 turns the chart coordinate q,
+    so a is the rotation with cosine -3/5 about z, and b is the one about
+    y."""
+    f = Fraction
+    c, s, z, o = f(-3, 5), f(4, 5), f(0), f(1)
+    return _rotations("so3-su2", "so3",
+                      Matrix([(c, -s, z), (s, c, z), (z, z, o)]),
+                      Matrix([(c, z, s), (z, o, z), (-s, z, c)]))
+
+
+def _so5_sp1_pair() -> GeneratorPair:
+    """The rotations of S^4 by which the chart of proj(H,2) carries the
+    letters diag(q, 1) of sp1-sqrt5@2: diag(L_q, 1), L_q the left
+    multiplication by q on H = R^4 (components w, x, y, z)."""
+    s, t = QSqrt5(0, Fraction(1, 5)), QSqrt5(0, Fraction(2, 5))
+    z, o = QSqrt5(0), QSqrt5(1)
+    return _rotations("so5-sp1", "so5",
+                      Matrix([(s, -t, z, z, z), (t, s, z, z, z),
+                              (z, z, s, -t, z), (z, z, t, s, z),
+                              (z, z, z, z, o)]),
+                      Matrix([(s, z, -t, z, z), (z, s, z, t, z),
+                              (t, z, s, z, z), (z, -t, z, s, z),
+                              (z, z, z, z, o)]))
+
+
+# each pair is built on its first lookup, so a run builds only the pairs
+# its certificate names
+_BUILDERS = {"so3-ab": _so3_pair, "su2-sqrt5": _su2_pair,
+             "sp1-sqrt5": _sp1_pair, "so3-su2": _so3_su2_pair,
+             "so5-sp1": _so5_sp1_pair}
 _PAIRS = {}
 
 
 def get_pair(name: str) -> GeneratorPair:
-    """Look up a generator pair: so3-ab, su2-sqrt5, sp1-sqrt5, or name@n."""
-    if not _PAIRS:
-        for p in (_so3_pair(), _su2_pair(), _sp1_pair()):
-            _PAIRS[p.name] = p
-    if name in _PAIRS:
-        return _PAIRS[name]
+    """Look up a generator pair: one of ``_BUILDERS``, or name@n."""
+    pair = _PAIRS.get(name)
+    if pair is not None:
+        return pair
+    if name in _BUILDERS:
+        pair = _PAIRS[name] = _BUILDERS[name]()
+        return pair
     if "@" in name:
         base, _, n = name.partition("@")
         return get_pair(base).block_embedded(int(n))
     raise ParadoxError(
         f"unknown generator pair {name!r}: "
-        f"expected one of {sorted(_PAIRS)} or '<pair>@<dim>'")
+        f"expected one of {sorted(_BUILDERS)} or '<pair>@<dim>'")
 
 
 def evaluate(word, pair: GeneratorPair) -> Matrix:
@@ -601,24 +645,6 @@ class LineKeys(IntegerReader):
         j -= j % self.size
         return 1 if real_positive(v[j], v[j + 1] if self.width == 2 else 0,
                                   self.D) else -1
-
-    def floats(self, key):
-        """The key's leading-1 vector in the float lane, as
-        ``to_float_scalar`` gives it for each exact entry."""
-        w, r = self.width, math.sqrt(self.D)
-        den = next(x for x in key[::self.size] if x)
-        out = []
-        for i in range(0, len(key), w):
-            g = math.gcd(den, *key[i:i + w])
-            a, b, c, d = [x // g for x in key[i:i + w]] + [0] * (4 - w)
-            n = den // g
-            if w == 4:  # GaussSqrt5._to_float
-                out.append(complex((a + b * r) / n, (c + d * r) / n))
-            else:  # QuadExt._to_float, and float(Fraction(a, n))
-                out.append(a / n + b / n * r if w == 2 else a / n)
-        if self.quaternionic:
-            out = [Quaternion(*out[i:i + 4]) for i in range(0, len(out), 4)]
-        return tuple(out)
 
     def _adjugate(self, e):
         """(z, n): e z = n, a nonzero integer, for a nonzero entry e."""

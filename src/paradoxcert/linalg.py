@@ -22,15 +22,12 @@ from .errors import (
 )
 from .scalars import (
     Ring,
-    abs_float,
     dot_products,
     ring_of,
     scalar_from_json,
     scalar_to_json,
     sub_scaled,
 )
-
-_PIVOT_EPS = 1e-12  # float-lane rank decisions only
 
 
 def _inv(x):
@@ -188,13 +185,7 @@ def vec_scale_right(v, s):
     return tuple(a * s for a in v)
 
 
-def _is_zero(x, exact):
-    if exact:
-        return not x
-    return abs_float(x) <= _PIVOT_EPS
-
-
-def _rref_rows(rows, exact):
+def _rref_rows(rows):
     """In-place reduced row echelon form. Returns pivot column list."""
     m, n = len(rows), len(rows[0])
     pivots = []
@@ -203,24 +194,17 @@ def _rref_rows(rows, exact):
         if r == m:
             break
         p = None
-        if exact:
-            for i in range(r, m):
-                if rows[i][j]:
-                    p = i
-                    break
-        else:
-            best = _PIVOT_EPS
-            for i in range(r, m):
-                mag = abs_float(rows[i][j])
-                if mag > best:
-                    best, p = mag, i
+        for i in range(r, m):
+            if rows[i][j]:
+                p = i
+                break
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
         pinv = _inv(rows[r][j])
         rows[r] = [pinv * e for e in rows[r]]
         for i in range(m):
-            if i != r and not _is_zero(rows[i][j], exact):
+            if i != r and rows[i][j]:
                 f = rows[i][j]
                 ref = rows[r]
                 fused = sub_scaled(rows[i], f, ref)
@@ -233,9 +217,8 @@ def _rref_rows(rows, exact):
 
 def rref(a: Matrix):
     """Reduced row echelon form and pivot columns (left row ops only)."""
-    exact = a.scalar_ring().exact
     rows = [list(r) for r in a.data]
-    pivots = _rref_rows(rows, exact)
+    pivots = _rref_rows(rows)
     return Matrix._of_rows(tuple(map(tuple, rows))), tuple(pivots)
 
 
@@ -270,7 +253,7 @@ def mat_inverse(a: Matrix) -> Matrix:
     n = a.rows
     ident = Matrix.identity(n, ring)
     rows = [list(a.data[i]) + list(ident.data[i]) for i in range(n)]
-    pivots = _rref_rows(rows, ring.exact)
+    pivots = _rref_rows(rows)
     if len(pivots) < n or any(p != i for i, p in enumerate(pivots)):
         raise SingularMatrixError("matrix is singular")
     return Matrix._of_rows(tuple(tuple(r[n:]) for r in rows))
@@ -342,27 +325,6 @@ def block_embed_matrix(a: Matrix, n: int) -> Matrix:
 def to_float_matrix(a: Matrix) -> Matrix:
     conv = a.scalar_ring().to_float
     return Matrix(tuple(conv(e) for e in r) for r in a.data)
-
-
-def to_float_vector(v):
-    if not v:
-        return v
-    conv = ring_of(v[0]).to_float
-    return tuple(conv(e) for e in v)
-
-
-def max_abs_diff(a: Matrix, b: Matrix) -> float:
-    """Max entrywise magnitude of a - b after float conversion."""
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise DimensionMismatchError("shape mismatch in comparison")
-    fa, fb = to_float_matrix(a), to_float_matrix(b)
-    worst = 0.0
-    for ra, rb in zip(fa.data, fb.data):
-        for x, y in zip(ra, rb):
-            d = abs_float(x - y)
-            if d > worst:
-                worst = d
-    return worst
 
 
 def _is_positive(x) -> bool:

@@ -9,8 +9,9 @@ group elements and points carry entries from one of a few field towers:
 * ``GaussSqrt5``          -- a + b*sqrt(5) + (c + d*sqrt(5))i, a..d rational
 * ``Quaternion``          -- w + xi + yj + zk over any real backend above
 
-plus plain ``float``/``complex``/float quaternions for the verification-only
-float lane. Every scalar type supports ``+ - *`` and ``conjugate()``, is
+plus plain ``float``/``complex``/float quaternions, which only the float
+input of the stereographic chart and the induced rotation uses; no check
+reads them. Every scalar type supports ``+ - *`` and ``conjugate()``, is
 hashable, and inverts a nonzero value (``1 / x`` for the stdlib numbers,
 ``x.inverse()`` for the classes here), so generic linear algebra can stay
 backend-agnostic.
@@ -251,6 +252,44 @@ def real_positive(a, b, D):
         return a > 0
     # opposite signs: compare a^2 vs D b^2 (never equal)
     return (a * a > D * b * b) == (a > 0)
+
+
+def _rational_sqrt(q):
+    """The nonnegative rational root of a rational q, or None."""
+    if q < 0:
+        return None
+    n, d = q.numerator, q.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    return Fraction(rn, rd) if rn * rn == n and rd * rd == d else None
+
+
+def exact_sqrt(x):
+    """The nonnegative square root of a real exact scalar x in x's own
+    field, Q for a rational and Q(sqrt D) for a ``RealQuadExt``, or None
+    when x < 0 or the root lies outside that field.
+
+    A root p + q sqrt(D) of a + b sqrt(D) has p^2 + D q^2 = a and
+    2 p q = b, so p^2 is (a + s) / 2 or (a - s) / 2 with s^2 = a^2 - D b^2.
+    """
+    if isinstance(x, (int, Fraction)):
+        return _rational_sqrt(Fraction(x))
+    cls, D = type(x), x.D
+    a, b = x._parts()
+    if not b:
+        r = _rational_sqrt(a)
+        if r is not None:
+            return cls(r)
+        r = _rational_sqrt(a / D)
+        return None if r is None else cls(0, r)
+    s = _rational_sqrt(a * a - D * b * b)
+    if s is None:
+        return None
+    for p2 in ((a + s) / 2, (a - s) / 2):
+        p = _rational_sqrt(p2)
+        if p:
+            y = cls(p, b / (2 * p))
+            return y if y.is_positive() else -y
+    return None
 
 
 def adjugate(a, b, c, d, D):

@@ -17,9 +17,10 @@ group matrices on the left. A k-dimensional subspace is stored as its
 reduced column-echelon basis (rows at k pivot indices form the identity),
 which is canonical for the subspace, and every subspace operation reads that
 basis. A line is the one-column case, its leading-1 vector (first nonzero
-entry 1). The orthogonal projector is formed on first read, for float
-comparisons only. Sphere points are stored as signed rays with a leading-1
-representative.
+entry 1). The orthogonal projector is formed on first read; no check
+compares subspaces through it. Sphere points are stored as signed rays
+with a leading-1 representative. Every point a check reads is exact: a
+sphere point always, and a subspace whenever its basis is.
 """
 
 from __future__ import annotations
@@ -40,13 +41,10 @@ from .linalg import (
     line_projector,
     mat_vec,
     matmul,
-    max_abs_diff,
     normalize_leading,
     projector_of_basis,
     ray_canonical,
     rref,
-    to_float_matrix,
-    to_float_vector,
 )
 from .scalars import (
     RING_GAUSS_SQRT5,
@@ -258,20 +256,19 @@ def natural_group(desc) -> GroupTag:
 # --------------------------------------------------------------------------
 
 class SpherePoint:
-    """A point of S^n as a signed ray.
+    """A point of S^n as a signed ray, always exact.
 
-    Exact backend: stored as (sign, direction) with the direction scaled so
-    its first nonzero coordinate is 1 -- a canonical form (integer-content
-    reduction is not canonical over Q(sqrt2), whose units rescale integer
-    vectors). Float backend: stored as the unit vector itself.
+    Stored as (sign, direction) with the direction scaled so its first
+    nonzero coordinate is 1 -- a canonical form (integer-content reduction
+    is not canonical over Q(sqrt2), whose units rescale integer vectors).
     """
 
-    __slots__ = ("sign", "direction", "exact")
+    __slots__ = ("sign", "direction")
+    exact = True
 
-    def __init__(self, sign, direction, exact):
+    def __init__(self, sign, direction):
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "direction", tuple(direction))
-        object.__setattr__(self, "exact", exact)
 
     def __setattr__(self, *args):
         raise AttributeError("immutable")
@@ -282,40 +279,24 @@ class SpherePoint:
         if not v:
             raise DimensionMismatchError("empty vector")
         if isinstance(v[0], float):
-            norm = sum(x * x for x in v) ** 0.5
-            if norm == 0:
-                raise ValueError("zero vector is not a ray")
-            return cls(1, tuple(x / norm for x in v), exact=False)
-        sign, direction = ray_canonical(v)
-        return cls(sign, direction, exact=True)
+            raise BackendMismatchError(
+                f"{v!r} is not exact: a sphere point is an exact ray")
+        return cls(*ray_canonical(v))
 
-    # antipode and apply_matrix move exact points only: a float sphere
-    # point is read (``to_float_vector``), never moved
     def antipode(self):
-        return SpherePoint(-self.sign, self.direction, True)
+        return SpherePoint(-self.sign, self.direction)
 
     def apply_matrix(self, m: Matrix):
         s, d = ray_canonical(mat_vec(m, self.direction))
-        return SpherePoint(self.sign * s, d, True)
-
-    def to_float_vector(self):
-        if not self.exact:
-            return self.direction
-        fv = to_float_vector(self.direction)
-        norm = sum(x * x for x in fv) ** 0.5
-        return tuple(self.sign * x / norm for x in fv)
+        return SpherePoint(self.sign * s, d)
 
     def key(self):
-        if not self.exact:
-            raise BackendMismatchError("float points are not hashable keys")
         return (self.sign, self.direction)
 
     def __eq__(self, other):
         if not isinstance(other, SpherePoint):
             return NotImplemented
-        if self.exact and other.exact:
-            return self.key() == other.key()
-        return NotImplemented
+        return self.key() == other.key()
 
     def __hash__(self):
         return hash(self.key())
@@ -335,7 +316,7 @@ class Subspace:
     B* are right column operations on B, so the form is canonical for the
     right span over R, C and H alike, and two exact subspaces are equal
     exactly when their bases are.  The orthogonal projector is formed on
-    first read and kept; only float comparisons read it.
+    first read and kept.
     """
 
     __slots__ = ("basis", "pivots", "_projector")
@@ -487,18 +468,14 @@ class FlagPoint:
 # --------------------------------------------------------------------------
 
 def act(m, point):
-    """Apply a matrix to a point of any space type.
+    """Apply a matrix to an exact point of any space type.
 
-    A float subspace is moved by the float copy of the matrix and an exact
-    point by the exact matrix; a float sphere point cannot be moved. Exact
-    entries mix by value whatever their class, so a rational matrix moves a
-    point over any field; entries from fields that do not mix raise
-    BackendMismatchError.
+    Exact entries mix by value whatever their class, so a rational matrix
+    moves a point over any field; entries from fields that do not mix, and
+    a float subspace, raise BackendMismatchError.
     """
     if isinstance(point, FlagPoint):
         return FlagPoint(act(m, c) for c in point.components)
-    if isinstance(point, Subspace) and not point.exact:
-        return point.apply_matrix(to_float_matrix(m))
     if not isinstance(point, (SpherePoint, Subspace)) or not point.exact:
         raise BackendMismatchError(f"cannot act on {point!r}")
     try:
@@ -509,36 +486,27 @@ def act(m, point):
             f"{m.scalar_ring().name}: their fields do not mix") from None
 
 
-def equals(p, q, tol: float = 0.0) -> bool:
-    """Point equality: exact when both sides are exact, else within tol.
-
-    Sphere points compare only when both are exact; a float sphere point
-    cannot be compared.
-    """
-    if (isinstance(p, SpherePoint) and isinstance(q, SpherePoint)
+def equals(p, q) -> bool:
+    """Exact point equality; a float subspace cannot be compared."""
+    if isinstance(p, SpherePoint) and isinstance(q, SpherePoint):
+        return p == q
+    if (isinstance(p, Subspace) and isinstance(q, Subspace)
             and p.exact and q.exact):
-        return p.key() == q.key()
-    if isinstance(p, Subspace) and isinstance(q, Subspace):
-        if p.dim != q.dim:
-            return False
-        if p.exact and q.exact:
-            return p == q
-        return max_abs_diff(p.projector, q.projector) <= tol
+        return p.dim == q.dim and p == q
     if isinstance(p, FlagPoint) and isinstance(q, FlagPoint):
         if len(p.components) != len(q.components):
             return False
-        return all(equals(a, b, tol)
-                   for a, b in zip(p.components, q.components))
+        return all(equals(a, b) for a, b in zip(p.components, q.components))
     raise BackendMismatchError(f"cannot compare {p!r} with {q!r}")
 
 
 def block_embed_point(point, n: int):
-    """Zero-pad a point of K^m into K^n (the starred copy): an exact sphere
-    point, or a subspace in either lane."""
-    if isinstance(point, SpherePoint) and point.exact:
+    """Zero-pad a point of K^m into K^n (the starred copy): a sphere point
+    or a subspace."""
+    if isinstance(point, SpherePoint):
         ring = ring_of(point.direction[0])
         pad = (ring.zero,) * (n - len(point.direction))
-        return SpherePoint(point.sign, point.direction + pad, True)
+        return SpherePoint(point.sign, point.direction + pad)
     if isinstance(point, Subspace):
         # zero rows below an echelon basis keep it echelon, pivots and all
         b = point.basis

@@ -57,11 +57,23 @@ def test_sphere_induction_adds_four_nodes_per_dimension():
 
 
 def test_intertwine_base_cases():
-    for desc, sphere in (("proj(C,2)", "sphere(2)"), ("proj(H,2)",
-                                                      "sphere(4)")):
+    # the child walks the pair the chart induces, from the chart image of
+    # the Intertwine seed [1 : 2+i]
+    for desc, sphere, pair, seed, removed in (
+            ("proj(C,2)", "sphere(2)", "so3-su2", (2, -1, -2),
+             "D[so3-su2]"),
+            ("proj(H,2)", "sphere(4)", "so5-sp1", (2, -1, 0, 0, -2),
+             "poles")):
         root = derive(desc)
         assert root.rule == "Intertwine"
         assert root.children[0].space.text == sphere
+        chain = [node for _, node in root.walk()]
+        assert [node.rule for node in chain] == [
+            "Intertwine", "CountableAbsorb", "SubgroupLift",
+            "FreeTransport", "BaseF2"]
+        transport = chain[3]
+        assert transport.params == {"pair": pair, "seed": seed}
+        assert transport.space.text == f"{sphere} minus {removed}"
 
 
 def test_grassmann_high_k_uses_duality():

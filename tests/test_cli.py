@@ -138,6 +138,17 @@ def _absorber_entries(blob):
     return blob["root"]["params"]["absorber"]["__matrix__"]["entries"]
 
 
+def _sphere_child(desc):
+    """The Intertwine's child replaced by the derived certificate of the
+    sphere ``desc``, the child every Intertwine had before its child
+    walked the pair its chart induces."""
+    def mutate(blob):
+        from paradoxcert.certificates import cert_to_json, derive
+        sphere = json.loads(json.dumps(cert_to_json(derive(desc))))
+        blob["root"]["children"][0] = sphere["root"]
+    return mutate
+
+
 def _absorber_over(ring, entry):
     """The sphere(2) certificate's absorber made a literal over ``ring``,
     the identity written entry by entry as ``entry(0)`` and ``entry(1)``."""
@@ -244,6 +255,10 @@ _DUALITY = _map_params((0, 1, 0))  # EquidecompTransfer by duality
      "unknown exact ring 'quat_float'"),
     (_absorber_over("octonion", lambda x: [str(x)] + ["0"] * 7),
      "unknown exact ring 'octonion'"),
+    (_on("proj(C,2)", _sphere_child("sphere(2)")),
+     "structure: 0: child must walk so3-su2, the pair the chart induces"),
+    (_on("proj(H,2)", _sphere_child("sphere(4)")),
+     "structure: 0: child must walk so5-sp1, the pair the chart induces"),
 ], ids=["space", "group", "root", "params", "removed", "seed-strings",
         "seed-lists", "seed-number", "seed-bool", "seed-float",
         "seed-huge-float", "absorber-literal", "absorber-zero-denominator",
@@ -255,7 +270,8 @@ _DUALITY = _map_params((0, 1, 0))  # EquidecompTransfer by duality
         "duality-args-null", "flag-dims-type", "proj-drop-arity",
         "sphere-drop-args-type", "children-object", "children-string",
         "absorber-ring-float", "absorber-ring-complex",
-        "absorber-ring-quat-float", "absorber-ring-octonion"])
+        "absorber-ring-quat-float", "absorber-ring-octonion",
+        "intertwine-C-over-so3-ab", "intertwine-H-13-nodes"])
 def test_verify_rejects_a_broken_envelope(tmp_path, capsys, mutate, message):
     cert = tmp_path / "cert.json"
     main(["derive", getattr(mutate, "desc", "sphere(2)"), "-o", str(cert)])
@@ -297,26 +313,20 @@ def test_verify_guard_rails(tmp_path, capsys):
     assert main(["verify", str(cert), "--tol", "-1"]) == 2
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
-def test_verify_tol_must_be_finite_and_positive(tol, tmp_path, capsys):
+def test_verify_has_no_tol_option(tmp_path, capsys):
+    # every check is exact, so no tolerance is read; the report keeps
+    # "tol": 1e-9 as a constant of its schema
     cert = tmp_path / "cert.json"
     report = tmp_path / "report.json"
     assert main(["derive", "proj(C,2)", "-o", str(cert)]) == 0
     capsys.readouterr()
     assert main(["verify", str(cert), "--depth", "2", "--samples", "5",
-                 f"--tol={tol}", "-o", str(report)]) == 2
-    err = capsys.readouterr().err
-    assert "--tol" in err and "expected a finite number > 0" in err
+                 "--tol", "1e-6", "-o", str(report)]) == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
     assert not report.exists()
-
-
-def test_verify_takes_a_valid_tol_into_the_report(tmp_path, capsys):
-    cert = tmp_path / "cert.json"
-    report = tmp_path / "report.json"
-    assert main(["derive", "proj(C,2)", "-o", str(cert)]) == 0
     assert main(["verify", str(cert), "--depth", "2", "--samples", "5",
-                 "--tol", "1e-6", "-o", str(report)]) == 0
-    assert json.loads(report.read_text())["config"]["tol"] == 1e-06
+                 "-o", str(report)]) == 0
+    assert json.loads(report.read_text())["config"]["tol"] == 1e-9
 
 
 @pytest.mark.parametrize("argv", [
@@ -649,8 +659,8 @@ def test_a_bad_pair_is_a_usage_error(capsys, argv, message):
 
 
 def test_exact_runs_never_import_numpy(tmp_path):
-    # derive, and verify of a certificate with no Intertwine node, stay in
-    # exact arithmetic; proj(C,2)'s float chart lifts are the control
+    # every run is exact, Intertwine lifts included: derive and verify of
+    # sphere(2), proj(C,2) and proj(H,2) leave numpy unloaded
     import os
     import subprocess
     import sys
@@ -660,15 +670,11 @@ def test_exact_runs_never_import_numpy(tmp_path):
         from paradoxcert.cli import main
         def numpy_loaded():
             return any(m.split(".")[0] == "numpy" for m in sys.modules)
-        assert main(["derive", "sphere(2)", "-o", "c.json"]) == 0
-        print(numpy_loaded())
-        assert main(["verify", "c.json", "--depth", "3", "--samples", "30",
-                     "-o", "r.json"]) == 0
-        print(numpy_loaded())
-        assert main(["derive", "proj(C,2)", "-o", "c.json"]) == 0
-        assert main(["verify", "c.json", "--depth", "3", "--samples", "30",
-                     "-o", "r.json"]) == 0
-        print(numpy_loaded())
+        for desc in ("sphere(2)", "proj(C,2)", "proj(H,2)"):
+            assert main(["derive", desc, "-o", "c.json"]) == 0
+            assert main(["verify", "c.json", "--depth", "3", "--samples",
+                         "30", "-o", "r.json"]) == 0
+            print(numpy_loaded())
     """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -678,4 +684,4 @@ def test_exact_runs_never_import_numpy(tmp_path):
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "False", "True"]
+    assert done.stdout.split() == ["False", "False", "False"]

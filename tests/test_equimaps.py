@@ -144,18 +144,27 @@ def test_flag_to_grass_section_completes_a_flag():
 
 
 def test_stereographic_round_trip():
+    # the chart image of an exact line is a unit vector over Q(sqrt5), and
+    # the exact lift recovers the line; a ray whose unit vector needs
+    # sqrt2 leaves the field and has no lift
     for field in ("C", "H"):
         ring = exact_ring_for_field(field)
         rng = rng_for(61, "st", field)
         for i in range(25):
             line = random_projective_point(2, ring, rng)
             p = stereographic_apply(line)
-            vec = p.to_float_vector()
-            assert abs(sum(x * x for x in vec) - 1.0) < 1e-9
             back = stereographic_lift(field, p)
-            again = stereographic_apply(back)
-            assert max(abs(x - y)
-                       for x, y in zip(again.direction, vec)) < 1e-9
+            assert back == line
+            assert stereographic_apply(back) == p
+        d = 3 if field == "C" else 5
+        for vec in ((1, 1) + (0,) * (d - 2), (0,) * (d - 1) + (1,),
+                    (0,) * (d - 1) + (-1,)):
+            p = SpherePoint.from_vector(tuple(map(QSqrt5, vec)))
+            back = stereographic_lift(field, p)
+            if vec[0]:
+                assert back is None
+            else:
+                assert stereographic_apply(back) == p
 
 
 def test_induced_rotation_is_orthogonal():

@@ -37,7 +37,10 @@ from paradoxcert.scalars import (
 )
 from paradoxcert.words import ball_size, enumerate_ball, parse_word, word_text
 
-PAIRS = ("so3-ab", "su2-sqrt5", "sp1-sqrt5")
+PAIRS = ("so3-ab", "su2-sqrt5", "sp1-sqrt5", "so3-su2", "so5-sp1")
+
+# the pairs the stereographic charts induce: name -> (field, parent pair)
+INDUCED = {"so3-su2": ("C", "su2-sqrt5"), "so5-sp1": ("H", "sp1-sqrt5@2")}
 
 
 def test_letter_matrices_are_exactly_unitary():
@@ -484,7 +487,6 @@ def _case(name):
     ("sphere(3)", None), ("sphere(4)", None), ("proj(C,3)", None),
     ("gauss_sqrt5", None), ("quat_rational", None), ("quat_sqrt5", None)])
 def test_the_absorber_index_is_the_exact_orbit(name, collision):
-    from paradoxcert.scalars import to_float_scalar
     g, lines = _case(name)
     assert is_unitary(g)
     result = absorber_check(g, lines, 50)
@@ -494,8 +496,6 @@ def test_the_absorber_index_is_the_exact_orbit(name, collision):
     assert result["index"] == {keys.key(v): k for v, k in index.items()}
     assert result["first_collision"] == collision
     assert result["ok"] == (collision is None)
-    for v in index:
-        assert keys.floats(keys.key(v)) == tuple(map(to_float_scalar, v))
 
 
 def test_a_line_outside_the_index_field_has_no_key():
@@ -517,13 +517,20 @@ def test_a_line_outside_the_index_field_has_no_key():
     assert quaternionic.key((zero, QSqrt5(0, 1), one)) is not None
 
 
-def test_a_key_decodes_to_the_floats_of_its_exact_line():
-    # over Q(sqrt5, i) each entry rounds (a + b sqrt5) / den, so the decoded
-    # entry must be reduced by its own gcd first, as the exact entry is
-    from paradoxcert.scalars import GaussSqrt5, to_float_scalar
-    keys = absorber_check(_gauss_axis_absorber(), _pole(3), 2)["keys"]
-    line = (GaussSqrt5(1), GaussSqrt5(-33, 22, 47, -42, 17),
-            GaussSqrt5(-35, 13, 47, 7, 31))
-    assert keys.key(line) == (527, 0, 0, 0, -1023, 682, 1457, -1302,
-                              -595, 221, 799, 119)
-    assert keys.floats(keys.key(line)) == tuple(map(to_float_scalar, line))
+@pytest.mark.parametrize("name", sorted(INDUCED))
+def test_an_induced_pair_is_the_chart_image_of_its_parent(name):
+    from paradoxcert.equimaps import induced_rotation
+    field, parent = INDUCED[name]
+    pair, parent = get_pair(name), get_pair(parent)
+    for x in range(4):
+        assert pair.letter_matrix(x) == induced_rotation(
+            field, parent.letter_matrix(x))
+    result = check_freeness(pair, 10)
+    assert result["ok"] and result["words_checked"] == 118096
+
+
+def test_the_default_absorber_keeps_the_axes_of_so3_su2_apart():
+    lines = exceptional_set(get_pair("so3-su2"), 4)
+    assert len(lines) == 66
+    result = absorber_check(default_absorber(), lines, 50)
+    assert result["ok"] and result["set_size"] == 66

@@ -16,6 +16,7 @@ from paradoxcert.scalars import (
     RING_QUAT_SQRT5,
     RING_RATIONAL,
     abs_float,
+    exact_sqrt,
     ring_of,
     scalar_from_json,
     scalar_to_json,
@@ -67,6 +68,23 @@ def test_qsqrt2_arithmetic_matches_floats():
 def test_qsqrt2_sqrt_squares_to_two():
     root2 = QSqrt2(0, 1)
     assert root2 * root2 == QSqrt2(2, 0)
+
+
+def test_exact_sqrt_finds_the_root_in_the_field_or_none():
+    rng = random.Random(29)
+    for make in (_rand_qsqrt2, _rand_qsqrt5,
+                 lambda r: Fraction(r.randint(-9, 9), r.randint(1, 7))):
+        for _ in range(200):
+            y = make(rng)
+            root = exact_sqrt(y * y)
+            assert root == abs(y) and type(root) is type(y * y)
+    assert exact_sqrt(QSqrt2(Fraction(9, 8))) == QSqrt2(0, Fraction(3, 4))
+    assert exact_sqrt(QSqrt5(6, 2)) == QSqrt5(1, 1)
+    # no root in the field: a non-square, a negative value, and a norm
+    # a^2 - D b^2 that is no rational square
+    for x in (Fraction(2), QSqrt5(2), Fraction(-4), QSqrt5(-6, 2),
+              QSqrt5(1, 1)):
+        assert exact_sqrt(x) is None
 
 
 def test_qsqrt5_and_qsqrt2_do_not_mix():

@@ -116,18 +116,10 @@ def test_sphere_points_are_signed_rays():
 
 
 def test_a_float_sphere_point_is_neither_compared_nor_embedded():
-    # float sphere points live only inside the Intertwine lift, which
-    # matches them against float indexes; no check compares, pads or moves
-    # one
-    exact = SpherePoint.from_vector((Fraction(1), Fraction(2), Fraction(2)))
-    lifted = SpherePoint.from_vector((1.0, 2.0, 2.0))
-    for p, q in ((lifted, lifted), (exact, lifted), (lifted, exact)):
-        with pytest.raises(BackendMismatchError, match="cannot compare"):
-            equals(p, q, 1e-9)
-    with pytest.raises(BackendMismatchError, match="cannot embed"):
-        block_embed_point(lifted, 4)
-    with pytest.raises(BackendMismatchError, match="cannot act"):
-        act(Matrix.identity(3, RING_RATIONAL), lifted)
+    # every sphere point is exact: a float vector is refused as a ray
+    # before any check could compare, pad or move it
+    with pytest.raises(BackendMismatchError, match="is not exact"):
+        SpherePoint.from_vector((1.0, 2.0, 2.0))
 
 
 # -------------------------------------------------------- projective points

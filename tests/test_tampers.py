@@ -1,17 +1,18 @@
-"""Negative controls through ``verify``: each case patches one kernel of
-the sphere(2) certificate so that one failure branch of one rule handler
-must fire, and names the rule, the node path and the failure text that
-branch reports."""
+"""Negative controls through ``verify``: each case patches one kernel or
+edits one field of a certificate so that one failure branch of one rule
+handler must fire, and names the rule, the node path and the failure text
+that branch reports."""
 
 import pytest
 
-from paradoxcert import verification, words
-from paradoxcert.certificates import derive
+from paradoxcert import equimaps, verification, words
+from paradoxcert.certificates import cert_from_json, cert_to_json, derive
+from paradoxcert.spaces import ProjectivePoint
 from paradoxcert.verification import verify
 from paradoxcert.words import B, check_translate_identity
 
 
-def _longer_witness(monkeypatch):
+def _longer_witness(monkeypatch, root):
     # h^-1 u is always one letter longer, so every u in W(h) gets a
     # witness in W(h^-1) as well; the scan alone must already fail
     monkeypatch.setattr(words, "translate_witness",
@@ -20,44 +21,95 @@ def _longer_witness(monkeypatch):
     assert not scan["ok"]
     assert scan["violations"][0] == (
         "word a vs generator a: piece=True translate=True")
+    return root
 
 
-def _wrong_translate(monkeypatch):
+def _wrong_translate(monkeypatch, root):
     # translating the W(a^-1) piece by b instead of a covers as many
     # points once each, but not the radius-2 fragment
     reassembly = verification.reassembly_check
     monkeypatch.setattr(verification, "reassembly_check",
                         lambda frag: reassembly(frag, translate_a=B))
+    return root
 
 
-def _shallow_fragment(monkeypatch):
+def _shallow_fragment(monkeypatch, root):
     # one level short of the run depth: a radius-2 fragment at depth 3
     fragment = verification.orbit_fragment
     monkeypatch.setattr(
         verification, "orbit_fragment",
         lambda space, seed, pair, depth: fragment(space, seed, pair,
                                                   depth - 1))
+    return root
 
 
-@pytest.mark.parametrize("rule,tamper,path,text", [
-    pytest.param("BaseF2", _longer_witness, "0.0.0.0",
+def _moved_lift(monkeypatch, root):
+    # [q : 1] lifts to [q + 1 : 1], which the chart puts elsewhere: the
+    # leading-1 vector (v, w) of a line off the north pole has q = v / w
+    lift = verification.stereographic_lift
+
+    def moved(field, p):
+        v, w = lift(field, p).vector
+        return ProjectivePoint.from_vector((v + w, w))
+    monkeypatch.setattr(verification, "stereographic_lift", moved)
+    return root
+
+
+def _off_chart_seed(monkeypatch, root):
+    # (1, 1, 0) has norm sqrt2, and the rotations keep it: no ray of its
+    # fragment has a unit vector over Q(sqrt5), the field of the chart
+    blob = cert_to_json(root)
+    transport = blob["root"]["children"][0]["children"][0]["children"][0]
+    assert transport["rule"] == "FreeTransport"
+    transport["params"]["seed"] = [1, 1, 0]
+    return cert_from_json(blob)
+
+
+def _corrupted_chart(monkeypatch, root):
+    monkeypatch.setattr(verification, "stereographic",
+                        lambda field: equimaps.corrupted(
+                            equimaps.stereographic(field)))
+    return root
+
+
+def _transposed_rotation(monkeypatch, root):
+    # R(g)^T is orthogonal, but R(gh)^T = R(h)^T R(g)^T is no product
+    # R(g)^T R(h)^T for most g and h
+    rotation = equimaps.induced_rotation
+    monkeypatch.setattr(equimaps, "induced_rotation",
+                        lambda field, g: rotation(field, g).transpose())
+    return root
+
+
+@pytest.mark.parametrize("desc,rule,tamper,path,text", [
+    pytest.param("sphere(2)", "BaseF2", _longer_witness, "0.0.0.0",
                  "translate-identity violated: ['word a vs generator a: "
                  "piece=True translate=True'",
                  id="BaseF2-translate-identity"),
-    pytest.param("FreeTransport", _wrong_translate, "0.0.0",
+    pytest.param("sphere(2)", "FreeTransport", _wrong_translate, "0.0.0",
                  "reassembly cover failed: {'a': {'targets': 17, "
                  "'covered': 17, 'multiplicity_one': True, 'ok': False}, "
                  "'b': {'targets': 17, 'covered': 17, "
                  "'multiplicity_one': True, 'ok': True}}",
                  id="FreeTransport-reassembly-cover"),
-    pytest.param("FreeTransport", _shallow_fragment, "0.0.0",
+    pytest.param("sphere(2)", "FreeTransport", _shallow_fragment, "0.0.0",
                  "fragment has 17 points, expected 53",
                  id="FreeTransport-fragment-size"),
+    pytest.param("proj(C,2)", "Intertwine", _moved_lift, "0",
+                 "chart lift did not replay on 20 samples",
+                 id="Intertwine-lift-replay"),
+    pytest.param("proj(C,2)", "Intertwine", _off_chart_seed, "0",
+                 "chart lift left the field on 12 samples",
+                 id="Intertwine-lift-field"),
+    pytest.param("proj(C,2)", "Intertwine", _corrupted_chart, "0",
+                 "chart selftest failed", id="Intertwine-chart-selftest"),
+    pytest.param("proj(H,2)", "Intertwine", _transposed_rotation, "0",
+                 "induced rotation selftest failed",
+                 id="Intertwine-rotation-selftest"),
 ])
-def test_a_tampered_kernel_fails_its_branch(monkeypatch, rule, tamper, path,
-                                            text):
-    tamper(monkeypatch)
-    report = verify(derive("sphere(2)"), depth=3, samples=20)
+def test_a_tampered_kernel_fails_its_branch(monkeypatch, desc, rule, tamper,
+                                            path, text):
+    report = verify(tamper(monkeypatch, derive(desc)), depth=3, samples=20)
     assert report["overall"] == "fail"
     failed = [n for n in report["nodes"] if n["status"] == "fail"]
     assert [(n["path"], n["rule"]) for n in failed] == [(path, rule)]

@@ -25,7 +25,6 @@ from paradoxcert.verification import (
     EquidecompWitness,
     RunConfig,
     WitnessPiece,
-    _decade_ceiling,
     _intertwine_seed,
     classify,
     equidecomp_verify,
@@ -88,7 +87,7 @@ def _exact_point(kind, v):
     """The ray or line of an exact vector, keyed as the exact walk keys it:
     by ``ray_canonical`` or ``normalize_leading``."""
     if kind == "ray":
-        return SpherePoint(*ray_canonical(v), True)
+        return SpherePoint(*ray_canonical(v))
     return ProjectivePoint(normalize_leading(v))
 
 
@@ -241,7 +240,6 @@ def test_equidecomp_witness_checks_the_image():
 def test_run_config_defaults():
     cfg = RunConfig()
     assert (cfg.depth, cfg.samples, cfg.seed) == (6, 500, 42)
-    assert cfg.tol == 1e-9
     assert cfg.absorber_bound == 50
 
 
@@ -305,15 +303,11 @@ def test_classify_marks_absorbed_points():
     pair = get_pair("so3-ab")
     g = default_absorber()
     axis = sorted(exceptional_set(pair, 1), key=repr)[0]
-    p = SpherePoint(1, axis, True)
+    p = SpherePoint(1, axis)
     # the axis itself and its first few absorber images all label "absorbed"
     for _ in range(4):
         assert v.classify(p) == "absorbed"
         p = act(g, p)
-    # so does a float copy of an image, matched in the float lane
-    fp = SpherePoint.from_vector(p.to_float_vector())
-    assert not fp.exact
-    assert v.classify(fp) == "absorbed"
 
 
 def test_classify_carries_an_exact_line_through_the_exact_chart():
@@ -322,23 +316,50 @@ def test_classify_carries_an_exact_line_through_the_exact_chart():
     from paradoxcert.verification import CertVerifier
     v = CertVerifier(derive("proj(C,2)"), RunConfig(depth=3, samples=10))
     one, zero, i = GaussSqrt5(1), GaussSqrt5(0), GaussSqrt5(0, 0, 1, 0)
-    # [1 : 0] and [1 : 1] go to the axes e_3 and e_1, which lie in D[so3-ab]
-    for vec in ((one, zero), (one, one)):
+    # [1 : 0] and [i : 1] go to e_3 and e_2, the letter axes of the
+    # induced pair so3-su2, which lie in D[so3-su2]
+    for vec in ((one, zero), (i, one)):
         assert v.classify(ProjectivePoint.from_vector(vec)) == "absorbed"
-    # [i : 1] goes to e_2, which is neither absorbed nor a fragment point
-    assert v.classify(ProjectivePoint.from_vector((i, one))) == "Unknown"
+    # [1 : 1] goes to e_1, which is neither absorbed nor a fragment point
+    assert v.classify(ProjectivePoint.from_vector((one, one))) == "Unknown"
 
 
 def test_a_float_line_is_refused_at_a_line_fragment():
-    # float points reach a FreeTransport fragment only from an Intertwine
-    # lift, whose fragments are rays; a float line that passes the absorber
-    # of proj(R,3) meets its line fragment and is refused by name
+    # only exact points have keys: a float line is refused by name, at the
+    # line fragment of proj(R,3) and at the absorber above it alike
     from paradoxcert.spaces import ProjectivePoint
     from paradoxcert.verification import CertVerifier
     line = ProjectivePoint.from_vector((2.0, -1.0, 5.0))
     assert not line.exact
-    with pytest.raises(VerificationError, match="line fragment"):
-        CertVerifier(derive("proj(R,3)")).classify(line)
+    root = derive("proj(R,3)")
+    v = CertVerifier(root)
+    fragment = root.children[0].children[0]
+    assert fragment.rule == "FreeTransport"
+    for node, path in ((fragment, "0.0.0"), (root, "0")):
+        with pytest.raises(BackendMismatchError,
+                           match="only exact points have keys"):
+            v.classify(line, node, path)
+
+
+@pytest.mark.parametrize("desc,vector", [
+    ("proj(C,2)", (complex(1.0), complex(2.0, 1.0))),
+    ("grass(C,4,2)", None),
+], ids=["intertwine-line", "grass-plane"])
+def test_classify_refuses_a_float_point(desc, vector):
+    from paradoxcert.linalg import to_float_matrix
+    from paradoxcert.sampling import random_subspace, rng_for
+    from paradoxcert.scalars import RING_GAUSS_SQRT5
+    from paradoxcert.spaces import ProjectivePoint, Subspace
+    from paradoxcert.verification import CertVerifier
+    if vector is None:
+        exact = random_subspace(4, 2, RING_GAUSS_SQRT5, rng_for(5, "float"))
+        point = Subspace.from_basis(to_float_matrix(exact.basis).columns())
+    else:
+        point = ProjectivePoint.from_vector(vector)
+    assert not point.exact
+    with pytest.raises(BackendMismatchError,
+                       match="only exact points have keys"):
+        CertVerifier(derive(desc)).classify(point)
 
 
 def test_free_transport_names_a_trivial_word(monkeypatch):
@@ -356,31 +377,50 @@ def test_free_transport_names_a_trivial_word(monkeypatch):
     assert any("word abAB is trivial" in f for f in failed[0]["failures"])
 
 
-def test_verify_classifies_intertwine_lifted_float_samples():
-    # proj(C,2) lifts its sphere(2) samples through the float chart, so the
-    # root classification of those labelled samples runs the FreeTransport
-    # float index and the absorber float lane
-    from paradoxcert.verification import CertVerifier, _content_key
-    root = derive("proj(C,2)")
-    v = CertVerifier(root, RunConfig(depth=3, samples=30))
-    report = v.verify()
+@pytest.mark.parametrize("field,space,pair,seed", [
+    ("C", "sphere(2)", "so3-su2", (2, -1, -2)),
+    ("H", "sphere(4)", "so5-sp1", (2, -1, 0, 0, -2)),
+], ids=["C", "H"])
+def test_every_charted_fragment_point_lifts_exactly_and_replays(
+        field, space, pair, seed):
+    # the chart carries the Intertwine's own fragment onto the fragment of
+    # the pair it induces, word by word, and the exact lift carries it back
+    from paradoxcert.equimaps import stereographic_apply, stereographic_lift
+    from paradoxcert.spaces import Projective
+    from paradoxcert.verification import _INTERTWINE_PAIR
+    frag = orbit_fragment(space, seed, pair, 6)
+    lines = orbit_fragment(Projective(field, 2), _intertwine_seed(field),
+                           _INTERTWINE_PAIR[field], 6)
+    assert frag.words == lines.words and len(frag.words) == 1457
+    for w in frag.words:
+        point = frag.point_for(w)
+        line = stereographic_lift(field, point)
+        assert line == lines.point_for(w)
+        assert stereographic_apply(line) == point
+
+
+@pytest.mark.parametrize("desc", ["proj(C,2)", "proj(H,2)"])
+def test_verify_lifts_every_intertwine_sample_exactly(desc):
+    # the child walks the pair the chart induces, so every labelled child
+    # sample lifts to an exact line that replays, and the root classifies
+    # each lifted sample exactly
+    report = verify(derive(desc), depth=3, samples=30)
     assert report["overall"] == "pass"
-    assert report["provenance"]["ok"]
-    assert report["provenance"]["labelled_samples"] > 0
-    nodes = dict(root.walk())
-    assert sorted((path, _content_key(nodes[path], v.config)[0])
-                  for path, fact in v._node_facts.items()
-                  if ("float index", id(fact)) in v._facts) == [
-        ("0.0", "absorber"), ("0.0.0.0", "fragment")]
+    assert report["unknown"] == 0
+    provenance = report["provenance"]
+    assert provenance["matched"] == provenance["labelled_samples"] > 0
+    nodes = {n["path"]: n for n in report["nodes"]}
+    assert nodes["0"]["stats"]["lifted"] == \
+        nodes["0.0"]["stats"]["samples_out"] == 30
+    assert nodes["0.0"]["stats"]["absorbed_samples"] == \
+        (12 if desc == "proj(C,2)" else 3)
 
 
 def test_grass_h42_runs_the_quaternion_paths():
     # no other certificate found multiplies a rational by a quaternion
-    # (Quaternion.__rmul__, in the slice intersection of an H 2-plane),
-    # flattens float quaternions (_flatten_scalar), decodes real absorber
-    # keys into float quaternions (_float_in_field) and reads real
-    # quaternion entries into a real absorber's integer keys
-    # (IntegerReader._form); depth 1 and one sample reach all four
+    # (Quaternion.__rmul__, in the slice intersection of an H 2-plane) and
+    # reads real quaternion entries into a real absorber's integer keys
+    # (IntegerReader._form); depth 1 and one sample reach both
     report = verify(derive("grass(H,4,2)"), depth=1, samples=1)
     assert report["overall"] == "pass"
     assert report["unknown"] == 0
@@ -482,18 +522,6 @@ def test_repeated_subtrees_compute_each_fact_once(monkeypatch):
     assert calls == {"absorber_check": 2, "orbit_fragment": 2, "selftest": 5,
                      "check_freeness": 1, "check_translate_identity": 1,
                      "exceptional_set": 1, "pair_word_scan": 1}
-
-
-@pytest.mark.parametrize("raw,reported", [
-    (0.0, 0.0),
-    (4.440892098500624e-16, 1e-15),
-    (1.6375789613221059e-15, 1e-14),
-    (2.3473410715180165e-14, 1e-13),
-    (2.3096542040024204e-14, 1e-13),
-    (1e-15, 1e-15),
-])
-def test_lift_deviations_are_reported_as_a_power_of_ten(raw, reported):
-    assert _decade_ceiling(raw) == reported
 
 
 def test_absorbed_levels_match_a_brute_force_orbit(monkeypatch):
