@@ -45,9 +45,10 @@ Facts that do not depend on a node's place in the tree (orbit fragments,
 absorber contexts, the pair-word, freeness and translate scans, map
 selftests and maps) are computed once per verify and keyed by the content
 they are computed from, so a repeated subtree reuses them; each node looks
-its own fact up by that key once and keeps it by path.  Whatever depends on a node's samples (sample draws, random
-unitaries, section and involution replays, witness checks) stays keyed by
-node path, so sharing changes no report byte.
+its own fact up by that key once and keeps it by path.  Whatever depends
+on a node's samples (sample draws, random unitaries, section and
+involution replays, witness checks) stays keyed by node path, so sharing
+changes no report byte.
 """
 
 from __future__ import annotations

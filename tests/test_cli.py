@@ -310,7 +310,6 @@ def test_verify_guard_rails(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     main(["derive", "sphere(2)", "-o", str(cert)])
     assert main(["verify", str(cert), "--depth", "0"]) == 2
-    assert main(["verify", str(cert), "--tol", "-1"]) == 2
 
 
 def test_verify_has_no_tol_option(tmp_path, capsys):
