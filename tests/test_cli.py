@@ -312,15 +312,16 @@ def test_verify_guard_rails(tmp_path, capsys):
     assert main(["verify", str(cert), "--depth", "0"]) == 2
 
 
-def test_verify_has_no_tol_option(tmp_path, capsys):
-    # every check is exact, so no tolerance is read; the report keeps
-    # "tol": 1e-9 as a constant of its schema
+@pytest.mark.parametrize("tol", ["1e-6", "nan", "inf", "-inf"])
+def test_verify_has_no_tol_option(tol, tmp_path, capsys):
+    # every check is exact, so no tolerance is read, valid or not; the
+    # report keeps "tol": 1e-9 as a constant of its schema
     cert = tmp_path / "cert.json"
     report = tmp_path / "report.json"
     assert main(["derive", "proj(C,2)", "-o", str(cert)]) == 0
     capsys.readouterr()
     assert main(["verify", str(cert), "--depth", "2", "--samples", "5",
-                 "--tol", "1e-6", "-o", str(report)]) == 2
+                 f"--tol={tol}", "-o", str(report)]) == 2
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
     assert not report.exists()
     assert main(["verify", str(cert), "--depth", "2", "--samples", "5",
