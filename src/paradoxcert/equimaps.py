@@ -2,8 +2,12 @@
 
 Each map instance knows how to apply itself, how to sample domain points and
 compatible acting-group pairs, and how to lift target points back through a
-section. The selftest draws (point, group element) samples and checks
-f(g x) == g f(x) exactly: every map in the catalog is exact.
+section. ``apply`` is a map's only domain test: it raises DomainError (or
+GapCaseError, for a slice that meets the hyperplane in the wrong dimension)
+on a point outside the domain, so the samplers redraw until it accepts and
+a section's lift is checked by applying the map to it. The selftest draws
+(point, group element) samples and checks f(g x) == g f(x) exactly: every
+map in the catalog is exact.
 
 That includes the stereographic chart identifying the projective line over
 C (resp. H) with S^2 (resp. S^4), and the induced rotation carrying a 2x2
@@ -69,7 +73,6 @@ class MapInstance:
     source: str
     target: str
     apply: callable
-    in_domain: callable
     section: callable | None
     sample_source: callable          # rng -> point
     sample_pair: callable            # rng -> (g_source, g_target) matrices
@@ -80,12 +83,15 @@ class MapInstance:
         return f"MapInstance({self.name}: {self.source} -> {self.target})"
 
 
-def _resample(f, rng, tries=100):
-    for _ in range(tries):
+def _draw_in_domain(apply, draw, rng):
+    """The first of up to 100 points of draw(rng) that apply accepts."""
+    for _ in range(100):
+        x = draw(rng)
         try:
-            return f(rng)
+            apply(x)
         except (DomainError, GapCaseError):
             continue
+        return x
     raise ParadoxError("could not sample a domain point")
 
 
@@ -106,9 +112,6 @@ def sphere_drop(k: int) -> MapInstance:
         # leading-1 form survives: the first nonzero entry is retained
         return SpherePoint(p.sign, head + (zero,))
 
-    def in_domain(p):
-        return any(p.direction[:-1])
-
     def section(q: SpherePoint):
         # the equator copy embeds in the source sphere as itself
         if q.direction[-1]:
@@ -116,7 +119,8 @@ def sphere_drop(k: int) -> MapInstance:
         return q
 
     def sample_source(rng):
-        return random_sphere_point(ambient, rng, avoid_zero_prefix=ambient - 1)
+        return _draw_in_domain(
+            apply, lambda r: random_sphere_point(ambient, r), rng)
 
     def sample_pair(rng):
         g = random_star_unitary(k + 1, ambient, RING_RATIONAL, rng)
@@ -126,7 +130,7 @@ def sphere_drop(k: int) -> MapInstance:
         name=f"sphere_drop({k + 1})",
         source=f"sphere({k + 1}) minus poles",
         target=f"sphere({k})* in R^{ambient}",
-        apply=apply, in_domain=in_domain, section=section,
+        apply=apply, section=section,
         sample_source=sample_source, sample_pair=sample_pair)
 
 
@@ -140,14 +144,11 @@ def proj_drop(field: str, n: int) -> MapInstance:
     def apply(p: ProjectivePoint):
         if p.ambient_dim != n:
             raise DomainError(f"expected a line in K^{n}")
-        if not in_domain(p):
+        if not any(p.vector[:-1]):
             raise DomainError("the dropped coordinate axis has no image")
         # the leading 1 lies in the head, so the image stays leading-1
         head = p.vector[:-1]
         return ProjectivePoint(head + (head[0] - head[0],))
-
-    def in_domain(p):
-        return any(p.vector[:-1])
 
     def section(q: ProjectivePoint):
         # the hyperplane copy embeds in the source as itself
@@ -156,12 +157,8 @@ def proj_drop(field: str, n: int) -> MapInstance:
         return q
 
     def sample_source(rng):
-        def draw(r):
-            p = random_projective_point(n, ring, r)
-            if not in_domain(p):
-                raise DomainError("resample")
-            return p
-        return _resample(draw, rng)
+        return _draw_in_domain(
+            apply, lambda r: random_projective_point(n, ring, r), rng)
 
     def sample_pair(rng):
         g = random_star_unitary(n - 1, n, ring, rng)
@@ -171,7 +168,7 @@ def proj_drop(field: str, n: int) -> MapInstance:
         name=f"proj_drop({field},{n})",
         source=f"proj({field},{n}) minus the e_{n} axis",
         target=f"proj({field},{n - 1})* in K^{n}",
-        apply=apply, in_domain=in_domain, section=section,
+        apply=apply, section=section,
         sample_source=sample_source, sample_pair=sample_pair)
 
 
@@ -196,11 +193,6 @@ def grass_slice(field: str, n0: int, k: int) -> MapInstance:
                 f"slice intersection has dimension {x.dim}, not 1")
         return x
 
-    def in_domain(v):
-        if hyper.contains(v):
-            return False
-        return intersect(v, hyper).dim == 1
-
     def section(line: ProjectivePoint):
         rep = line.vector
         if any(rep[m:]):
@@ -213,13 +205,8 @@ def grass_slice(field: str, n0: int, k: int) -> MapInstance:
         return Subspace.from_basis(cols)
 
     def sample_source(rng):
-        def draw(r):
-            v = random_subspace(n0, k, ring, r)
-            x = intersect(v, hyper)
-            if hyper.contains(v) or x.dim != 1:
-                raise DomainError("resample")
-            return v
-        return _resample(draw, rng)
+        return _draw_in_domain(
+            apply, lambda r: random_subspace(n0, k, ring, r), rng)
 
     def sample_pair(rng):
         g = random_star_unitary(m, n0, ring, rng)
@@ -229,7 +216,7 @@ def grass_slice(field: str, n0: int, k: int) -> MapInstance:
         name=f"grass_slice({field},{n0},{k})",
         source=f"grass({field},{n0},{k}) minus the hyperplane copy",
         target=f"proj({field},{m})* in K^{n0}",
-        apply=apply, in_domain=in_domain, section=section,
+        apply=apply, section=section,
         sample_source=sample_source, sample_pair=sample_pair)
 
 
@@ -259,7 +246,7 @@ def duality(field: str, n: int, k: int) -> MapInstance:
         name=f"duality({field},{n},{k})",
         source=f"grass({field},{n},{k})",
         target=f"grass({field},{n},{n - k})",
-        apply=apply, in_domain=lambda v: True, section=section,
+        apply=apply, section=section,
         sample_source=sample_source, sample_pair=sample_pair)
 
 
@@ -314,7 +301,7 @@ def flag_to_grass(field: str, dims: tuple, i: int) -> MapInstance:
         name=f"flag_to_grass({field};{dims_text};i={i})",
         source=f"flag({field};{dims_text})",
         target=f"grass({field},{n},{di})",
-        apply=apply, in_domain=lambda f: True, section=section,
+        apply=apply, section=section,
         sample_source=sample_source, sample_pair=sample_pair)
 
 
@@ -435,7 +422,7 @@ def stereographic(field: str) -> MapInstance:
         name=f"stereographic({field})",
         source=f"proj({field},2)",
         target=f"sphere({d})",
-        apply=stereographic_apply, in_domain=lambda p: True, section=None,
+        apply=stereographic_apply, section=None,
         sample_source=sample_source, sample_pair=sample_pair)
 
 
@@ -455,7 +442,7 @@ def induced_rotation_map(field: str) -> MapInstance:
         name=f"induced_rotation({field})",
         source=f"U(2)-like over {field}",
         target=f"SO({d + 1})",
-        apply=apply, in_domain=lambda g: True, section=None,
+        apply=apply, section=None,
         sample_source=sample_source, sample_pair=None,
         kind="homomorphism")
 
@@ -466,7 +453,7 @@ def induced_rotation_map(field: str) -> MapInstance:
 
 def _check_equivariance_once(m: MapInstance, rng):
     """f(g x) == g f(x) on one sample; None when g x leaves the domain."""
-    x = _resample(m.sample_source, rng)
+    x = m.sample_source(rng)
     g_src, g_tgt = m.sample_pair(rng)
     try:
         lhs = m.apply(act(g_src, x))

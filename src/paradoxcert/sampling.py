@@ -108,16 +108,12 @@ def random_projective_point(n: int, ring: Ring,
             return ProjectivePoint.from_vector(v)
 
 
-def random_sphere_point(ambient: int, rng: random.Random,
-                        avoid_zero_prefix: int = 0) -> SpherePoint:
-    """Integer-vector ray; optionally forces a nonzero first block."""
+def random_sphere_point(ambient: int, rng: random.Random) -> SpherePoint:
+    """Integer-vector ray."""
     while True:
         v = tuple(rng.randrange(-9, 10) for _ in range(ambient))
-        if not any(v):
-            continue
-        if avoid_zero_prefix and not any(v[:avoid_zero_prefix]):
-            continue
-        return SpherePoint.from_vector(v)
+        if any(v):
+            return SpherePoint.from_vector(v)
 
 
 def random_flag(dims, n: int, ring: Ring, rng: random.Random) -> FlagPoint:

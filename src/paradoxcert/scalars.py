@@ -9,12 +9,12 @@ group elements and points carry entries from one of a few field towers:
 * ``GaussSqrt5``          -- a + b*sqrt(5) + (c + d*sqrt(5))i, a..d rational
 * ``Quaternion``          -- w + xi + yj + zk over any real backend above
 
-plus plain ``float``/``complex``/float quaternions, which only the float
-input of the stereographic chart and the induced rotation uses; no check
-reads them. Every scalar type supports ``+ - *`` and ``conjugate()``, is
-hashable, and inverts a nonzero value (``1 / x`` for the stdlib numbers,
-``x.inverse()`` for the classes here), so generic linear algebra can stay
-backend-agnostic.
+plus plain ``float``/``complex``/float quaternions, which only the induced
+rotation computes in, on a float unitary; the stereographic chart refuses
+a float line, and no check reads them. Every scalar type supports
+``+ - *`` and ``conjugate()``, is hashable, and inverts a nonzero value
+(``1 / x`` for the stdlib numbers, ``x.inverse()`` for the classes here),
+so generic linear algebra can stay backend-agnostic.
 
 Equal exact values are ``==`` and hash alike in every class: a rational is
 one number as a ``Fraction``, in any quadratic field and as a real
@@ -407,11 +407,6 @@ class GaussSqrt5(QuadExt):
     D = 5
     HAS_I = True
     __slots__ = ()
-
-    def _to_float(self, p, q):
-        # rounds the sum, where the real fields round each part: float-lane
-        # deviations in reports depend on the last bit of both
-        return (p + q * math.sqrt(self.D)) / self.den
 
     def real_imag(self):
         """The real and imaginary parts, in QSqrt5."""

@@ -15,20 +15,23 @@ module checks their finitely checkable consequences at a chosen depth:
   {line key: least power} that the disjointness test's integer walk
   builds also classifies absorbed points;
 * equivariant-map claims -> catalog selftests and section/replay checks
-  on every transported sample;
-* every transported sample carries a piece label (its provenance); at the
-  root the label is recomputed by an independent top-down classification
-  and the two must agree.
+  on every transported sample: the map's ``apply`` is its only domain
+  test, so a section lands in the domain exactly when applying the map to
+  it succeeds, and that image is the one the replay compares;
+* every sample a node sends up carries a piece label (its provenance); at
+  the root the label of each one is recomputed by an independent top-down
+  classification and the two must agree.
 
 Points sampled along the way are "provenanced": each one was constructed
 by replaying group words and map sections, so its piece membership is a
 theorem about the construction, not a floating-point guess.  Every point
 is exact.  An ``Intertwine`` node's child walks the pair its chart induces
-on the sphere, from the chart image of the ``Intertwine`` seed, so every
-child sample is a ray whose unit vector lies over Q(sqrt5): the inverse
-chart lifts it to an exact line (``stereographic_lift``), and the lift
-must replay through the chart exactly.  A float point has no key, and
-classifying one is a BackendMismatchError.
+on the sphere, from the chart image of an exact line, so every child
+sample is a ray whose unit vector lies over Q(sqrt5): the inverse chart
+lifts it to an exact line (``stereographic_lift``), the lift must replay
+through the chart exactly, and the labelled lifts are the node's samples;
+it walks no orbit of its own.  A float point has no key, and classifying
+one is a BackendMismatchError.
 
 An orbit fragment is walked as integer vectors (``freegroup.LineKeys``)
 and keys its points by their integers: a line by its primitive integer
@@ -104,9 +107,6 @@ from .scalars import (
     RING_GAUSS_SQRT5,
     RING_QUAT_SQRT5,
     RING_RATIONAL,
-    GaussSqrt5,
-    Quaternion,
-    QSqrt5,
     Fraction,
     exact_sqrt,
     ring_of,
@@ -154,7 +154,7 @@ class RunConfig:
 class Sample:
     """A provenanced point: where it lives, which piece produced it."""
     point: object
-    label: str | None
+    label: str
 
 
 # --------------------------------------------------------------------------
@@ -413,19 +413,6 @@ def map_from_params(params: dict):
     if name == "duality":
         return duality(args[0], int(args[1]), int(args[2]))
     raise CertificateError(f"certificate names unknown map {name!r}")
-
-
-_INTERTWINE_PAIR = {"C": "su2-sqrt5", "H": "sp1-sqrt5@2"}
-
-
-def _intertwine_seed(field: str):
-    if field == "C":
-        return (GaussSqrt5(1, 0, 0, 0, 1), GaussSqrt5(2, 0, 1, 0, 1))
-    zero = QSqrt5(Fraction(0), Fraction(0))
-    one = QSqrt5(Fraction(1), Fraction(0))
-    two = QSqrt5(Fraction(2), Fraction(0))
-    return (Quaternion(one, zero, zero, zero),
-            Quaternion(two, one, zero, zero))
 
 
 def _field_of(base) -> str:
@@ -718,11 +705,13 @@ class CertVerifier:
                 failures.append(f"section failed: {e}")
                 continue
             checks += 2
-            if not m.in_domain(x):
+            try:
+                image = m.apply(x)
+            except (DomainError, GapCaseError):
                 domain_failures += 1
                 failures.append("section left the map domain")
                 continue
-            if not equals(m.apply(x), s.point):
+            if not equals(image, s.point):
                 replay_failures += 1
             lifted.append(Sample(x, s.label))
         if replay_failures:
@@ -749,8 +738,7 @@ class CertVerifier:
                     failures.append(
                         f"branch {tag} sample on the wrong side of the "
                         f"padded-subspace split")
-                label = None if s.label is None else f"{tag}:{s.label}"
-                merged.append(Sample(s.point, label))
+                merged.append(Sample(s.point, f"{tag}:{s.label}"))
         merged = self._subsample(merged, path, "merge")
         stats = {"m": node.params["m"],
                  "branch_sizes": [len(c) for c in child_samples],
@@ -871,8 +859,6 @@ class CertVerifier:
         lifted = []
         outside = missed = 0
         for s in child_samples[0]:
-            if s.label is None:
-                continue
             checks += 1
             line = stereographic_lift(f, s.point)
             if line is None:
@@ -885,16 +871,11 @@ class CertVerifier:
             failures.append(f"chart lift left the field on {outside} samples")
         if missed:
             failures.append(f"chart lift did not replay on {missed} samples")
-        frag = self._fragment_for(node, path)
-        chosen = self._subsample(frag.words, path, "fragment")
-        exact_samples = [Sample(frag.point_for(w), None) for w in chosen]
-        samples = self._subsample(lifted + exact_samples, path, "merge")
         stats = {"chart_selftest": _slim_selftest(st1),
                  "rotation_selftest": _slim_selftest(st2),
                  "lifted": len(lifted),
-                 "orbit_fragment": len(frag.words),
-                 "samples_out": len(samples)}
-        return self._result(node, path, failures, checks, stats), samples
+                 "samples_out": len(lifted)}
+        return self._result(node, path, failures, checks, stats), lifted
 
     # -- top level -----------------------------------------------------------
 
@@ -916,13 +897,10 @@ class CertVerifier:
         results.sort(key=lambda r: [int(p) for p in r["path"].split(".")])
 
         matched = 0
-        labelled = 0
+        labelled = len(samples)
         unknown = 0
         mismatches = []
         for s in samples:
-            if s.label is None:
-                continue
-            labelled += 1
             got = self.classify(s.point)
             if got == s.label:
                 matched += 1
@@ -963,10 +941,10 @@ def _content_key(node: Node, cfg: RunConfig):
     """Key of everything a node's fragment, absorber context or map is
     computed from; nodes with equal keys share one fact."""
     rule = node.rule
-    if rule in ("FreeTransport", "Intertwine"):
+    if rule == "FreeTransport":
         space, seed, pair, depth = _fragment_inputs(node, cfg.depth)
         # 1 and 1.0 compare equal but give different fragments
-        return ("fragment", rule, space.text, pair,
+        return ("fragment", space.text, pair,
                 tuple((type(x), x) for x in seed), depth)
     if rule == "CountableAbsorb":
         g = node.params["absorber"]
@@ -987,15 +965,10 @@ def _frozen(value):
 
 
 def _fragment_inputs(node: Node, depth: int):
-    """(space, seed, pair name, depth) of the orbit fragment a node reads."""
-    if node.rule == "FreeTransport":
-        return (node.space.base, tuple(node.params["seed"]),
-                node.params["pair"], depth)
-    if node.rule == "Intertwine":
-        f = node.params["field"]
-        return (Projective(f, 2), _intertwine_seed(f), _INTERTWINE_PAIR[f],
-                min(depth, 5))
-    raise VerificationError(f"no fragment at rule {node.rule}")
+    """(space, seed, pair name, depth) of a FreeTransport node's orbit
+    fragment."""
+    return (node.space.base, tuple(node.params["seed"]),
+            node.params["pair"], depth)
 
 
 def _absorbed_samples(node, ctx) -> list:

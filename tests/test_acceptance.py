@@ -196,11 +196,8 @@ def test_criterion_07_pullback_coherence_on_the_flag_certificate():
     verifier = CertVerifier(root, RunConfig())
     _, samples = verifier._run(root, "0")
     m = map_from_params(root.params)
-    labelled = 0
+    labelled = len(samples)
     for s in samples:
-        if s.label is None:
-            continue
-        labelled += 1
         flag_label = verifier.classify(s.point)
         image_label = verifier.classify(m.apply(s.point),
                                         node=root.children[0], path="0.0")

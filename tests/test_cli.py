@@ -106,6 +106,17 @@ def test_grass_r42_default_report_digest(tmp_path, capsys):
         "3aeea75e1c06bd27c254cc762d92b6e0065cc19fcd2dc41f843e09ed86996d3d")
 
 
+def test_proj_c2_default_report_digest(tmp_path, capsys):
+    # the first pinned report with an Intertwine node: its samples are the
+    # exact chart lifts of its child's samples, each with its label
+    cert = tmp_path / "cert.json"
+    report = tmp_path / "report.json"
+    assert main(["derive", "proj(C,2)", "-o", str(cert)]) == 0
+    assert main(["verify", str(cert), "-o", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "fc761f32cf419d32af629d879997e948fe3e4a268ce15bce72839309ad5f4ec9")
+
+
 def test_verify_has_no_mode_option(tmp_path, capsys):
     cert = tmp_path / "cert.json"
     main(["derive", "sphere(2)", "-o", str(cert)])

@@ -3,11 +3,14 @@ edits one field of a certificate so that one failure branch of one rule
 handler must fire, and names the rule, the node path and the failure text
 that branch reports."""
 
+import dataclasses
+
 import pytest
 
 from paradoxcert import equimaps, verification, words
 from paradoxcert.certificates import cert_from_json, cert_to_json, derive
-from paradoxcert.spaces import ProjectivePoint
+from paradoxcert.errors import DomainError
+from paradoxcert.spaces import ProjectivePoint, SpherePoint
 from paradoxcert.verification import verify
 from paradoxcert.words import B, check_translate_identity
 
@@ -81,6 +84,35 @@ def _transposed_rotation(monkeypatch, root):
     return root
 
 
+def _changed_map(monkeypatch, root, change):
+    # every map a certificate names, changed: in sphere(3) that is the
+    # sphere_drop(3) of its one Pullback
+    build = verification.map_from_params
+    monkeypatch.setattr(verification, "map_from_params",
+                        lambda params: change(build(params)))
+    return root
+
+
+def _section(section):
+    def tamper(monkeypatch, root):
+        return _changed_map(monkeypatch, root,
+                            lambda m: dataclasses.replace(m, section=section))
+    return tamper
+
+
+def _corrupted_drop(monkeypatch, root):
+    return _changed_map(monkeypatch, root, equimaps.corrupted)
+
+
+def _refused(q):
+    raise DomainError("no lift")
+
+
+def _north_pole(q):
+    # a pole, which sphere_drop.apply refuses
+    return SpherePoint.from_vector((0, 0, 0, 1))
+
+
 @pytest.mark.parametrize("desc,rule,tamper,path,text", [
     pytest.param("sphere(2)", "BaseF2", _longer_witness, "0.0.0.0",
                  "translate-identity violated: ['word a vs generator a: "
@@ -106,6 +138,17 @@ def _transposed_rotation(monkeypatch, root):
     pytest.param("proj(H,2)", "Intertwine", _transposed_rotation, "0",
                  "induced rotation selftest failed",
                  id="Intertwine-rotation-selftest"),
+    pytest.param("sphere(3)", "Pullback", _corrupted_drop, "0.0.0",
+                 "map selftest failed for corrupted:sphere_drop(3)",
+                 id="Pullback-selftest"),
+    pytest.param("sphere(3)", "Pullback", _section(_refused), "0.0.0",
+                 "section failed: no lift", id="Pullback-section"),
+    pytest.param("sphere(3)", "Pullback", _section(_north_pole), "0.0.0",
+                 "section left the map domain", id="Pullback-domain"),
+    pytest.param("sphere(3)", "Pullback", _section(SpherePoint.antipode),
+                 "0.0.0",
+                 "20 section lifts did not replay to their target point",
+                 id="Pullback-replay"),
 ])
 def test_a_tampered_kernel_fails_its_branch(monkeypatch, desc, rule, tamper,
                                             path, text):

@@ -19,13 +19,12 @@ from paradoxcert.linalg import (
     normalize_leading,
     ray_canonical,
 )
-from paradoxcert.scalars import RING_RATIONAL, GaussSqrt5
+from paradoxcert.scalars import RING_RATIONAL, GaussSqrt5, QSqrt5, Quaternion
 from paradoxcert.spaces import ProjectivePoint, SpherePoint
 from paradoxcert.verification import (
     EquidecompWitness,
     RunConfig,
     WitnessPiece,
-    _intertwine_seed,
     classify,
     equidecomp_verify,
     orbit_fragment,
@@ -121,13 +120,19 @@ def _exact_walk(kind, seed, pair, depth):
 
 
 _GAUSS_SEED = (GaussSqrt5(1), GaussSqrt5(2, 0, 1))
+_QUAT_SEED = (Quaternion(*map(QSqrt5, (1, 0, 0, 0))),
+              Quaternion(*map(QSqrt5, (2, 1, 0, 0))))
+# the pair of each projective line and the line [1 : 2+i] whose chart image
+# the sphere certificate under its Intertwine walks
+_LINE_WALKS = {"C": ("su2-sqrt5", _GAUSS_SEED),
+               "H": ("sp1-sqrt5@2", _QUAT_SEED)}
 
 
 @pytest.mark.parametrize("space,seed,pair,depth", [
     ("sphere(2)", SEED, "so3-ab", 4),
     ("proj(R,3)", SEED, "so3-ab", 4),
     ("proj(C,2)", _GAUSS_SEED, "su2-sqrt5", 4),
-    ("proj(H,2)", _intertwine_seed("H"), "sp1-sqrt5@2", 3),
+    ("proj(H,2)", _QUAT_SEED, "sp1-sqrt5@2", 3),
 ], ids=["sphere2", "projR3", "projC2", "projH2"])
 def test_the_integer_orbit_walk_equals_the_exact_walk(space, seed, pair,
                                                       depth):
@@ -383,14 +388,14 @@ def test_free_transport_names_a_trivial_word(monkeypatch):
 ], ids=["C", "H"])
 def test_every_charted_fragment_point_lifts_exactly_and_replays(
         field, space, pair, seed):
-    # the chart carries the Intertwine's own fragment onto the fragment of
-    # the pair it induces, word by word, and the exact lift carries it back
+    # the chart carries the fragment of the projective line's own pair
+    # onto the fragment of the pair it induces, word by word, and the exact
+    # lift carries it back: the lifts of the sphere walk are the line walk
     from paradoxcert.equimaps import stereographic_apply, stereographic_lift
     from paradoxcert.spaces import Projective
-    from paradoxcert.verification import _INTERTWINE_PAIR
+    line_pair, line_seed = _LINE_WALKS[field]
     frag = orbit_fragment(space, seed, pair, 6)
-    lines = orbit_fragment(Projective(field, 2), _intertwine_seed(field),
-                           _INTERTWINE_PAIR[field], 6)
+    lines = orbit_fragment(Projective(field, 2), line_seed, line_pair, 6)
     assert frag.words == lines.words and len(frag.words) == 1457
     for w in frag.words:
         point = frag.point_for(w)
@@ -401,17 +406,19 @@ def test_every_charted_fragment_point_lifts_exactly_and_replays(
 
 @pytest.mark.parametrize("desc", ["proj(C,2)", "proj(H,2)"])
 def test_verify_lifts_every_intertwine_sample_exactly(desc):
-    # the child walks the pair the chart induces, so every labelled child
-    # sample lifts to an exact line that replays, and the root classifies
-    # each lifted sample exactly
+    # the child walks the pair the chart induces, so every child sample
+    # lifts to an exact line that replays; the labelled lifts are all the
+    # node sends up, and the root classifies each of them exactly
     report = verify(derive(desc), depth=3, samples=30)
     assert report["overall"] == "pass"
     assert report["unknown"] == 0
     provenance = report["provenance"]
-    assert provenance["matched"] == provenance["labelled_samples"] > 0
+    assert provenance["matched"] == provenance["labelled_samples"] == \
+        report["totals"]["samples"] > 0
     nodes = {n["path"]: n for n in report["nodes"]}
     assert nodes["0"]["stats"]["lifted"] == \
         nodes["0.0"]["stats"]["samples_out"] == 30
+    assert "orbit_fragment" not in nodes["0"]["stats"]
     assert nodes["0.0"]["stats"]["absorbed_samples"] == \
         (12 if desc == "proj(C,2)" else 3)
 
@@ -519,7 +526,7 @@ def test_repeated_subtrees_compute_each_fact_once(monkeypatch):
         monkeypatch.setattr(verification, name, counted)
     report = verify(derive("grass(C,4,2)"), **GRASS_SMALL)
     assert report["overall"] == "pass"
-    assert calls == {"absorber_check": 2, "orbit_fragment": 2, "selftest": 5,
+    assert calls == {"absorber_check": 2, "orbit_fragment": 1, "selftest": 5,
                      "check_freeness": 1, "check_translate_identity": 1,
                      "exceptional_set": 1, "pair_word_scan": 1}
 
