@@ -83,7 +83,7 @@ class MapInstance:
         return f"MapInstance({self.name}: {self.source} -> {self.target})"
 
 
-def _draw_in_domain(apply, draw, rng):
+def _draw_accepted(apply, draw, rng):
     """The first of up to 100 points of draw(rng) that apply accepts."""
     for _ in range(100):
         x = draw(rng)
@@ -119,7 +119,7 @@ def sphere_drop(k: int) -> MapInstance:
         return q
 
     def sample_source(rng):
-        return _draw_in_domain(
+        return _draw_accepted(
             apply, lambda r: random_sphere_point(ambient, r), rng)
 
     def sample_pair(rng):
@@ -157,7 +157,7 @@ def proj_drop(field: str, n: int) -> MapInstance:
         return q
 
     def sample_source(rng):
-        return _draw_in_domain(
+        return _draw_accepted(
             apply, lambda r: random_projective_point(n, ring, r), rng)
 
     def sample_pair(rng):
@@ -205,7 +205,7 @@ def grass_slice(field: str, n0: int, k: int) -> MapInstance:
         return Subspace.from_basis(cols)
 
     def sample_source(rng):
-        return _draw_in_domain(
+        return _draw_accepted(
             apply, lambda r: random_subspace(n0, k, ring, r), rng)
 
     def sample_pair(rng):
