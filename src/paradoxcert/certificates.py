@@ -29,7 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CertificateError, DescriptorError, ParadoxError
+from .errors import (
+    BackendMismatchError,
+    CertificateError,
+    DescriptorError,
+    ParadoxError,
+)
 from .freegroup import (
     default_absorber,
     get_pair,
@@ -37,6 +42,7 @@ from .freegroup import (
     plane_rotation,
 )
 from .linalg import Matrix, is_unitary, matrix_from_json, matrix_to_json
+from .scalars import ring_of
 from .spaces import (
     Flag,
     Grassmann,
@@ -529,17 +535,23 @@ def _check_node(node: Node, path: str, violations: list):
         ex(isinstance(g, Matrix) and g.rows == g.cols,
            "absorber must be a square matrix")
         if isinstance(g, Matrix):
-            ring = g.scalar_ring()
-            ex(ring.exact and is_unitary(g),
+            try:
+                # the first entry's ring, once every entry has one: a float
+                # is refused wherever it sits
+                ring = [ring_of(x) for row in g.data for x in row][0]
+            except BackendMismatchError:
+                ring = None
+            ex(ring is not None and is_unitary(g),
                "absorber must be exactly unitary")
             field = getattr(sp.base, "field", None)
-            ex(not ring.exact or ring.name in _ABSORBER_RINGS.get(field, ()),
-               f"absorber over {ring.name} does not act on a space over "
-               f"{field}")
+            if ring is not None:
+                ex(ring.name in _ABSORBER_RINGS.get(field, ()),
+                   f"absorber over {ring.name} does not act on a space over "
+                   f"{field}")
             amb = getattr(sp.base, "ambient_dim", None)
             ex(amb == g.rows, "absorber dimension must match the space")
             removed = ch[0].space.removed if ch else None
-            if ring.exact and isinstance(removed, RemovedExceptional):
+            if ring is not None and isinstance(removed, RemovedExceptional):
                 pair = _known_pair(removed.pair)
                 ex(pair is not None, f"unknown pair {removed.pair!r}")
                 ex(pair is None or mixes_with_pair(g, pair),

@@ -16,9 +16,10 @@ rational, so they stay inside Q(sqrt5) on exact input.  The inverse chart,
 ``stereographic_lift``, is exact too wherever a ray's unit vector lies in
 Q(sqrt5), as every chart image of an exact line does: it reads the norm
 of the ray's leading-1 direction through ``scalars.exact_sqrt`` and
-returns None when that root leaves the field.  The induced rotation also
-takes a float (complex or float quaternion) unitary and computes in
-floats; a chart image is always an exact sphere point.
+returns None when that root leaves the field.  Both take exact input
+only: a point refuses a coordinate that is not exact when it is built
+(``spaces``), and a float unitary does not multiply the exact lines the
+induced rotation moves.
 """
 
 from __future__ import annotations
@@ -44,11 +45,9 @@ from .sampling import (
 from .scalars import (
     GaussSqrt5,
     Quaternion,
-    RING_QUAT_FLOAT,
     RING_QUAT_SQRT5,
     RING_RATIONAL,
     QSqrt5,
-    abs_float,
     exact_sqrt,
     ring_of,
 )
@@ -310,11 +309,9 @@ def flag_to_grass(field: str, dims: tuple, i: int) -> MapInstance:
 # --------------------------------------------------------------------------
 
 def _real_coords(q):
-    """Real coordinates of a complex or quaternionic scalar."""
+    """Real coordinates of an element of Q(sqrt5, i) or of a quaternion."""
     if isinstance(q, GaussSqrt5):
         return list(q.real_imag())
-    if isinstance(q, complex):
-        return [q.real, q.imag]
     return [q.w, q.x, q.y, q.z]
 
 
@@ -322,17 +319,13 @@ def _chart_vector(v1, v2) -> tuple:
     """The chart image of the line [v1 : v2] as a unit vector.
 
     [q : 1] goes to (2q, |q|^2 - 1) / (|q|^2 + 1) and [1 : 0] to the north
-    pole, in the real backend of the entries: Q(sqrt5) for exact lines.
+    pole, in the real backend of the entries: Q(sqrt5).
     """
-    if ring_of(v2).exact:
-        at_pole = not v2
-    else:
-        at_pole = abs_float(v2) < 1e-14 * max(1.0, abs_float(v1))
-    if at_pole:
+    if not v2:
         coords = _real_coords(v1)
         zero = coords[0] - coords[0]
         return (zero,) * len(coords) + (zero + 1,)
-    q = v1 / v2 if isinstance(v2, complex) else v1 * v2.inverse()
+    q = v1 * v2.inverse()
     coords = _real_coords(q)
     norm_sq = sum(c * c for c in coords)
     scale = 1 / (norm_sq + 1)
@@ -371,14 +364,14 @@ def stereographic_lift(field: str, p: SpherePoint):
     return ProjectivePoint.from_vector((q, one))
 
 
-def _chart_preimages(field: str, exact: bool) -> list:
+def _chart_preimages(field: str) -> list:
     """Vectors of the lines the chart puts on e_1, ..., e_{d+1}:
     [1 : 1], [i : 1] (then [j : 1], [k : 1] over H) and [1 : 0]."""
     if field == "C":
-        one, i = (GaussSqrt5(1), GaussSqrt5(0, 0, 1)) if exact else (1 + 0j, 1j)
-        units = [one, i]
+        one = GaussSqrt5(1)
+        units = [one, GaussSqrt5(0, 0, 1)]
     else:
-        one = (RING_QUAT_SQRT5 if exact else RING_QUAT_FLOAT).one
+        one = RING_QUAT_SQRT5.one
         o, z = one.w, one.x
         units = [Quaternion(*(o if k == u else z for k in range(4)))
                  for u in range(4)]
@@ -390,13 +383,11 @@ def induced_rotation(field: str, g: Matrix) -> Matrix:
 
     The rotation is linear and carries the chart image of a line to that of
     its g-translate, so its column j is the chart image of g l_j, where l_j
-    is the line the chart puts on e_j.  Exact over Q(sqrt5) for an exact g,
-    float for a float g.
+    is the line the chart puts on e_j.  Exact over Q(sqrt5).
     """
     if g.rows != 2 or g.cols != 2:
         raise DomainError("expected a 2x2 unitary")
-    cols = [_chart_vector(*mat_vec(g, v))
-            for v in _chart_preimages(field, g.scalar_ring().exact)]
+    cols = [_chart_vector(*mat_vec(g, v)) for v in _chart_preimages(field)]
     return Matrix(zip(*cols))
 
 
@@ -497,7 +488,6 @@ def selftest(m: MapInstance, samples: int, seed) -> dict:
         "skipped": skipped,
         "failures": failures,
         "max_deviation": float("inf") if failures else 0.0,
-        "exact": m.exact,
         "ok": failures == 0,
     }
 

@@ -33,7 +33,7 @@ from .scalars import (
 def _inv(x):
     if isinstance(x, int):
         return Fraction(1, x)
-    if isinstance(x, (Fraction, float, complex)):
+    if isinstance(x, Fraction):
         return 1 / x
     return x.inverse()
 
@@ -322,14 +322,9 @@ def block_embed_matrix(a: Matrix, n: int) -> Matrix:
     return Matrix(out)
 
 
-def to_float_matrix(a: Matrix) -> Matrix:
-    conv = a.scalar_ring().to_float
-    return Matrix(tuple(conv(e) for e in r) for r in a.data)
-
-
 def _is_positive(x) -> bool:
     from .scalars import RealQuadExt
-    if isinstance(x, (Fraction, float, int)):
+    if isinstance(x, (Fraction, int)):
         return x > 0
     if isinstance(x, RealQuadExt):
         return x.is_positive()

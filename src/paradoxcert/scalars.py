@@ -9,12 +9,12 @@ group elements and points carry entries from one of a few field towers:
 * ``GaussSqrt5``          -- a + b*sqrt(5) + (c + d*sqrt(5))i, a..d rational
 * ``Quaternion``          -- w + xi + yj + zk over any real backend above
 
-plus plain ``float``/``complex``/float quaternions, which only the induced
-rotation computes in, on a float unitary; the stereographic chart refuses
-a float line, and no check reads them. Every scalar type supports
-``+ - *`` and ``conjugate()``, is hashable, and inverts a nonzero value
-(``1 / x`` for the stdlib numbers, ``x.inverse()`` for the classes here),
-so generic linear algebra can stay backend-agnostic.
+and nothing else: ``ring_of`` names the ring of each and refuses any other
+scalar, a float, a complex or a quaternion with a float component
+included, so a point refuses such a coordinate when it is built.  Every
+scalar type supports ``+ - *`` and ``conjugate()``, is hashable, and
+inverts a nonzero value (``1 / x`` for a Fraction, ``x.inverse()`` for the
+classes here), so generic linear algebra can stay backend-agnostic.
 
 Equal exact values are ``==`` and hash alike in every class: a rational is
 one number as a ``Fraction``, in any quadratic field and as a real
@@ -37,11 +37,11 @@ product of two quaternions forms each component as one 4-term integer dot
 product.  They run when every entry of an operand has one type, Fraction
 or one QuadExt class, and the two types mix; the result then has exactly
 the class the left-to-right ``*``/``+`` loop gives.  Any other input (mixed
-types, int, float, complex, Quaternion entries of a matrix) takes that
-generic loop, and so does a matrix product over vectors of length 1, whose
-every entry is a single ``*`` already.  Callers that keep integers across
-many products (the word and orbit walks of ``freegroup``) read their
-matrices once through ``freegroup.IntegerReader`` instead.
+types, int, Quaternion entries of a matrix) takes that generic loop, and
+so does a matrix product over vectors of length 1, whose every entry is a
+single ``*`` already.  Callers that keep integers across many products
+(the word and orbit walks of ``freegroup``) read their matrices once
+through ``freegroup.IntegerReader`` instead.
 """
 
 from __future__ import annotations
@@ -228,18 +228,6 @@ class QuadExt:
         nums = (self.a, self.b, self.c, self.d)[:4 if self.HAS_I else 2]
         return tuple(Fraction(n, self.den) for n in nums)
 
-    def _to_float(self, p, q):
-        return p / self.den + q / self.den * math.sqrt(self.D)
-
-    def __float__(self):
-        if self.c or self.d:
-            raise TypeError(f"{self!r} is not real")
-        return self._to_float(self.a, self.b)
-
-    def __complex__(self):
-        return complex(self._to_float(self.a, self.b),
-                       self._to_float(self.c, self.d))
-
 
 def real_positive(a, b, D):
     """Whether a + b sqrt(D) > 0 for integers a, b and a nonsquare D > 0
@@ -369,12 +357,7 @@ class RealQuadExt(QuadExt):
         return -self if self and not self.is_positive() else self
 
     def _compare(self, other, op):
-        """op(sign of self - other, 0); a finite float counts at its exact
-        binary value, as it does for Fraction."""
-        if isinstance(other, float):
-            if not math.isfinite(other):
-                return op(0.0, other)
-            other = Fraction(other)
+        """op(sign of self - other, 0)."""
         d = self - other
         return op(0 if not d else 1 if d.is_positive() else -1, 0)
 
@@ -438,7 +421,7 @@ class Quaternion:
     def _coerce(self, other):
         if isinstance(other, Quaternion):
             return other
-        if isinstance(other, (int, Fraction, float, RealQuadExt)):
+        if isinstance(other, (int, Fraction, RealQuadExt)):
             zero = self.w - self.w
             return Quaternion(zero + other, zero, zero, zero)
         return None
@@ -501,12 +484,7 @@ class Quaternion:
         n = self.norm_sq()
         if not n:
             raise ZeroDivisionError("division by zero")
-        if isinstance(n, float):
-            inv = 1.0 / n
-        elif isinstance(n, Fraction):
-            inv = 1 / n
-        else:
-            inv = n.inverse()
+        inv = 1 / n if isinstance(n, Fraction) else n.inverse()
         c = self.conjugate()
         return Quaternion(c.w * inv, c.x * inv, c.y * inv, c.z * inv)
 
@@ -520,7 +498,7 @@ class Quaternion:
         if isinstance(other, Quaternion):
             return ((self.w, self.x, self.y, self.z)
                     == (other.w, other.x, other.y, other.z))
-        if isinstance(other, (int, Fraction, float, QuadExt)):
+        if isinstance(other, (int, Fraction, QuadExt)):
             return not (self.x or self.y or self.z) and self.w == other
         return NotImplemented
 
@@ -760,15 +738,13 @@ def _quaternion_product(p, q):
 
 
 class Ring:
-    """Handle bundling the identities and converters of one backend."""
+    """Handle bundling the identities and converter of one exact backend."""
 
-    def __init__(self, name, zero, one, exact, from_rational, to_float):
+    def __init__(self, name, zero, one, from_rational):
         self.name = name
         self.zero = zero
         self.one = one
-        self.exact = exact
         self.from_rational = from_rational
-        self.to_float = to_float
 
     def __repr__(self):
         return f"Ring({self.name})"
@@ -784,32 +760,15 @@ def _quat_sqrt5(q):
     return Quaternion(QSqrt5(_frac(q), 0), z, z, z)
 
 
-def _quat_float(q):
-    return Quaternion(float(q), 0.0, 0.0, 0.0)
-
-
-def _quat_to_float(x):
-    return Quaternion(float(x.w), float(x.x), float(x.y), float(x.z))
-
-
-RING_RATIONAL = Ring("rational", Fraction(0), Fraction(1), True,
-                     _frac, float)
-RING_QSQRT2 = Ring("qsqrt2", QSqrt2(0), QSqrt2(1), True,
-                   QSqrt2.from_rational, float)
-RING_QSQRT5 = Ring("qsqrt5", QSqrt5(0), QSqrt5(1), True,
-                   QSqrt5.from_rational, float)
-RING_GAUSS_SQRT5 = Ring("gauss_sqrt5", GaussSqrt5(), GaussSqrt5(1), True,
-                        GaussSqrt5.from_rational, complex)
+RING_RATIONAL = Ring("rational", Fraction(0), Fraction(1), _frac)
+RING_QSQRT2 = Ring("qsqrt2", QSqrt2(0), QSqrt2(1), QSqrt2.from_rational)
+RING_QSQRT5 = Ring("qsqrt5", QSqrt5(0), QSqrt5(1), QSqrt5.from_rational)
+RING_GAUSS_SQRT5 = Ring("gauss_sqrt5", GaussSqrt5(), GaussSqrt5(1),
+                        GaussSqrt5.from_rational)
 RING_QUAT_RATIONAL = Ring("quat_rational", _quat_rational(0),
-                          _quat_rational(1), True, _quat_rational,
-                          _quat_to_float)
-RING_QUAT_SQRT5 = Ring("quat_sqrt5", _quat_sqrt5(0), _quat_sqrt5(1), True,
-                       _quat_sqrt5, _quat_to_float)
-RING_FLOAT = Ring("float", 0.0, 1.0, False, float, float)
-RING_COMPLEX = Ring("complex", complex(0), complex(1), False,
-                    lambda q: complex(float(q)), complex)
-RING_QUAT_FLOAT = Ring("quat_float", _quat_float(0), _quat_float(1), False,
-                       _quat_float, lambda x: x)
+                          _quat_rational(1), _quat_rational)
+RING_QUAT_SQRT5 = Ring("quat_sqrt5", _quat_sqrt5(0), _quat_sqrt5(1),
+                       _quat_sqrt5)
 
 # the exact rings by name: the rings a matrix literal may name
 RINGS = {r.name: r for r in (
@@ -817,8 +776,13 @@ RINGS = {r.name: r for r in (
     RING_QUAT_RATIONAL, RING_QUAT_SQRT5,
 )}
 
+# the quaternion ring over each class its components may share
+_QUAT_RINGS = {Fraction: RING_QUAT_RATIONAL, QSqrt5: RING_QUAT_SQRT5}
+
 
 def ring_of(x) -> Ring:
+    """The exact ring of a scalar; BackendMismatchError for any other
+    scalar, a quaternion with a float component included."""
     if isinstance(x, Fraction):
         return RING_RATIONAL
     if isinstance(x, QSqrt2):
@@ -828,25 +792,10 @@ def ring_of(x) -> Ring:
     if isinstance(x, GaussSqrt5):
         return RING_GAUSS_SQRT5
     if isinstance(x, Quaternion):
-        if isinstance(x.w, float):
-            return RING_QUAT_FLOAT
-        if isinstance(x.w, QSqrt5):
-            return RING_QUAT_SQRT5
-        return RING_QUAT_RATIONAL
-    if isinstance(x, float):
-        return RING_FLOAT
-    if isinstance(x, complex):
-        return RING_COMPLEX
+        ring = _QUAT_RINGS.get(common_class((x.w, x.x, x.y, x.z)))
+        if ring is not None:
+            return ring
     raise BackendMismatchError(f"unknown scalar backend for {x!r}")
-
-
-def abs_float(x) -> float:
-    """Magnitude of a scalar in any backend, as a float."""
-    if isinstance(x, Quaternion):
-        return math.sqrt(abs(to_float_scalar(x.norm_sq())))
-    if isinstance(x, GaussSqrt5):
-        return abs(complex(x))
-    return abs(float(x)) if not isinstance(x, complex) else abs(x)
 
 
 def scalar_to_json(x):
@@ -881,8 +830,3 @@ def scalar_from_json(obj, ring: Ring):
         return Quaternion(*(scalar_from_json(obj[k], comp)
                             for k in ("w", "x", "y", "z")))
     raise BackendMismatchError(f"unknown ring {name}")
-
-
-def to_float_scalar(x):
-    """Map any exact scalar into its float-lane counterpart."""
-    return ring_of(x).to_float(x)

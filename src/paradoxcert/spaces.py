@@ -19,8 +19,15 @@ which is canonical for the subspace, and every subspace operation reads that
 basis. A line is the one-column case, its leading-1 vector (first nonzero
 entry 1). The orthogonal projector is formed on first read; no check
 compares subspaces through it. Sphere points are stored as signed rays
-with a leading-1 representative. Every point a check reads is exact: a
-sphere point always, and a subspace whenever its basis is.
+with a leading-1 representative.
+
+Every point is exact, and it is decided once, where a point is built from a
+new vector: ``SpherePoint.from_vector`` and ``SpherePoint.apply_matrix``,
+``ProjectivePoint.from_vector`` and ``Subspace.from_basis`` (which
+``Subspace.apply_matrix`` calls) refuse any coordinate that ``ring_of``
+does not name, in any position, with BackendMismatchError; an int counts
+as exact.  The other constructors take an echelon basis or a leading-1
+vector that one of those built, so no check reads a point's scalars again.
 """
 
 from __future__ import annotations
@@ -255,8 +262,21 @@ def natural_group(desc) -> GroupTag:
 # points
 # --------------------------------------------------------------------------
 
+def _exact(v) -> tuple:
+    """The coordinates v, once each is an int or a scalar of an exact ring;
+    BackendMismatchError otherwise."""
+    try:
+        for x in v:
+            if type(x) is not int:
+                ring_of(x)
+    except BackendMismatchError:
+        raise BackendMismatchError(
+            f"{v!r} is not exact: a point has exact coordinates") from None
+    return v
+
+
 class SpherePoint:
-    """A point of S^n as a signed ray, always exact.
+    """A point of S^n as a signed ray.
 
     Stored as (sign, direction) with the direction scaled so its first
     nonzero coordinate is 1 -- a canonical form (integer-content reduction
@@ -264,7 +284,6 @@ class SpherePoint:
     """
 
     __slots__ = ("sign", "direction")
-    exact = True
 
     def __init__(self, sign, direction):
         object.__setattr__(self, "sign", sign)
@@ -278,16 +297,13 @@ class SpherePoint:
         v = tuple(v)
         if not v:
             raise DimensionMismatchError("empty vector")
-        if isinstance(v[0], float):
-            raise BackendMismatchError(
-                f"{v!r} is not exact: a sphere point is an exact ray")
-        return cls(*ray_canonical(v))
+        return cls(*ray_canonical(_exact(v)))
 
     def antipode(self):
         return SpherePoint(-self.sign, self.direction)
 
     def apply_matrix(self, m: Matrix):
-        s, d = ray_canonical(mat_vec(m, self.direction))
+        s, d = ray_canonical(_exact(mat_vec(m, self.direction)))
         return SpherePoint(self.sign * s, d)
 
     def key(self):
@@ -343,6 +359,8 @@ class Subspace:
             raise DimensionMismatchError("empty basis")
         if len(cols) == 1:
             return ProjectivePoint.from_vector(cols[0])
+        for c in cols:
+            _exact(c)
         r, pivots = rref(conj_transpose(Matrix.from_columns(cols)))
         if len(pivots) < len(cols):
             raise RankDeficientError("basis columns are linearly dependent")
@@ -371,11 +389,6 @@ class Subspace:
     @property
     def ambient_dim(self):
         return self.basis.rows
-
-    @property
-    def exact(self):
-        # the zero subspace has no entry and is the same in every lane
-        return not self.dim or self.basis.scalar_ring().exact
 
     @property
     def projector(self) -> Matrix:
@@ -433,7 +446,7 @@ class ProjectivePoint(Subspace):
     @classmethod
     def from_vector(cls, v):
         """The line through a nonzero vector."""
-        return cls(normalize_leading(tuple(v)))
+        return cls(normalize_leading(_exact(tuple(v))))
 
 
 def _rows(m: Matrix, indices) -> Matrix:
@@ -454,7 +467,7 @@ class FlagPoint:
             if a.dim >= b.dim:
                 raise DimensionMismatchError(
                     "flag components must have increasing dimensions")
-            if a.exact and b.exact and not b.contains(a):
+            if not b.contains(a):
                 raise DimensionMismatchError(
                     "flag components must be nested")
         object.__setattr__(self, "components", comps)
@@ -468,15 +481,15 @@ class FlagPoint:
 # --------------------------------------------------------------------------
 
 def act(m, point):
-    """Apply a matrix to an exact point of any space type.
+    """Apply a matrix to a point of any space type.
 
     Exact entries mix by value whatever their class, so a rational matrix
     moves a point over any field; entries from fields that do not mix, and
-    a float subspace, raise BackendMismatchError.
+    a matrix entry that is not exact, raise BackendMismatchError.
     """
     if isinstance(point, FlagPoint):
         return FlagPoint(act(m, c) for c in point.components)
-    if not isinstance(point, (SpherePoint, Subspace)) or not point.exact:
+    if not isinstance(point, (SpherePoint, Subspace)):
         raise BackendMismatchError(f"cannot act on {point!r}")
     try:
         return point.apply_matrix(m)
@@ -487,11 +500,10 @@ def act(m, point):
 
 
 def equals(p, q) -> bool:
-    """Exact point equality; a float subspace cannot be compared."""
+    """Exact equality of two points of one space type."""
     if isinstance(p, SpherePoint) and isinstance(q, SpherePoint):
         return p == q
-    if (isinstance(p, Subspace) and isinstance(q, Subspace)
-            and p.exact and q.exact):
+    if isinstance(p, Subspace) and isinstance(q, Subspace):
         return p.dim == q.dim and p == q
     if isinstance(p, FlagPoint) and isinstance(q, FlagPoint):
         if len(p.components) != len(q.components):

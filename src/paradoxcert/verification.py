@@ -30,8 +30,10 @@ on the sphere, from the chart image of an exact line, so every child
 sample is a ray whose unit vector lies over Q(sqrt5): the inverse chart
 lifts it to an exact line (``stereographic_lift``), the lift must replay
 through the chart exactly, and the labelled lifts are the node's samples;
-it walks no orbit of its own.  A float point has no key, and classifying
-one is a BackendMismatchError.
+it walks no orbit of its own.  No point can hold a float to classify: a
+point refuses one in any coordinate when it is built (``spaces``), and the
+integer reading of a fragment's seed (``freegroup.IntegerReader``) refuses
+one too.
 
 An orbit fragment is walked as integer vectors (``freegroup.LineKeys``)
 and keys its points by their integers: a line by its primitive integer
@@ -80,7 +82,6 @@ from .equimaps import (
     stereographic_lift,
 )
 from .errors import (
-    BackendMismatchError,
     CertificateError,
     DomainError,
     GapCaseError,
@@ -109,7 +110,6 @@ from .scalars import (
     RING_RATIONAL,
     Fraction,
     exact_sqrt,
-    ring_of,
 )
 from .spaces import (
     Projective,
@@ -256,8 +256,8 @@ def orbit_fragment(space, seed, pair, depth: int) -> Fragment:
     (``Fragment``). Raises SeedFixedError (naming the fixing word) if two
     words of length <= depth land on the same point -- i.e. the seed is
     fixed by a reduced word of length <= 2*depth -- BackendMismatchError if
-    a seed coordinate is not exact, since only exact points have keys, and
-    DomainError for a ray walk over a field with no real ordering.
+    a seed coordinate is not exact, from the integer reading of the seed,
+    and DomainError for a ray walk over a field with no real ordering.
     """
     if isinstance(space, str):
         space = parse_descriptor(space)
@@ -272,9 +272,6 @@ def orbit_fragment(space, seed, pair, depth: int) -> Fragment:
     if isinstance(pair, str):
         pair = get_pair(pair)
     seed_vec = tuple(Fraction(x) if isinstance(x, int) else x for x in seed)
-    for x in seed_vec:
-        if not ring_of(x).exact:
-            raise BackendMismatchError(f"seed coordinate {x!r} is not exact")
     if len(seed_vec) != pair.dim:
         raise DomainError(
             f"seed has {len(seed_vec)} coordinates, pair acts on "
@@ -512,10 +509,7 @@ class CertVerifier:
 
     def classify(self, point, node: Node | None = None, path: str = "0"):
         """Top-down piece label of a point; "Unknown" when bounded searches
-        are inconclusive. A float point is refused: it has no key."""
-        if isinstance(point, Subspace) and not point.exact:
-            raise BackendMismatchError(
-                f"{point!r} is a float point, and only exact points have keys")
+        are inconclusive."""
         node = self.root if node is None else node
         rule = node.rule
         if rule == "FreeTransport":

@@ -33,7 +33,7 @@ from paradoxcert.freegroup import (
 )
 from paradoxcert.linalg import Matrix, matmul
 from paradoxcert.sampling import random_subspace, random_unitary, rng_for
-from paradoxcert.scalars import RING_RATIONAL
+from paradoxcert.scalars import RING_RATIONAL, GaussSqrt5
 from paradoxcert.spaces import act, exact_ring_for_field, orthogonal_complement
 from paradoxcert.verification import (
     CertVerifier,
@@ -133,10 +133,7 @@ def test_criterion_04_equivariance_suite():
         result = selftest(m, counts[m.name], seed=42)
         assert result["ok"], result
         total += result["samples"]
-        if m.exact:
-            assert result["max_deviation"] == 0.0, result
-        else:
-            assert result["max_deviation"] <= 1e-9, result
+        assert m.exact and result["max_deviation"] == 0.0, result
     assert total >= 10000
 
     control = selftest(corrupted(catalog[0]), 30, seed=42)
@@ -237,21 +234,13 @@ def test_criterion_09_invalid_input_contract(capsys):
 
 
 def test_criterion_10_induced_rotation_of_a_unit_quaternion():
-    s = 5 ** -0.5
-    g = Matrix([(complex(s), complex(2 * s)),
-                (complex(-2 * s), complex(s))])
+    # g = (1/sqrt5) [[1, 2], [-2, 1]] over Q(sqrt5, i), exactly
+    s = GaussSqrt5(0, 1, 0, 0, 5)
+    g = Matrix([(s, 2 * s), (-2 * s, s)])
     r = induced_rotation("C", g)
     assert r.rows == 3
-
-    rt = Matrix(tuple(r.data[j][i] for j in range(3)) for i in range(3))
-    prod = matmul(r, rt)
-    for i in range(3):
-        for j in range(3):
-            target = 1.0 if i == j else 0.0
-            assert abs(prod.data[i][j] - target) <= 1e-9
-
-    trace = sum(r.data[i][i] for i in range(3))
-    assert abs(trace - (-1 / 5)) <= 1e-9
+    assert matmul(r, r.transpose()) == Matrix.identity(3, RING_RATIONAL)
+    assert sum(r.data[i][i] for i in range(3)) == Fraction(-1, 5)
 
     rng = rng_for(42, "hom")
     for _ in range(200):
@@ -259,8 +248,6 @@ def test_criterion_10_induced_rotation_of_a_unit_quaternion():
         g2 = _random_su2_like("C", rng)
         lhs = induced_rotation("C", matmul(g1, g2))
         rhs = matmul(induced_rotation("C", g1), induced_rotation("C", g2))
-        dev = max(abs(lhs.data[i][j] - rhs.data[i][j])
-                  for i in range(3) for j in range(3))
-        assert dev <= 1e-8
+        assert lhs == rhs
     print("criterion 10 PASS: induced rotation orthogonal, trace -1/5, "
           "homomorphism on 200 pairs")

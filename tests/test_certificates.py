@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -188,12 +189,15 @@ def test_absorber_must_be_exactly_unitary():
 
 
 def test_a_float_absorber_is_one_violation():
+    # the 3x3 identity in floats, and with a Fraction first entry: every
+    # entry is read, so the floats after an exact one are refused too
     from paradoxcert.linalg import Matrix
-    from paradoxcert.scalars import RING_FLOAT
     root = derive("sphere(2)")
-    bad = dataclasses.replace(root, params={
-        **root.params, "absorber": Matrix.identity(3, RING_FLOAT)})
-    assert check(bad)["violations"] == ["0: absorber must be exactly unitary"]
+    for first in (1.0, Fraction(1)):
+        g = Matrix([(first, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
+        bad = dataclasses.replace(root, params={**root.params, "absorber": g})
+        assert check(bad)["violations"] == [
+            "0: absorber must be exactly unitary"]
 
 
 def test_walk_paths_are_in_preorder():

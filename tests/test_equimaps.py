@@ -17,7 +17,7 @@ from paradoxcert.equimaps import (
     stereographic_lift,
 )
 from paradoxcert.errors import DomainError, GapCaseError
-from paradoxcert.linalg import Matrix, mat_vec, matmul, to_float_matrix
+from paradoxcert.linalg import Matrix, mat_vec, matmul
 from paradoxcert.sampling import (
     random_projective_point,
     random_subspace,
@@ -48,10 +48,7 @@ def test_every_catalog_map_is_equivariant():
     for m in default_catalog():
         result = selftest(m, 12, seed=2024)
         assert result["ok"], result
-        if m.exact:
-            assert result["max_deviation"] == 0.0
-        else:
-            assert result["max_deviation"] <= 1e-9
+        assert m.exact and result["max_deviation"] == 0.0
 
 
 def test_corrupted_maps_fail_the_selftest():
@@ -165,22 +162,6 @@ def test_stereographic_round_trip():
                 assert stereographic_apply(back) == p
 
 
-def test_induced_rotation_is_orthogonal():
-    for field in ("C", "H"):
-        ring = exact_ring_for_field(field)
-        rng = rng_for(67, "ir", field)
-        g = random_unitary(2, ring, rng)
-        r = induced_rotation(field, to_float_matrix(g))
-        n = r.rows
-        rt = tuple(tuple(r.data[j][i] for j in range(n)) for i in range(n))
-        from paradoxcert.linalg import Matrix
-        prod = matmul(r, Matrix(rt))
-        for i in range(n):
-            for j in range(n):
-                target = 1.0 if i == j else 0.0
-                assert abs(prod.data[i][j] - target) < 1e-9
-
-
 def _chart_basis_lines(field):
     """The lines [1 : 1], [i : 1] (, [j : 1], [k : 1]) and [1 : 0]."""
     if field == "C":
@@ -200,7 +181,6 @@ def test_the_chart_puts_each_basis_line_on_its_basis_vector():
         for j, v in enumerate(lines):
             e = tuple(QSqrt5(int(i == j)) for i in range(len(lines)))
             p = stereographic_apply(ProjectivePoint.from_vector(v))
-            assert p.exact
             assert p == SpherePoint.from_vector(e)
 
 
@@ -211,7 +191,6 @@ def test_the_exact_induced_rotation_is_an_orthogonal_homomorphism():
         gs = [random_unitary(2, ring, rng) for _ in range(6)]
         for g, h in zip(gs, gs[1:]):
             r = induced_rotation(field, g)
-            assert r.scalar_ring().exact
             ident = Matrix.identity(r.rows, r.scalar_ring())
             assert matmul(r.transpose(), r) == ident
             assert induced_rotation(field, matmul(g, h)) == \
@@ -233,7 +212,6 @@ def test_the_exact_chart_commutes_with_the_action():
             lhs = stereographic_apply(act(g, line))
             rhs = act(induced_rotation(field, g),
                       stereographic_apply(line))
-            assert lhs.exact and rhs.exact
             assert lhs == rhs
 
 

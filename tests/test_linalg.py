@@ -23,7 +23,6 @@ from paradoxcert.linalg import (
     rank,
     ray_canonical,
     rref,
-    to_float_matrix,
 )
 from paradoxcert.sampling import random_unitary, rng_for
 from paradoxcert.scalars import (
@@ -200,12 +199,6 @@ def test_ray_canonical_needs_an_ordered_ring():
     # Q(sqrt5, i) has no ordering, even where the pivot happens to be real
     with pytest.raises(TypeError):
         ray_canonical((GaussSqrt5(-3, 0, 0, 0, 1), GaussSqrt5(0, 0, 1, 0, 1)))
-
-
-def test_to_float_matrix():
-    m = Matrix([(Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(2))])
-    f = to_float_matrix(m)
-    assert f.data == ((0.5, 0.0), (0.0, 2.0))
 
 
 def test_matrix_json_round_trip():

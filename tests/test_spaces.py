@@ -118,8 +118,41 @@ def test_sphere_points_are_signed_rays():
 def test_a_float_sphere_point_is_neither_compared_nor_embedded():
     # every sphere point is exact: a float vector is refused as a ray
     # before any check could compare, pad or move it
-    with pytest.raises(BackendMismatchError, match="is not exact"):
+    with pytest.raises(BackendMismatchError,
+                       match="is not exact: a point has exact coordinates"):
         SpherePoint.from_vector((1.0, 2.0, 2.0))
+
+
+_BUILDS = {
+    "sphere point": SpherePoint.from_vector,
+    "line": ProjectivePoint.from_vector,
+    "plane": lambda v: Subspace.from_basis(
+        [v, (Fraction(0), Fraction(0), Fraction(0), Fraction(1))]),
+}
+
+
+@pytest.mark.parametrize("place", [0, 2, 3], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("build", sorted(_BUILDS))
+def test_a_float_coordinate_is_refused_in_any_place(build, place):
+    # each point reads every coordinate once, when it is built; an int
+    # counts as exact
+    v = [Fraction(1), 2, Fraction(-3), Fraction(5)]
+    _BUILDS[build](tuple(v))
+    v[place] = float(v[place])
+    with pytest.raises(BackendMismatchError, match="is not exact"):
+        _BUILDS[build](tuple(v))
+
+
+@pytest.mark.parametrize("point", [
+    SpherePoint.from_vector((Fraction(1), Fraction(2), Fraction(2))),
+    ProjectivePoint.from_vector((Fraction(1), Fraction(2), Fraction(2))),
+], ids=["sphere point", "line"])
+def test_act_refuses_a_float_rotation(point):
+    # the quarter turn about e_3, in floats: its image is refused as a
+    # point, where it would have carried a float coordinate
+    quarter = Matrix([(0.0, -1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)])
+    with pytest.raises(BackendMismatchError, match="is not exact"):
+        act(quarter, point)
 
 
 # -------------------------------------------------------- projective points
@@ -287,7 +320,7 @@ def test_a_zero_dimensional_intersection_has_dim_0():
     x = intersect(Subspace.coordinate(4, (0, 1), ring),
                   Subspace.coordinate(4, (2, 3), ring))
     assert x.dim == 0 and x.ambient_dim == 4
-    assert x.exact and x.pivots == ()
+    assert x.pivots == ()
     for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert type(y) is Subspace
         assert (y.basis, y.pivots) == (x.basis, x.pivots)
@@ -310,8 +343,6 @@ _PICKLED = {
         (Fraction(0), Fraction(2), Fraction(-3))),
     "exact 2-plane over Q(sqrt5, i)": lambda: random_subspace(
         4, 2, RING_GAUSS_SQRT5, rng_for(41, "pickle")),
-    "float line": lambda: ProjectivePoint.from_vector(
-        (complex(0.5, 0.5), complex(2.0), complex(0.0, 1.0))),
 }
 
 
@@ -323,10 +354,15 @@ def test_subspaces_copy_and_pickle(name):
               pickle.loads(pickle.dumps(p))):
         assert type(q) is type(p)
         assert q.basis == p.basis and q.pivots == p.pivots
-        if p.exact:
-            assert q == p and hash(q) == hash(p)
-        else:
-            assert q.projector == p.projector
+        assert q == p and hash(q) == hash(p)
+
+
+def test_no_float_line_is_built_to_copy_or_pickle():
+    # a complex coordinate is refused where the line is built, so no
+    # copy or pickle can rebuild a float line
+    with pytest.raises(BackendMismatchError, match="is not exact"):
+        ProjectivePoint.from_vector(
+            (complex(0.5, 0.5), complex(2.0), complex(0.0, 1.0)))
 
 
 def test_intersect_of_complementary_coordinate_planes():

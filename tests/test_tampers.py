@@ -1,7 +1,8 @@
 """Negative controls through ``verify``: each case patches one kernel or
 edits one field of a certificate so that one failure branch of one rule
 handler must fire, and names the rule, the node path and the failure text
-that branch reports."""
+that branch reports, and how many samples the root then classifies as
+"Unknown"."""
 
 import dataclasses
 
@@ -104,6 +105,60 @@ def _corrupted_drop(monkeypatch, root):
     return _changed_map(monkeypatch, root, equimaps.corrupted)
 
 
+def _not_unitary(monkeypatch, root):
+    monkeypatch.setattr(verification, "is_unitary", lambda g: False)
+    return root
+
+
+def _non_unitary_member(monkeypatch, root):
+    # the letters of the sphere(2) pair are 3x3, the members of SO(4) 4x4
+    unitary = verification.is_unitary
+    monkeypatch.setattr(verification, "is_unitary",
+                        lambda g: g.rows != 4 and unitary(g))
+    return root
+
+
+def _swapped_embedding(monkeypatch, root):
+    # the padded point with its first two coordinates swapped: a motion of
+    # the first two coordinates of the point alone, not of the action
+    embed = verification.block_embed_point
+
+    def swapped(point, n):
+        p = embed(point, n)
+        d = p.direction
+        return SpherePoint.from_vector(
+            tuple(p.sign * x for x in (d[1], d[0]) + d[2:]))
+    monkeypatch.setattr(verification, "block_embed_point", swapped)
+    return root
+
+
+def _wrong_side(monkeypatch, root):
+    contained = verification._contained_in
+    monkeypatch.setattr(verification, "_contained_in",
+                        lambda hyper, point: not contained(hyper, point))
+    return root
+
+
+def _corrupted_duality(monkeypatch, root):
+    # the duality map of the grass(R,4,3) transfer; its proj_drop(R,4)
+    # Pullback below keeps its map
+    return _changed_map(
+        monkeypatch, root,
+        lambda m: (equimaps.corrupted(m) if m.name.startswith("duality")
+                   else m))
+
+
+def _corrupted_back(monkeypatch, root):
+    # grass(R,4,3) transfers through duality(R,4,1); the way back is
+    # duality(R,4,3), the only duality of k = 3, which is corrupted
+    dual = verification.duality
+    monkeypatch.setattr(
+        verification, "duality",
+        lambda field, n, k: (equimaps.corrupted(dual(field, n, k)) if k == 3
+                             else dual(field, n, k)))
+    return root
+
+
 def _refused(q):
     raise DomainError("no lift")
 
@@ -113,47 +168,67 @@ def _north_pole(q):
     return SpherePoint.from_vector((0, 0, 0, 1))
 
 
-@pytest.mark.parametrize("desc,rule,tamper,path,text", [
+@pytest.mark.parametrize("desc,rule,tamper,path,text,unknown", [
     pytest.param("sphere(2)", "BaseF2", _longer_witness, "0.0.0.0",
                  "translate-identity violated: ['word a vs generator a: "
-                 "piece=True translate=True'",
+                 "piece=True translate=True'", 0,
                  id="BaseF2-translate-identity"),
     pytest.param("sphere(2)", "FreeTransport", _wrong_translate, "0.0.0",
                  "reassembly cover failed: {'a': {'targets': 17, "
                  "'covered': 17, 'multiplicity_one': True, 'ok': False}, "
                  "'b': {'targets': 17, 'covered': 17, "
-                 "'multiplicity_one': True, 'ok': True}}",
+                 "'multiplicity_one': True, 'ok': True}}", 0,
                  id="FreeTransport-reassembly-cover"),
     pytest.param("sphere(2)", "FreeTransport", _shallow_fragment, "0.0.0",
-                 "fragment has 17 points, expected 53",
+                 "fragment has 17 points, expected 53", 0,
                  id="FreeTransport-fragment-size"),
+    pytest.param("sphere(2)", "SubgroupLift", _not_unitary, "0.0",
+                 "letter 0 of so3-ab is not orthogonal", 0,
+                 id="SubgroupLift-letter"),
+    pytest.param("sphere(3)", "SubgroupLift", _non_unitary_member, "0.0",
+                 "embedded member is not unitary", 0,
+                 id="SubgroupLift-member"),
+    pytest.param("sphere(3)", "StarEmbed", _swapped_embedding, "0.0.0.0",
+                 "embedding does not intertwine the action", 16,
+                 id="StarEmbed-intertwine"),
+    pytest.param("grass(R,4,2)", "DisjointUnion", _wrong_side, "0.0",
+                 "branch A sample on the wrong side of the padded-subspace "
+                 "split", 0, id="DisjointUnion-side"),
+    pytest.param("grass(R,4,3)", "EquidecompTransfer", _corrupted_duality,
+                 "0", "duality selftest failed: 20", 18,
+                 id="EquidecompTransfer-selftest"),
+    pytest.param("grass(R,4,3)", "EquidecompTransfer", _corrupted_back, "0",
+                 "duality failed to be an involution on 18 samples", 18,
+                 id="EquidecompTransfer-involution"),
     pytest.param("proj(C,2)", "Intertwine", _moved_lift, "0",
-                 "chart lift did not replay on 20 samples",
+                 "chart lift did not replay on 20 samples", 0,
                  id="Intertwine-lift-replay"),
     pytest.param("proj(C,2)", "Intertwine", _off_chart_seed, "0",
-                 "chart lift left the field on 12 samples",
+                 "chart lift left the field on 12 samples", 0,
                  id="Intertwine-lift-field"),
     pytest.param("proj(C,2)", "Intertwine", _corrupted_chart, "0",
-                 "chart selftest failed", id="Intertwine-chart-selftest"),
+                 "chart selftest failed", 0, id="Intertwine-chart-selftest"),
     pytest.param("proj(H,2)", "Intertwine", _transposed_rotation, "0",
-                 "induced rotation selftest failed",
+                 "induced rotation selftest failed", 0,
                  id="Intertwine-rotation-selftest"),
     pytest.param("sphere(3)", "Pullback", _corrupted_drop, "0.0.0",
-                 "map selftest failed for corrupted:sphere_drop(3)",
+                 "map selftest failed for corrupted:sphere_drop(3)", 16,
                  id="Pullback-selftest"),
     pytest.param("sphere(3)", "Pullback", _section(_refused), "0.0.0",
-                 "section failed: no lift", id="Pullback-section"),
+                 "section failed: no lift", 0, id="Pullback-section"),
     pytest.param("sphere(3)", "Pullback", _section(_north_pole), "0.0.0",
-                 "section left the map domain", id="Pullback-domain"),
+                 "section left the map domain", 0, id="Pullback-domain"),
     pytest.param("sphere(3)", "Pullback", _section(SpherePoint.antipode),
                  "0.0.0",
-                 "20 section lifts did not replay to their target point",
+                 "20 section lifts did not replay to their target point", 9,
                  id="Pullback-replay"),
 ])
 def test_a_tampered_kernel_fails_its_branch(monkeypatch, desc, rule, tamper,
-                                            path, text):
+                                            path, text, unknown):
     report = verify(tamper(monkeypatch, derive(desc)), depth=3, samples=20)
     assert report["overall"] == "fail"
     failed = [n for n in report["nodes"] if n["status"] == "fail"]
     assert [(n["path"], n["rule"]) for n in failed] == [(path, rule)]
     assert [f for f in failed[0]["failures"] if f.startswith(text)]
+    # the samples the root could not classify
+    assert report["unknown"] == unknown

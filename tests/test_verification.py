@@ -71,8 +71,10 @@ def test_fixed_seed_is_reported_with_the_word():
 
 @pytest.mark.parametrize("space", ["sphere(2)", "proj(R,3)"])
 def test_a_float_seed_coordinate_is_rejected(space):
-    # only exact scalars give point keys, and 1.5 is a float
-    with pytest.raises(BackendMismatchError, match="1.5 is not exact"):
+    # only exact scalars give point keys, and 1.5 is a float: the integer
+    # reading of the seed refuses it
+    with pytest.raises(BackendMismatchError,
+                       match="no integer form for float"):
         orbit_fragment(space, (1.5, Fraction(2), Fraction(3)), "so3-ab", 1)
 
 
@@ -330,41 +332,31 @@ def test_classify_carries_an_exact_line_through_the_exact_chart():
 
 
 def test_a_float_line_is_refused_at_a_line_fragment():
-    # only exact points have keys: a float line is refused by name, at the
-    # line fragment of proj(R,3) and at the absorber above it alike
-    from paradoxcert.spaces import ProjectivePoint
+    # only exact points have keys, and no line holds a float: it is
+    # refused where it is built, so the line fragment of proj(R,3) and the
+    # absorber above it only ever key the exact line
     from paradoxcert.verification import CertVerifier
-    line = ProjectivePoint.from_vector((2.0, -1.0, 5.0))
-    assert not line.exact
+    with pytest.raises(BackendMismatchError, match="is not exact"):
+        ProjectivePoint.from_vector((2.0, -1.0, 5.0))
+    line = ProjectivePoint.from_vector((2, -1, 5))
     root = derive("proj(R,3)")
     v = CertVerifier(root)
     fragment = root.children[0].children[0]
     assert fragment.rule == "FreeTransport"
     for node, path in ((fragment, "0.0.0"), (root, "0")):
-        with pytest.raises(BackendMismatchError,
-                           match="only exact points have keys"):
-            v.classify(line, node, path)
+        assert v.classify(line, node, path) == "Unknown"
 
 
-@pytest.mark.parametrize("desc,vector", [
-    ("proj(C,2)", (complex(1.0), complex(2.0, 1.0))),
-    ("grass(C,4,2)", None),
+@pytest.mark.parametrize("columns", [
+    [(complex(1.0), complex(2.0, 1.0))],
+    [(1 + 0j, 0j, 0.5j, 0j), (0j, 1 + 0j, 0j, 2 + 0j)],
 ], ids=["intertwine-line", "grass-plane"])
-def test_classify_refuses_a_float_point(desc, vector):
-    from paradoxcert.linalg import to_float_matrix
-    from paradoxcert.sampling import random_subspace, rng_for
-    from paradoxcert.scalars import RING_GAUSS_SQRT5
-    from paradoxcert.spaces import ProjectivePoint, Subspace
-    from paradoxcert.verification import CertVerifier
-    if vector is None:
-        exact = random_subspace(4, 2, RING_GAUSS_SQRT5, rng_for(5, "float"))
-        point = Subspace.from_basis(to_float_matrix(exact.basis).columns())
-    else:
-        point = ProjectivePoint.from_vector(vector)
-    assert not point.exact
-    with pytest.raises(BackendMismatchError,
-                       match="only exact points have keys"):
-        CertVerifier(derive(desc)).classify(point)
+def test_classify_refuses_a_float_point(columns):
+    # no point holds a float to classify: a line of proj(C,2) or a plane
+    # of grass(C,4,2) over complex floats is refused where it is built
+    from paradoxcert.spaces import Subspace
+    with pytest.raises(BackendMismatchError, match="is not exact"):
+        Subspace.from_basis(columns)
 
 
 def test_free_transport_names_a_trivial_word(monkeypatch):
@@ -554,7 +546,7 @@ def test_absorbed_levels_match_a_brute_force_orbit(monkeypatch):
         for line in current:
             brute.setdefault(normalize_leading(line), k)
         current = [mat_vec(g, line) for line in current]
-    points = {p for path, p in seen if path == "0" and p.exact}
+    points = {p for path, p in seen if path == "0"}
     assert len(points) > 500 and {path for path, _ in seen} == {"0"}
     levels = [v._absorbed_level(v.root, "0", p) for p in points]
     assert levels == [brute.get(_point_line_key(p)) for p in points]
