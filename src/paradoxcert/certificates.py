@@ -27,7 +27,7 @@ verified empirically at finite depth (see ``verification``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     BackendMismatchError,
@@ -49,6 +49,7 @@ from .spaces import (
     GroupTag,
     Projective,
     Sphere,
+    FIELDS,
     natural_group,
     parse_descriptor,
 )
@@ -155,6 +156,64 @@ def _grass_desc(field, n, k):
     return Projective(field, n) if k == 1 else Grassmann(field, n, k)
 
 
+def _block(field: str, n: int, ambient: int | None = None) -> GroupTag:
+    """O(n), U(n) or Sp(n), the isometries of K^n over the field, padded
+    into K^ambient when one is given."""
+    return replace(natural_group(Projective(field, n)), star_ambient=ambient)
+
+
+def _map_shape(name: str, args: tuple) -> tuple:
+    """(source, target, group) of the catalog map name(args) that a
+    Pullback or an EquidecompTransfer names: the node concludes about the
+    source, and its one child about the target, both under the group.
+
+    sphere_drop and proj_drop drop the last coordinate, onto the padded
+    sphere or projective space one lower; grass_slice meets a k-plane of
+    K^n with the hyperplane K^m, m = n + 1 - k, and leaves out the k-planes
+    inside it; flag_to_grass reads a flag's first component; duality takes
+    the (n - k)-planes to their k-dimensional complements.
+    """
+    if name == "sphere_drop":
+        (k,) = args
+        return (SpaceExpr(Sphere(k + 1), removed=RemovedPoles()),
+                SpaceExpr(Sphere(k), star_ambient=k + 2),
+                GroupTag("SO", k + 1, star_ambient=k + 2))
+    if name == "proj_drop":
+        field, n = args
+        return (SpaceExpr(Projective(field, n), removed=RemovedAxis()),
+                SpaceExpr(Projective(field, n - 1), star_ambient=n),
+                _block(field, n - 1, n))
+    if name == "grass_slice":
+        field, n, k = args
+        m = n + 1 - k
+        return (SpaceExpr(Grassmann(field, n, k),
+                          removed=RemovedStar(_grass_desc(field, m, k))),
+                SpaceExpr(Projective(field, m), star_ambient=n),
+                _block(field, m, n))
+    if name == "flag_to_grass":
+        field, dims, _ = args  # the component read is the first
+        return (SpaceExpr(Flag(field, tuple(dims))),
+                SpaceExpr(_grass_desc(field, dims[-1], dims[0])),
+                _block(field, dims[-1]))
+    field, n, k = args  # duality
+    return (SpaceExpr(_grass_desc(field, n, n - k)),
+            SpaceExpr(_grass_desc(field, n, k)), _block(field, n))
+
+
+def _free_spaces(pair: str) -> tuple:
+    """The spaces on which the pair's words act freely, as the space minus
+    the removed set: a rotation pair of R^3 fixes the lines D[pair] of its
+    words' axes, and diag(L_w, 1) on R^5 fixes the poles alone, since
+    L_w v = v forces w = 1 over the division ring H."""
+    if pair in ("so3-ab", "so3-su2"):
+        return (SpaceExpr(Sphere(2), removed=RemovedExceptional(pair, False)),
+                SpaceExpr(Projective("R", 3),
+                          removed=RemovedExceptional(pair, True)))
+    if pair == "so5-sp1":
+        return (SpaceExpr(Sphere(4), removed=RemovedPoles()),)
+    return ()
+
+
 def _base_f2() -> Node:
     return Node("BaseF2", SpaceExpr(F2Space()), GroupTag("free", 0), {}, ())
 
@@ -164,45 +223,45 @@ def _base_f2() -> Node:
 # child subtree's samples are chart images of exact lines
 _CHART_PAIRS = {"C": "so3-su2", "H": "so5-sp1"}
 
-# the removed set on whose complement each transport pair acts freely: a
-# rotation pair of R^3 fixes the lines D[pair] of its words' axes, and
-# diag(L_w, 1) on R^5 fixes the poles alone, since L_w v = v forces w = 1
-# over the division ring H
-_FREED_BY = {"so3-ab": "exceptional", "so3-su2": "exceptional",
-             "so5-sp1": "poles"}
+
+def _absorbed(child: Node, absorber) -> Node:
+    """The paradox of child's space minus its removed set, lifted to the
+    space's natural group and reabsorbed: CountableAbsorb -> SubgroupLift
+    -> child."""
+    space = SpaceExpr(child.space.base)
+    group = natural_group(space.base)
+    lift = Node("SubgroupLift", child.space, group, {}, (child,))
+    return Node("CountableAbsorb", space, group, {"absorber": absorber},
+                (lift,))
 
 
-def _free_base(base, pair: str, seed: tuple, removed, group: GroupTag,
-               absorber) -> Node:
-    """The free pair's paradox of base minus the removed set, lifted to
-    the group and reabsorbed: CountableAbsorb -> SubgroupLift ->
-    FreeTransport -> BaseF2."""
-    ft_space = SpaceExpr(base, removed=removed)
-    ft = Node("FreeTransport", ft_space,
-              GroupTag("free", len(seed), pair=pair),
-              {"pair": pair, "seed": seed}, (_base_f2(),))
-    sl = Node("SubgroupLift", ft_space, group, {}, (ft,))
-    return Node("CountableAbsorb", SpaceExpr(base), group,
-                {"absorber": absorber}, (sl,))
+def _free_base(base, pair: str, seed: tuple, absorber) -> Node:
+    """The free pair's paradox of base minus the set it frees, lifted and
+    reabsorbed: CountableAbsorb -> SubgroupLift -> FreeTransport ->
+    BaseF2."""
+    space = next(s for s in _free_spaces(pair) if s.base == base)
+    return _absorbed(Node("FreeTransport", space,
+                          GroupTag("free", len(seed), pair=pair),
+                          {"pair": pair, "seed": seed}, (_base_f2(),)),
+                     absorber)
+
+
+def _link(rule: str, name: str, args: tuple) -> Node:
+    """The rule's node through the catalog map name(args) over the derived
+    certificate of the map's target, padded by a StarEmbed when the target
+    is a padded copy."""
+    source, target, group = _map_shape(name, args)
+    child = derive(target.base)
+    if target.star_ambient is not None:
+        child = Node("StarEmbed", target, group, {}, (child,))
+    return Node(rule, source, group, {"map": name, "args": args}, (child,))
 
 
 def _derive_sphere(n: int) -> Node:
     if n == 2:
-        return _free_base(Sphere(2), "so3-ab", (1, 2, 3),
-                          RemovedExceptional("so3-ab", False),
-                          GroupTag("SO", 3), default_absorber())
-    child = _derive_sphere(n - 1)
-    ambient = n + 1
-    star_tag = GroupTag("SO", n, star_ambient=ambient)
-    star = Node("StarEmbed", SpaceExpr(Sphere(n - 1), star_ambient=ambient),
-                star_tag, {}, (child,))
-    pb_space = SpaceExpr(Sphere(n), removed=RemovedPoles())
-    pb = Node("Pullback", pb_space, star_tag,
-              {"map": "sphere_drop", "args": (n - 1,)}, (star,))
-    sl = Node("SubgroupLift", pb_space, GroupTag("SO", ambient), {}, (pb,))
-    return Node("CountableAbsorb", SpaceExpr(Sphere(n)),
-                GroupTag("SO", ambient),
-                {"absorber": plane_rotation(ambient, 0, ambient - 1)}, (sl,))
+        return _free_base(Sphere(2), "so3-ab", (1, 2, 3), default_absorber())
+    return _absorbed(_link("Pullback", "sphere_drop", (n - 1,)),
+                     plane_rotation(n + 1, 0, n))
 
 
 def _derive_chart_sphere(field: str) -> Node:
@@ -211,76 +270,38 @@ def _derive_chart_sphere(field: str) -> Node:
     on S^2 and (2, -1, 0, 0, -2)/3 on S^4."""
     pair = _CHART_PAIRS[field]
     if field == "C":
-        return _free_base(Sphere(2), pair, (2, -1, -2),
-                          RemovedExceptional(pair, False),
-                          GroupTag("SO", 3), default_absorber())
-    return _free_base(Sphere(4), pair, (2, -1, 0, 0, -2), RemovedPoles(),
-                      GroupTag("SO", 5), plane_rotation(5, 0, 4))
+        return _free_base(Sphere(2), pair, (2, -1, -2), default_absorber())
+    return _free_base(Sphere(4), pair, (2, -1, 0, 0, -2),
+                      plane_rotation(5, 0, 4))
 
 
 def _derive_projective(field: str, n: int) -> Node:
     if field == "R" and n == 3:
         return _free_base(Projective("R", 3), "so3-ab", (1, 2, 3),
-                          RemovedExceptional("so3-ab", True),
-                          GroupTag("O", 3), default_absorber())
+                          default_absorber())
     if field in ("C", "H") and n == 2:
-        fam = "U" if field == "C" else "Sp"
         return Node("Intertwine", SpaceExpr(Projective(field, 2)),
-                    GroupTag(fam, 2), {"field": field},
+                    _block(field, 2), {"field": field},
                     (_derive_chart_sphere(field),))
-    child = _derive_projective(field, n - 1)
-    star_tag = GroupTag(child.group.family, n - 1, star_ambient=n)
-    star = Node("StarEmbed",
-                SpaceExpr(Projective(field, n - 1), star_ambient=n),
-                star_tag, {}, (child,))
-    pb_space = SpaceExpr(Projective(field, n), removed=RemovedAxis())
-    pb = Node("Pullback", pb_space, star_tag,
-              {"map": "proj_drop", "args": (field, n)}, (star,))
-    big = natural_group(Projective(field, n))
-    sl = Node("SubgroupLift", pb_space, big, {}, (pb,))
-    return Node("CountableAbsorb", SpaceExpr(Projective(field, n)), big,
-                {"absorber": plane_rotation(n, 0, n - 1)}, (sl,))
+    return _absorbed(_link("Pullback", "proj_drop", (field, n)),
+                     plane_rotation(n, 0, n - 1))
 
 
 def _derive_grassmann(field: str, n: int, k: int) -> Node:
     if k == 1:
         return _derive_projective(field, n)
     if 2 * k > n:
-        child = derive(_grass_desc(field, n, n - k))
-        tag = natural_group(Grassmann(field, n, k))
-        return Node("EquidecompTransfer", SpaceExpr(Grassmann(field, n, k)),
-                    tag, {"map": "duality", "args": (field, n, n - k)},
-                    (child,))
-    m = n + 1 - k
-    proj_child = _derive_projective(field, m)
-    star_tag = GroupTag(proj_child.group.family, m, star_ambient=n)
-    star_a = Node("StarEmbed",
-                  SpaceExpr(Projective(field, m), star_ambient=n),
-                  star_tag, {}, (proj_child,))
-    pb_space = SpaceExpr(Grassmann(field, n, k),
-                         removed=RemovedStar(_grass_desc(field, m, k)))
-    pb = Node("Pullback", pb_space, star_tag,
-              {"map": "grass_slice", "args": (field, n, k)}, (star_a,))
-    grass_child = derive(_grass_desc(field, m, k))
-    star_b = Node("StarEmbed",
-                  SpaceExpr(_grass_desc(field, m, k), star_ambient=n),
-                  GroupTag(grass_child.group.family, m, star_ambient=n),
-                  {}, (grass_child,))
-    du = Node("DisjointUnion", SpaceExpr(Grassmann(field, n, k)),
-              star_tag, {"m": m}, (pb, star_b))
-    big = natural_group(Grassmann(field, n, k))
-    return Node("SubgroupLift", SpaceExpr(Grassmann(field, n, k)), big,
-                {}, (du,))
-
-
-def _derive_flag(field: str, dims: tuple) -> Node:
-    n = dims[-1]
-    d1 = dims[0]
-    child = derive(_grass_desc(field, n, d1))
-    tag = natural_group(Flag(field, dims))
-    return Node("Pullback", SpaceExpr(Flag(field, dims)), tag,
-                {"map": "flag_to_grass", "args": (field, tuple(dims), 0)},
-                (child,))
+        return _link("EquidecompTransfer", "duality", (field, n, n - k))
+    # the k-planes off the hyperplane K^m by grass_slice, and those inside
+    # it, the removed set, by its own padded certificate
+    pb = _link("Pullback", "grass_slice", (field, n, k))
+    small = pb.space.removed.sub
+    inside = Node("StarEmbed", SpaceExpr(small, star_ambient=n), pb.group,
+                  {}, (derive(small),))
+    du = Node("DisjointUnion", SpaceExpr(Grassmann(field, n, k)), pb.group,
+              {"m": n + 1 - k}, (pb, inside))
+    return Node("SubgroupLift", du.space, natural_group(du.space.base), {},
+                (du,))
 
 
 def derive(desc) -> Node:
@@ -294,7 +315,8 @@ def derive(desc) -> Node:
     if isinstance(desc, Grassmann):
         return _derive_grassmann(desc.field, desc.n, desc.k)
     if isinstance(desc, Flag):
-        return _derive_flag(desc.field, desc.dims)
+        return _link("Pullback", "flag_to_grass",
+                     (desc.field, tuple(desc.dims), 0))
     raise DescriptorError(f"cannot derive a certificate for {desc!r}")
 
 
@@ -310,7 +332,7 @@ def _expect(cond, violations, path, msg):
 def _known_subgroup(sub: GroupTag, sup: GroupTag) -> bool:
     if sub.family == "free":
         pair = _known_pair(sub.pair)
-        return (pair is not None and pair.name in _FREED_BY
+        return (pair is not None and bool(_free_spaces(pair.name))
                 and sup.n == pair.dim and sup.family in ("SO", "O")
                 and sup.star_ambient is None)
     if sub.star_ambient is not None:
@@ -335,7 +357,7 @@ _MAP_ARGS = {
 
 def _fits(name: str, value) -> bool:
     if name == "field":
-        return isinstance(value, str)
+        return isinstance(value, str) and value in FIELDS
     if name == "dims":
         return (isinstance(value, (list, tuple)) and len(value) > 0
                 and all(map(_is_int, value)))
@@ -364,6 +386,17 @@ def _known_pair(name):
         return None
 
 
+def _expect_shape(node: Node, shape: tuple, ex):
+    """A node through a catalog map concludes about the map's source from
+    one child on its target, both under the map's group."""
+    source, target, group = shape
+    name, child = node.params["map"], node.children[0]
+    ex(node.space == source, f"{name} source is {source.text}")
+    ex(child.space == target, f"{name} target is {target.text}")
+    ex(node.group == group, f"{name} acts by {group.text}")
+    ex(child.group == node.group, f"{node.rule} acts with the child's group")
+
+
 def _check_node(node: Node, path: str, violations: list):
     if node.rule not in RULES:
         violations.append(f"{path}: unknown rule {node.rule!r}")
@@ -385,27 +418,15 @@ def _check_node(node: Node, path: str, violations: list):
         pairname = node.params.get("pair")
         pair = _known_pair(pairname)
         ex(pair is not None, f"unknown pair {pairname!r}")
-        freed_by = None if pair is None else _FREED_BY.get(pair.name)
-        ex(pair is None or freed_by is not None,
+        spaces = () if pair is None else _free_spaces(pair.name)
+        ex(pair is None or spaces,
            f"no removed set is known to free {pairname}")
         dim = 3 if pair is None else pair.dim
         ex(gr == GroupTag("free", dim, pair=pairname),
            "group must be the free group of the pair")
-        ex(sp.star_ambient is None, "transport space is not starred")
-        rem = sp.removed
-        if freed_by == "poles":
-            ex(isinstance(rem, RemovedPoles) and sp.base == Sphere(dim - 1),
-               f"{pairname} acts freely on sphere({dim - 1}) minus its poles")
-        elif freed_by == "exceptional":
-            ex(isinstance(rem, RemovedExceptional) and rem.pair == pairname,
-               "removed set must be the pair's fixed locus")
-            if isinstance(rem, RemovedExceptional):
-                if rem.projective:
-                    ex(sp.base == Projective("R", 3),
-                       "projective transport lives on proj(R,3)")
-                else:
-                    ex(sp.base == Sphere(2),
-                       "spherical transport lives on S^2")
+        ex(not spaces or sp in spaces,
+           f"{pairname} acts freely on "
+           f"{' or '.join(s.text for s in spaces)}, not on {sp.text}")
         seed = node.params.get("seed")
         ex(isinstance(seed, (list, tuple)) and len(seed) == dim
            and all(map(_is_int, seed)) and any(seed),
@@ -434,92 +455,41 @@ def _check_node(node: Node, path: str, violations: list):
                 ex(sp.star_ambient >= getattr(sp.base, "ambient_dim", 0),
                    "embedding must not shrink the ambient space")
 
-    elif node.rule == "Pullback":
-        ex(len(ch) == 1, "Pullback takes one child")
+    elif node.rule in ("Pullback", "EquidecompTransfer"):
+        ex(len(ch) == 1, f"{node.rule} takes one child")
         name = node.params.get("map")
-        if not ch:
-            return
-        c = ch[0]
-        ex(gr == c.group, "Pullback acts with the child's group")
-        args = _map_args(node.params, ex)
-        if args is None:  # a known map's malformed args are named already
-            ex(isinstance(name, str) and name in _MAP_ARGS,
-               f"unknown pullback map {name!r}")
-        elif name == "sphere_drop":
-            (k,) = args
-            ex(sp.base == Sphere(k + 1) and sp.star_ambient is None
-               and isinstance(sp.removed, RemovedPoles),
-               "sphere_drop source is the sphere minus its poles")
-            ex(c.space == SpaceExpr(Sphere(k), star_ambient=k + 2),
-               "sphere_drop target is the equator copy")
-            ex(gr.family == "SO" and gr.n == k + 1
-               and gr.star_ambient == k + 2,
-               "sphere_drop acts by the starred rotation block")
-        elif name == "proj_drop":
-            field, n = args
-            ex(sp.base == Projective(field, n) and sp.star_ambient is None
-               and isinstance(sp.removed, RemovedAxis),
-               "proj_drop source is the projective space minus the axis")
-            ex(c.space == SpaceExpr(Projective(field, n - 1),
-                                    star_ambient=n),
-               "proj_drop target is the padded smaller projective space")
-            ex(gr.n == n - 1 and gr.star_ambient == n,
-               "proj_drop acts by the starred block")
-        elif name == "grass_slice":
-            field, n0, k = args
-            m = n0 + 1 - k
-            ex(sp.base == Grassmann(field, n0, k)
-               and isinstance(sp.removed, RemovedStar)
-               and sp.removed.sub == _grass_desc(field, m, k),
-               "grass_slice source excludes the padded small Grassmannian")
-            ex(c.space == SpaceExpr(Projective(field, m), star_ambient=n0),
-               "grass_slice target is the padded projective space")
-            ex(gr.n == m and gr.star_ambient == n0,
-               "grass_slice acts by the starred block")
-        elif name == "flag_to_grass":
-            field, dims, i = args
-            dims = tuple(dims)
-            ex(sp.base == Flag(field, dims) and sp.removed is None,
-               "flag_to_grass source is the full flag space")
-            ex(i == 0, "certificates pull back through the first component")
-            ex(c.space == SpaceExpr(_grass_desc(field, dims[-1], dims[0])),
-               "flag_to_grass target is the first-component Grassmannian")
+        if node.rule == "Pullback":
+            known = (isinstance(name, str) and name in _MAP_ARGS
+                     and name != "duality")
+            ex(known, f"unknown pullback map {name!r}")
         else:
-            ex(False, f"unknown pullback map {name!r}")
+            known = name == "duality"
+            ex(known, "transfer map must be the duality involution")
+        args = _map_args(node.params, ex) if known else None
+        first = args is None or name != "flag_to_grass" or args[2] == 0
+        ex(first, "certificates pull back through the first component")
+        if args is not None and first and ch:
+            _expect_shape(node, _map_shape(name, args), ex)
 
     elif node.rule == "DisjointUnion":
         ex(len(ch) == 2, "DisjointUnion takes two children")
-        m = node.params.get("m")
         if len(ch) == 2 and isinstance(sp.base, Grassmann):
             field, n, k = sp.base.field, sp.base.n, sp.base.k
-            ex(m == n + 1 - k, "split hyperplane dimension mismatch")
+            ex(node.params.get("m") == n + 1 - k,
+               "split hyperplane dimension mismatch")
+            # the split of grass_slice: its source, and the padded copy of
+            # the k-planes it leaves out
+            source = _map_shape("grass_slice", (field, n, k))[0]
             a, b = ch
-            ex(a.space == SpaceExpr(Grassmann(field, n, k),
-                                    removed=RemovedStar(
-                                        _grass_desc(field, m, k))),
+            ex(a.space == source,
                "first branch must cover the complement of the padded copy")
-            ex(b.space == SpaceExpr(_grass_desc(field, m, k),
-                                    star_ambient=n),
+            ex(b.space == SpaceExpr(source.removed.sub, star_ambient=n),
                "second branch must cover the padded copy")
             ex(a.group == gr and b.group == gr,
                "both branches act with the same group")
         else:
             ex(isinstance(sp.base, Grassmann),
                "DisjointUnion splits a Grassmannian")
-
-    elif node.rule == "EquidecompTransfer":
-        ex(len(ch) == 1, "EquidecompTransfer takes one child")
-        name = node.params.get("map")
-        ex(name == "duality", "transfer map must be the duality involution")
-        args = _map_args(node.params, ex) if name == "duality" else None
-        if ch and args is not None:
-            field, n, kc = args
-            c = ch[0]
-            ex(c.space == SpaceExpr(_grass_desc(field, n, kc)),
-               "duality child space mismatch")
-            ex(sp == SpaceExpr(_grass_desc(field, n, n - kc)),
-               "duality node space mismatch")
-            ex(gr == c.group, "duality preserves the acting group")
 
     elif node.rule == "CountableAbsorb":
         ex(len(ch) == 1, "CountableAbsorb takes one child")
@@ -564,10 +534,9 @@ def _check_node(node: Node, path: str, violations: list):
         ex(field in ("C", "H"), "intertwining is defined over C and H")
         if ch and field in ("C", "H"):
             sphere_dim = 2 if field == "C" else 4
-            fam = "U" if field == "C" else "Sp"
             ex(sp == SpaceExpr(Projective(field, 2)),
                "conclusion must be the projective line")
-            ex(gr == GroupTag(fam, 2), "group must be the 2x2 unitary group")
+            ex(gr == _block(field, 2), "group must be the 2x2 unitary group")
             ex(ch[0].space == SpaceExpr(Sphere(sphere_dim)),
                "child must be the matching sphere certificate")
             ex(ch[0].group == GroupTag("SO", sphere_dim + 1),

@@ -69,8 +69,6 @@ class MapInstance:
     """One concrete equivariant map with its sampling recipe."""
 
     name: str
-    source: str
-    target: str
     apply: callable
     section: callable | None
     sample_source: callable          # rng -> point
@@ -79,7 +77,7 @@ class MapInstance:
     exact = True                     # every catalog map is exact
 
     def __repr__(self):
-        return f"MapInstance({self.name}: {self.source} -> {self.target})"
+        return f"MapInstance({self.name})"
 
 
 def _draw_accepted(apply, draw, rng):
@@ -127,8 +125,6 @@ def sphere_drop(k: int) -> MapInstance:
 
     return MapInstance(
         name=f"sphere_drop({k + 1})",
-        source=f"sphere({k + 1}) minus poles",
-        target=f"sphere({k})* in R^{ambient}",
         apply=apply, section=section,
         sample_source=sample_source, sample_pair=sample_pair)
 
@@ -165,8 +161,6 @@ def proj_drop(field: str, n: int) -> MapInstance:
 
     return MapInstance(
         name=f"proj_drop({field},{n})",
-        source=f"proj({field},{n}) minus the e_{n} axis",
-        target=f"proj({field},{n - 1})* in K^{n}",
         apply=apply, section=section,
         sample_source=sample_source, sample_pair=sample_pair)
 
@@ -213,8 +207,6 @@ def grass_slice(field: str, n0: int, k: int) -> MapInstance:
 
     return MapInstance(
         name=f"grass_slice({field},{n0},{k})",
-        source=f"grass({field},{n0},{k}) minus the hyperplane copy",
-        target=f"proj({field},{m})* in K^{n0}",
         apply=apply, section=section,
         sample_source=sample_source, sample_pair=sample_pair)
 
@@ -243,8 +235,6 @@ def duality(field: str, n: int, k: int) -> MapInstance:
 
     return MapInstance(
         name=f"duality({field},{n},{k})",
-        source=f"grass({field},{n},{k})",
-        target=f"grass({field},{n},{n - k})",
         apply=apply, section=section,
         sample_source=sample_source, sample_pair=sample_pair)
 
@@ -259,7 +249,6 @@ def flag_to_grass(field: str, dims: tuple, i: int) -> MapInstance:
     proper = dims[:-1]
     if not 0 <= i < len(proper):
         raise ParadoxError(f"component index {i} out of range")
-    di = proper[i]
 
     def apply(f: FlagPoint):
         return f.components[i]
@@ -298,8 +287,6 @@ def flag_to_grass(field: str, dims: tuple, i: int) -> MapInstance:
     dims_text = ",".join(str(d) for d in dims)
     return MapInstance(
         name=f"flag_to_grass({field};{dims_text};i={i})",
-        source=f"flag({field};{dims_text})",
-        target=f"grass({field},{n},{di})",
         apply=apply, section=section,
         sample_source=sample_source, sample_pair=sample_pair)
 
@@ -330,10 +317,6 @@ def _chart_vector(v1, v2) -> tuple:
     norm_sq = sum(c * c for c in coords)
     scale = 1 / (norm_sq + 1)
     return tuple(2 * c * scale for c in coords) + ((norm_sq - 1) * scale,)
-
-
-def _sphere_dim(field: str) -> int:
-    return 2 if field == "C" else 4
 
 
 def stereographic_apply(line: ProjectivePoint) -> SpherePoint:
@@ -400,7 +383,6 @@ def stereographic(field: str) -> MapInstance:
     if field not in ("C", "H"):
         raise ParadoxError("stereographic charts exist for C and H only")
     ring = exact_ring_for_field(field)
-    d = _sphere_dim(field)
 
     def sample_source(rng):
         return random_projective_point(2, ring, rng)
@@ -411,8 +393,6 @@ def stereographic(field: str) -> MapInstance:
 
     return MapInstance(
         name=f"stereographic({field})",
-        source=f"proj({field},2)",
-        target=f"sphere({d})",
         apply=stereographic_apply, section=None,
         sample_source=sample_source, sample_pair=sample_pair)
 
@@ -421,7 +401,6 @@ def induced_rotation_map(field: str) -> MapInstance:
     """Homomorphism checks for the induced rotation itself."""
     if field not in ("C", "H"):
         raise ParadoxError("induced rotations exist for C and H only")
-    d = _sphere_dim(field)
 
     def apply(g):
         return induced_rotation(field, g)
@@ -431,8 +410,6 @@ def induced_rotation_map(field: str) -> MapInstance:
 
     return MapInstance(
         name=f"induced_rotation({field})",
-        source=f"U(2)-like over {field}",
-        target=f"SO({d + 1})",
         apply=apply, section=None,
         sample_source=sample_source, sample_pair=None,
         kind="homomorphism")

@@ -21,7 +21,9 @@ from .errors import (
     SingularMatrixError,
 )
 from .scalars import (
+    Quaternion,
     Ring,
+    common_class,
     dot_products,
     ring_of,
     scalar_from_json,
@@ -274,15 +276,6 @@ def projector_of_basis(b: Matrix) -> Matrix:
     return matmul(matmul(b, ginv), bs)
 
 
-def line_projector(v) -> Matrix:
-    """Orthogonal projector v (v*v)^-1 v* onto the right line through a
-    nonzero vector, formed entry by entry with one scalar inverse."""
-    conj = [_conj(x) for x in v]
-    inv = _inv(sum((c * x for c, x in zip(conj[1:], v[1:])), conj[0] * v[0]))
-    return Matrix._of_rows(tuple(tuple(w * c for c in conj)
-                                 for w in (x * inv for x in v)))
-
-
 def cayley_unitary(x: Matrix) -> Matrix:
     """Cayley transform (I - X)(I + X)^-1 of an anti-Hermitian X over an
     exact ring.
@@ -365,9 +358,23 @@ def ray_canonical(v):
 
 
 def matrix_to_json(a: Matrix):
+    """The literal of a matrix over the ring its entries share, each entry
+    written in that ring: a rational entry of a Q(sqrt2) matrix, or a real
+    entry of a quaternion matrix, included. BackendMismatchError for
+    entries from fields that do not mix."""
+    entries = [x for r in a.data for x in r]
+    quats = [x for x in entries if isinstance(x, Quaternion)]
+    zero = common_class(
+        [c for q in quats for c in (q.w, q.x, q.y, q.z)]
+        + [x for x in entries if not isinstance(x, Quaternion)])(0)
+    try:
+        ring = ring_of(Quaternion(zero, zero, zero, zero) if quats else zero)
+    except BackendMismatchError:  # quaternions over Q(sqrt2) or with i
+        raise BackendMismatchError("entries from fields that do not mix")
     return {
-        "ring": a.scalar_ring().name,
-        "entries": [[scalar_to_json(e) for e in r] for r in a.data],
+        "ring": ring.name,
+        "entries": [[scalar_to_json(e * ring.one) for e in r]
+                    for r in a.data],
     }
 
 

@@ -17,9 +17,8 @@ group matrices on the left. A k-dimensional subspace is stored as its
 reduced column-echelon basis (rows at k pivot indices form the identity),
 which is canonical for the subspace, and every subspace operation reads that
 basis. A line is the one-column case, its leading-1 vector (first nonzero
-entry 1). The orthogonal projector is formed on first read; no check
-compares subspaces through it. Sphere points are stored as signed rays
-with a leading-1 representative.
+entry 1). Sphere points are stored as signed rays with a leading-1
+representative.
 
 Every point is exact, and it is decided once, where a point is built from a
 new vector: ``SpherePoint.from_vector`` and ``SpherePoint.apply_matrix``,
@@ -45,11 +44,9 @@ from .linalg import (
     Matrix,
     conj_transpose,
     kernel,
-    line_projector,
     mat_vec,
     matmul,
     normalize_leading,
-    projector_of_basis,
     ray_canonical,
     rref,
 )
@@ -331,11 +328,10 @@ class Subspace:
     reduced row echelon form of B* for any basis B.  Left row operations on
     B* are right column operations on B, so the form is canonical for the
     right span over R, C and H alike, and two exact subspaces are equal
-    exactly when their bases are.  The orthogonal projector is formed on
-    first read and kept.
+    exactly when their bases are.
     """
 
-    __slots__ = ("basis", "pivots", "_projector")
+    __slots__ = ("basis", "pivots")
 
     def __init__(self, basis: Matrix, pivots):
         """The subspace of a reduced column-echelon basis with k != 1
@@ -347,7 +343,7 @@ class Subspace:
         raise AttributeError("immutable")
 
     def __reduce__(self):
-        # copy and pickle rebuild from the echelon basis, not the slots
+        # copy and pickle rebuild from the echelon basis
         return Subspace.from_echelon, (self.basis, self.pivots)
 
     @classmethod
@@ -389,18 +385,6 @@ class Subspace:
     @property
     def ambient_dim(self):
         return self.basis.rows
-
-    @property
-    def projector(self) -> Matrix:
-        """The orthogonal projector B (B*B)^-1 B*, formed on first read."""
-        try:
-            return self._projector
-        except AttributeError:
-            b = self.basis
-            p = (line_projector(b.column(0)) if b.cols == 1
-                 else projector_of_basis(b))
-            object.__setattr__(self, "_projector", p)
-            return p
 
     def contains_vector(self, v) -> bool:
         """v lies in the span iff v = B v[pivots]."""

@@ -211,3 +211,128 @@ def test_walk_paths_are_in_preorder():
         if "." in path:
             parent = path.rsplit(".", 1)[0]
             assert parent in paths
+
+
+# --------------------------------------------------------------------------
+# single-field mutations: check refuses every one that changes the JSON
+# --------------------------------------------------------------------------
+
+_FIELDS = ("R", "C", "H")
+_PAIR_NAMES = ("so3-ab", "so3-su2", "so5-sp1", "su2-sqrt5", "so3-ab@4",
+               "nope")
+_MAP_NAMES = ("sphere_drop", "proj_drop", "grass_slice", "flag_to_grass",
+              "duality", "nope")
+_FAMILIES = ("SO", "O", "U", "Sp", "free")
+
+
+def _json_nodes(node, path=()):
+    yield path, node
+    for i, c in enumerate(node["children"]):
+        yield from _json_nodes(c, path + (i,))
+
+
+def _catalog():
+    """Every base text and every removed set the 15 certificates name."""
+    bases, removed = {"F2"}, {"null": None}
+    for desc in ALL_DESCRIPTORS:
+        for _, node in _json_nodes(cert_to_json(derive(desc))["root"]):
+            bases.add(node["space"]["base"])
+            r = node["space"]["removed"]
+            removed[json.dumps(r, sort_keys=True)] = r
+    for r in ({"kind": "poles"}, {"kind": "axis"}):
+        removed[json.dumps(r, sort_keys=True)] = r
+    return sorted(bases), [removed[k] for k in sorted(removed)]
+
+
+def _shifted(value):
+    """An int field one up and one down; None gains a value."""
+    return (2, 3, 4, 5) if value is None else (value - 1, value + 1, None)
+
+
+def _arg_values(value):
+    if isinstance(value, str):
+        return [f for f in _FIELDS + ("X",) if f != value]
+    if isinstance(value, list):
+        return [value[:j] + [d + s] + value[j + 1:]
+                for j, d in enumerate(value) for s in (-1, 1)]
+    return [value - 1, value + 1]
+
+
+def _node_mutations(node, bases, removed):
+    """(label, setter) for each single-field mutation of one JSON node."""
+    sp, gr, params = node["space"], node["group"], node["params"]
+    for b in bases:
+        yield f"space.base={b}", lambda n, b=b: n["space"].update(base=b)
+    for s in _shifted(sp["star_ambient"]):
+        yield (f"space.star_ambient={s}",
+               lambda n, s=s: n["space"].update(star_ambient=s))
+    for r in removed:
+        yield f"space.removed={r}", lambda n, r=r: n["space"].update(removed=r)
+    if (sp["removed"] or {}).get("kind") == "exceptional":
+        for p in _PAIR_NAMES:
+            yield (f"removed.pair={p}",
+                   lambda n, p=p: n["space"]["removed"].update(pair=p))
+        yield ("removed.projective flipped",
+               lambda n: n["space"]["removed"].update(
+                   projective=not n["space"]["removed"]["projective"]))
+    for f in _FAMILIES:
+        yield f"group.family={f}", lambda n, f=f: n["group"].update(family=f)
+    for v in (gr["n"] - 1, gr["n"] + 1):
+        yield f"group.n={v}", lambda n, v=v: n["group"].update(n=v)
+    for s in _shifted(gr["star_ambient"]):
+        yield (f"group.star_ambient={s}",
+               lambda n, s=s: n["group"].update(star_ambient=s))
+    if "map" in params:
+        for m in _MAP_NAMES:
+            yield f"params.map={m}", lambda n, m=m: n["params"].update(map=m)
+        args = params["args"]
+        for j, a in enumerate(args):
+            for v in _arg_values(a):
+                yield (f"params.args[{j}]={v}", lambda n, j=j, v=v:
+                       n["params"]["args"].__setitem__(j, v))
+        yield "params.args longer", lambda n: n["params"]["args"].append(1)
+        yield "params.args shorter", lambda n: n["params"]["args"].pop()
+    if "pair" in params:
+        for p in _PAIR_NAMES:
+            yield f"params.pair={p}", lambda n, p=p: n["params"].update(pair=p)
+    if "field" in params:
+        for f in _FIELDS + ("X",):
+            yield (f"params.field={f}",
+                   lambda n, f=f: n["params"].update(field=f))
+    if "m" in params:
+        for v in (params["m"] - 1, params["m"] + 1):
+            yield f"params.m={v}", lambda n, v=v: n["params"].update(m=v)
+
+
+def single_field_mutations(desc):
+    """(label, mutated certificate JSON) for every single-field mutation of
+    every node of desc's certificate that changes the JSON."""
+    text = json.dumps(cert_to_json(derive(desc)), sort_keys=True)
+    blob = json.loads(text)
+    bases, removed = _catalog()
+    for path, node in _json_nodes(blob["root"]):
+        for label, mutate in _node_mutations(node, bases, removed):
+            copy = json.loads(text)
+            target = copy["root"]
+            for i in path:
+                target = target["children"][i]
+            mutate(target)
+            if json.dumps(copy, sort_keys=True) != text:
+                yield f"{'.'.join(map(str, (0,) + path))} {label}", copy
+
+
+def mutation_verdict(blob) -> str:
+    """'parse' when cert_from_json refuses the JSON, 'violation' when check
+    names a violation, 'accepted' otherwise."""
+    try:
+        root = cert_from_json(blob)
+    except CertificateError:
+        return "parse"
+    return "violation" if check(root)["violations"] else "accepted"
+
+
+@pytest.mark.parametrize("desc", ALL_DESCRIPTORS)
+def test_every_single_field_mutation_is_refused(desc):
+    accepted = [label for label, blob in single_field_mutations(desc)
+                if mutation_verdict(blob) == "accepted"]
+    assert accepted == []

@@ -239,6 +239,9 @@ _DUALITY = _map_params((0, 1, 0))  # EquidecompTransfer by duality
      "grass_slice args must be (field, n, k), not ('R', 'x', 2)"),
     (_on("grass(R,4,2)", lambda blob: _SLICE(blob).update(args=[1])),
      "grass_slice args must be (field, n, k), not (1,)"),
+    (_on("grass(R,4,2)",
+         lambda blob: _SLICE(blob)["args"].__setitem__(0, "X")),
+     "grass_slice args must be (field, n, k), not ('X', 4, 2)"),
     (_on("grass(R,4,2)", lambda blob: _SLICE(blob).update(map={})),
      "unknown pullback map {}"),
     (_on("grass(R,4,2)", lambda blob: _DUALITY(blob).update(args=[1])),
@@ -277,7 +280,8 @@ _DUALITY = _map_params((0, 1, 0))  # EquidecompTransfer by duality
         "transport-group-star", "transport-group-n", "group-n-float",
         "projective-list", "projective-object", "projective-null",
         "projective-zero", "root-group-pair", "grass-slice-arg-type",
-        "grass-slice-arity", "pullback-map-object", "duality-arity",
+        "grass-slice-arity", "grass-slice-field", "pullback-map-object",
+        "duality-arity",
         "duality-args-null", "flag-dims-type", "proj-drop-arity",
         "sphere-drop-args-type", "children-object", "children-string",
         "absorber-ring-float", "absorber-ring-complex",

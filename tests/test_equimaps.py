@@ -17,7 +17,7 @@ from paradoxcert.equimaps import (
     stereographic_lift,
 )
 from paradoxcert.errors import DomainError, GapCaseError
-from paradoxcert.linalg import Matrix, mat_vec, matmul
+from paradoxcert.linalg import Matrix, mat_vec, matmul, projector_of_basis
 from paradoxcert.sampling import (
     random_projective_point,
     random_subspace,
@@ -104,6 +104,11 @@ def test_grass_slice_section_round_trip():
         assert equals(line, again)
 
 
+def _proj(sub):
+    """The orthogonal projector of a subspace, from its echelon basis."""
+    return projector_of_basis(sub.basis)
+
+
 def test_duality_involution_dim_equivariance():
     rng = rng_for(47, "dual")
     for field, n in (("R", 4), ("C", 3), ("H", 3)):
@@ -112,10 +117,10 @@ def test_duality_involution_dim_equivariance():
             v = random_subspace(n, k, ring, rng)
             w = orthogonal_complement(v)
             assert w.dim == n - k
-            assert orthogonal_complement(w).projector == v.projector
+            assert _proj(orthogonal_complement(w)) == _proj(v)
             g = random_unitary(n, ring, rng)
-            assert act(g, w).projector == \
-                orthogonal_complement(act(g, v)).projector
+            assert _proj(act(g, w)) == \
+                _proj(orthogonal_complement(act(g, v)))
 
 
 def test_duality_map_instance_round_trip():
@@ -124,7 +129,7 @@ def test_duality_map_instance_round_trip():
     v = m.sample_source(rng)
     w = m.apply(v)
     assert w.dim == 2
-    assert m.apply(w).projector == v.projector
+    assert _proj(m.apply(w)) == _proj(v)
 
 
 def test_flag_to_grass_section_completes_a_flag():
@@ -133,7 +138,7 @@ def test_flag_to_grass_section_completes_a_flag():
     f = m.sample_source(rng)
     v1 = m.apply(f)
     g = m.section(v1)
-    assert m.apply(g).projector == v1.projector
+    assert _proj(m.apply(g)) == _proj(v1)
     dims = tuple(c.dim for c in g.components)
     assert dims == (1, 2)
 

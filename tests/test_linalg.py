@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from paradoxcert.errors import SingularMatrixError
+from paradoxcert.errors import BackendMismatchError, SingularMatrixError
 from paradoxcert.linalg import (
     Matrix,
     block_embed_matrix,
@@ -35,6 +35,7 @@ from paradoxcert.scalars import (
     QSqrt2,
     QSqrt5,
     Quaternion,
+    ring_of,
 )
 
 RINGS = (RING_RATIONAL, RING_QSQRT2, RING_GAUSS_SQRT5, RING_QUAT_SQRT5)
@@ -206,6 +207,31 @@ def test_matrix_json_round_trip():
     for ring in RINGS:
         m = _rand_matrix(3, ring, rng)
         assert matrix_from_json(matrix_to_json(m)) == m
+
+
+@pytest.mark.parametrize("m,ring", [
+    (Matrix([(Fraction(1), QSqrt2(0)), (QSqrt2(0), QSqrt2(1))]), "qsqrt2"),
+    (Matrix([(QSqrt2(1), Fraction(0)), (Fraction(0), QSqrt2(1))]), "qsqrt2"),
+    (Matrix([(Quaternion(*map(Fraction, (0, 1, 0, 0))), Fraction(2)),
+             (Fraction(0), Quaternion(*map(Fraction, (1, 0, 0, 0))))]),
+     "quat_rational"),
+], ids=["rational-first", "rational-after", "quaternion-with-rational"])
+def test_a_matrix_of_mixed_entries_is_written_in_their_shared_ring(m, ring):
+    # the ring is the one every entry shares, not the first entry's, and
+    # every entry is written in it, so the reader takes the literal back
+    blob = matrix_to_json(m)
+    assert blob["ring"] == ring
+    back = matrix_from_json(blob)
+    assert back == m
+    assert {ring_of(x).name for r in back.data for x in r} == {ring}
+
+
+def test_entries_from_fields_that_do_not_mix_have_no_literal():
+    quat_one = Quaternion(*map(Fraction, (1, 0, 0, 0)))
+    for m in (Matrix([(QSqrt2(1), QSqrt5(1))]),
+              Matrix([(QSqrt2(1), quat_one)])):
+        with pytest.raises(BackendMismatchError, match="do not mix"):
+            matrix_to_json(m)
 
 
 # -- fused kernels against the plain left-to-right ``*``/``+`` loop ---------
