@@ -78,6 +78,8 @@ from .scalars import (
     Quaternion,
     adjugate,
     common_class,
+    quaternion_parts,
+    rational_value,
     real_positive,
 )
 from .words import A, ball_size, inverse_word, reduce, word_text
@@ -224,21 +226,6 @@ def evaluate(word, pair: GeneratorPair) -> Matrix:
     return out
 
 
-def _rational(x):
-    """x as a Fraction when its value is rational, else x itself.
-
-    A rational mixes with every pair's field, whatever ring it was written
-    over.
-    """
-    if isinstance(x, Quaternion) and not (x.x or x.y or x.z):
-        x = x.w
-    if isinstance(x, QuadExt) and not (x.b or x.c or x.d):
-        return Fraction(x.a, x.den)
-    return x
-
-
-_ZERO = Fraction(0)
-
 # row r of the multiplication q * v (left) or v * q (right) on the
 # components w, x, y, z of v: (index, sign) of the component of q that
 # multiplies each component of v
@@ -250,13 +237,6 @@ _RIGHT = (((0, 1), (1, -1), (2, -1), (3, -1)),
           ((1, 1), (0, 1), (3, 1), (2, -1)),
           ((2, 1), (3, -1), (0, 1), (1, 1)),
           ((3, 1), (2, 1), (1, -1), (0, 1)))
-
-
-def _quaternion_parts(x):
-    """(w, x, y, z) of a quaternion; any other scalar is (x, 0, 0, 0)."""
-    if isinstance(x, Quaternion):
-        return x.w, x.x, x.y, x.z
-    return x, _ZERO, _ZERO, _ZERO
 
 
 class IntegerReader:
@@ -278,12 +258,12 @@ class IntegerReader:
     """
 
     def __init__(self, vectors):
-        vectors = [[_rational(x) for x in v] for v in vectors]
+        vectors = [[rational_value(x) for x in v] for v in vectors]
         self.quaternionic = any(isinstance(x, Quaternion)
                                 for v in vectors for x in v)
         parts = chain.from_iterable(vectors)
         if self.quaternionic:
-            parts = chain.from_iterable(map(_quaternion_parts, parts))
+            parts = chain.from_iterable(map(quaternion_parts, parts))
         cls = common_class(parts)
         if self.quaternionic and cls is not Fraction and cls.HAS_I:
             raise BackendMismatchError("no quaternion has a complex part")
@@ -301,7 +281,7 @@ class IntegerReader:
         common denominator of its entries, or None when an entry lies
         outside K."""
         if self.quaternionic:
-            vec = chain.from_iterable(map(_quaternion_parts, vec))
+            vec = chain.from_iterable(map(quaternion_parts, vec))
         parts = list(map(self._form, vec))
         if None in parts:
             return None
@@ -589,7 +569,8 @@ def mixes_with_pair(g: Matrix, pair: GeneratorPair) -> bool:
     the letters of the pair, where the lines of its fixed locus D lie:
     otherwise ``absorber_check`` cannot walk g over D."""
     try:
-        common_class([_rational(x) for m in (g, pair.root().letter_matrix(A))
+        common_class([rational_value(x)
+                      for m in (g, pair.root().letter_matrix(A))
                       for row in m.data for x in row])
     except BackendMismatchError:
         return False

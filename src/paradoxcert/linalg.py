@@ -25,6 +25,7 @@ from .scalars import (
     Ring,
     common_class,
     dot_products,
+    quaternion_parts,
     ring_of,
     scalar_from_json,
     scalar_to_json,
@@ -145,37 +146,13 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.rows:
         raise DimensionMismatchError(
             f"matmul shape mismatch: {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    fused = dot_products(a.data, tuple(zip(*b.data)))
-    if fused is not None:
-        return Matrix._of_rows(tuple(fused))
-    bt = b.data
-    out = []
-    for i in range(a.rows):
-        ra = a.data[i]
-        row = []
-        for j in range(b.cols):
-            s = ra[0] * bt[0][j]
-            for k in range(1, a.cols):
-                s = s + ra[k] * bt[k][j]
-            row.append(s)
-        out.append(tuple(row))
-    return Matrix._of_rows(tuple(out))
+    return Matrix._of_rows(tuple(dot_products(a.data, tuple(zip(*b.data)))))
 
 
 def mat_vec(a: Matrix, v) -> tuple:
     if a.cols != len(v):
         raise DimensionMismatchError("mat_vec shape mismatch")
-    fused = dot_products(a.data, (v,))
-    if fused is not None:
-        return tuple(r[0] for r in fused)
-    out = []
-    for i in range(a.rows):
-        ra = a.data[i]
-        s = ra[0] * v[0]
-        for k in range(1, a.cols):
-            s = s + ra[k] * v[k]
-        out.append(s)
-    return tuple(out)
+    return tuple([r[0] for r in dot_products(a.data, (v,))])
 
 
 def conj_transpose(a: Matrix) -> Matrix:
@@ -207,11 +184,7 @@ def _rref_rows(rows):
         rows[r] = [pinv * e for e in rows[r]]
         for i in range(m):
             if i != r and rows[i][j]:
-                f = rows[i][j]
-                ref = rows[r]
-                fused = sub_scaled(rows[i], f, ref)
-                rows[i] = fused if fused is not None else [
-                    rows[i][k] - f * ref[k] for k in range(n)]
+                rows[i] = sub_scaled(rows[i], rows[i][j], rows[r])
         pivots.append(j)
         r += 1
     return pivots
@@ -363,12 +336,11 @@ def matrix_to_json(a: Matrix):
     entry of a quaternion matrix, included. BackendMismatchError for
     entries from fields that do not mix."""
     entries = [x for r in a.data for x in r]
-    quats = [x for x in entries if isinstance(x, Quaternion)]
-    zero = common_class(
-        [c for q in quats for c in (q.w, q.x, q.y, q.z)]
-        + [x for x in entries if not isinstance(x, Quaternion)])(0)
+    zero = common_class([c for x in entries for c in quaternion_parts(x)])(0)
     try:
-        ring = ring_of(Quaternion(zero, zero, zero, zero) if quats else zero)
+        ring = ring_of(Quaternion(zero, zero, zero, zero)
+                       if any(isinstance(x, Quaternion) for x in entries)
+                       else zero)
     except BackendMismatchError:  # quaternions over Q(sqrt2) or with i
         raise BackendMismatchError("entries from fields that do not mix")
     return {

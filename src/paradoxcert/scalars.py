@@ -28,20 +28,25 @@ components and no operation pays for per-component rational gcds.  The
 subclasses only pin D, whether i is present, and the constructor: QSqrt2
 and QSqrt5 take two rationals, GaussSqrt5 the five integers.
 
-Exact kernels canonicalise once per result entry.  ``dot_products`` (the
-core of ``linalg.matmul`` and ``linalg.mat_vec``) reads each operand once
-as integer components over one common denominator and forms every entry
-of the result from pure integer sums; ``sub_scaled`` (the row update
-x - f*y of ``linalg`` row reduction) forms each entry in one step; and a
-product of two quaternions forms each component as one 4-term integer dot
-product.  They run when every entry of an operand has one type, Fraction
-or one QuadExt class, and the two types mix; the result then has exactly
-the class the left-to-right ``*``/``+`` loop gives.  Any other input (mixed
-types, int, Quaternion entries of a matrix) takes that generic loop, and
-so does a matrix product over vectors of length 1, whose every entry is a
-single ``*`` already.  Callers that keep integers across many products
-(the word and orbit walks of ``freegroup``) read their matrices once
-through ``freegroup.IntegerReader`` instead.
+Every product of exact scalars has one path, the integer kernels, which
+canonicalise once per result entry.  ``dot_products`` (the core of
+``linalg.matmul`` and ``linalg.mat_vec``, and of a quaternion product, its
+1 x 1 case) reads each operand once as integer components over one common
+denominator and forms every entry of the result from pure integer sums.
+A quaternion is read as its four components, so a quaternion dot of
+length n is four component dots of length 4n, against the right
+operand's components permuted and signed by Hamilton's product.
+``sub_scaled`` (the row update x - f*y of ``linalg`` row reduction) forms
+each entry in one step over the commutative fields, and is the two-term
+dot (1, -f) . (x, y) over the quaternions.  An operand whose entries share
+one Fraction or QuadExt class is read as it is; the kernels read any other
+operand too: an int as a Fraction, a real entry beside quaternions as
+(x, 0, 0, 0), and a rational-valued entry written over a field that does
+not mix as the rational it is (``rational_value``).  An entry that is not
+exact, and fields that do not mix, raise BackendMismatchError.  Callers
+that keep integers across many products (the word and orbit walks of
+``freegroup``) read their matrices once through
+``freegroup.IntegerReader`` instead.
 """
 
 from __future__ import annotations
@@ -451,27 +456,12 @@ class Quaternion:
             return NotImplemented
         return o - self
 
+    # a product is the 1 x 1 case of ``dot_products``
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = _quaternion_product(self, o)
-        if p is not None:
-            return p
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = o.w, o.x, o.y, o.z
-        return Quaternion(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
+        return dot_products(((self,),), ((other,),))[0][0]
 
     def __rmul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self
+        return dot_products(((other,),), ((self,),))[0][0]
 
     def conjugate(self):
         return Quaternion(self.w, -self.x, -self.y, -self.z)
@@ -514,11 +504,33 @@ class Quaternion:
 
 # -- exact kernels -------------------------------------------------------------
 #
-# A sum of products over Fraction or one QuadExt class is formed from raw
-# integer components over one common denominator per operand, and brought
-# to canonical form once per result entry instead of once per partial
-# product and partial sum.  Each kernel returns None when its operands are
-# not of that shape, and the caller then runs the plain ``*``/``+`` loop.
+# A sum of products of exact scalars is formed from raw integer components
+# over one common denominator per operand, and brought to canonical form
+# once per result entry instead of once per partial product and partial
+# sum.  A quaternion is read as its four components, so a sum of quaternion
+# products is integer sums too.
+
+_ZERO = Fraction(0)
+_RATIONALS = frozenset((Fraction, int))
+
+
+def rational_value(x):
+    """x as a Fraction when its value is rational, else x itself.
+
+    A rational mixes with every field, whatever ring it was written over.
+    """
+    if isinstance(x, Quaternion) and not (x.x or x.y or x.z):
+        x = x.w
+    if isinstance(x, QuadExt) and not (x.b or x.c or x.d):
+        return Fraction(x.a, x.den)
+    return x
+
+
+def quaternion_parts(x):
+    """(w, x, y, z) of a quaternion; any other scalar is (x, 0, 0, 0)."""
+    if isinstance(x, Quaternion):
+        return x.w, x.x, x.y, x.z
+    return x, _ZERO, _ZERO, _ZERO
 
 
 def _product_class(c1, c2):
@@ -536,19 +548,63 @@ def _product_class(c1, c2):
 
 
 def _one_class(xs):
-    """The exact class every scalar in xs has, or None."""
+    """The exact class every scalar in xs has, an int counting as a
+    Fraction, or None."""
     types = set(map(type, xs))
+    if types <= _RATIONALS:
+        return Fraction
     if len(types) != 1:
         return None
     cls = types.pop()
-    if cls is Fraction or issubclass(cls, QuadExt):
-        return cls
-    return None
+    return cls if issubclass(cls, QuadExt) else None
+
+
+def _as(cls, x):
+    """The exact scalar x, by value, as an element of cls."""
+    if type(x) is cls:
+        return x
+    a, b, c, d, den = _components(x)
+    return Fraction(a, den) if cls is Fraction else _make(cls, a, b, c, d, den)
+
+
+def _read(rows, cols):
+    """(rows, cols, c1, c2, quaternionic): the operands of a product whose
+    entries are not each of one class per operand, with each entry of an
+    operand as an element of that operand's class c1 or c2.
+
+    When an operand holds a quaternion, every entry of both is read as its
+    four components.  Each operand's class is the one its entries share
+    (``common_class``); an operand whose field does not mix with the
+    other's is read by value, the left one first.  BackendMismatchError
+    for an entry that is not exact and for fields that do not mix (no
+    quaternion has a complex part).
+    """
+    quaternionic = any(isinstance(x, Quaternion)
+                       for v in chain(rows, cols) for x in v)
+    ops = [rows, cols]
+    if quaternionic:
+        ops = [[list(chain.from_iterable(map(quaternion_parts, v)))
+                for v in vs] for vs in ops]
+    read = [_one_class(chain.from_iterable(vs)) for vs in ops]
+    classes = list(read)
+    if _product_class(*classes) is None:
+        flat = [list(chain.from_iterable(vs)) for vs in ops]
+        classes = [common_class(xs) for xs in flat]
+        for side in (0, 1):
+            if _product_class(*classes) is None:
+                classes[side] = common_class(
+                    list(map(rational_value, flat[side])))
+        ops = [vs if c is r else [[_as(c, x) for x in v] for v in vs]
+               for c, r, vs in zip(classes, read, ops)]
+    cls = _product_class(*classes)
+    if cls is None or quaternionic and cls is not Fraction and cls.HAS_I:
+        raise BackendMismatchError("entries from fields that do not mix")
+    return (*ops, *classes, quaternionic)
 
 
 def _int_form(vectors, cls, width):
-    """(den, forms): every entry of ``vectors`` (all of class cls) as its
-    integer components over the common den.
+    """(den, forms): every entry of ``vectors`` (all of class cls, an int
+    for Fraction) as its integer components over the common den.
 
     An entry becomes an int for a Fraction, and otherwise a tuple of the
     first ``width`` components (a, b) or (a, b, c, d); a real entry has
@@ -568,6 +624,21 @@ def _int_form(vectors, cls, width):
             forms.append([(x.a * s, x.b * s, x.c * s, x.d * s)
                           for x, s in zip(v, scale)])
     return den, forms
+
+
+def _hamilton(y, flip):
+    """The four integer forms whose dots with the form of a quaternion
+    vector p are the components of sum_k p[k] q[k], for the integer form y
+    of the quaternion vector q (four components an entry): the components
+    of q permuted and signed by Hamilton's product."""
+    out = ([], [], [], [])
+    for s in range(0, len(y), 4):
+        w, i, j, k = y[s:s + 4]
+        ni, nj, nk = flip(i), flip(j), flip(k)
+        for v, part in zip(out, ((w, ni, nj, nk), (i, w, k, nj),
+                                 (j, nk, w, i), (k, j, ni, w))):
+            v += part
+    return out
 
 
 def _dot_rational(x, y, D):
@@ -601,7 +672,7 @@ def _dot_complex(x, y, D):
 
 def _kernel(c1, c2):
     """(result class, component width, dot) for a left operand of class c1
-    and a right one of class c2, or None when the generic loop must run.
+    and a right one of class c2, two classes that mix.
 
     ``dot(x, y, D)`` returns the integer form of sum_k x[k] y[k] for
     integer forms x and y (an int for the rationals); the fields are
@@ -609,8 +680,6 @@ def _kernel(c1, c2):
     two sides.
     """
     cls = _product_class(c1, c2)
-    if cls is None:
-        return None
     if cls is Fraction:
         return cls, 1, _dot_rational
     width = 4 if cls.HAS_I else 2
@@ -633,40 +702,46 @@ def _canonical(cls, comps, den):
 def dot_products(rows, cols):
     """[[sum_k r[k] c[k] for c in cols] for r in rows], as row tuples.
 
-    Each operand (a sequence of equal-length scalar tuples) is read once
-    as integers over one denominator, and each result entry is made once.
-    The result has the class and value the left-to-right ``*``/``+`` loop
-    gives.  None unless each operand's entries share one Fraction or
-    QuadExt class and the two classes mix, and None for vectors of length
-    1, whose products ``*`` already makes in one step.
+    Each operand (a sequence of equal-length tuples of exact scalars) is
+    read once as integers over one denominator, and each result entry is
+    made once, in the class ``*`` gives the two operands' classes: a
+    quaternion when either operand holds one.  Operands whose entries
+    share one Fraction or QuadExt class are read as they are; any other
+    operand is read by ``_read``, which raises BackendMismatchError for an
+    entry that is not exact and for fields that do not mix.
     """
-    if len(rows[0]) < 2:
-        return None
     c1 = _one_class(chain.from_iterable(rows))
     c2 = _one_class(chain.from_iterable(cols))
-    kernel = _kernel(c1, c2)
-    if kernel is None:
-        return None
-    cls, width, dot = kernel
+    quaternionic = False
+    if _product_class(c1, c2) is None:
+        rows, cols, c1, c2, quaternionic = _read(rows, cols)
+    cls, width, dot = _kernel(c1, c2)
     den1, xs = _int_form(rows, c1, width)
     den2, ys = _int_form(cols, c2, width)
     den = den1 * den2
     D = cls.D if cls is not Fraction else None
+    if quaternionic:
+        flip = neg if c2 is Fraction else lambda t: tuple([-c for c in t])
+        ys = [_hamilton(y, flip) for y in ys]
+        return [tuple([Quaternion(*[_canonical(cls, dot(x, v, D), den)
+                                    for v in vs]) for vs in ys])
+                for x in xs]
     return [tuple([_canonical(cls, dot(x, y, D), den) for y in ys])
             for x in xs]
 
 
 def common_class(xs):
-    """The class ``*`` gives the exact scalars xs together: Fraction, or
-    the one QuadExt class their fields mix in.
+    """The class ``*`` gives the exact scalars xs together: Fraction (for
+    ints too), or the one QuadExt class their fields mix in.
 
     Raises BackendMismatchError for any other scalar, and for fields that
     do not mix.
     """
     cls = Fraction
-    for c in set(map(type, xs)):
-        if c is not Fraction and not issubclass(c, QuadExt):
-            raise BackendMismatchError(f"no integer form for {c.__name__}")
+    for c in set(map(type, xs)) - _RATIONALS:
+        if not issubclass(c, QuadExt):
+            raise BackendMismatchError(
+                f"no integer form for {c.__name__}: it is not exact")
         cls = _product_class(cls, c)
         if cls is None:
             raise BackendMismatchError("entries from fields that do not mix")
@@ -674,19 +749,29 @@ def common_class(xs):
 
 
 def _components(x):
-    """(a, b, c, d, den) of a Fraction or QuadExt."""
-    if type(x) is Fraction:
+    """(a, b, c, d, den) of an int, a Fraction or a QuadExt."""
+    if type(x) is Fraction or type(x) is int:
         return x.numerator, 0, 0, 0, x.denominator
     return x.a, x.b, x.c, x.d, x.den
 
 
 def sub_scaled(xs, f, ys):
     """[x - f * y for x, y in zip(xs, ys)] with one canonicalisation per
-    entry, or None under the same condition as ``dot_products``."""
+    entry.
+
+    When xs, f and ys each share one Fraction or QuadExt class, each entry
+    is formed in one step.  Otherwise a row update is the two-term dot
+    (1, -f) . (x, y) of ``dot_products``: one dot over the quaternions,
+    and one per entry over the commutative fields, so each entry has the
+    class its own three terms give.  BackendMismatchError as there.
+    """
     cls = _product_class(_one_class(xs),
                          _product_class(_one_class((f,)), _one_class(ys)))
     if cls is None:
-        return None
+        if any(isinstance(x, Quaternion) for x in chain(xs, (f,), ys)):
+            return list(dot_products(((1, -f),), tuple(zip(xs, ys)))[0])
+        return [dot_products(((1, -f),), ((x, y),))[0][0]
+                for x, y in zip(xs, ys)]
     fa, fb, fc, fd, fden = _components(f)
     if cls is Fraction:
         return [Fraction(x.numerator * fden * y.denominator
@@ -716,25 +801,6 @@ def sub_scaled(xs, f, ys):
             out.append(_make(cls, xa * s - pa * xden, xb * s - pb * xden,
                              0, 0, xden * s))
     return out
-
-
-def _quaternion_product(p, q):
-    """p * q with each component one 4-term integer dot product, or None
-    unless the components of p, and of q, share one exact class."""
-    left, right = (p.w, p.x, p.y, p.z), (q.w, q.x, q.y, q.z)
-    c1, c2 = _one_class(left), _one_class(right)
-    kernel = _kernel(c1, c2)
-    if kernel is None:
-        return None
-    cls, width, dot = kernel
-    den1, (x,) = _int_form((left,), c1, width)
-    den2, ((w, i, j, k),) = _int_form((right,), c2, width)
-    ni, nj, nk = (-t if c2 is Fraction else tuple(map(neg, t))
-                  for t in (i, j, k))
-    den = den1 * den2
-    D = cls.D if cls is not Fraction else None
-    return Quaternion(*(_canonical(cls, dot(x, y, D), den) for y in (
-        (w, ni, nj, nk), (i, w, k, nj), (j, nk, w, i), (k, j, ni, w))))
 
 
 class Ring:

@@ -296,9 +296,6 @@ class SpherePoint:
             raise DimensionMismatchError("empty vector")
         return cls(*ray_canonical(_exact(v)))
 
-    def antipode(self):
-        return SpherePoint(-self.sign, self.direction)
-
     def apply_matrix(self, m: Matrix):
         s, d = ray_canonical(_exact(mat_vec(m, self.direction)))
         return SpherePoint(self.sign * s, d)
@@ -385,11 +382,6 @@ class Subspace:
     @property
     def ambient_dim(self):
         return self.basis.rows
-
-    def contains_vector(self, v) -> bool:
-        """v lies in the span iff v = B v[pivots]."""
-        v = tuple(v)
-        return mat_vec(self.basis, tuple(v[i] for i in self.pivots)) == v
 
     def contains(self, other: "Subspace") -> bool:
         """Exact containment, column by column of the other basis."""

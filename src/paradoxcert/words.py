@@ -49,14 +49,6 @@ def inverse_word(word):
     return tuple(x ^ 1 for x in reversed(word))
 
 
-def concat(u, v):
-    return reduce(tuple(u) + tuple(v))
-
-
-def is_reduced(seq) -> bool:
-    return all(seq[i + 1] != (seq[i] ^ 1) for i in range(len(seq) - 1))
-
-
 def enumerate_ball(max_len: int):
     """All reduced words of length <= max_len, breadth first.
 

@@ -35,6 +35,7 @@ from paradoxcert.scalars import (
     QSqrt2,
     QSqrt5,
     Quaternion,
+    rational_value,
     ring_of,
 )
 
@@ -253,6 +254,10 @@ _ENTRY = {
     "quat_sqrt5": lambda rng: Quaternion(
         *(QSqrt5(_rand_fraction(rng), _rand_fraction(rng))
           for _ in range(4))),
+    # a rational written over Q(sqrt5), whose field does not mix with
+    # Q(sqrt2): a product reads it as the rational it is, and so does the
+    # reference
+    "rational_over_sqrt5": lambda rng: QSqrt5(_rand_fraction(rng)),
 }
 
 
@@ -319,10 +324,19 @@ def _ref_rref(rows):
     return rows, pivots
 
 
-_KINDS = tuple(_ENTRY)
+_KINDS = tuple(k for k in _ENTRY if k in RINGS_BY_NAME)
 _MIXED_PAIRS = (("rational", "qsqrt2"), ("qsqrt2", "rational"),
                 ("rational", "gauss_sqrt5"), ("gauss_sqrt5", "rational"),
-                ("qsqrt5", "gauss_sqrt5"), ("gauss_sqrt5", "qsqrt5"))
+                ("qsqrt5", "gauss_sqrt5"), ("gauss_sqrt5", "qsqrt5"),
+                ("quat_sqrt5", "rational"), ("rational", "quat_sqrt5"),
+                ("quat_rational", "quat_sqrt5"),
+                ("rational_over_sqrt5", "qsqrt2"))
+
+
+def _by_value(rows):
+    """The rows with each entry read by value, as the reference loop is
+    given a rational written over Q(sqrt5)."""
+    return tuple(tuple(map(rational_value, r)) for r in rows)
 
 
 @pytest.mark.parametrize("left,right",
@@ -333,14 +347,34 @@ def test_matmul_and_mat_vec_match_the_operator_loop(left, right):
         m, k, n = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
         a = _rand_rows(left, m, k, rng)
         b = _rand_rows(right, k, n, rng)
+        ref_a = _by_value(a) if left == "rational_over_sqrt5" else a
         assert _forms(matmul(Matrix(a), Matrix(b)).data) == \
-            _forms(_ref_matmul(a, b))
+            _forms(_ref_matmul(ref_a, b))
         v = tuple(r[0] for r in b)
         assert _forms([mat_vec(Matrix(a), v)]) == \
-            _forms([tuple(_ref_dot(r, v) for r in a)])
+            _forms([tuple(_ref_dot(r, v) for r in ref_a)])
 
 
-def test_a_mixed_operand_takes_the_operator_loop():
+def test_a_quaternion_product_adds_no_quaternions(monkeypatch):
+    # every entry is made from integer sums of components, so a product
+    # and a row reduction over the quaternions never add two of them
+    rng = random.Random(43)
+    a = Matrix(_rand_rows("quat_sqrt5", 3, 4, rng))
+    b = Matrix(_rand_rows("quat_sqrt5", 4, 2, rng))
+
+    def refuse(self, other):
+        raise AssertionError("a quaternion sum outside the kernels")
+
+    monkeypatch.setattr(Quaternion, "__add__", refuse)
+    monkeypatch.setattr(Quaternion, "__radd__", refuse)
+    assert matmul(a, b).rows == 3
+    assert len(mat_vec(a, b.column(0))) == 3
+    assert rref(a)[0].rows == 3
+    monkeypatch.undo()
+    assert _forms(matmul(a, b).data) == _forms(_ref_matmul(a.data, b.data))
+
+
+def test_a_mixed_operand_matches_the_operator_loop():
     rng = random.Random(23)
     for _ in range(12):
         for odd in (QSqrt2(1, 1), 3):

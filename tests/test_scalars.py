@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from paradoxcert.errors import BackendMismatchError
 from paradoxcert.scalars import (
     GaussSqrt5,
     QSqrt2,
@@ -331,6 +332,17 @@ def _ref_quaternion_product(p, q):
                       w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2)
 
 
+def _ref_quaternion_times(p, q):
+    """p * q by ``_ref_quaternion_product``, a real operand lifted to the
+    quaternion r + 0i + 0j + 0k over the other's components."""
+    def lift(r, like):
+        if isinstance(r, Quaternion):
+            return r
+        zero = like.w - like.w
+        return Quaternion(zero + r, zero, zero, zero)
+    return _ref_quaternion_product(lift(p, q), lift(q, p))
+
+
 def _rand_quat_rational(rng):
     return Quaternion(*(Fraction(rng.randint(-9, 9), rng.randint(1, 7))
                         for _ in range(4)))
@@ -341,7 +353,7 @@ def _rand_quat_float(rng):
 
 
 def _rand_quat_mixed(rng):
-    """Components of two classes: the product takes the operator loop."""
+    """Components of two classes, read in the class they share."""
     return Quaternion(_rand_qsqrt5(rng), Fraction(rng.randint(-9, 9)),
                       _rand_qsqrt5(rng), _rand_qsqrt5(rng))
 
@@ -356,6 +368,11 @@ def test_quaternion_product_matches_the_operator_formula(left, right):
     rng = random.Random(29)
     for _ in range(100):
         p, q = left(rng), right(rng)
+        if left is _rand_quat_float:
+            # a float quaternion is no exact scalar: the product refuses it
+            with pytest.raises(BackendMismatchError, match="is not exact"):
+                p * q
+            continue
         assert _exact_form(p * q) == _exact_form(_ref_quaternion_product(p, q))
 
 
@@ -379,21 +396,31 @@ def test_subtraction_is_addition_of_the_negative():
     ("rational", "rational", "rational"), ("gauss", "gauss", "gauss"),
     ("sqrt5", "sqrt5", "sqrt5"), ("rational", "sqrt5", "rational"),
     ("rational", "rational", "gauss"), ("sqrt5", "gauss", "rational"),
-    ("gauss", "rational", "sqrt5"),
+    ("gauss", "rational", "sqrt5"), ("quat", "quat", "quat"),
+    ("quat_rational", "quat_rational", "quat_rational"),
+    ("quat", "rational", "quat"), ("rational", "quat", "quat_rational"),
+    ("quat_rational", "quat", "rational"),
 ])
 def test_sub_scaled_matches_the_operator_loop(xs_kind, f_kind, ys_kind):
     rng = random.Random(37)
     make = {"rational": lambda: Fraction(rng.randint(-9, 9),
                                          rng.randint(1, 7)),
             "sqrt5": lambda: _rand_qsqrt5(rng),
-            "gauss": lambda: _rand_gauss(rng)}
+            "gauss": lambda: _rand_gauss(rng),
+            "quat": lambda: _rand_quat(rng),
+            "quat_rational": lambda: _rand_quat_rational(rng)}
     for _ in range(40):
         # zero entries of ys leave the matching entry of xs as it is
         xs = [make[xs_kind]() for _ in range(5)]
         ys = [make[ys_kind]() for _ in range(5)]
         ys[rng.randrange(5)] *= 0
         f = make[f_kind]()
+        # a quaternion product by Hamilton's formula on the components
+        times = (_ref_quaternion_times if "quat" in f_kind + ys_kind
+                 else operator.mul)
         assert [_exact_form(z) for z in sub_scaled(xs, f, ys)] == \
-            [_exact_form(x - f * y) for x, y in zip(xs, ys)]
-    assert sub_scaled([1.0], 2.0, [3.0]) is None
-    assert sub_scaled([QSqrt2(1, 1)], Fraction(1), [QSqrt5(1, 1)]) is None
+            [_exact_form(x - times(f, y)) for x, y in zip(xs, ys)]
+    with pytest.raises(BackendMismatchError, match="is not exact"):
+        sub_scaled([1.0], 2.0, [3.0])
+    with pytest.raises(BackendMismatchError, match="do not mix"):
+        sub_scaled([QSqrt2(1, 1)], Fraction(1), [QSqrt5(1, 1)])
