@@ -19,7 +19,6 @@ Typical use:
 from .certificates import (
     Node,
     RULES,
-    SpaceExpr,
     cert_from_json,
     cert_to_json,
     check,
@@ -45,6 +44,7 @@ from .freegroup import (
 from .spaces import (
     FlagPoint,
     ProjectivePoint,
+    SpaceExpr,
     SpherePoint,
     Subspace,
     act,

@@ -22,13 +22,18 @@ concludes it from the children:
                            stereographic chart and the induced rotations
 
 Certificates are built exactly (derive), checked structurally (check), and
-verified empirically at finite depth (see ``verification``).
+verified empirically at finite depth (see ``verification``). A node through
+a catalog map reads the map's shape, its source, target and acting group,
+from the instance ``equimaps.CATALOG`` builds: ``derive`` builds the node
+from it and ``check`` compares the node against it. The spaces each
+transport pair acts freely on are stated once here (``_free_spaces``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
+from .equimaps import CATALOG, grass_slice
 from .errors import (
     BackendMismatchError,
     CertificateError,
@@ -48,7 +53,12 @@ from .spaces import (
     Grassmann,
     GroupTag,
     Projective,
+    RemovedAxis,
+    RemovedExceptional,
+    RemovedPoles,
+    RemovedStar,
     Sphere,
+    SpaceExpr,
     FIELDS,
     natural_group,
     parse_descriptor,
@@ -77,61 +87,6 @@ class F2Space:
 
 
 @dataclass(frozen=True)
-class RemovedExceptional:
-    """The fixed locus D of a generator pair (or its line image)."""
-    pair: str
-    projective: bool
-
-    @property
-    def text(self):
-        return f"pi(D[{self.pair}])" if self.projective else f"D[{self.pair}]"
-
-
-@dataclass(frozen=True)
-class RemovedPoles:
-    """The two points {+-e_last} of a sphere."""
-
-    @property
-    def text(self):
-        return "poles"
-
-
-@dataclass(frozen=True)
-class RemovedAxis:
-    """The coordinate line span{e_last} of a projective space."""
-
-    @property
-    def text(self):
-        return "axis"
-
-
-@dataclass(frozen=True)
-class RemovedStar:
-    """The zero-padded copy of a smaller space sitting inside the base."""
-    sub: object  # descriptor
-
-    @property
-    def text(self):
-        return f"star({self.sub.text})"
-
-
-@dataclass(frozen=True)
-class SpaceExpr:
-    base: object                 # descriptor or F2Space
-    star_ambient: int | None = None
-    removed: object | None = None
-
-    @property
-    def text(self):
-        t = self.base.text
-        if self.star_ambient is not None:
-            t = f"{t}*@{self.star_ambient}"
-        if self.removed is not None:
-            t = f"{t} minus {self.removed.text}"
-        return t
-
-
-@dataclass(frozen=True)
 class Node:
     rule: str
     space: SpaceExpr
@@ -150,54 +105,6 @@ _REAL_RINGS = ("rational", "qsqrt2", "qsqrt5")
 _ABSORBER_RINGS = {"R": _REAL_RINGS,
                    "C": _REAL_RINGS + ("gauss_sqrt5",),
                    "H": _REAL_RINGS + ("quat_rational", "quat_sqrt5")}
-
-
-def _grass_desc(field, n, k):
-    return Projective(field, n) if k == 1 else Grassmann(field, n, k)
-
-
-def _block(field: str, n: int, ambient: int | None = None) -> GroupTag:
-    """O(n), U(n) or Sp(n), the isometries of K^n over the field, padded
-    into K^ambient when one is given."""
-    return replace(natural_group(Projective(field, n)), star_ambient=ambient)
-
-
-def _map_shape(name: str, args: tuple) -> tuple:
-    """(source, target, group) of the catalog map name(args) that a
-    Pullback or an EquidecompTransfer names: the node concludes about the
-    source, and its one child about the target, both under the group.
-
-    sphere_drop and proj_drop drop the last coordinate, onto the padded
-    sphere or projective space one lower; grass_slice meets a k-plane of
-    K^n with the hyperplane K^m, m = n + 1 - k, and leaves out the k-planes
-    inside it; flag_to_grass reads a flag's first component; duality takes
-    the (n - k)-planes to their k-dimensional complements.
-    """
-    if name == "sphere_drop":
-        (k,) = args
-        return (SpaceExpr(Sphere(k + 1), removed=RemovedPoles()),
-                SpaceExpr(Sphere(k), star_ambient=k + 2),
-                GroupTag("SO", k + 1, star_ambient=k + 2))
-    if name == "proj_drop":
-        field, n = args
-        return (SpaceExpr(Projective(field, n), removed=RemovedAxis()),
-                SpaceExpr(Projective(field, n - 1), star_ambient=n),
-                _block(field, n - 1, n))
-    if name == "grass_slice":
-        field, n, k = args
-        m = n + 1 - k
-        return (SpaceExpr(Grassmann(field, n, k),
-                          removed=RemovedStar(_grass_desc(field, m, k))),
-                SpaceExpr(Projective(field, m), star_ambient=n),
-                _block(field, m, n))
-    if name == "flag_to_grass":
-        field, dims, _ = args  # the component read is the first
-        return (SpaceExpr(Flag(field, tuple(dims))),
-                SpaceExpr(_grass_desc(field, dims[-1], dims[0])),
-                _block(field, dims[-1]))
-    field, n, k = args  # duality
-    return (SpaceExpr(_grass_desc(field, n, n - k)),
-            SpaceExpr(_grass_desc(field, n, k)), _block(field, n))
 
 
 def _free_spaces(pair: str) -> tuple:
@@ -250,11 +157,13 @@ def _link(rule: str, name: str, args: tuple) -> Node:
     """The rule's node through the catalog map name(args) over the derived
     certificate of the map's target, padded by a StarEmbed when the target
     is a padded copy."""
-    source, target, group = _map_shape(name, args)
-    child = derive(target.base)
-    if target.star_ambient is not None:
-        child = Node("StarEmbed", target, group, {}, (child,))
-    return Node(rule, source, group, {"map": name, "args": args}, (child,))
+    build, _ = CATALOG[name]
+    m = build(*args)
+    child = derive(m.target.base)
+    if m.target.star_ambient is not None:
+        child = Node("StarEmbed", m.target, m.group, {}, (child,))
+    return Node(rule, m.source, m.group, {"map": name, "args": args},
+                (child,))
 
 
 def _derive_sphere(n: int) -> Node:
@@ -280,8 +189,9 @@ def _derive_projective(field: str, n: int) -> Node:
         return _free_base(Projective("R", 3), "so3-ab", (1, 2, 3),
                           default_absorber())
     if field in ("C", "H") and n == 2:
-        return Node("Intertwine", SpaceExpr(Projective(field, 2)),
-                    _block(field, 2), {"field": field},
+        space = Projective(field, 2)
+        return Node("Intertwine", SpaceExpr(space), natural_group(space),
+                    {"field": field},
                     (_derive_chart_sphere(field),))
     return _absorbed(_link("Pullback", "proj_drop", (field, n)),
                      plane_rotation(n, 0, n - 1))
@@ -293,13 +203,13 @@ def _derive_grassmann(field: str, n: int, k: int) -> Node:
     if 2 * k > n:
         return _link("EquidecompTransfer", "duality", (field, n, n - k))
     # the k-planes off the hyperplane K^m by grass_slice, and those inside
-    # it, the removed set, by its own padded certificate
+    # it, the removed set, by its own padded certificate; G(m)*@n acts
     pb = _link("Pullback", "grass_slice", (field, n, k))
     small = pb.space.removed.sub
     inside = Node("StarEmbed", SpaceExpr(small, star_ambient=n), pb.group,
                   {}, (derive(small),))
     du = Node("DisjointUnion", SpaceExpr(Grassmann(field, n, k)), pb.group,
-              {"m": n + 1 - k}, (pb, inside))
+              {"m": pb.group.n}, (pb, inside))
     return Node("SubgroupLift", du.space, natural_group(du.space.base), {},
                 (du,))
 
@@ -345,36 +255,29 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-# the arguments of each map a Pullback or EquidecompTransfer names
-_MAP_ARGS = {
-    "sphere_drop": ("k",),
-    "proj_drop": ("field", "n"),
-    "grass_slice": ("field", "n", "k"),
-    "flag_to_grass": ("field", "dims", "i"),
-    "duality": ("field", "n", "k"),
-}
-
-
-def _fits(name: str, value) -> bool:
-    if name == "field":
+def _fits(kind: str, value) -> bool:
+    if kind == "field":
         return isinstance(value, str) and value in FIELDS
-    if name == "dims":
+    if kind == "dims":
         return (isinstance(value, (list, tuple)) and len(value) > 0
                 and all(map(_is_int, value)))
     return _is_int(value)
 
 
-def _map_args(params: dict, ex):
-    """The args of the node's map when they fit its signature; otherwise
-    None, and the violation is named (an unknown map is the caller's)."""
-    name, args = params.get("map"), params.get("args")
-    sig = _MAP_ARGS.get(name) if isinstance(name, str) else None
-    if sig is None:
+def _named_map(params: dict, ex):
+    """The catalog map a node names, when its args fit the map's argument
+    kinds and the catalog builds a map from them; otherwise None, and the
+    violation is named (an unknown map is the caller's)."""
+    name, args = params["map"], params.get("args")
+    build, kinds = CATALOG[name]
+    ok = (isinstance(args, tuple) and len(args) == len(kinds)
+          and all(map(_fits, kinds, args)))
+    ex(ok, f"{name} args must be ({', '.join(kinds)}), not {args!r}")
+    try:
+        return build(*args) if ok else None
+    except ParadoxError as e:
+        ex(False, f"{name} args name no map: {e}")
         return None
-    ok = (isinstance(args, tuple) and len(args) == len(sig)
-          and all(map(_fits, sig, args)))
-    ex(ok, f"{name} args must be ({', '.join(sig)}), not {args!r}")
-    return args if ok else None
 
 
 def _known_pair(name):
@@ -386,14 +289,13 @@ def _known_pair(name):
         return None
 
 
-def _expect_shape(node: Node, shape: tuple, ex):
+def _expect_shape(node: Node, m, ex):
     """A node through a catalog map concludes about the map's source from
     one child on its target, both under the map's group."""
-    source, target, group = shape
     name, child = node.params["map"], node.children[0]
-    ex(node.space == source, f"{name} source is {source.text}")
-    ex(child.space == target, f"{name} target is {target.text}")
-    ex(node.group == group, f"{name} acts by {group.text}")
+    ex(node.space == m.source, f"{name} source is {m.source.text}")
+    ex(child.space == m.target, f"{name} target is {m.target.text}")
+    ex(node.group == m.group, f"{name} acts by {m.group.text}")
     ex(child.group == node.group, f"{node.rule} acts with the child's group")
 
 
@@ -459,31 +361,33 @@ def _check_node(node: Node, path: str, violations: list):
         ex(len(ch) == 1, f"{node.rule} takes one child")
         name = node.params.get("map")
         if node.rule == "Pullback":
-            known = (isinstance(name, str) and name in _MAP_ARGS
+            known = (isinstance(name, str) and name in CATALOG
                      and name != "duality")
             ex(known, f"unknown pullback map {name!r}")
         else:
             known = name == "duality"
             ex(known, "transfer map must be the duality involution")
-        args = _map_args(node.params, ex) if known else None
-        first = args is None or name != "flag_to_grass" or args[2] == 0
+        m = _named_map(node.params, ex) if known else None
+        first = (m is None or name != "flag_to_grass"
+                 or node.params["args"][2] == 0)
         ex(first, "certificates pull back through the first component")
-        if args is not None and first and ch:
-            _expect_shape(node, _map_shape(name, args), ex)
+        if m is not None and first and ch:
+            _expect_shape(node, m, ex)
 
     elif node.rule == "DisjointUnion":
         ex(len(ch) == 2, "DisjointUnion takes two children")
         if len(ch) == 2 and isinstance(sp.base, Grassmann):
-            field, n, k = sp.base.field, sp.base.n, sp.base.k
-            ex(node.params.get("m") == n + 1 - k,
-               "split hyperplane dimension mismatch")
             # the split of grass_slice: its source, and the padded copy of
-            # the k-planes it leaves out
-            source = _map_shape("grass_slice", (field, n, k))[0]
+            # the k-planes it leaves out, across the hyperplane K^m of its
+            # group G(m)*@n
+            cut = grass_slice(sp.base.field, sp.base.n, sp.base.k)
+            ex(node.params.get("m") == cut.group.n,
+               "split hyperplane dimension mismatch")
             a, b = ch
-            ex(a.space == source,
+            ex(a.space == cut.source,
                "first branch must cover the complement of the padded copy")
-            ex(b.space == SpaceExpr(source.removed.sub, star_ambient=n),
+            ex(b.space == SpaceExpr(cut.source.removed.sub,
+                                    star_ambient=sp.base.n),
                "second branch must cover the padded copy")
             ex(a.group == gr and b.group == gr,
                "both branches act with the same group")
@@ -536,7 +440,8 @@ def _check_node(node: Node, path: str, violations: list):
             sphere_dim = 2 if field == "C" else 4
             ex(sp == SpaceExpr(Projective(field, 2)),
                "conclusion must be the projective line")
-            ex(gr == _block(field, 2), "group must be the 2x2 unitary group")
+            ex(gr == natural_group(Projective(field, 2)),
+               "group must be the 2x2 unitary group")
             ex(ch[0].space == SpaceExpr(Sphere(sphere_dim)),
                "child must be the matching sphere certificate")
             ex(ch[0].group == GroupTag("SO", sphere_dim + 1),

@@ -9,6 +9,16 @@ a section's lift is checked by applying the map to it. The selftest draws
 (point, group element) samples and checks f(g x) == g f(x) exactly: every
 map in the catalog is exact.
 
+``CATALOG`` is the one table of the maps a certificate may name, each with
+its constructor and the kinds of its arguments. Each constructor states its
+map's shape on the instance it returns: the space a node through the map
+concludes about (``source``), the space of that node's one child
+(``target``) and the group acting on both (``group``). ``certificates``
+derives and checks nodes from those shapes, and ``verification`` builds
+the maps it replays from the same table. A catalog map's pairs are (g, g)
+for g a random unitary of the group's block, padded to the group's matrix
+size, so the group a map states is the group its selftest draws from.
+
 That includes the stereographic chart identifying the projective line over
 C (resp. H) with S^2 (resp. S^4), and the induced rotation carrying a 2x2
 unitary to the orthogonal matrix it acts by on that sphere: both are
@@ -24,11 +34,13 @@ induced rotation moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cache
 
 from .errors import DomainError, GapCaseError, ParadoxError
 from .linalg import (
     Matrix,
+    block_embed_matrix,
     mat_vec,
     matmul,
     rank,
@@ -37,7 +49,6 @@ from .sampling import (
     random_flag,
     random_projective_point,
     random_sphere_point,
-    random_star_unitary,
     random_subspace,
     random_unitary,
     rng_for,
@@ -52,28 +63,45 @@ from .scalars import (
     ring_of,
 )
 from .spaces import (
+    Flag,
     FlagPoint,
+    Grassmann,
+    GroupTag,
+    Projective,
     ProjectivePoint,
+    RemovedAxis,
+    RemovedPoles,
+    RemovedStar,
+    Sphere,
+    SpaceExpr,
     SpherePoint,
     Subspace,
     act,
     equals,
     exact_ring_for_field,
     intersect,
+    natural_group,
     orthogonal_complement,
 )
 
 
 @dataclass
 class MapInstance:
-    """One concrete equivariant map with its sampling recipe."""
+    """One concrete equivariant map with its sampling recipe.
+
+    A catalog map states its shape: ``source``, ``target`` and ``group``
+    (see the module docstring); the chart maps state none.
+    """
 
     name: str
     apply: callable
     section: callable | None
     sample_source: callable          # rng -> point
-    sample_pair: callable            # rng -> (g_source, g_target) matrices
+    sample_pair: callable | None     # rng -> (g_source, g_target) matrices
     kind: str = "equivariant"        # equivariant | homomorphism
+    source: SpaceExpr | None = None
+    target: SpaceExpr | None = None
+    group: GroupTag | None = None
     exact = True                     # every catalog map is exact
 
     def __repr__(self):
@@ -90,6 +118,36 @@ def _draw_accepted(apply, draw, rng):
             continue
         return x
     raise ParadoxError("could not sample a domain point")
+
+
+def _catalog_map(name, shape, ring, apply, section, draw) -> MapInstance:
+    """The catalog map of the given (source, target, group) shape: its
+    sample points are the first points of draw that apply accepts, and its
+    pairs (g, g) pad a random unitary of the group's block over the ring to
+    the group's matrix size."""
+    source, target, group = shape
+
+    def sample_source(rng):
+        return _draw_accepted(apply, draw, rng)
+
+    def sample_pair(rng):
+        g = block_embed_matrix(random_unitary(group.n, ring, rng),
+                               group.matrix_dim)
+        return g, g
+
+    return MapInstance(name, apply, section, sample_source, sample_pair,
+                       source=source, target=target, group=group)
+
+
+def _grass(field: str, n: int, k: int):
+    """grass(K,n,k), which is proj(K,n) when k = 1."""
+    return Projective(field, n) if k == 1 else Grassmann(field, n, k)
+
+
+def _block(field: str, n: int, ambient: int | None = None) -> GroupTag:
+    """O(n), U(n) or Sp(n), the isometries of K^n over the field, padded
+    into K^ambient when one is given."""
+    return replace(natural_group(Projective(field, n)), star_ambient=ambient)
 
 
 # --------------------------------------------------------------------------
@@ -115,18 +173,13 @@ def sphere_drop(k: int) -> MapInstance:
             raise DomainError("section expects a zero last coordinate")
         return q
 
-    def sample_source(rng):
-        return _draw_accepted(
-            apply, lambda r: random_sphere_point(ambient, r), rng)
-
-    def sample_pair(rng):
-        g = random_star_unitary(k + 1, ambient, RING_RATIONAL, rng)
-        return g, g
-
-    return MapInstance(
-        name=f"sphere_drop({k + 1})",
-        apply=apply, section=section,
-        sample_source=sample_source, sample_pair=sample_pair)
+    return _catalog_map(
+        f"sphere_drop({k + 1})",
+        (SpaceExpr(Sphere(k + 1), removed=RemovedPoles()),
+         SpaceExpr(Sphere(k), star_ambient=ambient),
+         GroupTag("SO", k + 1, star_ambient=ambient)),
+        RING_RATIONAL, apply, section,
+        lambda rng: random_sphere_point(ambient, rng))
 
 
 # --------------------------------------------------------------------------
@@ -151,32 +204,31 @@ def proj_drop(field: str, n: int) -> MapInstance:
             raise DomainError("section expects a line inside the hyperplane")
         return q
 
-    def sample_source(rng):
-        return _draw_accepted(
-            apply, lambda r: random_projective_point(n, ring, r), rng)
-
-    def sample_pair(rng):
-        g = random_star_unitary(n - 1, n, ring, rng)
-        return g, g
-
-    return MapInstance(
-        name=f"proj_drop({field},{n})",
-        apply=apply, section=section,
-        sample_source=sample_source, sample_pair=sample_pair)
+    return _catalog_map(
+        f"proj_drop({field},{n})",
+        (SpaceExpr(Projective(field, n), removed=RemovedAxis()),
+         SpaceExpr(Projective(field, n - 1), star_ambient=n),
+         _block(field, n - 1, n)),
+        ring, apply, section,
+        lambda rng: random_projective_point(n, ring, rng))
 
 
 # --------------------------------------------------------------------------
-# grass_slice: V -> V n H_m for V not inside H_m, m = n0 + 1 - k
+# grass_slice: V -> V n K^m for V not inside the coordinate hyperplane K^m
 # --------------------------------------------------------------------------
 
-def grass_slice(field: str, n0: int, k: int) -> MapInstance:
+def grass_slice(field: str, n: int, k: int) -> MapInstance:
+    """Meet a k-plane of K^n with the coordinate hyperplane K^m, leaving
+    out the k-planes inside it. The hyperplane is built on first use, so
+    stating the shape builds no matrix."""
     ring = exact_ring_for_field(field)
-    m = n0 + 1 - k
-    hyper = Subspace.coordinate(n0, range(m), ring)
+    m = n + 1 - k  # so dim(V n K^m) >= k + m - n = 1
+    hyperplane = cache(lambda: Subspace.coordinate(n, range(m), ring))
 
     def apply(v: Subspace):
-        if v.ambient_dim != n0 or v.dim != k:
-            raise DomainError(f"expected a {k}-plane in K^{n0}")
+        if v.ambient_dim != n or v.dim != k:
+            raise DomainError(f"expected a {k}-plane in K^{n}")
+        hyper = hyperplane()
         if hyper.contains(v):
             raise DomainError(
                 "subspaces inside the hyperplane copy are excluded")
@@ -193,22 +245,18 @@ def grass_slice(field: str, n0: int, k: int) -> MapInstance:
         cols = [rep]
         pad = ring_of(rep[0])
         z, o = pad.zero, pad.one
-        for j in range(m, n0):
-            cols.append(tuple(o if i == j else z for i in range(n0)))
+        for j in range(m, n):
+            cols.append(tuple(o if i == j else z for i in range(n)))
         return Subspace.from_basis(cols)
 
-    def sample_source(rng):
-        return _draw_accepted(
-            apply, lambda r: random_subspace(n0, k, ring, r), rng)
-
-    def sample_pair(rng):
-        g = random_star_unitary(m, n0, ring, rng)
-        return g, g
-
-    return MapInstance(
-        name=f"grass_slice({field},{n0},{k})",
-        apply=apply, section=section,
-        sample_source=sample_source, sample_pair=sample_pair)
+    return _catalog_map(
+        f"grass_slice({field},{n},{k})",
+        (SpaceExpr(Grassmann(field, n, k),
+                   removed=RemovedStar(_grass(field, m, k))),
+         SpaceExpr(Projective(field, m), star_ambient=n),
+         _block(field, m, n)),
+        ring, apply, section,
+        lambda rng: random_subspace(n, k, ring, rng))
 
 
 # --------------------------------------------------------------------------
@@ -216,6 +264,10 @@ def grass_slice(field: str, n0: int, k: int) -> MapInstance:
 # --------------------------------------------------------------------------
 
 def duality(field: str, n: int, k: int) -> MapInstance:
+    """The complement of a k-plane. A transfer through it concludes about
+    the (n-k)-planes (the source) from its child on the k-planes (the
+    target), which apply carries there; the section, the complement of an
+    (n-k)-plane, is the way back."""
     ring = exact_ring_for_field(field)
 
     def apply(v: Subspace):
@@ -223,28 +275,21 @@ def duality(field: str, n: int, k: int) -> MapInstance:
             raise DomainError(f"expected a {k}-plane in K^{n}")
         return orthogonal_complement(v)
 
-    def section(w: Subspace):
-        return orthogonal_complement(w)
-
-    def sample_source(rng):
-        return random_subspace(n, k, ring, rng)
-
-    def sample_pair(rng):
-        g = random_unitary(n, ring, rng)
-        return g, g
-
-    return MapInstance(
-        name=f"duality({field},{n},{k})",
-        apply=apply, section=section,
-        sample_source=sample_source, sample_pair=sample_pair)
+    return _catalog_map(
+        f"duality({field},{n},{k})",
+        (SpaceExpr(_grass(field, n, n - k)), SpaceExpr(_grass(field, n, k)),
+         _block(field, n)),
+        ring, apply, orthogonal_complement,
+        lambda rng: random_subspace(n, k, ring, rng))
 
 
 # --------------------------------------------------------------------------
 # flag_to_grass: a flag to its i-th component
 # --------------------------------------------------------------------------
 
-def flag_to_grass(field: str, dims: tuple, i: int) -> MapInstance:
+def flag_to_grass(field: str, dims, i: int) -> MapInstance:
     ring = exact_ring_for_field(field)
+    dims = tuple(dims)
     n = dims[-1]
     proper = dims[:-1]
     if not 0 <= i < len(proper):
@@ -277,18 +322,25 @@ def flag_to_grass(field: str, dims: tuple, i: int) -> MapInstance:
             comps.append(Subspace.from_basis(current[:d]))
         return FlagPoint(comps)
 
-    def sample_source(rng):
-        return random_flag(proper, n, ring, rng)
-
-    def sample_pair(rng):
-        g = random_unitary(n, ring, rng)
-        return g, g
-
     dims_text = ",".join(str(d) for d in dims)
-    return MapInstance(
-        name=f"flag_to_grass({field};{dims_text};i={i})",
-        apply=apply, section=section,
-        sample_source=sample_source, sample_pair=sample_pair)
+    return _catalog_map(
+        f"flag_to_grass({field};{dims_text};i={i})",
+        (SpaceExpr(Flag(field, dims)), SpaceExpr(_grass(field, n, proper[i])),
+         _block(field, n)),
+        ring, apply, section,
+        lambda rng: random_flag(proper, n, ring, rng))
+
+
+# the maps a Pullback or an EquidecompTransfer may name: each name's
+# constructor, and the kind of each of its arguments (a field, a tuple of
+# dimensions, or an int)
+CATALOG = {
+    "sphere_drop": (sphere_drop, ("k",)),
+    "proj_drop": (proj_drop, ("field", "n")),
+    "grass_slice": (grass_slice, ("field", "n", "k")),
+    "flag_to_grass": (flag_to_grass, ("field", "dims", "i")),
+    "duality": (duality, ("field", "n", "k")),
+}
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .errors import ParadoxError
-from .linalg import Matrix, block_embed_matrix, cayley_unitary
+from .linalg import Matrix, cayley_unitary
 from .scalars import (
     GaussSqrt5,
     QSqrt2,
@@ -85,12 +85,6 @@ def random_unitary(n: int, ring: Ring, rng: random.Random) -> Matrix:
     matrices), over C in U(n), over H in Sp(n).
     """
     return cayley_unitary(random_anti_hermitian(n, ring, rng))
-
-
-def random_star_unitary(m: int, n: int, ring: Ring,
-                        rng: random.Random) -> Matrix:
-    """A block diag(g, I_{n-m}) element of the starred subgroup."""
-    return block_embed_matrix(random_unitary(m, ring, rng), n)
 
 
 def random_subspace(n: int, k: int, ring: Ring,

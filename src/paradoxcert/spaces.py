@@ -1,4 +1,5 @@
-"""Space descriptors, points, subspaces, flags, and group actions.
+"""Space descriptors and expressions, points, subspaces, flags, and group
+actions.
 
 Descriptor grammar (K in {R, C, H}):
 
@@ -11,6 +12,11 @@ Descriptor grammar (K in {R, C, H}):
 with n_R = 3 and n_C = n_H = 2. grass(K,n,1) is the projective space and a
 flag with exactly one proper component is the Grassmannian; both are
 normalized at parse time.
+
+A space expression (``SpaceExpr``) is a base space, its zero-padded copy
+inside a larger ambient space, or the space minus a removed thin set: what
+a certificate node concludes about, and what a catalog map states as its
+source and target.
 
 All vector spaces are right K-modules: scalars act on the right of vectors,
 group matrices on the left. A k-dimensional subspace is stored as its
@@ -253,6 +259,65 @@ def natural_group(desc) -> GroupTag:
     if isinstance(desc, Sphere):
         return GroupTag("SO", desc.n + 1)
     return GroupTag(_FAMILY_BY_FIELD[desc.field], desc.ambient_dim)
+
+
+# --------------------------------------------------------------------------
+# space expressions: a space, padded or with a thin set removed
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RemovedExceptional:
+    """The fixed locus D of a generator pair (or its line image)."""
+    pair: str
+    projective: bool
+
+    @property
+    def text(self):
+        return f"pi(D[{self.pair}])" if self.projective else f"D[{self.pair}]"
+
+
+@dataclass(frozen=True)
+class RemovedPoles:
+    """The two points {+-e_last} of a sphere."""
+
+    @property
+    def text(self):
+        return "poles"
+
+
+@dataclass(frozen=True)
+class RemovedAxis:
+    """The coordinate line span{e_last} of a projective space."""
+
+    @property
+    def text(self):
+        return "axis"
+
+
+@dataclass(frozen=True)
+class RemovedStar:
+    """The zero-padded copy of a smaller space sitting inside the base."""
+    sub: object  # descriptor
+
+    @property
+    def text(self):
+        return f"star({self.sub.text})"
+
+
+@dataclass(frozen=True)
+class SpaceExpr:
+    base: object                 # descriptor, or the free group itself
+    star_ambient: int | None = None
+    removed: object | None = None
+
+    @property
+    def text(self):
+        t = self.base.text
+        if self.star_ambient is not None:
+            t = f"{t}*@{self.star_ambient}"
+        if self.removed is not None:
+            t = f"{t} minus {self.removed.text}"
+        return t
 
 
 # --------------------------------------------------------------------------

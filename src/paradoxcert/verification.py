@@ -17,7 +17,9 @@ module checks their finitely checkable consequences at a chosen depth:
 * equivariant-map claims -> catalog selftests and section/replay checks
   on every transported sample: the map's ``apply`` is its only domain
   test, so a section lands in the domain exactly when applying the map to
-  it succeeds, and that image is the one the replay compares;
+  it succeeds, and that image is the one the replay compares; a node
+  builds the map it names from ``equimaps.CATALOG`` (``map_from_params``),
+  and a transfer's way back is its duality map's own section;
 * every sample a node sends up carries a piece label (its provenance); at
   the root the label of each one is recomputed by an independent top-down
   classification and the two must agree.
@@ -62,29 +64,19 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import islice
 
-from .certificates import (
-    Node,
-    RemovedAxis,
-    RemovedExceptional,
-    RemovedPoles,
-    check,
-)
+from .certificates import Node, check
 from .equimaps import (
-    duality,
-    flag_to_grass,
-    grass_slice,
+    CATALOG,
     induced_rotation_map,
-    proj_drop,
     selftest,
-    sphere_drop,
     stereographic,
     stereographic_apply,
     stereographic_lift,
 )
 from .errors import (
-    CertificateError,
     DomainError,
     GapCaseError,
+    ParadoxError,
     SeedFixedError,
     VerificationError,
 )
@@ -114,6 +106,9 @@ from .scalars import (
 from .spaces import (
     Projective,
     ProjectivePoint,
+    RemovedAxis,
+    RemovedExceptional,
+    RemovedPoles,
     Sphere,
     SpherePoint,
     Subspace,
@@ -396,24 +391,10 @@ def equidecomp_verify(witness: EquidecompWitness, points) -> dict:
 # --------------------------------------------------------------------------
 
 def map_from_params(params: dict):
-    name = params.get("map")
-    args = tuple(params.get("args", ()))
-    if name == "sphere_drop":
-        return sphere_drop(int(args[0]))
-    if name == "proj_drop":
-        return proj_drop(args[0], int(args[1]))
-    if name == "grass_slice":
-        return grass_slice(args[0], int(args[1]), int(args[2]))
-    if name == "flag_to_grass":
-        return flag_to_grass(args[0], tuple(int(d) for d in args[1]),
-                             int(args[2]))
-    if name == "duality":
-        return duality(args[0], int(args[1]), int(args[2]))
-    raise CertificateError(f"certificate names unknown map {name!r}")
-
-
-def _field_of(base) -> str:
-    return "R" if isinstance(base, Sphere) else base.field
+    """The catalog map a Pullback or an EquidecompTransfer names; ``check``
+    has refused any other name and any args that do not fit it."""
+    build, _ = CATALOG[params["map"]]
+    return build(*params["args"])
 
 
 def _sampling_ring(field: str):
@@ -531,9 +512,7 @@ class CertVerifier:
                 return "Unknown"
             return self.classify(img, node.children[0], path + ".0")
         if rule == "EquidecompTransfer":
-            field, n, kc = node.params["args"]
-            back = duality(field, int(n), int(n) - int(kc))
-            img = back.apply(point)
+            img = self._map_for(node, path).section(point)
             return self.classify(img, node.children[0], path + ".0")
         if rule == "DisjointUnion":
             base = node.space.base
@@ -565,9 +544,12 @@ class CertVerifier:
         handler = getattr(self, "_rule_" + node.rule)
         try:
             res, samples = handler(node, path, child_samples)
-        except SeedFixedError as e:
-            res = self._result(node, path, ["seed rejected: " + str(e)], 1,
-                               {})
+        except ParadoxError as e:
+            # an error inside the handler or a fact it reads is this node's
+            # failure, named by its path
+            reason = (f"seed rejected: {e}" if isinstance(e, SeedFixedError)
+                      else str(e))
+            res = self._result(node, path, [reason], 1, {})
             samples = []
         results.append(res)
         return results, samples
@@ -642,7 +624,7 @@ class CertVerifier:
                     failures.append(
                         f"letter {x} of {pair.name} is not orthogonal")
         else:
-            ring = _sampling_ring(_field_of(node.space.base))
+            ring = _sampling_ring(node.space.base.field)
             rng = rng_for(self.config.seed, path, "members")
             for _ in range(3):
                 u = random_unitary(child.group.n, ring, rng)
@@ -662,7 +644,7 @@ class CertVerifier:
                   for s in child_samples[0]]
         # spot equivariance of the embedding
         checks = len(lifted)
-        ring = _sampling_ring(_field_of(node.space.base))
+        ring = _sampling_ring(node.space.base.field)
         rng = rng_for(cfg.seed, path, "equivariance")
         spot = self._subsample(child_samples[0], path, "spot", cap=10)
         for s in spot:
@@ -712,7 +694,7 @@ class CertVerifier:
             failures.append(
                 f"{replay_failures} section lifts did not replay to their "
                 f"target point")
-        stats = {"map": m.name, "selftest": _slim_selftest(st),
+        stats = {"map": m.name, "selftest": st,
                  "lifted": len(lifted), "replay_failures": replay_failures,
                  "domain_failures": domain_failures,
                  "samples_out": len(lifted)}
@@ -743,8 +725,6 @@ class CertVerifier:
         cfg = self.config
         failures = []
         m = self._map_for(node, path)
-        field, n, kc = node.params["args"]
-        m_back = duality(field, int(n), int(n) - int(kc))
         st = self._selftest(m, min(60, cfg.samples))
         if not st["ok"]:
             failures.append(f"duality selftest failed: {st['failures']}")
@@ -754,14 +734,14 @@ class CertVerifier:
         for s in child_samples[0]:
             img = m.apply(s.point)
             checks += 1
-            if not equals(m_back.apply(img), s.point):
+            if not equals(m.section(img), s.point):
                 involution_failures += 1
             out.append(Sample(img, s.label))
         if involution_failures:
             failures.append(
                 f"duality failed to be an involution on "
                 f"{involution_failures} samples")
-        stats = {"map": m.name, "selftest": _slim_selftest(st),
+        stats = {"map": m.name, "selftest": st,
                  "involution_failures": involution_failures,
                  "samples_out": len(out)}
         return self._result(node, path, failures, checks, stats), out
@@ -865,8 +845,7 @@ class CertVerifier:
             failures.append(f"chart lift left the field on {outside} samples")
         if missed:
             failures.append(f"chart lift did not replay on {missed} samples")
-        stats = {"chart_selftest": _slim_selftest(st1),
-                 "rotation_selftest": _slim_selftest(st2),
+        stats = {"chart_selftest": st1, "rotation_selftest": st2,
                  "lifted": len(lifted),
                  "samples_out": len(lifted)}
         return self._result(node, path, failures, checks, stats), lifted
@@ -1011,12 +990,6 @@ def _contained_in(hyper: Subspace, point) -> bool:
     if not isinstance(point, Subspace):
         raise VerificationError("containment is defined for subspaces")
     return hyper.contains(point)
-
-
-def _slim_selftest(st: dict) -> dict:
-    return {"map": st["map"], "samples": st["samples"],
-            "skipped": st["skipped"], "failures": st["failures"],
-            "max_deviation": st["max_deviation"], "ok": st["ok"]}
 
 
 def _config_json(cfg: RunConfig) -> dict:

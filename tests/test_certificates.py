@@ -137,6 +137,23 @@ def test_tampered_pullback_map_is_a_structural_violation():
     assert any("component" in v for v in result["violations"])
 
 
+def test_map_args_that_name_no_map_are_violations():
+    # a flag with no proper component has no component to read, and there
+    # is no hyperplane to slice the 5-planes of R^4 by: check names both,
+    # and stating the slice's shape builds no hyperplane
+    flag = derive("flag(R;1,2,3)")
+    bad = dataclasses.replace(
+        flag, params={**flag.params, "args": ("R", (3,), 0)})
+    assert check(bad)["violations"] == [
+        "0: flag_to_grass args name no map: component index 0 out of range"]
+    blob = cert_to_json(derive("grass(R,4,2)"))
+    pullback = blob["root"]["children"][0]["children"][0]
+    assert pullback["params"]["map"] == "grass_slice"
+    pullback["params"]["args"] = ["R", 4, 5]
+    assert ("0.0.0: grass_slice target is proj(R,0)*@4"
+            in check(cert_from_json(blob))["violations"])
+
+
 def test_tampered_group_breaks_subgroup_lift():
     from paradoxcert.spaces import GroupTag
     root = derive("sphere(2)")

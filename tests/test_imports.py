@@ -21,6 +21,28 @@ READERS = TESTS + sorted((ROOT / "perfbench").glob("*.py")) + sorted(
     (ROOT / "demos").glob("*.py"))
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _module_names(node, params=frozenset()) -> set:
+    """Every name under node, less those in the body of a function that
+    binds them as a parameter: there the name is the parameter, not the
+    module's. Defaults, annotations and decorators are outside the body."""
+    if isinstance(node, ast.Name):
+        return set() if node.id in params else {node.id}
+    names = set()
+    body, inner = (), params
+    if isinstance(node, _FUNCTIONS):
+        a = node.args
+        body = node.body if isinstance(node.body, list) else [node.body]
+        inner = params | {p.arg for p in (*a.posonlyargs, *a.args,
+                                           *a.kwonlyargs, a.vararg, a.kwarg)
+                          if p}
+    for child in ast.iter_child_nodes(node):
+        names |= _module_names(child, inner if child in body else params)
+    return names
+
+
 def _unused_imports(source: str) -> list:
     tree = ast.parse(source)
     bound = {}
@@ -32,7 +54,7 @@ def _unused_imports(source: str) -> list:
         elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
             for alias in stmt.names:
                 bound[alias.asname or alias.name] = stmt.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = _module_names(tree)
     return sorted((line, name) for name, line in bound.items()
                   if name not in used)
 
@@ -47,6 +69,14 @@ def test_the_scan_finds_an_unused_import():
               "import math\nimport os.path\nfrom fractions import Fraction\n"
               "x = math.pi\n")
     assert _unused_imports(source) == [(3, "os"), (4, "Fraction")]
+    # a parameter of the imported name's name hides it in the body alone
+    source = ("from dataclasses import field, replace, dataclass\n"
+              "from math import tau, pi\n"
+              "def f(field, *replace):\n    return field, replace\n"
+              "g = lambda tau: tau\n"
+              "@dataclass\ndef h(dataclass=pi):\n    return dataclass\n")
+    assert _unused_imports(source) == [
+        (1, "field"), (1, "replace"), (2, "tau")]
 
 
 def _definitions(tree) -> list:

@@ -5,12 +5,14 @@ that branch reports, and how many samples the root then classifies as
 "Unknown"."""
 
 import dataclasses
+import json
 
 import pytest
 
 from paradoxcert import equimaps, verification, words
 from paradoxcert.certificates import cert_from_json, cert_to_json, derive
-from paradoxcert.errors import DomainError
+from paradoxcert.cli import main
+from paradoxcert.errors import DomainError, ParadoxError
 from paradoxcert.spaces import ProjectivePoint, SpherePoint
 from paradoxcert.verification import verify
 from paradoxcert.words import B, check_translate_identity
@@ -149,14 +151,14 @@ def _corrupted_duality(monkeypatch, root):
 
 
 def _corrupted_back(monkeypatch, root):
-    # grass(R,4,3) transfers through duality(R,4,1); the way back is
-    # duality(R,4,3), the only duality of k = 3, which is corrupted
-    dual = verification.duality
-    monkeypatch.setattr(
-        verification, "duality",
-        lambda field, n, k: (equimaps.corrupted(dual(field, n, k)) if k == 3
-                             else dual(field, n, k)))
-    return root
+    # grass(R,4,3) transfers through duality(R,4,1), and the way back is
+    # that map's section, the complement of a 3-plane, which is corrupted
+    def change(m):
+        back = equimaps.corrupted(dataclasses.replace(m, apply=m.section))
+        return dataclasses.replace(m, section=back.apply)
+    return _changed_map(
+        monkeypatch, root,
+        lambda m: change(m) if m.name.startswith("duality") else m)
 
 
 def _refused(q):
@@ -237,3 +239,23 @@ def test_a_tampered_kernel_fails_its_branch(monkeypatch, desc, rule, tamper,
     assert [f for f in failed[0]["failures"] if f.startswith(text)]
     # the samples the root could not classify
     assert report["unknown"] == unknown
+
+
+def test_an_error_inside_a_handler_fails_its_node(monkeypatch, tmp_path,
+                                                 capsys):
+    # every domain draw gives up, as grass_slice does on a hyperplane that
+    # no k-plane meets in a line: the Pullback of sphere(3) fails, by its
+    # path, and the report is still written
+    def gives_up(apply, draw, rng):
+        raise ParadoxError("could not sample a domain point")
+    monkeypatch.setattr(equimaps, "_draw_accepted", gives_up)
+    cert, report = tmp_path / "cert.json", tmp_path / "report.json"
+    assert main(["derive", "sphere(3)", "-o", str(cert)]) == 0
+    assert main(["verify", str(cert), "--depth", "3", "--samples", "20",
+                 "-o", str(report)]) == 1
+    nodes = json.loads(report.read_text())["nodes"]
+    assert [(n["path"], n["rule"], n["failures"]) for n in nodes
+            if n["status"] == "fail"] == [
+        ("0.0.0", "Pullback", ["could not sample a domain point"])]
+    assert ("node 0.0.0 [Pullback]: could not sample a domain point"
+            in capsys.readouterr().err)
