@@ -1,4 +1,5 @@
-"""Deterministic sampling of exact scalars, unitaries, points, subspaces.
+"""Deterministic sampling of exact scalars, unitaries, points, subspaces,
+and the fixed generating set a map's selftest moves points by.
 
 All randomness flows through ``rng_for(seed, *path)``: a sha256 of the seed
 and a structural path, so any two runs with the same seed draw identical
@@ -10,8 +11,9 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from functools import cache
 
-from .errors import ParadoxError
+from .errors import ParadoxError, RankDeficientError
 from .linalg import Matrix, cayley_unitary
 from .scalars import (
     GaussSqrt5,
@@ -22,6 +24,7 @@ from .scalars import (
     RING_QSQRT2,
     RING_QUAT_SQRT5,
     RING_RATIONAL,
+    RINGS,
     Ring,
 )
 from .spaces import FlagPoint, ProjectivePoint, SpherePoint, Subspace
@@ -87,11 +90,64 @@ def random_unitary(n: int, ring: Ring, rng: random.Random) -> Matrix:
     return cayley_unitary(random_anti_hermitian(n, ring, rng))
 
 
+def generating_set(n: int, ring: Ring) -> tuple:
+    """A finite set S of exact n x n unitaries over the ring, closed under
+    inverses, whose group is dense in SO(n), U(n) or Sp(n).
+
+    S holds the Givens rotations with cosine 3/5 and sine +-4/5 in every
+    coordinate plane; over Q(sqrt5, i) also the diagonal phases (3 +- 4i)/5
+    at each coordinate, and over the quaternions the phases (3 +- 4i)/5 and
+    (3 +- 4j)/5. arccos(3/5) is no rational multiple of pi (Niven), so the
+    powers of each element are dense in its one-parameter subgroup, and
+    those subgroups generate the group. Built on first use, once per ring
+    name and n.
+    """
+    return _generating_set(ring.name, n)
+
+
+@cache
+def _generating_set(ring_name: str, n: int) -> tuple:
+    ring = RINGS[ring_name]
+    cos, sin = (ring.from_rational(Fraction(x, 5)) for x in (3, 4))
+
+    def identity_with(entries):
+        return Matrix(tuple(entries.get((i, j), ring.one if i == j
+                                        else ring.zero)
+                            for j in range(n)) for i in range(n))
+
+    out = [identity_with({(i, i): cos, (j, j): cos, (i, j): -s, (j, i): s})
+           for i in range(n) for j in range(i + 1, n) for s in (sin, -sin)]
+    phases = []
+    if ring_name == "gauss_sqrt5":
+        phases = [GaussSqrt5(3, 0, c, 0, 5) for c in (4, -4)]
+    elif ring_name.startswith("quat"):
+        a, b = (ring.one.w * Fraction(x, 5) for x in (3, 4))
+        z = a - a
+        phases = [Quaternion(a, s, z, z) for s in (b, -b)]
+        phases += [Quaternion(a, z, s, z) for s in (b, -b)]
+    out += [identity_with({(i, i): p}) for i in range(n) for p in phases]
+    return tuple(out)
+
+
+def _random_span(n: int, k: int, ring: Ring, rng: random.Random):
+    """(vectors, span): k vectors of n ``random_scalar`` entries, redrawn
+    until they are linearly independent, and their span."""
+    while True:
+        cols = [tuple(random_scalar(rng, ring) for _ in range(n))
+                for _ in range(k)]
+        if not any(cols[0]):
+            continue
+        try:
+            return cols, Subspace.from_basis(cols)
+        except RankDeficientError:
+            continue
+
+
 def random_subspace(n: int, k: int, ring: Ring,
                     rng: random.Random) -> Subspace:
-    """Cayley-unitary image of the coordinate subspace span{e_1..e_k}."""
-    u = random_unitary(n, ring, rng)
-    return Subspace.from_basis([u.column(j) for j in range(k)])
+    """The span of k random vectors of ``random_scalar`` entries, redrawn
+    until they are independent."""
+    return _random_span(n, k, ring, rng)[1]
 
 
 def random_projective_point(n: int, ring: Ring,
@@ -111,7 +167,9 @@ def random_sphere_point(ambient: int, rng: random.Random) -> SpherePoint:
 
 
 def random_flag(dims, n: int, ring: Ring, rng: random.Random) -> FlagPoint:
-    """Unitary image of the standard coordinate flag."""
-    u = random_unitary(n, ring, rng)
-    cols = [u.column(j) for j in range(n)]
-    return FlagPoint(Subspace.from_basis(cols[:d]) for d in dims)
+    """The flag of proper dimensions dims spanned by the leading vectors of
+    dims[-1] random vectors of ``random_scalar`` entries, redrawn until
+    they are independent."""
+    cols, top = _random_span(n, dims[-1], ring, rng)
+    return FlagPoint([Subspace.from_basis(cols[:d]) for d in dims[:-1]]
+                     + [top])

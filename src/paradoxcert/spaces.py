@@ -453,6 +453,11 @@ class Subspace:
         b = other.basis
         return matmul(self.basis, _rows(b, self.pivots)) == b
 
+    def inside_head(self, m: int) -> bool:
+        """Whether the subspace lies in K^m, the span of the first m
+        coordinates: whether rows m.. of its echelon basis are zero."""
+        return not any(x for r in self.basis.data[m:] for x in r)
+
     def apply_matrix(self, m: Matrix):
         return Subspace.from_basis(matmul(m, self.basis).columns())
 
@@ -574,17 +579,3 @@ def block_embed_point(point, n: int):
 def orthogonal_complement(sub: Subspace) -> Subspace:
     """The kernel of B*."""
     return Subspace.from_basis(kernel(conj_transpose(sub.basis)))
-
-
-def intersect(v: Subspace, w: Subspace) -> Subspace:
-    """V n W as the vectors B_V c with c in the kernel of
-    B_V - B_W B_V[pivots_W]: x = B_V c lies in W iff x = B_W x[pivots_W].
-    """
-    if v.ambient_dim != w.ambient_dim:
-        raise DimensionMismatchError("ambient dimensions differ")
-    bv = v.basis
-    cs = kernel(bv - matmul(w.basis, _rows(bv, w.pivots)))
-    if not cs:
-        # the zero subspace: an n x 0 basis
-        return Subspace(Matrix._of_rows(((),) * bv.rows), ())
-    return Subspace.from_basis(mat_vec(bv, c) for c in cs)

@@ -115,7 +115,6 @@ from .spaces import (
     act,
     block_embed_point,
     equals,
-    exact_ring_for_field,
     parse_descriptor,
 )
 from .words import (
@@ -515,11 +514,7 @@ class CertVerifier:
             img = self._map_for(node, path).section(point)
             return self.classify(img, node.children[0], path + ".0")
         if rule == "DisjointUnion":
-            base = node.space.base
-            hyper = Subspace.coordinate(
-                base.n, range(node.params["m"]),
-                exact_ring_for_field(base.field))
-            if _contained_in(hyper, point):
+            if _contained_in(node.params["m"], point):
                 return "B:" + self.classify(point, node.children[1],
                                             path + ".1")
             return "A:" + self.classify(point, node.children[0], path + ".0")
@@ -528,7 +523,10 @@ class CertVerifier:
                 return "absorbed"
             return self.classify(point, node.children[0], path + ".0")
         if rule == "Intertwine":
-            img = stereographic_apply(point)
+            try:
+                img = stereographic_apply(point)
+            except DomainError:
+                return "Unknown"
             return self.classify(img, node.children[0], path + ".0")
         raise VerificationError(f"cannot classify points at rule {rule}")
 
@@ -702,21 +700,19 @@ class CertVerifier:
 
     def _rule_DisjointUnion(self, node, path, child_samples):
         failures = []
-        base = node.space.base
-        hyper = Subspace.coordinate(base.n, range(node.params["m"]),
-                                    exact_ring_for_field(base.field))
+        m = node.params["m"]
         checks = 0
         merged = []
         for branch, tag, want in ((0, "A", False), (1, "B", True)):
             for s in child_samples[branch]:
                 checks += 1
-                if _contained_in(hyper, s.point) is not want:
+                if _contained_in(m, s.point) is not want:
                     failures.append(
                         f"branch {tag} sample on the wrong side of the "
                         f"padded-subspace split")
                 merged.append(Sample(s.point, f"{tag}:{s.label}"))
         merged = self._subsample(merged, path, "merge")
-        stats = {"m": node.params["m"],
+        stats = {"m": m,
                  "branch_sizes": [len(c) for c in child_samples],
                  "samples_out": len(merged)}
         return self._result(node, path, failures, checks, stats), merged
@@ -947,15 +943,16 @@ def _fragment_inputs(node: Node, depth: int):
 def _absorbed_samples(node, ctx) -> list:
     """Explicit points of the absorbed set A = U g^n(D), labelled: the
     first four lines of D whose norm has an exact root in the field of
-    their entries, and their images under g and g^2. An ``Intertwine``
-    above lifts such points exactly, since the unit vector of a line of D
-    then lies in that field, and the absorber, rational or a rotation of
-    that field, keeps it there."""
+    their entries, and their images under g^k for k up to min(2, bound),
+    the powers the bounded index holds. An ``Intertwine`` above lifts such
+    points exactly, since the unit vector of a line of D then lies in that
+    field, and the absorber, rational or a rotation of that field, keeps
+    it there."""
     out = []
     base = node.space.base
     cur = list(islice((d for d in ctx["dirs"]
                        if exact_sqrt(sum(x * x for x in d)) is not None), 4))
-    for power in range(3):
+    for power in range(min(2, ctx["absorber_check"]["bound"]) + 1):
         for d in cur:
             out.append(Sample(_point_from_line(base, d), "absorbed"))
         cur = [mat_vec(ctx["g"], d) for d in cur]
@@ -976,20 +973,21 @@ def _strip_star(point, child_base):
             return None
         return SpherePoint(point.sign, point.direction[:m])
     if isinstance(point, Subspace):
-        rows = point.basis.data
-        if any(x for r in rows[m:] for x in r):
+        if not point.inside_head(m):
             return None
         # the pivot rows are not in a zero padding, so the head stays
         # echelon with the same pivots
-        return Subspace.from_echelon(Matrix._of_rows(rows[:m]), point.pivots)
+        return Subspace.from_echelon(Matrix._of_rows(point.basis.data[:m]),
+                                     point.pivots)
     return None
 
 
-def _contained_in(hyper: Subspace, point) -> bool:
-    """Containment in a coordinate subspace, exact by the echelon basis."""
+def _contained_in(m: int, point) -> bool:
+    """Containment in K^m, the span of the first m coordinates, read off
+    the tail rows of the point's echelon basis."""
     if not isinstance(point, Subspace):
         raise VerificationError("containment is defined for subspaces")
-    return hyper.contains(point)
+    return point.inside_head(m)
 
 
 def _config_json(cfg: RunConfig) -> dict:

@@ -700,3 +700,15 @@ def test_exact_runs_never_import_numpy(tmp_path):
                           timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "False", "False"]
+
+
+def test_verify_at_absorber_bound_1_writes_a_passing_report(tmp_path):
+    # the absorbed samples stop at the power the bound covers, so none of
+    # them is taken for the complement or sent down to the chart
+    cert, report = tmp_path / "cert.json", tmp_path / "report.json"
+    assert main(["derive", "proj(C,3)", "-o", str(cert)]) == 0
+    assert main(["verify", str(cert), "--absorber-bound", "1",
+                 "-o", str(report)]) == 0
+    blob = json.loads(report.read_text())
+    assert blob["config"]["absorber_bound"] == 1
+    assert (blob["overall"], blob["unknown"]) == ("pass", 0)

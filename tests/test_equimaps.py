@@ -1,8 +1,12 @@
 """The equivariant map catalog: domain predicates, sections, selftests."""
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
 from paradoxcert.equimaps import (
+    _real_coords,
     corrupted,
     default_catalog,
     duality,
@@ -17,16 +21,32 @@ from paradoxcert.equimaps import (
     stereographic_lift,
 )
 from paradoxcert.errors import DomainError, GapCaseError
-from paradoxcert.linalg import Matrix, mat_vec, matmul, projector_of_basis
+from paradoxcert.linalg import (
+    Matrix,
+    block_embed_matrix,
+    conj_transpose,
+    is_unitary,
+    mat_vec,
+    matmul,
+    projector_of_basis,
+)
 from paradoxcert.sampling import (
+    generating_set,
     random_projective_point,
     random_subspace,
     random_unitary,
     rng_for,
 )
-from paradoxcert.scalars import GaussSqrt5, Quaternion, QSqrt5
+from paradoxcert.scalars import (
+    RINGS,
+    GaussSqrt5,
+    Quaternion,
+    QSqrt5,
+    ring_of,
+)
 from paradoxcert.spaces import (
     ProjectivePoint,
+    Sphere,
     SpherePoint,
     Subspace,
     act,
@@ -230,3 +250,91 @@ def test_selftest_reports_gap_skips():
     m = grass_slice("R", 4, 2)
     result = selftest(m, 10, seed=7)
     assert result["samples"] + result["skipped"] == 10
+
+
+# phases per coordinate: none over the real rings, (3 +- 4i)/5 over
+# Q(sqrt5, i), and (3 +- 4i)/5, (3 +- 4j)/5 over the quaternions
+_PHASES = {"rational": 0, "qsqrt2": 0, "qsqrt5": 0, "gauss_sqrt5": 2,
+           "quat_rational": 4, "quat_sqrt5": 4}
+
+
+@pytest.mark.parametrize("ring_name", sorted(RINGS))
+def test_each_generating_set_is_unitary_and_closed_under_inverses(
+        ring_name):
+    ring = RINGS[ring_name]
+    for n in range(1, 6):
+        gens = generating_set(n, ring)
+        assert gens is generating_set(n, ring)  # built once
+        # two Givens rotations per coordinate plane, then the phases
+        assert len(gens) == n * (n - 1) + _PHASES[ring_name] * n
+        assert len(set(gens)) == len(gens)
+        for s in gens:
+            assert (s.rows, s.cols) == (n, n)
+            assert is_unitary(s)
+            assert {ring_of(x) for row in s.data for x in row} == {ring}
+            assert conj_transpose(s) in gens
+
+
+def _sampled_pairs(m, count=40):
+    rng = rng_for(79, "pairs", m.name)
+    return [m.sample_pair(rng) for _ in range(count)]
+
+
+def test_each_catalog_pair_lies_in_the_block_of_the_stated_group():
+    # R maps run over Q(sqrt2) and sphere_drop over the rationals, so each
+    # set is that of the map's own ring
+    for m in default_catalog():
+        if m.group is None:
+            continue
+        base = m.source.base
+        ring = (RINGS["rational"] if isinstance(base, Sphere)
+                else exact_ring_for_field(base.field))
+        n, dim = m.group.n, m.group.matrix_dim
+        for g, h in _sampled_pairs(m):
+            assert g is h and (g.rows, g.cols) == (dim, dim)
+            block = Matrix(row[:n] for row in g.data[:n])
+            assert block in generating_set(n, ring)
+            assert block_embed_matrix(block, dim) == g
+
+
+def test_each_chart_pair_is_a_generator_and_its_induced_rotation():
+    for field in ("C", "H"):
+        gens = generating_set(2, exact_ring_for_field(field))
+        for s, r in _sampled_pairs(stereographic(field)):
+            assert s in gens
+            assert r == induced_rotation(field, s)
+
+
+def _swapped_last(m):
+    """m with the last two coordinates of each image swapped: it still
+    commutes with every generator whose plane avoids both."""
+    apply = m.apply
+
+    def bad_apply(x):
+        y = apply(x)
+        rows = y.basis.data
+        swapped = Matrix._of_rows(rows[:-2] + (rows[-1], rows[-2]))
+        return Subspace.from_basis(swapped.columns())
+    return dataclasses.replace(m, name=f"swapped:{m.name}", apply=bad_apply)
+
+
+@pytest.mark.parametrize("m", [duality("R", 5, 2), duality("C", 4, 2),
+                               proj_drop("R", 5), grass_slice("H", 4, 2)],
+                         ids=lambda m: m.name)
+def test_a_map_broken_along_one_coordinate_swap_fails_its_selftest(m):
+    result = selftest(_swapped_last(m), 30, seed=2024)
+    assert not result["ok"], result
+    # the generators that avoid the swapped pair still pass
+    assert result["failures"] < result["samples"]
+
+
+def test_the_chart_refuses_a_line_off_its_field():
+    # a rational line: its chart coordinate q is no element of Q(sqrt5, i)
+    # and no quaternion, and at the pole neither is its first entry
+    for q in (Fraction(1, 2), 3, QSqrt5(1, 1)):
+        with pytest.raises(DomainError):
+            _real_coords(q)
+    for vec in ((Fraction(1), Fraction(2)), (Fraction(1), Fraction(0)),
+                (Fraction(0), Fraction(1))):
+        with pytest.raises(DomainError):
+            stereographic_apply(ProjectivePoint.from_vector(vec))

@@ -6,10 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from paradoxcert.equimaps import grass_slice
 from paradoxcert.errors import (
     BackendMismatchError,
     DescriptorError,
     DimensionMismatchError,
+    DomainError,
+    GapCaseError,
+    RankDeficientError,
 )
 from paradoxcert.freegroup import get_pair
 from paradoxcert.linalg import (
@@ -49,11 +53,11 @@ from paradoxcert.spaces import (
     block_embed_point,
     equals,
     exact_ring_for_field,
-    intersect,
     natural_group,
     orthogonal_complement,
     parse_descriptor,
 )
+from paradoxcert.verification import _contained_in
 from paradoxcert.words import B
 
 
@@ -282,6 +286,22 @@ def _proj(sub):
     return projector_of_basis(sub.basis)
 
 
+def intersect(v: Subspace, w: Subspace) -> Subspace:
+    """V n W as the vectors B_V c with c in the kernel of
+    B_V - B_W B_V[pivots_W]: x = B_V c lies in W iff x = B_W x[pivots_W].
+    The generic intersection, the reference the tail-row slice of
+    ``grass_slice`` is compared against."""
+    if v.ambient_dim != w.ambient_dim:
+        raise DimensionMismatchError("ambient dimensions differ")
+    bv = v.basis
+    head = Matrix._of_rows(tuple(bv.data[i] for i in w.pivots))
+    cs = kernel(bv - matmul(w.basis, head))
+    if not cs:
+        # the zero subspace: an n x 0 basis
+        return Subspace(Matrix._of_rows(((),) * bv.rows), ())
+    return Subspace.from_basis(mat_vec(bv, c) for c in cs)
+
+
 def _reference_intersection(v, w):
     """Projector of V n W as the kernel of the stacked I - P_V, I - P_W."""
     n = v.ambient_dim
@@ -469,3 +489,68 @@ def test_exact_ring_for_field():
     assert exact_ring_for_field("R") is RING_QSQRT2
     assert exact_ring_for_field("C") is RING_GAUSS_SQRT5
     assert exact_ring_for_field("H") is RING_QUAT_SQRT5
+
+
+def _slice_cases(field, n, k, rng):
+    """Random k-planes of K^n, k-planes inside K^m (m = n + 1 - k), and
+    k-planes meeting K^m in two dimensions (the gap case), with m."""
+    ring = exact_ring_for_field(field)
+    m = n + 1 - k
+
+    def head_vector():
+        return tuple(random_scalar(rng, ring) if i < m else ring.zero
+                     for i in range(n))
+
+    def vector():
+        return tuple(random_scalar(rng, ring) for _ in range(n))
+
+    cases = [random_subspace(n, k, ring, rng) for _ in range(4)]
+    for heads in (k, 2):
+        if heads > m or (heads == 2 and k < 3):
+            continue
+        while True:
+            cols = [head_vector() for _ in range(heads)]
+            cols += [vector() for _ in range(k - heads)]
+            try:
+                cases.append(Subspace.from_basis(cols))
+                break
+            except RankDeficientError:
+                continue
+    return m, cases
+
+
+def _reference_slice(v, hyper):
+    """V n K^m by the generic intersection, or the error class and text
+    the slice map must raise."""
+    if hyper.contains(v):
+        return DomainError, "subspaces inside the hyperplane copy are excluded"
+    x = intersect(v, hyper)
+    if x.dim != 1:
+        return GapCaseError, f"slice intersection has dimension {x.dim}, not 1"
+    return x
+
+
+@pytest.mark.parametrize("field", ["R", "C", "H"])
+def test_the_tail_row_slice_equals_the_generic_intersection(field):
+    rng = rng_for(89, "tail", field)
+    ring = exact_ring_for_field(field)
+    seen = set()
+    for n, k in ((3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (5, 4)):
+        m, cases = _slice_cases(field, n, k, rng)
+        hyper = Subspace.coordinate(n, range(m), ring)
+        apply = grass_slice(field, n, k).apply
+        for v in cases:
+            inside = hyper.contains(v)
+            assert v.inside_head(m) is inside
+            assert _contained_in(m, v) is inside
+            want = _reference_slice(v, hyper)
+            if isinstance(want, Subspace):
+                got = apply(v)
+                assert got == want and repr(got.vector) == repr(want.vector)
+                seen.add("line")
+                continue
+            with pytest.raises(DomainError) as err:
+                apply(v)
+            assert (type(err.value), str(err.value)) == want
+            seen.add(want[0].__name__)
+    assert seen == {"line", "DomainError", "GapCaseError"}

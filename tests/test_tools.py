@@ -114,3 +114,18 @@ def test_the_first_slices_of_3_planes_verify(desc):
               for n in report["nodes"] if n["status"] == "fail"]
     assert report["overall"] == "pass", failed
     assert report["unknown"] == 0
+
+
+def test_work_counts_pins_the_exact_work_of_a_verify(tmp_path, capsys):
+    # Cayley transforms, row reductions, scalars made and map applies of
+    # one derive and verify; each run starts from emptied memos, so the
+    # order of the runs does not move a count
+    tool = _tool("work_counts")
+    status, counts = tool.work_counts(
+        "grass(C,4,2)", tmp_path, ["--depth", "2", "--samples", "10"])
+    assert status == 0
+    assert dict(counts) == {"cayley": 69, "rref": 399, "scalars": 13082,
+                            "applies": 163}
+    capsys.readouterr()
+    assert tool.main(["sphere(2)"]) == 0
+    assert capsys.readouterr().out == "| sphere(2) | 0 | 160 | 10163 | 0 |\n"

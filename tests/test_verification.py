@@ -551,3 +551,27 @@ def test_absorbed_levels_match_a_brute_force_orbit(monkeypatch):
     levels = [v._absorbed_level(v.root, "0", p) for p in points]
     assert levels == [brute.get(_point_line_key(p)) for p in points]
     assert {0, 1, 2} <= set(levels) and None in levels
+
+
+@pytest.mark.parametrize("desc", ["sphere(2)", "proj(C,2)", "proj(C,3)",
+                                  "proj(H,2)", "grass(R,4,2)",
+                                  "grass(C,4,2)", "flag(R;1,3,4)"])
+def test_small_configs_pass_at_every_absorber_bound(desc):
+    # one certificate per rule shape, at absorber bounds 1 to 3
+    root = derive(desc)
+    wrong = []
+    for bound in (1, 2, 3):
+        for depth, samples in ((1, 2), (2, 5)):
+            report = verify(root, depth=depth, samples=samples, seed=7,
+                            absorber_bound=bound)
+            if report["overall"] != "pass" or report["unknown"]:
+                wrong.append((bound, depth, samples, report["unknown"]))
+    assert wrong == []
+
+
+def test_classify_answers_unknown_for_a_line_off_the_chart_field():
+    # a rational line the absorber does not absorb reaches the chart of
+    # proj(C,2), which reads Q(sqrt5, i) and the quaternions only
+    root = derive("proj(C,2)")
+    for vec in ((Fraction(1), Fraction(2)), (Fraction(1), Fraction(0))):
+        assert classify(root, ProjectivePoint.from_vector(vec)) == "Unknown"
