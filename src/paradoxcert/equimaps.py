@@ -35,26 +35,38 @@ their products.
 
 That includes the stereographic chart identifying the projective line over
 C (resp. H) with S^2 (resp. S^4), and the induced rotation carrying a 2x2
-unitary to the orthogonal matrix it acts by on that sphere: both are
-rational, so they stay inside Q(sqrt5) on exact input.  The inverse chart,
-``stereographic_lift``, is exact too wherever a ray's unit vector lies in
-Q(sqrt5), as every chart image of an exact line does: it reads the norm
-of the ray's leading-1 direction through ``scalars.exact_sqrt`` and
-returns None when that root leaves the field.  Both take exact input
-only: a point refuses a coordinate that is not exact when it is built
-(``spaces``), and a float unitary does not multiply the exact lines the
-induced rotation moves.
+unitary to the orthogonal matrix it acts by on that sphere. The chart is
+one integer quadratic form: the line [v1 : v2] goes to N(v) / |v|^2, where
+N(v) = (2 v1 conj(v2), |v1|^2 - |v2|^2) is a vector of real quadratic
+forms in the real coordinates of v. Each coordinate is read by value
+(``rational_value``, ``quaternion_parts``, ``scalars._components``) as an
+integer pair (a, b) for (a + b sqrt5) / den over one common den, and a C
+entry is a quaternion with zero j and k parts, so one Hamilton product
+serves C and H. ``stereographic_apply`` is the signed ray of N(v), the
+positive |v|^2 dropped, so its one inversion is the ray's leading-entry
+scaling; column j of ``induced_rotation(g)`` is N(g l_j) / |g l_j|^2, one
+real inversion a column. Any line over Q(sqrt5, i) or the quaternions over
+Q(sqrt5), a rational one included, charts into Q(sqrt5). The inverse
+chart, ``stereographic_lift``, is exact too wherever a ray's unit vector
+lies in Q(sqrt5), as every chart image of an exact line does: it reads
+the norm |d| of the ray's leading-1 direction d through
+``scalars.exact_sqrt``, returns None when that root leaves the field, and
+otherwise the line [s d_c : |d| - s d_h] for the ray s (d_c, d_h), with
+no division by the norm or by 1 - h. Both take exact input only: a point
+refuses a coordinate that is not exact when it is built (``spaces``), and
+a float unitary does not multiply the exact lines the induced rotation
+moves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cache
 
 from .errors import DomainError, GapCaseError, ParadoxError
 from .linalg import (
     Matrix,
-    _inv,
     block_embed_matrix,
     kernel,
     mat_vec,
@@ -72,11 +84,16 @@ from .sampling import (
 )
 from .scalars import (
     GaussSqrt5,
+    QuadExt,
     Quaternion,
     RING_QUAT_SQRT5,
     RING_RATIONAL,
     QSqrt5,
+    _components,
     exact_sqrt,
+    quaternion_parts,
+    rational_value,
+    real_positive,
     ring_of,
 )
 from .spaces import (
@@ -367,61 +384,177 @@ CATALOG = {
 # stereographic chart: projective line over C/H to S^2/S^4
 # --------------------------------------------------------------------------
 
-def _real_coords(q):
-    """Real coordinates of an element of Q(sqrt5, i) or of a quaternion;
-    DomainError for any other scalar."""
-    if isinstance(q, GaussSqrt5):
-        return list(q.real_imag())
-    if isinstance(q, Quaternion):
-        return [q.w, q.x, q.y, q.z]
-    raise DomainError(f"the chart reads Q(sqrt5, i) or quaternions, "
-                      f"not {q!r}")
+# the real dimension of the field an entry of a charted line lies in
+_REAL_DIM = {"C": 2, "H": 4}
+
+# the terms (i, j, sign) of each part 1, i, j, k of p conj(q) for
+# quaternions p and q: sum of sign p_i q_j. A C number is a quaternion with
+# zero j and k parts, and its product is the first two terms of the first
+# two rows
+_CONJ_PRODUCT = (
+    ((0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1)),
+    ((1, 0, 1), (0, 1, -1), (3, 2, 1), (2, 3, -1)),
+    ((2, 0, 1), (0, 2, -1), (1, 3, 1), (3, 1, -1)),
+    ((3, 0, 1), (0, 3, -1), (2, 1, 1), (1, 2, -1)),
+)
 
 
-def _chart_vector(v1, v2) -> tuple:
-    """The chart image of the line [v1 : v2] as a unit vector.
+def _sqrt5_components(x):
+    """(a, b, c, d, den) with x = (a + b sqrt5 + (c + d sqrt5) i) / den,
+    for a scalar x of Q(sqrt5, i) read by value, or None off that field."""
+    if isinstance(x, QuadExt) and x.D != 5:
+        x = rational_value(x)  # a rational of another field is that rational
+        if isinstance(x, QuadExt):
+            return None
+    return _components(x)
 
-    [q : 1] goes to (2q, |q|^2 - 1) / (|q|^2 + 1) and [1 : 0] to the north
-    pole, in the real backend of the entries: Q(sqrt5). DomainError when q
-    (or v1, at the pole) is neither in Q(sqrt5, i) nor a quaternion.
+
+def _parts(e):
+    """The parts of a scalar e along 1, i, j, k, each a triple (a, b, den)
+    for (a + b sqrt5) / den, or None when one leaves Q(sqrt5). A scalar
+    that is no quaternion, an element of Q(sqrt5, i) or a real one, has
+    zero j and k parts."""
+    if isinstance(e, Quaternion):
+        read = list(map(_sqrt5_components, quaternion_parts(e)))
+        # a quaternion's components are real
+        if None in read or any(c or d for _, _, c, d, _ in read):
+            return None
+        return [(a, b, den) for a, b, _, _, den in read]
+    read = _sqrt5_components(e)
+    if read is None:
+        return None
+    a, b, c, d, den = read
+    return [(a, b, den), (c, d, den), (0, 0, 1), (0, 0, 1)]
+
+
+def _integer_pairs(triples):
+    """The integer pairs (a * den / e, b * den / e) of triples (a, b, e),
+    den the least common denominator: the reals (a + b sqrt5) / e, all
+    over den."""
+    den = math.lcm(*[e for _, _, e in triples])
+    return [(a * (den // e), b * (den // e)) for a, b, e in triples]
+
+
+def _chart_coords(field: str, vec) -> tuple:
+    """The real coordinates of each entry of vec = (v1, v2), its parts
+    along 1 and i (and j, k over H), as integer pairs (a, b) for
+    (a + b sqrt5) / den over one common den, which the chart leaves out:
+    its forms are homogeneous, and it reads only their ratios. DomainError
+    for a coordinate off Q(sqrt5), and over C for a j or k part.
     """
-    if not v2:
-        coords = _real_coords(v1)
-        zero = coords[0] - coords[0]
-        return (zero,) * len(coords) + (zero + 1,)
-    q = v1 * _inv(v2)
-    coords = _real_coords(q)
-    norm_sq = sum(c * c for c in coords)
-    scale = 1 / (norm_sq + 1)
-    return tuple(2 * c * scale for c in coords) + ((norm_sq - 1) * scale,)
+    width = _REAL_DIM[field]
+    triples = []
+    for e in vec:
+        parts = _parts(e)
+        if parts is None:
+            raise DomainError(f"the chart reads Q(sqrt5, i) or "
+                              f"quaternions over Q(sqrt5), not {e!r}")
+        if any(a or b for a, b, _ in parts[width:]):
+            raise DomainError(f"{e!r} has a j or k part, outside C")
+        triples += parts[:width]
+    pairs = _integer_pairs(triples)
+    return pairs[:width], pairs[width:]
 
 
-def stereographic_apply(line: ProjectivePoint) -> SpherePoint:
-    """The chart, on an exact line."""
+def _chart_form(field: str, vec):
+    """(N(v), |v|^2) for v = (v1, v2) = vec, with
+    N(v) = (2 v1 conj(v2), |v1|^2 - |v2|^2): the chart image of the line
+    of v is N(v) / |v|^2. Each real is an integer pair (A, B) for
+    A + B sqrt5, all over the square of the common den of
+    ``_chart_coords``."""
+    p, q = _chart_coords(field, vec)
+    width = len(p)
+    n = []
+    for terms in _CONJ_PRODUCT[:width]:
+        x = y = 0
+        for i, j, sign in terms[:width]:
+            (a1, b1), (a2, b2) = p[i], q[j]
+            x += sign * (a1 * a2 + 5 * b1 * b2)
+            y += sign * (a1 * b2 + b1 * a2)
+        n.append((2 * x, 2 * y))
+    (s1, t1), (s2, t2) = _norm_sq(p), _norm_sq(q)
+    n.append((s1 - s2, t1 - t2))
+    return n, (s1 + s2, t1 + t2)
+
+
+def _norm_sq(pairs):
+    """The sum of the squares of the reals a + b sqrt5 of integer pairs,
+    as an integer pair."""
+    return (sum(a * a + 5 * b * b for a, b in pairs),
+            sum(2 * a * b for a, b in pairs))
+
+
+def _divided(n, divisor):
+    """(numerators, den): the reals x / divisor for the integer pairs x of
+    n and a nonzero divisor, each (A, B) for A + B sqrt5, as integer pairs
+    over one integer den: one inverse of the divisor, by its conjugate,
+    for the lot."""
+    c, d = divisor
+    return ([(a * c - 5 * b * d, b * c - a * d) for a, b in n],
+            c * c - 5 * d * d)  # nonzero: sqrt5 is irrational
+
+
+def _quotients(n, divisor) -> list:
+    """The reals x / divisor of ``_divided``, in Q(sqrt5)."""
+    nums, den = _divided(n, divisor)
+    return [QuadExt.__new__(QSqrt5, a, b, 0, 0, den) for a, b in nums]
+
+
+def stereographic_apply(field: str, line: ProjectivePoint) -> SpherePoint:
+    """The chart: the line [v1 : v2] over the field goes to the ray of
+    N(v) = (2 v1 conj(v2), |v1|^2 - |v2|^2), the unit vector N(v) / |v|^2
+    without its positive factor. The ray's leading-entry scaling is its
+    only inversion. Any line over Q(sqrt5, i) (or the quaternions over
+    Q(sqrt5)) is charted, a rational one included; DomainError for any
+    other."""
     if line.ambient_dim != 2:
         raise DomainError("expected a line in K^2")
-    return SpherePoint.from_vector(_chart_vector(*line.vector))
+    n, _ = _chart_form(field, line.vector)
+    lead = next(x for x in n if x[0] or x[1])  # N(v) != 0 for v != 0
+    return SpherePoint(1 if real_positive(*lead, 5) else -1,
+                       _quotients(n, lead))
 
 
 def stereographic_lift(field: str, p: SpherePoint):
     """Inverse chart: the exact line the chart puts on the ray p, or None
     when p's unit vector leaves Q(sqrt5), the real field of the chart.
 
-    The unit vector (c, h) of p is its direction over the norm, an exact
-    root in Q(sqrt5) (``exact_sqrt``); its line is [1 : 0] at the north
-    pole h = 1 and [c / (1 - h) : 1] elsewhere, with c read as an element
-    of Q(sqrt5, i) or as a quaternion over Q(sqrt5).
+    With p = s (d_c, d_h), s its sign and |d| = ``exact_sqrt(|d|^2)``, the
+    line is [s d_c : |d| - s d_h]: the chart puts it on (c, h) = s d / |d|,
+    since 1 - h = (|d| - s d_h) / |d|. Its leading-1 vector is
+    [1 : s conj(d_c) / (|d| + s d_h)], because
+    |d_c|^2 = (|d| - s d_h) (|d| + s d_h); the north pole s d_h = |d| is
+    [1 : 0] and the south pole s d_h = -|d| is [0 : 1]. So the lift
+    divides by neither the norm nor 1 - h, but once by the real
+    |d| + s d_h.
     """
-    norm = exact_sqrt(sum((x * x for x in p.direction), QSqrt5(0)))
-    if norm is None:
+    width = _REAL_DIM[field]
+    if len(p.direction) != width + 1:
+        raise DomainError(f"expected a point of S^{width}")
+    read = list(map(_parts, p.direction))
+    if None in read or any(a or b for r in read for a, b, _ in r[1:]):
         return None
-    *c, h = (p.sign * x / norm for x in p.direction)
-    one = GaussSqrt5(1) if field == "C" else RING_QUAT_SQRT5.one
-    if h == 1:
-        return ProjectivePoint.from_vector((one, one - one))
-    c = [x / (1 - h) for x in c]
-    q = c[0] + GaussSqrt5(0, 0, 1) * c[1] if field == "C" else Quaternion(*c)
-    return ProjectivePoint.from_vector((q, one))
+    d = _integer_pairs([r[0] for r in read])
+    root = exact_sqrt(QuadExt.__new__(QSqrt5, *_norm_sq(d), 0, 0, 1))
+    if root is None:
+        return None
+    *dc, (ha, hb) = d
+    s, r = p.sign, root.den
+    # r (|d| + s d_h), with |d| = (root.a + root.b sqrt5) / r
+    divisor = (root.a + s * ha * r, root.b + s * hb * r)
+    ring = exact_ring_for_field(field)
+    if not any(divisor):
+        return ProjectivePoint((ring.zero, ring.one))
+    # s conj(d_c) / (|d| + s d_h) = s r conj(d_c) / divisor, and conj
+    # negates the i, j, k parts
+    u = s * r
+    nums, den = _divided([(a * u, b * u) if k == 0 else (-a * u, -b * u)
+                          for k, (a, b) in enumerate(dc)], divisor)
+    if field == "C":
+        (a, b), (c, d) = nums
+        return ProjectivePoint((ring.one, GaussSqrt5(a, b, c, d, den)))
+    return ProjectivePoint((ring.one, Quaternion(
+        *[QuadExt.__new__(QSqrt5, a, b, 0, 0, den) for a, b in nums])))
 
 
 def _chart_preimages(field: str) -> list:
@@ -443,11 +576,13 @@ def induced_rotation(field: str, g: Matrix) -> Matrix:
 
     The rotation is linear and carries the chart image of a line to that of
     its g-translate, so its column j is the chart image of g l_j, where l_j
-    is the line the chart puts on e_j.  Exact over Q(sqrt5).
+    is the line the chart puts on e_j: N(v) / |v|^2 for v = g l_j, one real
+    inversion a column.  Exact over Q(sqrt5).
     """
     if g.rows != 2 or g.cols != 2:
         raise DomainError("expected a 2x2 unitary")
-    cols = [_chart_vector(*mat_vec(g, v)) for v in _chart_preimages(field)]
+    cols = [_quotients(*_chart_form(field, mat_vec(g, v)))
+            for v in _chart_preimages(field)]
     return Matrix(zip(*cols))
 
 
@@ -472,9 +607,12 @@ def stereographic(field: str) -> MapInstance:
     def sample_pair(rng):
         return rng.choice(pairs())
 
+    def apply(line):
+        return stereographic_apply(field, line)
+
     return MapInstance(
         name=f"stereographic({field})",
-        apply=stereographic_apply, section=None,
+        apply=apply, section=None,
         draw=draw, sample_pair=sample_pair)
 
 

@@ -432,14 +432,6 @@ class Subspace:
             return ProjectivePoint(basis.column(0))
         return Subspace(basis, pivots)
 
-    @classmethod
-    def coordinate(cls, n: int, indices, ring: Ring):
-        """span{e_i : i in indices} inside K^n."""
-        idx = sorted(set(indices))
-        z, o = ring.zero, ring.one
-        return Subspace.from_echelon(Matrix.from_columns(
-            tuple(o if i == j else z for i in range(n)) for j in idx), idx)
-
     @property
     def dim(self):
         return self.basis.cols

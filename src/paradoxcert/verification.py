@@ -53,9 +53,13 @@ absorber contexts, the pair-word, freeness and translate scans, map
 selftests and maps) are computed once per verify and keyed by the content
 they are computed from, so a repeated subtree reuses them; each node looks
 its own fact up by that key once and keeps it by path.  Whatever depends
-on a node's samples (sample draws, random unitaries, section and
-involution replays, witness checks) stays keyed by node path, so sharing
-changes no report byte.
+on a node's samples (sample draws, group draws, section and involution
+replays, witness checks) stays keyed by node path, so sharing changes no
+report byte.  A ``StarEmbed`` spot check and a ``SubgroupLift`` member
+check draw their group element from ``sampling.generating_set``, with the
+node's own rng: what each checks holds for a product when it holds for
+the factors, and is a closed condition, so the density argument of
+``equimaps`` carries it from that set to the whole group.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ from .linalg import (
     mat_vec,
     normalize_leading,
 )
-from .sampling import random_unitary, rng_for
+from .sampling import generating_set, rng_for
 from .scalars import (
     RING_GAUSS_SQRT5,
     RING_QUAT_SQRT5,
@@ -524,7 +528,7 @@ class CertVerifier:
             return self.classify(point, node.children[0], path + ".0")
         if rule == "Intertwine":
             try:
-                img = stereographic_apply(point)
+                img = stereographic_apply(node.params["field"], point)
             except DomainError:
                 return "Unknown"
             return self.classify(img, node.children[0], path + ".0")
@@ -624,8 +628,9 @@ class CertVerifier:
         else:
             ring = _sampling_ring(node.space.base.field)
             rng = rng_for(self.config.seed, path, "members")
+            members = generating_set(child.group.n, ring)
             for _ in range(3):
-                u = random_unitary(child.group.n, ring, rng)
+                u = rng.choice(members)
                 checks += 1
                 if not is_unitary(block_embed_matrix(u, node.group.n)):
                     failures.append("embedded member is not unitary")
@@ -645,8 +650,9 @@ class CertVerifier:
         ring = _sampling_ring(node.space.base.field)
         rng = rng_for(cfg.seed, path, "equivariance")
         spot = self._subsample(child_samples[0], path, "spot", cap=10)
+        movers = generating_set(node.children[0].group.matrix_dim, ring)
         for s in spot:
-            u = random_unitary(node.children[0].group.matrix_dim, ring, rng)
+            u = rng.choice(movers)
             ub = block_embed_matrix(u, ambient)
             lhs = block_embed_point(act(u, s.point), ambient)
             rhs = act(ub, block_embed_point(s.point, ambient))
@@ -833,7 +839,7 @@ class CertVerifier:
             line = stereographic_lift(f, s.point)
             if line is None:
                 outside += 1
-            elif stereographic_apply(line) != s.point:
+            elif stereographic_apply(f, line) != s.point:
                 missed += 1
             else:
                 lifted.append(Sample(line, s.label))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from paradoxcert.equimaps import (
-    _real_coords,
+    _chart_preimages,
     corrupted,
     default_catalog,
     duality,
@@ -38,10 +38,13 @@ from paradoxcert.sampling import (
     rng_for,
 )
 from paradoxcert.scalars import (
+    RING_QUAT_SQRT5,
     RINGS,
     GaussSqrt5,
+    QSqrt2,
     Quaternion,
     QSqrt5,
+    exact_sqrt,
     ring_of,
 )
 from paradoxcert.spaces import (
@@ -54,6 +57,7 @@ from paradoxcert.spaces import (
     exact_ring_for_field,
     orthogonal_complement,
 )
+from test_spaces import coordinate
 
 
 def test_catalog_covers_every_space_family():
@@ -98,7 +102,7 @@ def test_proj_drop_rejects_the_dropped_axis():
 def test_grass_slice_excludes_the_hyperplane_copy():
     m = grass_slice("R", 4, 2)
     ring = exact_ring_for_field("R")
-    inside = Subspace.coordinate(4, (0, 1), ring)   # contained in the slice
+    inside = coordinate(4, (0, 1), ring)   # contained in the slice
     with pytest.raises(DomainError):
         m.apply(inside)
 
@@ -108,7 +112,7 @@ def test_grass_slice_gap_case():
     # nor a legal input: the slice map reports the gap explicitly
     m = grass_slice("R", 5, 3)
     ring = exact_ring_for_field("R")
-    v = Subspace.coordinate(5, (0, 1, 3), ring)
+    v = coordinate(5, (0, 1, 3), ring)
     with pytest.raises(GapCaseError):
         m.apply(v)
 
@@ -172,10 +176,10 @@ def test_stereographic_round_trip():
         rng = rng_for(61, "st", field)
         for i in range(25):
             line = random_projective_point(2, ring, rng)
-            p = stereographic_apply(line)
+            p = stereographic_apply(field, line)
             back = stereographic_lift(field, p)
             assert back == line
-            assert stereographic_apply(back) == p
+            assert stereographic_apply(field, back) == p
         d = 3 if field == "C" else 5
         for vec in ((1, 1) + (0,) * (d - 2), (0,) * (d - 1) + (1,),
                     (0,) * (d - 1) + (-1,)):
@@ -184,7 +188,7 @@ def test_stereographic_round_trip():
             if vec[0]:
                 assert back is None
             else:
-                assert stereographic_apply(back) == p
+                assert stereographic_apply(field, back) == p
 
 
 def _chart_basis_lines(field):
@@ -205,7 +209,7 @@ def test_the_chart_puts_each_basis_line_on_its_basis_vector():
         lines = _chart_basis_lines(field)
         for j, v in enumerate(lines):
             e = tuple(QSqrt5(int(i == j)) for i in range(len(lines)))
-            p = stereographic_apply(ProjectivePoint.from_vector(v))
+            p = stereographic_apply(field, ProjectivePoint.from_vector(v))
             assert p == SpherePoint.from_vector(e)
 
 
@@ -224,7 +228,7 @@ def test_the_exact_induced_rotation_is_an_orthogonal_homomorphism():
             for j, v in enumerate(_chart_basis_lines(field)):
                 image = ProjectivePoint.from_vector(mat_vec(g, v))
                 assert SpherePoint.from_vector(r.column(j)) == \
-                    stereographic_apply(image)
+                    stereographic_apply(field, image)
 
 
 def test_the_exact_chart_commutes_with_the_action():
@@ -234,9 +238,9 @@ def test_the_exact_chart_commutes_with_the_action():
         for _ in range(8):
             line = random_projective_point(2, ring, rng)
             g = random_unitary(2, ring, rng)
-            lhs = stereographic_apply(act(g, line))
+            lhs = stereographic_apply(field, act(g, line))
             rhs = act(induced_rotation(field, g),
-                      stereographic_apply(line))
+                      stereographic_apply(field, line))
             assert lhs == rhs
 
 
@@ -329,12 +333,169 @@ def test_a_map_broken_along_one_coordinate_swap_fails_its_selftest(m):
 
 
 def test_the_chart_refuses_a_line_off_its_field():
-    # a rational line: its chart coordinate q is no element of Q(sqrt5, i)
-    # and no quaternion, and at the pole neither is its first entry
-    for q in (Fraction(1, 2), 3, QSqrt5(1, 1)):
-        with pytest.raises(DomainError):
-            _real_coords(q)
-    for vec in ((Fraction(1), Fraction(2)), (Fraction(1), Fraction(0)),
-                (Fraction(0), Fraction(1))):
-        with pytest.raises(DomainError):
-            stereographic_apply(ProjectivePoint.from_vector(vec))
+    # a line whose leading-1 vector has an entry with a sqrt2 part lies
+    # in neither Q(sqrt5, i) nor the quaternions over Q(sqrt5); a
+    # quaternion with a j or k part is no point of the line over C
+    off, one = QSqrt2(1, 1), QSqrt2(1)
+    for field in ("C", "H"):
+        for vec in ((off, one), (one, off), (one, QSqrt2(0, 1))):
+            with pytest.raises(DomainError):
+                stereographic_apply(field,
+                                    ProjectivePoint.from_vector(vec))
+    o, z = QSqrt5(1), QSqrt5(0)
+    j = Quaternion(z, z, o, z)
+    with pytest.raises(DomainError):
+        stereographic_apply("C", ProjectivePoint.from_vector(
+            (RING_QUAT_SQRT5.one, j)))
+
+
+def _as_field(field, x):
+    """The real scalar x written over Q(sqrt5, i) or the quaternions."""
+    x = QSqrt5(x) if isinstance(x, (int, Fraction)) else x
+    z = QSqrt5(0)
+    return GaussSqrt5(x.a, x.b, 0, 0, x.den) if field == "C" \
+        else Quaternion(x, z, z, z)
+
+
+def test_the_chart_reads_a_rational_or_real_line_by_value():
+    # a line with rational or Q(sqrt5) entries lies in the projective line
+    # over C and over H: the chart puts it where it puts the same line
+    # written over Q(sqrt5, i) or the quaternions, in S^2 or S^4
+    f = Fraction
+    for field in ("C", "H"):
+        d = 3 if field == "C" else 5
+        for vec, image in (((f(1), f(2)), (4,) + (0,) * (d - 2) + (-3,)),
+                           ((f(1), f(0)), (0,) * (d - 1) + (1,)),
+                           ((f(0), f(1)), (0,) * (d - 1) + (-1,)),
+                           ((f(1, 2), f(3)), (3,) + (0,) * (d - 2)
+                            + (f(-35, 4),)),
+                           ((QSqrt5(1, 1), f(1)), None)):
+            line = ProjectivePoint.from_vector(vec)
+            written = ProjectivePoint.from_vector(
+                tuple(_as_field(field, x) for x in vec))
+            p = stereographic_apply(field, line)
+            assert p == stereographic_apply(field, written)
+            assert p == _reference_chart(written)
+            if image:
+                assert p == SpherePoint.from_vector(tuple(map(QSqrt5, image)))
+
+
+# the chart before it was one integer form, kept as the reference: the
+# line [q : 1] goes to (2q, |q|^2 - 1) / (|q|^2 + 1) with q = v1 v2^-1, and
+# [1 : 0] to the north pole; the lift reads the unit vector (c, h) and
+# returns [c / (1 - h) : 1], or [1 : 0] at h = 1
+
+
+def _reference_coords(q):
+    if isinstance(q, GaussSqrt5):
+        return list(q.real_imag())
+    return [q.w, q.x, q.y, q.z]
+
+
+def _reference_vector(v1, v2):
+    if not v2:
+        coords = _reference_coords(v1)
+        zero = coords[0] - coords[0]
+        return (zero,) * len(coords) + (zero + 1,)
+    coords = _reference_coords(v1 * v2.inverse())
+    norm_sq = sum(c * c for c in coords)
+    scale = 1 / (norm_sq + 1)
+    return tuple(2 * c * scale for c in coords) + ((norm_sq - 1) * scale,)
+
+
+def _reference_chart(line):
+    return SpherePoint.from_vector(_reference_vector(*line.vector))
+
+
+def _reference_lift(field, p):
+    norm = exact_sqrt(sum((x * x for x in p.direction), QSqrt5(0)))
+    if norm is None:
+        return None
+    *c, h = (p.sign * x / norm for x in p.direction)
+    one = GaussSqrt5(1) if field == "C" else RING_QUAT_SQRT5.one
+    if h == 1:
+        return ProjectivePoint.from_vector((one, one - one))
+    c = [x / (1 - h) for x in c]
+    q = c[0] + GaussSqrt5(0, 0, 1) * c[1] if field == "C" else Quaternion(*c)
+    return ProjectivePoint.from_vector((q, one))
+
+
+def _reference_rotation(field, g):
+    return Matrix(zip(*[_reference_vector(*mat_vec(g, v))
+                        for v in _chart_preimages(field)]))
+
+
+def _entry_classes(x):
+    """The class of every entry of a point or matrix, and of every
+    component of a quaternion entry."""
+    if isinstance(x, SpherePoint):
+        entries = x.direction
+    elif isinstance(x, ProjectivePoint):
+        entries = x.vector
+    else:
+        entries = [e for row in x.data for e in row]
+    return [(type(e),) + ((type(e.w), type(e.x), type(e.y), type(e.z))
+                          if isinstance(e, Quaternion) else ())
+            for e in entries]
+
+
+def _lines_with_a_zero_part(field):
+    """Lines whose entries have a zero real or imaginary part, the two
+    poles among them."""
+    o, t, z = QSqrt5(1), QSqrt5(2, 1), QSqrt5(0)
+
+    def num(re, im):
+        # re + im i over C, and re + im j + im k over H
+        if field == "C":
+            return re + GaussSqrt5(0, 0, 1) * im
+        return Quaternion(re, z, im, im)
+    return [(num(o, z), num(z, z)), (num(z, z), num(o, z)),
+            (num(t, z), num(o, z)), (num(z, t), num(o, z)),
+            (num(o, z), num(z, t)), (num(t, z), num(z, o)),
+            (num(z, o), num(t, t)), (num(o, t), num(z, z))]
+
+
+def test_the_chart_and_its_lift_equal_the_reference_formula():
+    for field in ("C", "H"):
+        ring = exact_ring_for_field(field)
+        rng = rng_for(83, "reference", field)
+        lines = [random_projective_point(2, ring, rng) for _ in range(30)]
+        lines += [ProjectivePoint.from_vector(v)
+                  for v in _lines_with_a_zero_part(field)]
+        for line in lines:
+            p = stereographic_apply(field, line)
+            ref = _reference_chart(line)
+            assert p == ref and p.sign == ref.sign
+            assert _entry_classes(p) == _entry_classes(ref)
+            back = stereographic_lift(field, p)
+            assert back == _reference_lift(field, p) == line
+            assert _entry_classes(back) == _entry_classes(line)
+
+
+def test_the_lift_leaves_the_field_exactly_where_the_reference_does():
+    # the rays of test_stereographic_round_trip, and the sqrt2 rays with a
+    # nonzero last coordinate
+    for field in ("C", "H"):
+        d = 3 if field == "C" else 5
+        for vec in ((1, 1) + (0,) * (d - 2), (0,) * (d - 1) + (1,),
+                    (0,) * (d - 1) + (-1,), (1,) + (0,) * (d - 2) + (1,),
+                    (-1,) + (0,) * (d - 2) + (-1,), (3,) + (0,) * (d - 2)
+                    + (-4,)):
+            p = SpherePoint.from_vector(tuple(map(QSqrt5, vec)))
+            back = stereographic_lift(field, p)
+            ref = _reference_lift(field, p)
+            assert (back is None) == (ref is None)
+            assert back == ref
+
+
+def test_the_induced_rotation_equals_the_reference_formula():
+    for field in ("C", "H"):
+        ring = exact_ring_for_field(field)
+        rng = rng_for(89, "reference", field)
+        gs = list(generating_set(2, ring))
+        gs += [random_unitary(2, ring, rng) for _ in range(4)]
+        for g in gs:
+            r = induced_rotation(field, g)
+            ref = _reference_rotation(field, g)
+            assert r == ref
+            assert _entry_classes(r) == _entry_classes(ref)

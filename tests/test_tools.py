@@ -124,7 +124,7 @@ def test_work_counts_pins_the_exact_work_of_a_verify(tmp_path, capsys):
     status, counts = tool.work_counts(
         "grass(C,4,2)", tmp_path, ["--depth", "2", "--samples", "10"])
     assert status == 0
-    assert dict(counts) == {"cayley": 69, "rref": 399, "scalars": 13082,
+    assert dict(counts) == {"cayley": 20, "rref": 350, "scalars": 5620,
                             "applies": 163}
     capsys.readouterr()
     assert tool.main(["sphere(2)"]) == 0

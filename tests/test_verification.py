@@ -393,7 +393,7 @@ def test_every_charted_fragment_point_lifts_exactly_and_replays(
         point = frag.point_for(w)
         line = stereographic_lift(field, point)
         assert line == lines.point_for(w)
-        assert stereographic_apply(line) == point
+        assert stereographic_apply(field, line) == point
 
 
 @pytest.mark.parametrize("desc", ["proj(C,2)", "proj(H,2)"])
@@ -569,9 +569,16 @@ def test_small_configs_pass_at_every_absorber_bound(desc):
     assert wrong == []
 
 
-def test_classify_answers_unknown_for_a_line_off_the_chart_field():
-    # a rational line the absorber does not absorb reaches the chart of
-    # proj(C,2), which reads Q(sqrt5, i) and the quaternions only
+def test_classify_charts_a_rational_line_exactly():
+    # a rational line lies in proj(C,2): the chart reads each entry by
+    # value and puts it where it puts the same line written over
+    # Q(sqrt5, i), and both are absorbed
+    from paradoxcert.equimaps import stereographic_apply
+    from paradoxcert.scalars import GaussSqrt5
     root = derive("proj(C,2)")
-    for vec in ((Fraction(1), Fraction(2)), (Fraction(1), Fraction(0))):
-        assert classify(root, ProjectivePoint.from_vector(vec)) == "Unknown"
+    for vec in ((1, 2), (1, 0)):
+        line = ProjectivePoint.from_vector(tuple(map(Fraction, vec)))
+        gauss = ProjectivePoint.from_vector(tuple(map(GaussSqrt5, vec)))
+        assert stereographic_apply("C", line) == \
+            stereographic_apply("C", gauss)
+        assert classify(root, line) == classify(root, gauss) == "absorbed"
