@@ -41,6 +41,7 @@ from .errors import (
     ParadoxError,
 )
 from .freegroup import (
+    CHART_PAIRS,
     default_absorber,
     get_pair,
     mixes_with_pair,
@@ -125,12 +126,6 @@ def _base_f2() -> Node:
     return Node("BaseF2", SpaceExpr(F2Space()), GroupTag("free", 0), {}, ())
 
 
-# the pair the chart of proj(K,2) induces on its sphere from the
-# Intertwine's own pair (su2-sqrt5, or sp1-sqrt5@2 = diag(q, 1)), so the
-# child subtree's samples are chart images of exact lines
-_CHART_PAIRS = {"C": "so3-su2", "H": "so5-sp1"}
-
-
 def _absorbed(child: Node, absorber) -> Node:
     """The paradox of child's space minus its removed set, lifted to the
     space's natural group and reabsorbed: CountableAbsorb -> SubgroupLift
@@ -176,8 +171,10 @@ def _derive_sphere(n: int) -> Node:
 def _derive_chart_sphere(field: str) -> Node:
     """The sphere certificate under the Intertwine of proj(K,2): its pair
     walks the chart image of the Intertwine seed [1 : 2+i], (2, -1, -2)/3
-    on S^2 and (2, -1, 0, 0, -2)/3 on S^4."""
-    pair = _CHART_PAIRS[field]
+    on S^2 and (2, -1, 0, 0, -2)/3 on S^4. The pair is the one the chart
+    induces on the sphere from the Intertwine's own pair, so the child
+    subtree's samples are chart images of exact lines."""
+    _, pair = CHART_PAIRS[field]
     if field == "C":
         return _free_base(Sphere(2), pair, (2, -1, -2), default_absorber())
     return _free_base(Sphere(4), pair, (2, -1, 0, 0, -2),
@@ -446,7 +443,7 @@ def _check_node(node: Node, path: str, violations: list):
                "child must be the matching sphere certificate")
             ex(ch[0].group == GroupTag("SO", sphere_dim + 1),
                "child group must be the rotation group")
-            induced = _CHART_PAIRS[field]
+            _, induced = CHART_PAIRS[field]
             walked = [n.params.get("pair") for _, n in ch[0].walk()
                       if n.rule == "FreeTransport"]
             ex(walked and all(p == induced for p in walked),

@@ -90,6 +90,7 @@ from .scalars import (
     RING_RATIONAL,
     QSqrt5,
     _components,
+    _dot_real,
     exact_sqrt,
     quaternion_parts,
     rational_value,
@@ -472,16 +473,9 @@ def _chart_form(field: str, vec):
             x += sign * (a1 * a2 + 5 * b1 * b2)
             y += sign * (a1 * b2 + b1 * a2)
         n.append((2 * x, 2 * y))
-    (s1, t1), (s2, t2) = _norm_sq(p), _norm_sq(q)
+    (s1, t1), (s2, t2) = _dot_real(p, p, 5), _dot_real(q, q, 5)
     n.append((s1 - s2, t1 - t2))
     return n, (s1 + s2, t1 + t2)
-
-
-def _norm_sq(pairs):
-    """The sum of the squares of the reals a + b sqrt5 of integer pairs,
-    as an integer pair."""
-    return (sum(a * a + 5 * b * b for a, b in pairs),
-            sum(2 * a * b for a, b in pairs))
 
 
 def _divided(n, divisor):
@@ -535,7 +529,7 @@ def stereographic_lift(field: str, p: SpherePoint):
     if None in read or any(a or b for r in read for a, b, _ in r[1:]):
         return None
     d = _integer_pairs([r[0] for r in read])
-    root = exact_sqrt(QuadExt.__new__(QSqrt5, *_norm_sq(d), 0, 0, 1))
+    root = exact_sqrt(QuadExt.__new__(QSqrt5, *_dot_real(d, d, 5), 0, 0, 1))
     if root is None:
         return None
     *dc, (ha, hb) = d

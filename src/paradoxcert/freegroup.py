@@ -15,30 +15,32 @@ Five built-in generator pairs, each with exact entries:
                    Q(sqrt5)
 
 plus block-embedded copies diag(g, I) in any larger dimension. The last
-two are written out as literal matrices; a test checks that they equal
-the induced rotations of their parents' letters.
+two are computed, not written: ``CHART_PAIRS`` names, for C and H, the
+pair an ``Intertwine`` walks and the pair its chart induces, and the
+induced letters are ``equimaps.induced_rotation`` of the parent's, read
+back as rationals when every entry is rational.
 
-Three integer walks read exact matrices through one reader,
-``IntegerReader``: the word walk and the absorber orbit walk below, and
-the orbit fragment of ``verification.orbit_fragment``. The reader reads a
-set of matrices and vectors once, in the one field their entries share,
-as flat integer vectors over one common denominator den (each entry its
-integer components, a quaternion those of w, x, y and z in turn), and
-turns a matrix into the integer matrix of multiplying by it on the left
-or on the right.
+Every integer walk reads exact matrices through one reader,
+``IntegerReader``. The reader reads a set of matrices and vectors once,
+in the one field their entries share, as flat integer vectors over one
+common denominator den (each entry its integer components, a quaternion
+those of w, x, y and z in turn), and turns a matrix into the integer
+matrix of multiplying by it on the left.
 
-Every scan over the words of a ball is one integer walk,
-``_integer_products``. It reads the letter matrices a, A, b, B of the root
-pair and a target matrix g (default I) once, so the integer rows of a
-word of length d are den**d times its matrix, and appending a letter is
-one integer dot product per integer of the result, with the columns of
-right multiplication by den times the letter. The freeness scan
-(g = I) and the absorber-is-not-a-pair-word scan (g = the absorber) walk
-only the ball of radius ceil(L / 2) (``_word_hits``): a reduced word of
-length <= L equals g iff M(u) g = M(v) for u its first half inverted and
-v the rest, so every such word is read off the products the two half
-balls share. The exceptional set walks the whole ball and rebuilds each
-word's exact product once from its integers to read its fixed axis.
+Every walk over the words of a ball is one breadth-first walk,
+``LineKeys.ball``: the letter matrices a, A, b, B of the root pair and a
+start vector v are read once, and each level prepends a letter to the
+words of the last, one integer dot product per integer of the result, so
+the vector of a word w is den**|w| M(w) v. The orbit fragment of
+``verification.orbit_fragment`` walks its seed. The word scans walk the
+columns of I, zipped into the columns of each word's product: the
+freeness scan (g = I) and the absorber-is-not-a-pair-word scan (g = the
+absorber, whose columns are walked beside) read only the ball of radius
+ceil(L / 2) (``_word_hits``): a reduced word of length <= L equals g iff
+M(u) g = M(v) for u its first half inverted and v the rest, so every such
+word is read off the products the two half balls share. The exceptional
+set walks the whole ball and rebuilds each word's exact product once from
+its columns to read its fixed axis.
 
 ``absorber_check`` walks the absorber orbit of the removed set D as
 integers too (``LineKeys``): g and the lines of D are read once, each line
@@ -47,10 +49,8 @@ over its least denominator), and a step is integer dot products, one
 multiplication by the adjugate of the leading entry and one gcd, with no
 exact scalar made. The walk indexes the orbit once, as {line key: least k
 with the line in g^k(D)}; its disjointness verdict and the verifier's
-classification both read that index. The orbit fragment reads the four
-letters of a pair and its seed through one ``LineKeys`` the same way,
-and keys a ray by the sign of its leading entry, read from its integers,
-and its line key.
+classification both read that index. The orbit fragment keys a ray by the
+sign of its leading entry, read from its integers, and its line key.
 """
 
 from __future__ import annotations
@@ -58,9 +58,10 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from operator import mul
 
+from .equimaps import induced_rotation
 from .errors import BackendMismatchError, DimensionMismatchError, ParadoxError
 from .linalg import (
     Matrix,
@@ -82,7 +83,7 @@ from .scalars import (
     rational_value,
     real_positive,
 )
-from .words import A, ball_size, inverse_word, reduce, word_text
+from .words import A, B, ball_size, inverse_word, reduce, word_text
 
 
 class GeneratorPair:
@@ -166,38 +167,37 @@ def _sp1_pair() -> GeneratorPair:
         (ma, Matrix([(qa.conjugate(),)]), mb, Matrix([(qb.conjugate(),)])))
 
 
-def _so3_su2_pair() -> GeneratorPair:
-    """The rotations of S^2 by which the chart of proj(C,2) carries the
-    letters of su2-sqrt5: a^2 = (-3 + 4i)/5 turns the chart coordinate q,
-    so a is the rotation with cosine -3/5 about z, and b is the one about
-    y."""
-    f = Fraction
-    c, s, z, o = f(-3, 5), f(4, 5), f(0), f(1)
-    return _rotations("so3-su2", "so3",
-                      Matrix([(c, -s, z), (s, c, z), (z, z, o)]),
-                      Matrix([(c, z, s), (z, o, z), (-s, z, c)]))
+# field -> (the pair an Intertwine of proj(K,2) walks, the pair of rotations
+# of S^2 or S^4 its stereographic chart induces)
+CHART_PAIRS = {"C": ("su2-sqrt5", "so3-su2"), "H": ("sp1-sqrt5@2", "so5-sp1")}
 
 
-def _so5_sp1_pair() -> GeneratorPair:
-    """The rotations of S^4 by which the chart of proj(H,2) carries the
-    letters diag(q, 1) of sp1-sqrt5@2: diag(L_q, 1), L_q the left
-    multiplication by q on H = R^4 (components w, x, y, z)."""
-    s, t = QSqrt5(0, Fraction(1, 5)), QSqrt5(0, Fraction(2, 5))
-    z, o = QSqrt5(0), QSqrt5(1)
-    return _rotations("so5-sp1", "so5",
-                      Matrix([(s, -t, z, z, z), (t, s, z, z, z),
-                              (z, z, s, -t, z), (z, z, t, s, z),
-                              (z, z, z, z, o)]),
-                      Matrix([(s, z, -t, z, z), (z, s, z, t, z),
-                              (t, z, s, z, z), (z, -t, z, s, z),
-                              (z, z, z, z, o)]))
+def _rational_read(m: Matrix) -> Matrix:
+    """m with its entries as Fractions when every one is rational."""
+    values = [[rational_value(x) for x in row] for row in m.data]
+    if all(isinstance(x, Fraction) for row in values for x in row):
+        return Matrix(values)
+    return m
+
+
+def _induced_pair(field: str) -> GeneratorPair:
+    """The rotations by which the chart of proj(K,2) carries the letters a
+    and b of the Intertwine's pair: for C, cosine -3/5 about z and about
+    y, since a^2 = (-3 + 4i)/5 turns the chart coordinate; for H,
+    diag(L_q, 1) with L_q the left multiplication by q on H = R^4."""
+    parent, name = CHART_PAIRS[field]
+    letters = get_pair(parent)
+    mat_a, mat_b = (_rational_read(induced_rotation(
+        field, letters.letter_matrix(x))) for x in (A, B))
+    return _rotations(name, f"so{mat_a.rows}", mat_a, mat_b)
 
 
 # each pair is built on its first lookup, so a run builds only the pairs
 # its certificate names
 _BUILDERS = {"so3-ab": _so3_pair, "su2-sqrt5": _su2_pair,
-             "sp1-sqrt5": _sp1_pair, "so3-su2": _so3_su2_pair,
-             "so5-sp1": _so5_sp1_pair}
+             "sp1-sqrt5": _sp1_pair,
+             **{name: lambda field=field: _induced_pair(field)
+                for field, (_, name) in CHART_PAIRS.items()}}
 _PAIRS = {}
 
 
@@ -249,8 +249,8 @@ class IntegerReader:
     sqrt(D) i, as far as K needs them (over the quaternions those of w, x,
     y and z in turn: ``size`` integers an entry), and a vector the flat
     tuple of its entries' integers. ``vectors`` holds the vectors read,
-    all over one common ``den``. ``blocks`` turns the integer rows (or
-    columns) of a matrix into the integer matrix of multiplication by it,
+    all over one common ``den``. ``blocks`` turns the integer rows of a
+    matrix into the integer matrix of multiplication by it on the left,
     so every product of exact matrices is integer dot products, and
     ``entries`` reads integers back as exact scalars.
 
@@ -321,15 +321,13 @@ class IntegerReader:
         return [tuple(s * c for u, s in part for c in blocks[u][t])
                 for part in side for t in range(w)]
 
-    def blocks(self, rows, side):
-        """The integer matrix of multiplication by an exact matrix M, as
-        rows: with ``rows`` the integer rows of M and side ``_LEFT``, the
-        dot products of its rows with v are M v; with ``rows`` the integer
-        columns of M and side ``_RIGHT``, the dot products of r with its
-        rows are r M."""
+    def blocks(self, rows):
+        """The integer matrix of multiplication by an exact matrix M on the
+        left, as rows: with ``rows`` the integer rows of M, the dot
+        products of its rows with v are M v."""
         size = self.size
         return [tuple(chain.from_iterable(
-            self._times(row[j:j + size], side)[t]
+            self._times(row[j:j + size], _LEFT)[t]
             for j in range(0, len(row), size)))
             for row in rows for t in range(size)]
 
@@ -347,65 +345,32 @@ class IntegerReader:
         return out
 
 
-def _integer_products(pair: GeneratorPair, max_len: int, target=None):
-    """(den, one, times_g, products, exact): the one integer walk over words.
+def _key(columns, n):
+    """Integer columns times the integer n, as one flat tuple."""
+    return tuple([x * n for _, v in columns for x in v])
 
-    The letter matrices a, A, b, B of ``pair.root()`` and the target g
-    (default I, a square matrix of the root's size) are read once by one
-    ``IntegerReader``, over one common den; g's rational-valued entries are
-    read as rationals. A product's row is one flat integer vector, and a
-    letter x is appended by the dot products of each row with the integer
-    columns of right multiplication by den * x (``IntegerReader.blocks``).
-    ``products`` yields (word, rows) depth first for every nonidentity
-    reduced word of length <= max_len: the rows of the word's product,
-    times den**len(word). ``one`` holds the rows of I, the empty word's
-    product, and ``times_g(rows)`` those of the product times den * g.
-    ``exact(rows, d)`` rebuilds the exact product, in ``pair.dim``, from
-    the rows of a word of length d.
+
+def _column_walk(pair: GeneratorPair, depth: int, g=None):
+    """(walk, ball): the ball of radius depth of the root pair, walked
+    column by column.
+
+    One ``LineKeys`` reads the letters of ``pair.root()`` and the columns
+    of I, then those of g when it is given (a square matrix of the root's
+    size, its rational-valued entries read as rationals), over one den.
+    ``ball`` zips one ``walk.ball`` a column: for each word w, breadth
+    first with the identity first, it yields the tuple of
+    (w, den**(|w| + 1) M(w) c), one pair for each column c read, as
+    integer vectors.
 
     Raises BackendMismatchError when an entry of g lies in a field that
-    does not mix with the pair's: no word equals such a g. A negative
-    max_len raises ValueError.
+    does not mix with the pair's: no word equals such a g.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
     root = pair.root()
-    g = Matrix.identity(root.dim, RING_RATIONAL) if target is None else target
-    mats = [root.letter_matrix(x) for x in range(4)] + [g]
-    reader = IntegerReader([c for m in mats for c in zip(*m.data)])
-    n, size = root.dim, reader.size
-    # cols[x]: the integer columns of right multiplication by den * letter
-    # x; cols[4] those of den * g
-    cols = [reader.blocks(reader.vectors[k * n:(k + 1) * n], _RIGHT)
-            for k in range(5)]
-    one = [tuple([int(j == i * size) for j in range(n * size)])
-           for i in range(n)]
-
-    def times(rows, x):
-        return [tuple([sum(map(mul, r, c)) for c in cols[x]]) for r in rows]
-
-    def products():
-        # depth-first with an explicit stack; it never exceeds ~3 * max_len
-        stack = [(one, ())]
-        while stack:
-            m, w = stack.pop()
-            if w:
-                yield w, m
-            if len(w) < max_len:
-                last_inv = w[-1] ^ 1 if w else None
-                stack.extend((times(m, x), w + (x,))
-                             for x in reversed(range(4)) if x != last_inv)
-
-    def exact(rows, length):
-        m = Matrix([reader.entries(r, reader.den ** length) for r in rows])
-        return m if pair is root else block_embed_matrix(m, pair.dim)
-
-    return reader.den, one, lambda rows: times(rows, 4), products(), exact
-
-
-def _key(rows, n):
-    """Integer rows times the integer n, as one flat tuple."""
-    return tuple([x * n for r in rows for x in r])
+    columns = Matrix.identity(root.dim, RING_RATIONAL).data
+    if g is not None:
+        columns += tuple(zip(*g.data))
+    walk = LineKeys([root.letter_matrix(x) for x in range(4)], columns)
+    return walk, zip(*[walk.ball(v, depth) for v in walk.start])
 
 
 def _word_hits(pair: GeneratorPair, max_len: int, g=None) -> set:
@@ -417,20 +382,25 @@ def _word_hits(pair: GeneratorPair, max_len: int, g=None) -> set:
     ceil(|w| / 2) letters (in the ball of radius hi) and v the rest (in
     the ball of radius lo); and every u, v with M(u) g = M(v) gives the
     hit reduce(u^-1 v), of length <= max_len. So the ball of radius hi is
-    walked once, each product's integer rows are scaled to den**(hi + 1)
-    (the u side times den * g), and the hits are read off the rows the
+    walked once over the columns of I and of g (``_column_walk``); for
+    g = I one walk serves both sides. Each product's integer columns are
+    scaled to den**(hi + 1), and the hits are read off the columns the
     two sides share.
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     hi, lo = (max_len + 1) // 2, max_len // 2
-    den, one, times_g, products, _ = _integer_products(pair, hi, g)
+    n = pair.root().dim
+    walk, ball = _column_walk(pair, hi, g)
     starts, ends = {}, {}
-    for w, rows in chain([((), one)], products):
-        n = den ** (hi - len(w))
-        starts.setdefault(_key(times_g(rows), n), []).append(w)
+    for columns in ball:
+        w = columns[0][0]
+        scale = walk.den ** (hi - len(w))
+        end = _key(columns[:n], scale)
+        start = end if g is None else _key(columns[n:], scale)
+        starts.setdefault(start, []).append(w)
         if len(w) <= lo:
-            ends.setdefault(_key(rows, n * den), []).append(w)
+            ends.setdefault(end, []).append(w)
     return {reduce(inverse_word(u) + v)
             for key in starts.keys() & ends.keys()
             for u in starts[key] for v in ends[key]}
@@ -521,11 +491,18 @@ def axis_of(word, pair: GeneratorPair):
 
 def exceptional_set(pair: GeneratorPair, max_len: int) -> frozenset:
     """Canonical fixed lines of all nonidentity words of length <= max_len,
-    each read off the word's exact product rebuilt from the integer walk."""
+    each read off the word's exact product rebuilt from its columns in the
+    integer walk (``_column_walk``)."""
     _require_so3(pair)
-    _, _, _, products, exact = _integer_products(pair, max_len)
-    return frozenset(_fixed_line(exact(rows, len(w)), w)
-                     for w, rows in products)
+    walk, ball = _column_walk(pair, max_len)
+    lines = set()
+    for columns in islice(ball, 1, None):  # the identity comes first
+        w = columns[0][0]
+        m = Matrix(zip(*[walk.entries(v, walk.den ** (len(w) + 1))
+                         for _, v in columns]))
+        lines.add(_fixed_line(m if pair.base is None
+                              else block_embed_matrix(m, pair.dim), w))
+    return frozenset(lines)
 
 
 def default_absorber() -> Matrix:
@@ -584,7 +561,8 @@ class LineKeys(IntegerReader):
     ``IntegerReader``, in the field K their entries share. Each matrix
     becomes one integer matrix (its ``blocks`` of left multiplication), so
     ``times(v, x)`` moves an integer vector by den times matrix x with
-    integer dot products alone, and ``step`` also divides out the gcd. The
+    integer dot products alone, ``ball`` walks the words of a pair's
+    letters over a vector, and ``step`` also divides out the gcd. The
     key of a line (``canonical``) is its leading-1 vector times the least
     positive integer that makes it integral: one right multiplication by
     the adjugate of the leading entry (the formula of ``QuadExt.inverse``)
@@ -601,13 +579,34 @@ class LineKeys(IntegerReader):
         if any(len(v) != n for v in rows + vectors):
             raise DimensionMismatchError("matrices and vectors differ in size")
         super().__init__(rows + vectors)
-        self._rows = [self.blocks(self.vectors[k:k + n], _LEFT)
+        self._rows = [self.blocks(self.vectors[k:k + n])
                       for k in range(0, len(rows), n)]
         self.start = self.vectors[len(rows):]
 
     def times(self, v, x=0):
         """The integer vector of den times matrix x times that of v."""
         return tuple([sum(map(mul, r, v)) for r in self._rows[x]])
+
+    def ball(self, v, depth: int):
+        """(w, den**|w| M(w) v) for every reduced word w of length <= depth,
+        breadth first with the identity first, for the matrices read the
+        letters a, A, b, B of a pair and M(w) their product: each level
+        prepends a letter to the words of the last, in letter order. A
+        negative depth raises ValueError."""
+        if depth < 0:
+            raise ValueError("depth must be >= 0")
+        level = [((), v)]
+        yield level[0]
+        for _ in range(depth):
+            nxt = []
+            for w, u in level:
+                for x in range(4):
+                    if w and x == w[0] ^ 1:
+                        continue
+                    item = ((x,) + w, self.times(u, x))
+                    nxt.append(item)
+                    yield item
+            level = nxt
 
     def step(self, v):
         """The integer vector, with gcd 1, of matrix 0 times the line of v."""

@@ -354,6 +354,10 @@ class SpherePoint:
     def __setattr__(self, *args):
         raise AttributeError("immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not the slots
+        return SpherePoint, (self.sign, self.direction)
+
     @classmethod
     def from_vector(cls, v):
         v = tuple(v)

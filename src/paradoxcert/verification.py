@@ -249,13 +249,14 @@ class Fragment:
 def orbit_fragment(space, seed, pair, depth: int) -> Fragment:
     """All points {w . seed : |w| <= depth} with provenance words.
 
-    The walk is breadth first, each word prepending a letter to one of the
-    frontier, and every point is an integer vector keyed by its integers
-    (``Fragment``). Raises SeedFixedError (naming the fixing word) if two
-    words of length <= depth land on the same point -- i.e. the seed is
-    fixed by a reduced word of length <= 2*depth -- BackendMismatchError if
-    a seed coordinate is not exact, from the integer reading of the seed,
-    and DomainError for a ray walk over a field with no real ordering.
+    The walk is ``LineKeys.ball``, breadth first, each word prepending a
+    letter to one of the last level, and every point is an integer vector
+    keyed by its integers (``Fragment``). Raises SeedFixedError (naming
+    the fixing word) if two words of length <= depth land on the same
+    point -- i.e. the seed is fixed by a reduced word of length
+    <= 2*depth -- BackendMismatchError if a seed coordinate is not exact,
+    from the integer reading of the seed, DomainError for a ray walk over
+    a field with no real ordering, and ValueError for a negative depth.
     """
     if isinstance(space, str):
         space = parse_descriptor(space)
@@ -281,19 +282,8 @@ def orbit_fragment(space, seed, pair, depth: int) -> Fragment:
             f"of {space.text}")
 
     frag = Fragment(kind, depth, seed_vec, walk)
-    frag._add((), walk.start[0])
-    frontier = [()]
-    for _ in range(depth):
-        nxt = []
-        for w in frontier:
-            v = frag._ints[w]
-            for x in range(4):
-                if w and x == (w[0] ^ 1):
-                    continue
-                w2 = (x,) + w
-                frag._add(w2, walk.times(v, x))
-                nxt.append(w2)
-        frontier = nxt
+    for w, v in walk.ball(walk.start[0], depth):
+        frag._add(w, v)
     return frag
 
 

@@ -1,16 +1,17 @@
 """Free generator pairs, exact freeness scans, axes, and the absorber."""
 
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from paradoxcert.errors import BackendMismatchError, ParadoxError
+from paradoxcert.equimaps import induced_rotation
 from paradoxcert.freegroup import (
-    _LEFT,
     _RIGHT,
     GeneratorPair,
     IntegerReader,
-    _integer_products,
+    LineKeys,
     absorber_check,
     axis_of,
     check_freeness,
@@ -124,12 +125,18 @@ def test_freeness_scans_the_pair_itself_whatever_its_kind(kind):
     assert result["words_checked"] == 4
 
 
-def _dot(reader, r, m, side):
-    """The exact scalars of r M (side ``_RIGHT``, m the integer columns of
-    M) or M r (side ``_LEFT``, m the integer rows of M) for the integer
-    vector r, both read over ``reader.den``."""
-    blocks = reader.blocks(m, side)
-    return reader.entries([sum(a * b for a, b in zip(r, c)) for c in blocks],
+def _dot(reader, r, m):
+    """The exact scalars of M r, m the integer rows of M and r an integer
+    vector, both read over ``reader.den``."""
+    return reader.entries([sum(map(mul, c, r)) for c in reader.blocks(m)],
+                          reader.den ** 2)
+
+
+def _right_times(reader, r, e):
+    """The exact scalar r e, for the integers r and e of two entries read
+    over ``reader.den``: multiplication by e on the right."""
+    return reader.entries([sum(map(mul, c, r))
+                           for c in reader._times(e, _RIGHT)],
                           reader.den ** 2)
 
 
@@ -141,12 +148,12 @@ def test_the_integer_reader_lifts_to_one_field_and_reads_back():
     assert (reader.den, reader.width, reader.size) == (30, 4, 4)
     assert reader.vectors == [(15, 0, 0, 0, 0, 10, 0, 0),
                               (6, 0, 12, 0, -30, 0, 0, 0)]
-    # 1/2 * (1 + 2i)/5 + sqrt5/3 * -1, as a row times a column and as a
-    # matrix times a vector
+    # 1/2 * (1 + 2i)/5 + sqrt5/3 * -1, as a matrix times a vector either
+    # way round
     want = f(1, 2) * GaussSqrt5(1, 0, 2, 0, 5) - QSqrt5(0, f(1, 3))
     first, second = reader.vectors
-    assert _dot(reader, first, [second], _RIGHT) == [want]
-    assert _dot(reader, second, [first], _LEFT) == [want]
+    assert _dot(reader, first, [second]) == [want]
+    assert _dot(reader, second, [first]) == [want]
     # entries inverts the reading, in the class the vectors mix to
     back = [reader.entries(v, reader.den) for v in reader.vectors]
     assert back == [list(v) for v in vectors]
@@ -154,23 +161,24 @@ def test_the_integer_reader_lifts_to_one_field_and_reads_back():
     reader = IntegerReader([(f(1, 2), f(2, 3)), (f(3), f(-1))])
     assert (reader.den, reader.vectors) == (6, [(3, 4), (18, -6)])
     first, second = reader.vectors
-    assert _dot(reader, first, [second], _RIGHT) == [f(5, 6)]
+    assert _dot(reader, first, [second]) == [f(5, 6)]
     for bad in ([(QSqrt2(0, 1), QSqrt5(0, 1))], [(f(1), 0.5)]):
         with pytest.raises(BackendMismatchError):
             IntegerReader(bad)
 
 
 def test_the_integer_reader_multiplies_quaternions_on_either_side():
-    # p q and q p differ; the left blocks of p and the right blocks of q
-    # both give p q
+    # p q and q p differ; the left blocks of p and the right
+    # multiplication by q (which ``LineKeys.canonical`` uses) both give p q
     s = lambda a, b=0: QSqrt5(Fraction(a), Fraction(b))
     p = Quaternion(s(1, 2), s(Fraction(1, 3)), s(0, -1), s(2))
     q = Quaternion(s(0, 1), s(-1), s(Fraction(2, 7), 1), s(0, 3))
     reader = IntegerReader([(p,), (q,)])
     assert (reader.quaternionic, reader.size) == (True, 8)
     vp, vq = reader.vectors
-    assert _dot(reader, vq, [vp], _LEFT) == [p * q]
-    assert _dot(reader, vp, [vq], _RIGHT) == [p * q]
+    assert _dot(reader, vq, [vp]) == [p * q]
+    assert _right_times(reader, vp, vq) == [p * q]
+    assert _right_times(reader, vq, vp) == [q * p]
     assert p * q != q * p
 
 
@@ -203,26 +211,30 @@ def _flat_rows(m, n, width):
 
 @pytest.mark.parametrize("name", PAIRS + ("so3-ab@4", "sp1-sqrt5@2"))
 def test_the_integer_scan_is_den_powers_times_the_exact_products(name):
+    # the ball over each column c of I and of a target g, as the word
+    # scans walk it: den**(|w| + 1) M(w) c, read as integers
     pair = get_pair(name)
     root = pair.root()
     width = _width(pair)
     ident = Matrix.identity(root.dim, root.letter_matrix(0).scalar_ring())
     target = evaluate(parse_word("aB"), root)
-    for g in (None, target):
-        want = ident if g is None else g
-        den, one, times_g, products, exact = _integer_products(pair, 5, g)
-        assert one == _flat_rows(ident, 1, width)
-        seen = []
-        for w, rows in products:
-            seen.append(w)
-            product = evaluate(w, root)
-            n = den ** len(w)
-            assert rows == _flat_rows(product, n, width), (name, w)
-            assert exact(rows, len(w)) == evaluate(w, pair), (name, w)
-            assert times_g(rows) == _flat_rows(matmul(product, want),
-                                               n * den, width), (name, w)
-        # depth first is tuple order
-        assert seen == sorted(w for w in enumerate_ball(5) if w)
+    columns = list(zip(*ident.data)) + list(zip(*target.data))
+    walk = LineKeys([root.letter_matrix(x) for x in range(4)], columns)
+    # breadth first, each level prepending a letter to the last
+    order = [w[::-1] for w in enumerate_ball(5)]
+    products = {w: evaluate(w, root) for w in order}
+    assert walk.start == [_flat_rows(Matrix([c]), walk.den, width)[0]
+                          for c in columns]
+    for c, start in zip(columns, walk.start):
+        ball = list(walk.ball(start, 5))
+        assert [w for w, _ in ball] == order
+        for w, v in ball:
+            want = mat_vec(products[w], c)
+            n = walk.den ** (len(w) + 1)
+            assert v == _flat_rows(Matrix([want]), n, width)[0], (name, w)
+            assert tuple(walk.entries(v, n)) == want, (name, w)
+    with pytest.raises(ValueError):
+        next(walk.ball(walk.start[0], -1))
 
 
 def _degenerate_pair(name):
@@ -237,36 +249,6 @@ def _degenerate_pair(name):
                          (a, a.transpose(), b, b.transpose()))
 
 
-def _depth_first_freeness(pair, max_len):
-    """check_freeness, less elapsed_s, by the depth-first integer walk
-    over every word of the ball: the first word whose rows are those of
-    den**len(word) * I, and the count of words walked up to it."""
-    root = pair.root()
-    ident = Matrix.identity(root.dim, root.letter_matrix(0).scalar_ring())
-    den, _, _, products, _ = _integer_products(pair, max_len)
-    checked, counterexample = 0, None
-    for w, rows in products:
-        checked += 1
-        if rows == _flat_rows(ident, den ** len(w), _width(pair)):
-            counterexample = w
-            break
-    return {"pair": pair.name, "max_len": max_len, "words_checked": checked,
-            "ok": counterexample is None,
-            "counterexample": counterexample and word_text(counterexample)}
-
-
-@pytest.mark.parametrize("name", PAIRS + ("so3-ab@4", "sp1-sqrt5@2",
-                                          "quarter", "swapped", "b=a^2",
-                                          "a=bq"))
-def test_freeness_equals_the_depth_first_walk(name):
-    pair = get_pair(name) if "-" in name else _degenerate_pair(name)
-    for max_len in range(8):
-        result = check_freeness(pair, max_len)
-        del result["elapsed_s"]
-        assert result == _depth_first_freeness(pair, max_len)
-    assert result["ok"] == ("-" in name)
-
-
 def _ball_products(pair, max_len):
     """{word: its exact product} over the ball, breadth first."""
     out = {}
@@ -274,6 +256,34 @@ def _ball_products(pair, max_len):
         out[w] = (matmul(out[w[:-1]], pair.letter_matrix(w[-1])) if w else
                   Matrix.identity(pair.dim, RING_RATIONAL))
     return out
+
+
+def _depth_first_freeness(pair, products, max_len):
+    """check_freeness, less elapsed_s, from the exact products of the ball
+    (``_ball_products``) taken in depth-first (tuple) order: the first
+    nonidentity word whose product is I, and the count of words up to
+    it."""
+    ident = Matrix.identity(pair.dim, RING_RATIONAL)
+    words = sorted(w for w in products if 0 < len(w) <= max_len)
+    trivial = next((w for w in words if products[w] == ident), None)
+    return {"pair": pair.name, "max_len": max_len,
+            "words_checked": (len(words) if trivial is None
+                              else words.index(trivial) + 1),
+            "ok": trivial is None,
+            "counterexample": trivial and word_text(trivial)}
+
+
+@pytest.mark.parametrize("name", PAIRS + ("so3-ab@4", "sp1-sqrt5@2",
+                                          "quarter", "swapped", "b=a^2",
+                                          "a=bq"))
+def test_freeness_equals_the_depth_first_walk(name):
+    pair = get_pair(name) if "-" in name else _degenerate_pair(name)
+    products = _ball_products(pair, 7)
+    for max_len in range(8):
+        result = check_freeness(pair, max_len)
+        del result["elapsed_s"]
+        assert result == _depth_first_freeness(pair, products, max_len)
+    assert result["ok"] == ("-" in name)
 
 
 @pytest.mark.parametrize("name", ["so3-ab", "quarter"])
@@ -296,18 +306,19 @@ def test_the_pair_word_scan_equals_a_brute_force_over_the_ball(name):
 
 
 def test_the_freeness_proof_walks_only_the_half_ball(monkeypatch):
-    from paradoxcert import freegroup
     walked = []
-    real = freegroup._integer_products
+    real = LineKeys.ball
 
-    def counting(*args):
-        den, one, times_g, products, exact = real(*args)
-        return den, one, times_g, ((walked.append(w), (w, rows))[1]
-                                   for w, rows in products), exact
+    def counting(self, v, depth):
+        for w, u in real(self, v, depth):
+            walked.append(w)
+            yield w, u
 
-    monkeypatch.setattr(freegroup, "_integer_products", counting)
+    monkeypatch.setattr(LineKeys, "ball", counting)
     assert check_freeness(get_pair("so3-ab"), 10)["words_checked"] == 118096
-    assert 0 < len(walked) <= ball_size(5) - 1 == 484
+    # one walk of the ball of radius 5 a column of I
+    assert len(walked) == 3 * ball_size(5) == 3 * 485
+    assert set(walked) == set(enumerate_ball(5))
 
 
 def _written_over(m, cls):
@@ -517,16 +528,50 @@ def test_a_line_outside_the_index_field_has_no_key():
     assert quaternionic.key((zero, QSqrt5(0, 1), one)) is not None
 
 
+def _pinned_letters(name):
+    """The letters a and b of an induced pair, written out, and the class
+    of their entries. so3-su2: a^2 = (-3 + 4i)/5 turns the chart
+    coordinate, so a is the rotation with cosine -3/5 about z, and b the
+    one about y. so5-sp1: diag(L_q, 1), L_q the left multiplication by
+    q = (1 + 2i)/sqrt5 or (1 + 2j)/sqrt5 on H = R^4."""
+    if name == "so3-su2":
+        f = Fraction
+        c, s, z, o = f(-3, 5), f(4, 5), f(0), f(1)
+        return (Matrix([(c, -s, z), (s, c, z), (z, z, o)]),
+                Matrix([(c, z, s), (z, o, z), (-s, z, c)]), Fraction)
+    s, t = QSqrt5(0, Fraction(1, 5)), QSqrt5(0, Fraction(2, 5))
+    z, o = QSqrt5(0), QSqrt5(1)
+    return (Matrix([(s, -t, z, z, z), (t, s, z, z, z), (z, z, s, -t, z),
+                    (z, z, t, s, z), (z, z, z, z, o)]),
+            Matrix([(s, z, -t, z, z), (z, s, z, t, z), (t, z, s, z, z),
+                    (z, -t, z, s, z), (z, z, z, z, o)]), QSqrt5)
+
+
 @pytest.mark.parametrize("name", sorted(INDUCED))
 def test_an_induced_pair_is_the_chart_image_of_its_parent(name):
-    from paradoxcert.equimaps import induced_rotation
     field, parent = INDUCED[name]
     pair, parent = get_pair(name), get_pair(parent)
-    for x in range(4):
-        assert pair.letter_matrix(x) == induced_rotation(
-            field, parent.letter_matrix(x))
+    a, b, cls = _pinned_letters(name)
+    for x, pinned in enumerate((a, a.transpose(), b, b.transpose())):
+        m = pair.letter_matrix(x)
+        assert m == pinned == induced_rotation(field, parent.letter_matrix(x))
+        assert {type(e) for row in m.data for e in row} == {cls}
     result = check_freeness(pair, 10)
     assert result["ok"] and result["words_checked"] == 118096
+
+
+def test_a_tampered_chart_builds_an_induced_pair_off_the_pin(monkeypatch):
+    # the pin is independent of the chart: a transposed induced rotation
+    # swaps the letters a and A of the rebuilt so3-su2
+    from paradoxcert import freegroup
+    real = freegroup.induced_rotation
+    monkeypatch.setattr(freegroup, "induced_rotation",
+                        lambda field, g: real(field, g).transpose())
+    monkeypatch.setattr(freegroup, "_PAIRS", {})
+    a, _, _ = _pinned_letters("so3-su2")
+    tampered = get_pair("so3-su2")
+    assert tampered.letter_matrix(0) == a.transpose() != a
+    assert tampered.letter_matrix(1) == a
 
 
 def test_the_default_absorber_keeps_the_axes_of_so3_su2_apart():

@@ -391,6 +391,23 @@ def test_subspaces_copy_and_pickle(name):
         assert q == p and hash(q) == hash(p)
 
 
+_RAYS = {
+    "over Q": (Fraction(1), Fraction(2), Fraction(2)),
+    "over Q(sqrt2)": (QSqrt2(0, -1), QSqrt2(1), QSqrt2(Fraction(1, 3), 2)),
+    "over Q(sqrt5)": (QSqrt5(0), QSqrt5(-2, 1), QSqrt5(Fraction(3, 5))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RAYS))
+def test_sphere_points_copy_and_pickle(name):
+    p = SpherePoint.from_vector(_RAYS[name])
+    for q in (copy.copy(p), copy.deepcopy(p),
+              pickle.loads(pickle.dumps(p))):
+        assert type(q) is SpherePoint
+        assert (q.sign, q.direction) == (p.sign, p.direction)
+        assert q == p and hash(q) == hash(p)
+
+
 def test_no_float_line_is_built_to_copy_or_pickle():
     # a complex coordinate is refused where the line is built, so no
     # copy or pickle can rebuild a float line
