@@ -12,9 +12,10 @@ verify <cert.json> [--depth --samples --seed --absorber-bound]
 freeness [--pair so3-ab|su2-sqrt5|sp1-sqrt5] [--max-len L]
     Evaluate every nonidentity reduced word of length <= L exactly and
     confirm none is the identity matrix.
-axes [--pair so3-ab] [--max-len L] [-o axes.json]
+axes [--pair so3-ab|so3-su2] [--max-len L] [-o axes.json]
     Enumerate the fixed axes of all nonidentity words of length <= L
-    (deduplicated), each with the first word that produced it.
+    (deduplicated), each with the first word that produced it. Only an
+    unembedded 3 x 3 so3 pair has axes; any other pair is a usage error.
 orbit <space> [--seed-point 1,2,3] [--pair P] [--depth L] [-o points.json]
     Dump the orbit fragment of a seed point with provenance words.
 absorber [--max-len L] [--bound M] [--identity]
@@ -44,6 +45,7 @@ from .freegroup import (
     axis_of,
     default_absorber,
     get_pair,
+    require_so3,
 )
 from .linalg import Matrix
 from .scalars import RING_RATIONAL, scalar_to_json
@@ -230,6 +232,16 @@ def _pair(text: str) -> str:
     return text
 
 
+def _axes_pair(text: str) -> str:
+    """argparse type of ``axes --pair``: a pair whose nonidentity words
+    each fix one line, so any other pair is a usage error (exit 2)."""
+    try:
+        require_so3(get_pair(_pair(text)))
+    except ParadoxError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paradoxcert",
@@ -255,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=_count, default=6)
 
     p = sub.add_parser("axes", help="fixed axes of short words")
-    p.add_argument("--pair", type=_pair, default="so3-ab")
+    p.add_argument("--pair", type=_axes_pair, default="so3-ab")
     p.add_argument("--max-len", type=_count, default=4)
     p.add_argument("-o", "--output", default=None)
 

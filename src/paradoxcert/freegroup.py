@@ -46,8 +46,9 @@ its columns to read its fixed axis.
 integers too (``LineKeys``): g and the lines of D are read once, each line
 is keyed by its primitive integer representative (the leading-1 vector
 over its least denominator), and a step is integer dot products, one
-multiplication by the adjugate of the leading entry and one gcd, with no
-exact scalar made. The walk indexes the orbit once, as {line key: least k
+multiplication by the adjugate of the leading entry (entry by entry over
+a commutative field, no rows built) and one gcd, with no exact scalar
+made. The walk indexes the orbit once, as {line key: least k
 with the line in g^k(D)}; its disjointness verdict and the verifier's
 classification both read that index. The orbit fragment keys a ray by the
 sign of its leading entry, read from its integers, and its line key.
@@ -463,9 +464,12 @@ def pair_word_scan(pair: GeneratorPair, max_len: int, g: Matrix):
                                 sorted(hits, key=lambda w: (len(w), w))]
 
 
-def _require_so3(pair: GeneratorPair):
-    if pair.root().kind != "so3":
-        raise ParadoxError("axes are defined for the so3 pair only")
+def require_so3(pair: GeneratorPair):
+    """Refuse any pair but an unembedded 3 x 3 so3 pair: only there does
+    every nonidentity word fix exactly one line, its axis."""
+    if pair.kind != "so3":
+        raise ParadoxError(f"axes are defined for an unembedded so3 pair "
+                           f"only, not {pair.name}")
 
 
 def _fixed_line(m: Matrix, word):
@@ -483,7 +487,7 @@ def axis_of(word, pair: GeneratorPair):
     Only meaningful for 3x3 real pairs: the fixed space of a nonidentity
     special orthogonal 3x3 matrix is exactly one line.
     """
-    _require_so3(pair)
+    require_so3(pair)
     if not word:
         raise ParadoxError("the identity word fixes everything")
     return _fixed_line(evaluate(word, pair), word)
@@ -493,15 +497,14 @@ def exceptional_set(pair: GeneratorPair, max_len: int) -> frozenset:
     """Canonical fixed lines of all nonidentity words of length <= max_len,
     each read off the word's exact product rebuilt from its columns in the
     integer walk (``_column_walk``)."""
-    _require_so3(pair)
+    require_so3(pair)
     walk, ball = _column_walk(pair, max_len)
     lines = set()
     for columns in islice(ball, 1, None):  # the identity comes first
         w = columns[0][0]
         m = Matrix(zip(*[walk.entries(v, walk.den ** (len(w) + 1))
                          for _, v in columns]))
-        lines.add(_fixed_line(m if pair.base is None
-                              else block_embed_matrix(m, pair.dim), w))
+        lines.add(_fixed_line(m, w))
     return frozenset(lines)
 
 
@@ -565,8 +568,13 @@ class LineKeys(IntegerReader):
     letters over a vector, and ``step`` also divides out the gcd. The
     key of a line (``canonical``) is its leading-1 vector times the least
     positive integer that makes it integral: one right multiplication by
-    the adjugate of the leading entry (the formula of ``QuadExt.inverse``)
-    and one gcd. Equal lines have equal keys, and a key is the line's
+    the adjugate z of the leading entry and one gcd. Over a commutative K
+    z is that of ``scalars.adjugate`` (the formula of ``QuadExt.inverse``),
+    and each entry's integers are multiplied by it with the product
+    formula of ``QuadExt.__mul__``, no rows built; over the quaternions z
+    is the conjugate over the norm's adjugate, and the rows of right
+    multiplication by it are built once a key. A rational leading entry
+    needs neither. Equal lines have equal keys, and a key is the line's
     primitive integer representative with a positive integer leading
     entry. Over a real K, ``sign`` reads the sign of a vector's leading
     entry exactly from its integers, which with the line key names a ray.
@@ -627,11 +635,9 @@ class LineKeys(IntegerReader):
                                   self.D) else -1
 
     def _adjugate(self, e):
-        """(z, n): e z = n, a nonzero integer, for a nonzero entry e."""
+        """(z, n): e z = n, a nonzero integer, for a nonzero quaternion
+        entry e."""
         w = self.width
-        if not self.quaternionic:
-            z, n = adjugate(*e, *(0,) * (4 - w), self.D)
-            return z[:w], n
         parts = [e[u * w:(u + 1) * w] for u in range(4)]
         conj = [parts[0]] + [tuple(-c for c in p) for p in parts[1:]]
         # e conj(e) = |e|^2, the sum of the squares of the parts
@@ -651,13 +657,27 @@ class LineKeys(IntegerReader):
         if j is None:
             raise ValueError("zero vector has no direction")
         j -= j % size  # the first nonzero integer is in the leading entry
-        if any(v[j + 1:j + size]):
+        if not any(v[j + 1:j + size]):
+            n = v[j]
+        elif self.quaternionic:
             z, n = self._adjugate(v[j:j + size])
             rows = self._times(z, _RIGHT)
             v = tuple([sum(map(mul, r, v[i:i + size]))
                        for i in range(0, len(v), size) for r in rows])
         else:
-            n = v[j]
+            # a commutative K: each entry times z, as QuadExt.__mul__ does
+            D, parts = self.D, iter(v)
+            (p, q, r, s), n = adjugate(*v[j:j + size], *(0,) * (4 - size), D)
+            if size == 2:
+                dq = D * q
+                v = tuple([x for a, b in zip(parts, parts)
+                           for x in (a * p + b * dq, a * q + b * p)])
+            else:
+                v = tuple([x for a, b, c, d in zip(parts, parts, parts, parts)
+                           for x in (a * p + D * (b * q - d * s) - c * r,
+                                     a * q + b * p - c * s - d * r,
+                                     a * r + c * p + D * (b * s + d * q),
+                                     a * s + d * p + b * r + c * q)])
         g = math.gcd(*v)
         if n < 0:
             g = -g

@@ -99,7 +99,8 @@ def generating_set(n: int, ring: Ring) -> tuple:
     at each coordinate, and over the quaternions the phases (3 +- 4i)/5 and
     (3 +- 4j)/5. arccos(3/5) is no rational multiple of pi (Niven), so the
     powers of each element are dense in its one-parameter subgroup, and
-    those subgroups generate the group. Built on first use, once per ring
+    those subgroups generate the group. SO(1) is the identity alone, so
+    over a real ring at n = 1 S is {I}. Built on first use, once per ring
     name and n.
     """
     return _generating_set(ring.name, n)
@@ -126,7 +127,7 @@ def _generating_set(ring_name: str, n: int) -> tuple:
         phases = [Quaternion(a, s, z, z) for s in (b, -b)]
         phases += [Quaternion(a, z, s, z) for s in (b, -b)]
     out += [identity_with({(i, i): p}) for i in range(n) for p in phases]
-    return tuple(out)
+    return tuple(out) or (identity_with({}),)
 
 
 def _random_span(n: int, k: int, ring: Ring, rng: random.Random):

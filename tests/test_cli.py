@@ -665,9 +665,15 @@ def test_an_unknown_key_is_named(tmp_path, capsys, desc, mutate, message):
      "pair so3-ab acts on 3 coordinates, proj(C,2) on 2"),
     (["orbit", "sphere(5)", "--depth", "1"],
      "pair so3-ab acts on 3 coordinates, sphere(5) on 6"),
+    (["axes", "--pair", "so3-ab@4"],
+     "argument --pair: axes are defined for an unembedded so3 pair only, "
+     "not so3-ab@4"),
+    (["axes", "--pair", "su2-sqrt5"],
+     "argument --pair: axes are defined for an unembedded so3 pair only, "
+     "not su2-sqrt5"),
 ], ids=["freeness", "axes", "orbit", "embedding-text", "embedding-smaller",
         "orbit-seed-length", "orbit-proj-dimension",
-        "orbit-sphere-dimension"])
+        "orbit-sphere-dimension", "axes-embedded", "axes-not-so3"])
 def test_a_bad_pair_is_a_usage_error(capsys, argv, message):
     assert main(argv) == 2
     assert message in capsys.readouterr().err

@@ -269,8 +269,11 @@ def test_each_generating_set_is_unitary_and_closed_under_inverses(
     for n in range(1, 6):
         gens = generating_set(n, ring)
         assert gens is generating_set(n, ring)  # built once
-        # two Givens rotations per coordinate plane, then the phases
-        assert len(gens) == n * (n - 1) + _PHASES[ring_name] * n
+        # two Givens rotations per coordinate plane, then the phases; SO(1)
+        # is generated by the identity alone
+        assert len(gens) == (n * (n - 1) + _PHASES[ring_name] * n or 1)
+        if n == 1 and not _PHASES[ring_name]:
+            assert gens == (Matrix.identity(1, ring),)
         assert len(set(gens)) == len(gens)
         for s in gens:
             assert (s.rows, s.cols) == (n, n)

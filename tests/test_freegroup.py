@@ -1,5 +1,7 @@
 """Free generator pairs, exact freeness scans, axes, and the absorber."""
 
+import math
+import random
 from fractions import Fraction
 from operator import mul
 
@@ -35,6 +37,7 @@ from paradoxcert.scalars import (
     QSqrt2,
     QSqrt5,
     Quaternion,
+    rational_value,
 )
 from paradoxcert.words import ball_size, enumerate_ball, parse_word, word_text
 
@@ -373,6 +376,11 @@ def test_axis_is_exactly_fixed():
 def test_axis_requires_so3_pair():
     with pytest.raises(ParadoxError):
         axis_of(parse_word("a"), get_pair("su2-sqrt5"))
+    # any other pair is refused by name before any word is walked; every
+    # nonidentity word of so3-ab@4 fixes a space of dimension at least 2
+    for name in ("so3-ab@4", "so5-sp1"):
+        with pytest.raises(ParadoxError, match=f"pair only, not {name}$"):
+            exceptional_set(get_pair(name), 1)
 
 
 def test_exceptional_set_counts_and_growth():
@@ -526,6 +534,78 @@ def test_a_line_outside_the_index_field_has_no_key():
     quaternionic = absorber_check(*_case("quat_sqrt5"), 5)["keys"]
     assert quaternionic.key((zero, GaussSqrt5(0, 0, 1), one)) is None
     assert quaternionic.key((zero, QSqrt5(0, 1), one)) is not None
+
+
+def _random_entry(rng, field, kind):
+    """A random scalar of the field: zero, a nonzero rational or an
+    irrational one (a quaternion with each part so), with either sign."""
+    if kind == "zero":
+        return Fraction(0)
+    f = lambda: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                         rng.randint(1, 6))
+    if field == "quat":
+        if kind == "rational":
+            return Quaternion(QSqrt5(f()), *[QSqrt5(0)] * 3)
+        return Quaternion(*[QSqrt5(f(), f()) for _ in range(4)])
+    if kind == "rational":
+        return f()
+    if field is GaussSqrt5:
+        # (a + b sqrt5 + (c + d sqrt5) i) / den, with b and d nonzero
+        a, b, c, d = (rng.choice((-1, 1)) * rng.randint(i % 2, 9)
+                      for i in range(4))
+        return GaussSqrt5(a, b, c, d, rng.randint(1, 6))
+    return field(f(), f())
+
+
+def _random_vector(rng, field):
+    """1 to 4 entries: up to two leading zeros, then a rational or an
+    irrational leading entry, then entries of any kind."""
+    zeros = rng.randint(0, 2)
+    lead = rng.choice(("rational", "irrational"))
+    rest = [rng.choice(("zero", "rational", "irrational"))
+            for _ in range(rng.randint(0, 2))]
+    return tuple(_random_entry(rng, field, kind)
+                 for kind in ["zero"] * zeros + [lead] + rest)
+
+
+def _primitive(u, walk):
+    """The primitive integer form of an exact vector u, read entry by entry
+    (a quaternion part by part) without ``IntegerReader``, but laid out as
+    the walk lays out integers: ``walk.width`` components each, over their
+    least common denominator, divided by their gcd."""
+    if walk.quaternionic:
+        u = [x if isinstance(x, Quaternion) else Quaternion(x, 0, 0, 0)
+             for x in u]
+    else:
+        u = [x.w if isinstance(x, Quaternion) else x for x in u]
+    parts = [p for x in u for p in ((x.w, x.x, x.y, x.z)
+                                    if isinstance(x, Quaternion) else (x,))]
+    n = math.lcm(*[p.denominator if isinstance(p, Fraction) else p.den
+                   for p in parts])
+    flat = _flat_rows(Matrix([u]), n, walk.width)[0]
+    g = math.gcd(*flat)
+    return tuple(x // g for x in flat)
+
+
+@pytest.mark.parametrize("field", [QSqrt2, QSqrt5, GaussSqrt5, "quat"],
+                         ids=["qsqrt2", "qsqrt5", "gauss_sqrt5", "quat"])
+def test_a_key_is_the_primitive_form_of_the_leading_one_vector(field):
+    # the reference is the exact leading-1 vector, cleared of denominators
+    # and content; a line scaled on the right by any nonzero scalar of the
+    # field keeps its key
+    rng = random.Random(3401)
+    leads = set()
+    for _ in range(150):
+        v = _random_vector(rng, field)
+        c = _random_entry(rng, field, rng.choice(("rational", "irrational")))
+        walk = LineKeys([Matrix.identity(len(v), RING_RATIONAL)],
+                        [v, tuple(x * c for x in v)])
+        key = walk.canonical(walk.start[0])
+        assert key == _primitive(normalize_leading(v), walk)
+        assert walk.canonical(walk.start[1]) == key
+        lead = next(x for x in v if x)
+        leads.add(isinstance(rational_value(lead), Fraction))
+    assert leads == {True, False}
 
 
 def _pinned_letters(name):

@@ -261,3 +261,27 @@ def test_an_error_inside_a_handler_fails_its_node(monkeypatch, tmp_path,
         ("0.0.0", "Pullback", ["could not sample a domain point"])]
     assert ("node 0.0.0 [Pullback]: could not sample a domain point"
             in capsys.readouterr().err)
+
+
+def test_an_absorbed_image_past_the_bound_collides(monkeypatch):
+    # the absorbed samples g^0 d, g^1 d and g^2 d whatever the bound: at
+    # bound 1 the index holds no g^2 d, so the witness takes it for the
+    # complement, and g^1 d, which is absorbed, maps onto it
+    root = derive("sphere(2)")
+    assert verify(root, depth=3, samples=20, absorber_bound=1)[
+        "overall"] == "pass"
+    absorbed = verification._absorbed_samples
+
+    def every_power_to_two(node, ctx):
+        powers = dict(ctx["absorber_check"], bound=2)
+        return absorbed(node, dict(ctx, absorber_check=powers))
+    monkeypatch.setattr(verification, "_absorbed_samples",
+                        every_power_to_two)
+    report = verify(root, depth=3, samples=20, absorber_bound=1)
+    assert report["overall"] == "fail"
+    failed = [n for n in report["nodes"] if n["status"] == "fail"]
+    assert [(n["path"], n["rule"]) for n in failed] == [
+        ("0", "CountableAbsorb")]
+    assert failed[0]["failures"] == [
+        "image collision between pieces absorbed-orbit and complement"] * 4
+    assert report["unknown"] == 2

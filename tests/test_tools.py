@@ -129,3 +129,27 @@ def test_work_counts_pins_the_exact_work_of_a_verify(tmp_path, capsys):
     capsys.readouterr()
     assert tool.main(["sphere(2)"]) == 0
     assert capsys.readouterr().out == "| sphere(2) | 0 | 160 | 10163 | 0 |\n"
+
+
+def test_ab_timing_runs_two_interleaved_kernels_passes(capsys):
+    # the same checkout on both sides: every kernel gives its known answer
+    # on each side, and the side that goes first flips every pass
+    root = TOOLS.parent
+    assert _tool("ab_timing").main([str(root), str(root), "--workload",
+                                    "kernels", "--passes", "2", "--seed",
+                                    "7"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert (result["failed"], result["problems"]) == (0, [])
+    assert result["attempted"] == 4 * len(result["runs"][0]["ops"]) > 0
+    assert [(r["pass"], r["side"], r["order"]) for r in result["runs"]] == [
+        (0, "parent", 0), (0, "change", 1), (1, "change", 0),
+        (1, "parent", 1)]
+    for run in result["runs"]:
+        assert run["wall_s"] == sum(op["wall_s"] for op in run["ops"])
+        assert run["cpu_s"] == sum(op["cpu_s"] for op in run["ops"])
+        assert {tuple(sorted(op)) for op in run["ops"]} == {
+            ("cpu_s", "name", "wall_s")}
+    assert set(result["median"]) == {"parent", "change"}
+    assert 0 <= result["change_faster_passes"] <= 2
+    assert {k: result[k] for k in ("workload", "seed", "passes")} == {
+        "workload": "kernels", "seed": 7, "passes": 2}

@@ -1,5 +1,6 @@
 """Orbit fragments, paradoxical reassembly, witnesses, and full runs."""
 
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
@@ -12,7 +13,12 @@ from paradoxcert.errors import (
     SeedFixedError,
     VerificationError,
 )
-from paradoxcert.freegroup import default_absorber, get_pair
+from paradoxcert.freegroup import (
+    absorber_check,
+    default_absorber,
+    exceptional_set,
+    get_pair,
+)
 from paradoxcert.linalg import (
     Matrix,
     mat_vec,
@@ -166,6 +172,24 @@ def test_the_integer_walk_names_the_fixing_word_as_the_exact_walk_does(
     with pytest.raises(SeedFixedError) as got:
         orbit_fragment(space, seed, "so3-ab", 3)
     assert str(got.value) == str(want.value)
+
+
+def _index_digest(index):
+    return hashlib.sha256(repr(sorted(index.items())).encode()).hexdigest()
+
+
+def test_the_kernels_fragment_and_absorber_indexes_are_pinned():
+    # the keys of the depth-8 sphere(2) fragment and of the default
+    # absorber orbit, as the kernels benchmark walks them
+    frag = orbit_fragment("sphere(2)", SEED, "so3-ab", 8)
+    assert len(frag.index) == 13121
+    assert _index_digest(frag.index) == (
+        "ae7ca210a9a5d88c1345364cb1e9fff1151f2cd8db5fe882a6464e10f6eb1b95")
+    lines = exceptional_set(get_pair("so3-ab"), 4)
+    index = absorber_check(default_absorber(), lines, 50)["index"]
+    assert len(index) == 66 * 51
+    assert _index_digest(index) == (
+        "b2a003c800301868bf39fae6be1e35b773af36faa358913aa637559eddf3974e")
 
 
 def test_a_ray_walk_needs_a_real_pair():
